@@ -97,6 +97,8 @@ def cmd_classify(args) -> int:
             outcome = evaluate_predicate(name, matrix, cfg)
         except TooLargeError as exc:
             return _fail(EXIT_TOO_LARGE, f"{name}: {exc}")
+        except KaralcpError as exc:
+            return _fail(EXIT_PARSE, f"{name}: {exc}")
         rows.append((name, outcome, time.perf_counter() - t0))
     if args.format == "json":
         report = {

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
-from .matrix import Vector, rat
+from .matrix import Vector, integer_row, rat
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -146,9 +145,8 @@ class _Simplex:
                 if (is_eq and rhs != 0) or (not is_eq and rhs > 0):
                     self.trivially_infeasible = True
                 continue
-            mult = lcm(rhs.denominator, *(x.denominator for x in coeffs))
-            ints = [int(x * mult) for x in coeffs]
-            kept.append((ints, int(rhs * mult), is_eq))
+            ints, _ = integer_row((*coeffs, rhs))
+            kept.append((ints[:-1], ints[-1], is_eq))
 
         self.n_surplus = sum(1 for _, _, is_eq in kept if not is_eq)
         m = len(kept)
@@ -330,12 +328,11 @@ class _Simplex:
     def optimize(self, minimize: list[Fraction]):
         if not self._phase1():
             return INFEASIBLE, None, None, None
-        scale = lcm(*(c.denominator for c in minimize)) if minimize else 1
+        scaled, scale = integer_row(minimize)
         width = self.rhs_col + 1
         cost_true = [Fraction(0)] * width
-        for j, c in enumerate(minimize):
-            if c:
-                ci = c * scale
+        for j, ci in enumerate(scaled):
+            if ci:
                 cost_true[self.col_of_pos[j]] += ci
                 neg = self.col_of_neg[j]
                 if neg is not None:

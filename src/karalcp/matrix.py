@@ -1,9 +1,14 @@
-"""Exact rational matrices and the elimination kernels everything else uses.
+"""Exact rational matrices and the elimination kernel everything else uses.
 
-Entries are `fractions.Fraction`, so ranks, determinants, and solves are
-decisions rather than approximations; no tolerances exist anywhere in the
-package.  Matrices are immutable by convention (nothing mutates `data`
-after construction), which makes the per-instance caches below safe.
+Entries are `fractions.Fraction` at the API, so ranks, determinants, and
+solves are decisions rather than approximations; no tolerances exist
+anywhere in the package.  Elimination itself runs on integers: each row is
+scaled once by the lcm of its denominators (`integer_row`), and one
+fraction-free Gauss-Jordan kernel (`_eliminate`) produces the RREF, the
+determinant, the inverse and the solution set of a linear system, turning
+back into Fractions only at the end.  Matrices are immutable by convention
+(nothing mutates `data` after construction), which makes the per-instance
+caches below safe.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import BadIndexSetError, DimensionMismatchError, NonSquareError
@@ -242,8 +248,8 @@ class RationalMatrix:
             if field not in obj:
                 raise ValueError(f"matrix JSON missing field '{field}'")
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
-        if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
-            raise ValueError("matrix JSON fields 'rows'/'cols' must be nonnegative integers")
+        if any(not isinstance(k, int) or isinstance(k, bool) or k < 1 for k in (rows, cols)):
+            raise ValueError("matrix JSON fields 'rows'/'cols' must be positive integers")
         if not isinstance(entries, list) or len(entries) != rows:
             raise ValueError("matrix JSON field 'entries' must list one row per 'rows'")
         data = []
@@ -253,6 +259,8 @@ class RationalMatrix:
             out = []
             for j, x in enumerate(row):
                 try:
+                    if isinstance(x, bool):
+                        raise TypeError("true/false is not a number")
                     out.append(rat(x))
                 except (TypeError, ValueError, ZeroDivisionError) as exc:
                     raise ValueError(f"matrix JSON field 'entries' at ({i},{j}): {exc}") from exc
@@ -274,34 +282,70 @@ class RrefResult:
     pivots: tuple[int, ...]
 
 
+def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Scale a row of Fractions to integers by the lcm of its denominators.
+
+    Returns (integers, multiplier); an empty row gives ([], 1).
+    """
+    mult = lcm(*(x.denominator for x in row))
+    return [x.numerator * (mult // x.denominator) for x in row], mult
+
+
+def _eliminate(a: list[list[int]], ncols: int) -> tuple[int, tuple[int, ...], int]:
+    """Fraction-free Gauss-Jordan on the integer rows `a`, in place.
+
+    Pivots on the first nonzero entry of each of the first `ncols` columns
+    (later columns, such as a right-hand side, are carried along).  Each
+    step is the integer update of Edmonds and Bareiss (1968),
+    row_i = (row_i * piv - f * row_r) // den, whose every division is exact
+    because each stored entry is a minor of the input.  Returns
+    (den, pivots, sign): den is the last pivot, every row is the true
+    reduced row times den, and sign is the parity of the row swaps, so for
+    a square nonsingular input sign * den is its determinant.
+    """
+    rows = len(a)
+    den, sign = 1, 1
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if a[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            a[r], a[pr] = a[pr], a[r]
+            sign = -sign
+        rowr = a[r]
+        piv = rowr[c]
+        for i in range(rows):
+            if i == r:
+                continue
+            rowi = a[i]
+            f = rowi[c]
+            if f:
+                a[i] = [(x * piv - f * y) // den for x, y in zip(rowi, rowr)]
+            elif piv != den:
+                a[i] = [(x * piv) // den for x in rowi]
+        den = piv
+        pivots.append(c)
+        r += 1
+    return den, tuple(pivots), sign
+
+
+def _ratio(x: int, den: int) -> Fraction:
+    return _ZERO if x == 0 else Fraction(x, den)
+
+
 def rref(m: RationalMatrix) -> RrefResult:
     """Reduced row echelon form; pivoting on first nonzero entry per column."""
     cached = m._cache.get("rref")
     if cached is not None:
         return cached
-    a = [row[:] for row in m.data]
-    rows, cols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        pv = a[r][c]
-        if pv != 1:
-            inv = _ONE / pv
-            a[r] = [x * inv for x in a[r]]
-        arow = a[r]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], arow)]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    result = RrefResult(RationalMatrix(rows, cols, a), r, tuple(pivots))
+    a = [integer_row(row)[0] for row in m.data]
+    den, pivots, _ = _eliminate(a, m.cols)
+    data = [[_ratio(x, den) for x in row] for row in a]
+    result = RrefResult(RationalMatrix(m.rows, m.cols, data), len(pivots), pivots)
     m._cache["rref"] = result
     return result
 
@@ -324,28 +368,10 @@ def determinant(m: RationalMatrix) -> Fraction:
         d = m.data
         det = d[0][0] * d[1][1] - d[0][1] * d[1][0]
     else:
-        det = _det_eliminate([row[:] for row in m.data])
+        scaled = [integer_row(row) for row in m.data]
+        den, pivots, sign = _eliminate([ints for ints, _ in scaled], n)
+        det = Fraction(sign * den, prod(mult for _, mult in scaled)) if len(pivots) == n else _ZERO
     m._cache["det"] = det
-    return det
-
-
-def _det_eliminate(a: list[list[Fraction]]) -> Fraction:
-    n = len(a)
-    det = _ONE
-    for c in range(n):
-        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pr is None:
-            return _ZERO
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            det = -det
-        pv = a[c][c]
-        det *= pv
-        inv = _ONE / pv
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return det
 
 
@@ -375,22 +401,14 @@ def inverse(m: RationalMatrix) -> RationalMatrix | None:
     if cached is not False:
         return cached
     n = m.rows
-    a = [row[:] + [_ONE if i == j else _ZERO for j in range(n)] for i, row in enumerate(m.data)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pr is None:
-            m._cache["inv"] = None
-            return None
-        a[c], a[pr] = a[pr], a[c]
-        pv = a[c][c]
-        if pv != 1:
-            inv_p = _ONE / pv
-            a[c] = [x * inv_p for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    result = RationalMatrix(n, n, [row[n:] for row in a])
+    a = []
+    for i, row in enumerate(m.data):
+        ints, mult = integer_row(row)
+        a.append(ints + [mult if i == j else 0 for j in range(n)])
+    den, pivots, _ = _eliminate(a, n)
+    result = None
+    if len(pivots) == n:
+        result = RationalMatrix(n, n, [[_ratio(x, den) for x in row[n:]] for row in a])
     m._cache["inv"] = result
     return result
 
@@ -436,15 +454,20 @@ class SubspaceBases:
 
 def null_space_basis(m: RationalMatrix) -> list[Vector]:
     rr = rref(m)
-    pivots = set(rr.pivots)
-    free = [j for j in range(m.cols) if j not in pivots]
-    basis = []
     rm = rr.matrix.data
-    for f in free:
-        v = [_ZERO] * m.cols
+    return _null_basis(m.cols, rr.pivots, lambda r, f: rm[r][f])
+
+
+def _null_basis(n: int, pivots: Sequence[int], entry) -> list[Vector]:
+    """N(M) from a reduced form of M with these pivot columns: one vector
+    per free column f, with x_f = 1 and x_pc = -entry(r, f) for the pivot
+    column pc of reduced row r."""
+    basis = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = [_ZERO] * n
         v[f] = _ONE
-        for r, pc in enumerate(rr.pivots):
-            v[pc] = -rm[r][f]
+        for r, pc in enumerate(pivots):
+            v[pc] = -entry(r, f)
         basis.append(tuple(v))
     return basis
 
@@ -485,14 +508,22 @@ class LinearSolution:
 
 
 def solve_linear(m: RationalMatrix, b: Sequence[Fraction]) -> LinearSolution | None:
-    """All exact solutions of M x = b, or None when b is outside R(M)."""
+    """All exact solutions of M x = b, or None when b is outside R(M).
+
+    One elimination of [M | b] gives the particular solution (free
+    variables zero), the null basis, and the consistency test: b is
+    outside R(M) exactly when a row left without a pivot keeps a nonzero
+    right-hand side.
+    """
     if len(b) != m.rows:
         raise DimensionMismatchError("rhs length does not match row count")
-    aug = RationalMatrix(m.rows, m.cols + 1, [row[:] + [rat(x)] for row, x in zip(m.data, b)])
-    rr = rref(aug)
-    if m.cols in rr.pivots:
+    n = m.cols
+    a = [integer_row(row + [rat(x)])[0] for row, x in zip(m.data, b)]
+    den, pivots, _ = _eliminate(a, n)
+    if any(a[i][n] for i in range(len(pivots), m.rows)):
         return None
-    x = [_ZERO] * m.cols
-    for r, pc in enumerate(rr.pivots):
-        x[pc] = rr.matrix.data[r][m.cols]
-    return LinearSolution(tuple(x), tuple(null_space_basis(m)))
+    x = [_ZERO] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = _ratio(a[r][n], den)
+    basis = _null_basis(n, pivots, lambda r, f: _ratio(a[r][f], den))
+    return LinearSolution(tuple(x), tuple(basis))

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import sympy
 
-from karalcp.matrix import RationalMatrix
+from karalcp.matrix import LinearSolution, RationalMatrix, RrefResult, rat
 
 
 def det2(m) -> Fraction:
@@ -37,6 +37,101 @@ def det_cofactor(m) -> Fraction:
         total += sign * m.data[0][j] * det_cofactor(minor)
         sign = -sign
     return total
+
+
+# -- Fraction Gauss-Jordan: the reference for the integer kernel in matrix.py --
+
+
+def rref_fraction(m: RationalMatrix) -> RrefResult:
+    """Reduced row echelon form by Fraction Gauss-Jordan; pivoting on the
+    first nonzero entry per column."""
+    a = [row[:] for row in m.data]
+    rows, cols = m.rows, m.cols
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        pv = a[r][c]
+        if pv != 1:
+            inv = 1 / pv
+            a[r] = [x * inv for x in a[r]]
+        arow = a[r]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], arow)]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return RrefResult(RationalMatrix(rows, cols, a), r, tuple(pivots))
+
+
+def det_fraction(m: RationalMatrix) -> Fraction:
+    """Determinant by Fraction Gaussian elimination."""
+    a = [row[:] for row in m.data]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            a[c], a[pr] = a[pr], a[c]
+            det = -det
+        pv = a[c][c]
+        det *= pv
+        inv = 1 / pv
+        for i in range(c + 1, n):
+            if a[i][c] != 0:
+                f = a[i][c] * inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def inverse_fraction(m: RationalMatrix) -> RationalMatrix | None:
+    """Inverse by Fraction Gauss-Jordan on [A | I], or None when singular."""
+    n = m.rows
+    one, zero = Fraction(1), Fraction(0)
+    a = [row[:] + [one if i == j else zero for j in range(n)] for i, row in enumerate(m.data)]
+    for c in range(n):
+        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if pr is None:
+            return None
+        a[c], a[pr] = a[pr], a[c]
+        pv = a[c][c]
+        if pv != 1:
+            inv_p = 1 / pv
+            a[c] = [x * inv_p for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return RationalMatrix(n, n, [row[n:] for row in a])
+
+
+def solve_linear_fraction(m: RationalMatrix, b) -> LinearSolution | None:
+    """All solutions of M x = b from rref([M | b]) and rref(M), or None when
+    b is outside R(M)."""
+    aug = RationalMatrix(m.rows, m.cols + 1, [row[:] + [rat(x)] for row, x in zip(m.data, b)])
+    rr = rref_fraction(aug)
+    if m.cols in rr.pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for r, pc in enumerate(rr.pivots):
+        x[pc] = rr.matrix.data[r][m.cols]
+    rm = rref_fraction(m)
+    basis = []
+    for f in (j for j in range(m.cols) if j not in rm.pivots):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for r, pc in enumerate(rm.pivots):
+            v[pc] = -rm.matrix.data[r][f]
+        basis.append(tuple(v))
+    return LinearSolution(tuple(x), tuple(basis))
 
 
 # -- 2-variable LP feasibility by vertex enumeration ------------------------

@@ -3,7 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from karalcp import cli
+from karalcp.errors import NonSquareError
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -69,6 +72,26 @@ class TestClassify:
         res = run_cli(["classify", path])
         assert res.returncode == 2
         assert "entries" in res.stderr
+
+    @pytest.mark.parametrize("obj", [
+        {"rows": 0, "cols": 0, "entries": []},
+        {"rows": True, "cols": True, "entries": [[1]]},
+        {"rows": 1, "cols": 1, "entries": [[True]]},
+    ])
+    def test_empty_or_bool_input_exits_2_cleanly(self, tmp_path, obj):
+        path = write_matrix(tmp_path, "bad.json", None, raw=json.dumps(obj))
+        res = run_cli(["classify", path])
+        assert res.returncode == 2
+        assert "error" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_library_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        def refuse(name, matrix, cfg):
+            raise NonSquareError("refused")
+        monkeypatch.setattr(cli, "evaluate_predicate", refuse)
+        code = cli.main(["classify", write_matrix(tmp_path, "m.json", STCOPEX)])
+        assert code == 2
+        assert "refused" in capsys.readouterr().err
 
     def test_cap_exceeded_exits_3(self, tmp_path):
         rows = [[1 if i == j else 0 for j in range(5)] for i in range(5)]

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from karalcp.errors import BadIndexSetError, DimensionMismatchError, NonSquareError
 from karalcp.matrix import (
@@ -18,7 +18,8 @@ from karalcp.matrix import (
     vec,
 )
 from conftest import rand_matrix
-from oracles import det_cofactor
+from oracles import (det_cofactor, det_fraction, inverse_fraction, rref_fraction,
+                     solve_linear_fraction)
 
 fractions_st = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
 
@@ -27,6 +28,46 @@ def square_matrices(max_n=4):
     return st.integers(1, max_n).flatmap(
         lambda n: st.lists(st.lists(fractions_st, min_size=n, max_size=n),
                            min_size=n, max_size=n).map(RationalMatrix.from_rows))
+
+
+# Zeros often, "p/q" entries with non-unit denominators, both signs.
+kernel_entries_st = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3, 4, 7])))
+
+
+def _draw_matrix(draw, rows, cols):
+    return RationalMatrix(rows, cols, [[draw(kernel_entries_st) for _ in range(cols)]
+                                       for _ in range(rows)])
+
+
+@st.composite
+def kernel_matrices(draw, square=False):
+    """Any shape up to 5x5, k x 0 and 0 x k included; half of them rank
+    deficient by construction (F @ G through an inner dimension k), some
+    with one row or column zeroed."""
+    rows = draw(st.integers(0, 5))
+    cols = rows if square else draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(rows, cols)))
+        m = _draw_matrix(draw, rows, k) @ _draw_matrix(draw, k, cols)
+    else:
+        m = _draw_matrix(draw, rows, cols)
+    data = [row[:] for row in m.data]
+    if rows and cols and draw(st.booleans()):
+        if draw(st.booleans()):
+            data[draw(st.integers(0, rows - 1))] = [Fraction(0)] * cols
+        else:
+            j = draw(st.integers(0, cols - 1))
+            for row in data:
+                row[j] = Fraction(0)
+    return RationalMatrix(rows, cols, data)
+
+
+def assert_identical(got: RationalMatrix, want: RationalMatrix):
+    """Equal, and every entry a Fraction, as the oracle's are."""
+    assert got == want
+    assert all(type(x) is Fraction for x in got.entries())
 
 
 M3 = RationalMatrix.from_rows([[0, -1, -2], [0, 1, 2], [1, 1, 1]])
@@ -197,6 +238,51 @@ class TestInverse:
         else:
             eye = RationalMatrix.identity(m.rows)
             assert m @ inv == eye and inv @ m == eye
+
+
+class TestKernelAgainstFractionOracle:
+    """The integer kernel must reproduce Fraction Gauss-Jordan exactly."""
+
+    @seed(0)
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_matrices())
+    def test_rref(self, m):
+        got, want = rref(m), rref_fraction(m)
+        assert_identical(got.matrix, want.matrix)
+        assert (got.rank, got.pivots) == (want.rank, want.pivots)
+
+    @seed(1)
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_matrices(square=True))
+    def test_determinant(self, m):
+        got = determinant(m)
+        assert type(got) is Fraction and got == det_fraction(m)
+
+    @seed(2)
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_matrices(square=True))
+    def test_inverse(self, m):
+        got, want = inverse(m), inverse_fraction(m)
+        if want is None:
+            assert got is None
+        else:
+            assert_identical(got, want)
+
+    @seed(3)
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_matrices(), st.data())
+    def test_solve_linear(self, m, data):
+        if data.draw(st.booleans()):
+            b = m.mul_vec([data.draw(kernel_entries_st) for _ in range(m.cols)])
+        else:
+            b = tuple(data.draw(kernel_entries_st) for _ in range(m.rows))
+        got, want = solve_linear(m, b), solve_linear_fraction(m, b)
+        if want is None:
+            assert got is None
+        else:
+            assert got == want
+            for v in (got.particular, *got.null_basis):
+                assert all(type(x) is Fraction for x in v)
 
 
 class TestBasisIndependence:
