@@ -1,9 +1,10 @@
 """Command-line surface: classify, lcp, verify-corpus, search.
 
 Exit codes: 0 success, 1 corpus mismatch, 2 parse/flag error, 3 size cap
-exceeded.  The JSON report (schema "1") is the stable contract and is
-byte-identical for identical seed+flags; the text format is for humans
-and carries per-predicate wall times.
+exceeded, 141 stdout closed early (128 + SIGPIPE).  The JSON report
+(schema "2") is the stable contract and is byte-identical for identical
+seed+flags; the text format is for humans and carries per-predicate wall
+times.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .corpus import corpus_entries, corpus_to_json, verify_entry
 from .errors import KaralcpError, TooLargeError
 from .lcp import lcp_solutions
 from .conelcp import cone_lcp_solutions
-from .matrix import RationalMatrix, vec
+from .matrix import ENUMERATION_CAP, RationalMatrix, Vector, bounded_rat
 from .predicates import PREDICATE_ORDER, PredicateConfig, evaluate_predicate
 from .search import TARGETS, hit_to_json_line, run_search
 
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_TOO_LARGE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _fail(code: int, message: str) -> int:
@@ -35,11 +37,24 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _parse_json(text: str):
+    # Decimals stay strings, so bounded_rat checks them before parsing.
+    try:
+        return json.loads(text, parse_float=str)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
+
+
 def _load_matrix(path: str) -> RationalMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        # parse_float keeps decimal literals exact (powers of ten).
-        obj = json.load(fh, parse_float=Fraction)
-    return RationalMatrix.from_json(obj)
+        return RationalMatrix.from_json(_parse_json(fh.read()))
+
+
+def _parse_vector(text: str) -> Vector:
+    obj = _parse_json(text)
+    if not isinstance(obj, list):
+        raise ValueError("a vector must be a JSON list")
+    return tuple(bounded_rat(x) for x in obj)
 
 
 def _fraction_str(x: Fraction) -> str:
@@ -58,27 +73,18 @@ def _jsonable(value):
     return value
 
 
-def _threads() -> int:
-    # Honored as a cap; evaluation is sequential, so the effective value is 1.
-    raw = os.environ.get("KARA_THREADS")
-    try:
-        return max(1, min(int(raw), os.cpu_count() or 1)) if raw else 1
-    except ValueError:
-        return 1
-
-
 def cmd_classify(args) -> int:
     try:
         matrix = _load_matrix(args.matrix)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(EXIT_PARSE, str(exc))
     if max(matrix.rows, matrix.cols) > args.cap:
-        return _fail(EXIT_TOO_LARGE, f"matrix order {max(matrix.rows, matrix.cols)} exceeds cap {args.cap}")
+        raise TooLargeError(f"matrix order {max(matrix.rows, matrix.cols)} exceeds cap {args.cap}")
     hints = []
     for raw in args.hint_d or []:
         try:
-            hints.append(vec(json.loads(raw, parse_float=Fraction)))
-        except (ValueError, TypeError) as exc:
+            hints.append(_parse_vector(raw))
+        except ValueError as exc:
             return _fail(EXIT_PARSE, f"bad --hint-d {raw!r}: {exc}")
     skip = set()
     for raw in args.skip or []:
@@ -93,16 +99,11 @@ def cmd_classify(args) -> int:
         if name in skip:
             continue
         t0 = time.perf_counter()
-        try:
-            outcome = evaluate_predicate(name, matrix, cfg)
-        except TooLargeError as exc:
-            return _fail(EXIT_TOO_LARGE, f"{name}: {exc}")
-        except KaralcpError as exc:
-            return _fail(EXIT_PARSE, f"{name}: {exc}")
+        outcome = evaluate_predicate(name, matrix, cfg)
         rows.append((name, outcome, time.perf_counter() - t0))
     if args.format == "json":
         report = {
-            "schema": "1",
+            "schema": "2",
             "tool": f"karalcp {__version__}",
             "seed": args.seed,
             "config": {
@@ -110,7 +111,6 @@ def cmd_classify(args) -> int:
                 "max_candidates": args.max_candidates,
                 "hint_d": [_jsonable(h) for h in hints],
                 "skip": sorted(skip),
-                "threads": _threads(),
             },
             "matrix": matrix.to_json(),
             "predicates": [
@@ -131,18 +131,11 @@ def cmd_lcp(args) -> int:
     try:
         matrix = _load_matrix(args.matrix)
         with open(args.q, "r", encoding="utf-8") as fh:
-            q = vec(json.load(fh, parse_float=Fraction))
-    except (OSError, ValueError, TypeError) as exc:
+            q = _parse_vector(fh.read())
+    except ValueError as exc:
         return _fail(EXIT_PARSE, str(exc))
-    try:
-        if args.cone:
-            result = cone_lcp_solutions(matrix, q, cap=args.cap)
-        else:
-            result = lcp_solutions(matrix, q, cap=args.cap)
-    except TooLargeError as exc:
-        return _fail(EXIT_TOO_LARGE, str(exc))
-    except KaralcpError as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    solve = cone_lcp_solutions if args.cone else lcp_solutions
+    result = solve(matrix, q, cap=args.cap)
     kind = "cone LCP" if args.cone else "LCP"
     print(f"{kind} solutions: {len(result.solutions)}"
           f"  degenerate supports: {len(result.degenerate_supports)}")
@@ -176,8 +169,10 @@ def cmd_verify_corpus(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.target not in TARGETS:
-        return _fail(EXIT_PARSE, f"unknown target {args.target!r}; expected one of {TARGETS}")
+    if args.n > ENUMERATION_CAP:
+        raise TooLargeError(f"--n {args.n} exceeds cap {ENUMERATION_CAP}")
+    if args.n < 1 or args.trials < 0 or args.entry_bound < 0:
+        return _fail(EXIT_PARSE, "--n must be positive, --trials and --entry-bound nonnegative")
     try:
         density = Fraction(args.density)
         if not 0 < density <= 1:
@@ -211,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-candidates", type=int, default=16)
     p.add_argument("--hint-d", action="append", metavar="VECTOR_JSON")
-    p.add_argument("--cap", type=int, default=12)
+    p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     p.add_argument("--skip", action="append", metavar="PRED[,PRED...]")
     p.set_defaults(func=cmd_classify)
 
@@ -219,14 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="path to a matrix JSON file")
     p.add_argument("q", help="path to a JSON vector")
     p.add_argument("--cone", action="store_true", help="solve the cone LCP over K")
-    p.add_argument("--cap", type=int, default=12)
+    p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     p.set_defaults(func=cmd_lcp)
 
     p = sub.add_parser("verify-corpus", help="re-derive every corpus verdict")
     p.add_argument("--filter", metavar="TAG")
     p.add_argument("--dump", action="store_true", help="print the corpus as JSON and exit")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=12)
+    p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     p.set_defaults(func=cmd_verify_corpus)
 
     p = sub.add_parser("search", help="seeded counterexample search")
@@ -248,7 +243,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad flags already; normalize other codes.
         return int(exc.code) if exc.code else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        # The reader left; send the interpreter's final flush to /dev/null.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    except TooLargeError as exc:
+        return _fail(EXIT_TOO_LARGE, str(exc))
+    except (KaralcpError, OSError) as exc:
+        return _fail(EXIT_PARSE, str(exc))
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from .errors import (
     DimensionMismatchError,
     NoGroupInverseError,
     Not2x2Error,
-    TooLargeError,
     ZeroVectorError,
 )
 from .geninv import group_inverse
@@ -33,17 +32,18 @@ from .lcp_classes import (
     is_almost_semimonotone,
     is_semimonotone,
     is_strictly_semimonotone,
-    DEFAULT_GENERATOR_CAP,
 )
 from .lcp import UNKNOWN, YES, NO, Verdict
 from .lp import BOUNDED, UNBOUNDED, LinearSystem, lp_feasible, lp_optimize
 from .matrix import (
+    ENUMERATION_CAP,
     RationalMatrix,
     Vector,
     dot,
     full_rank_factorization,
     is_unisigned,
     is_zero_vec,
+    nonempty_subsets,
     ones_vec,
     rank,
     solve_linear,
@@ -53,8 +53,6 @@ from .matrix import (
 )
 from .minor_classes import minor_class, structural_flags
 from . import lcp as _lcp
-
-DEFAULT_CONE_CAP = 12
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -271,12 +269,10 @@ def _support_is_degenerate(a: RationalMatrix, q: Vector, support, bases) -> bool
 
 
 def cone_lcp_solutions(a: RationalMatrix, q: Sequence,
-                       cap: int = DEFAULT_CONE_CAP) -> "_lcp.LcpSolutionSet":
+                       cap: int = ENUMERATION_CAP) -> "_lcp.LcpSolutionSet":
     """All solutions of the cone LCP: x in K, Ax + q in K*, x^T (Ax+q) = 0."""
-    a.require_square("cone LCP")
+    a.require_square("cone LCP", cap)
     n = a.rows
-    if n > cap:
-        raise TooLargeError(f"order {n} exceeds cap {cap}")
     qv = vec(q)
     if len(qv) != n:
         raise DimensionMismatchError("q length must match matrix order")
@@ -285,43 +281,33 @@ def cone_lcp_solutions(a: RationalMatrix, q: Sequence,
     degenerate: list[tuple[int, ...]] = []
     if dual_membership(a, qv):
         solutions.add(zeros_vec(n))
-    for k in range(1, n + 1):
-        for support in itertools.combinations(range(n), k):
-            x = _support_nonzero_solution(a, qv, support, bases)
-            if x is None:
-                continue
-            solutions.add(x)
-            if _support_is_degenerate(a, qv, support, bases):
-                degenerate.append(support)
+    for support in nonempty_subsets(n):
+        x = _support_nonzero_solution(a, qv, support, bases)
+        if x is None:
+            continue
+        solutions.add(x)
+        if _support_is_degenerate(a, qv, support, bases):
+            degenerate.append(support)
     return _lcp.LcpSolutionSet(tuple(sorted(solutions)), tuple(degenerate), complete=True)
 
 
-def cone_lcp_only_zero(a: RationalMatrix, q: Sequence, cap: int = DEFAULT_CONE_CAP) -> bool:
+def cone_lcp_only_zero(a: RationalMatrix, q: Sequence, cap: int = ENUMERATION_CAP) -> bool:
     """True iff the cone LCP has no nonzero solution (a positive-dimensional
     family would contain one, so no separate degeneracy check is needed)."""
-    a.require_square("cone LCP")
-    n = a.rows
-    if n > cap:
-        raise TooLargeError(f"order {n} exceeds cap {cap}")
+    a.require_square("cone LCP", cap)
     qv = vec(q)
-    if len(qv) != n:
+    if len(qv) != a.rows:
         raise DimensionMismatchError("q length must match matrix order")
-    bases = subspace_bases(a)
-    for k in range(1, n + 1):
-        for support in itertools.combinations(range(n), k):
-            if _support_nonzero_solution(a, qv, support, bases) is not None:
-                return False
-    return True
+    return _first_nonzero_solution(a, qv, subspace_bases(a)) is None
 
 
-def _homogeneous_nonzero(a: RationalMatrix, bases) -> Vector | None:
-    n = a.rows
-    zero = zeros_vec(n)
-    for k in range(1, n + 1):
-        for support in itertools.combinations(range(n), k):
-            x = _support_nonzero_solution(a, zero, support, bases)
-            if x is not None:
-                return x
+def _first_nonzero_solution(a: RationalMatrix, q: Vector, bases) -> Vector | None:
+    """The nonzero cone-LCP solution of the first support, in (size,
+    lexicographic) order, that has one; None when only zero solves."""
+    for support in nonempty_subsets(a.rows):
+        x = _support_nonzero_solution(a, q, support, bases)
+        if x is not None:
+            return x
     return None
 
 
@@ -458,7 +444,7 @@ def default_candidates(a: RationalMatrix, witness: Vector | None,
 
 def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = None,
                    max_candidates: int = 16, seed: int = 0,
-                   cap: int = DEFAULT_CONE_CAP,
+                   cap: int = ENUMERATION_CAP,
                    force_candidate_search: bool = False) -> Verdict:
     """Decision cascade; the first firing rule wins.
 
@@ -468,15 +454,13 @@ def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = 
     never No.  `force_candidate_search` skips the exact shortcut rules
     (used by the cross-validation tests).
     """
-    a.require_square("Karamardian test")
+    a.require_square("Karamardian test", cap)
     n = a.rows
-    if n > cap:
-        raise TooLargeError(f"order {n} exceeds cap {cap}")
     bases = subspace_bases(a)
     cone = cone_K(a)
     if cone.trivial:
         return Verdict(NO, rule=RULE_K_TRIVIAL)
-    nonzero = _homogeneous_nonzero(a, bases)
+    nonzero = _first_nonzero_solution(a, zeros_vec(n), bases)
     if nonzero is not None:
         return Verdict(NO, rule=RULE_HOMOGENEOUS_NONZERO, witnesses={"solution": nonzero})
 
@@ -494,7 +478,7 @@ def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = 
         minors = minor_class(a, cap)
         if minors.is_p:
             return Verdict(YES, rule=RULE_P_MATRIX)
-        if len(cone.cone.generators) <= DEFAULT_GENERATOR_CAP:
+        if len(cone.cone.generators) <= ENUMERATION_CAP:
             cop = copositivity_on_cone(a, cone.cone)
             if cop.status is CopositivityStatus.STRICTLY_COPOSITIVE:
                 return Verdict(YES, rule=RULE_STRICT_COPOSITIVE_ON_K)
@@ -532,7 +516,7 @@ def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = 
     return Verdict(UNKNOWN, evidence={"tried": tuple(tried), "seed": seed})
 
 
-def karamardian_of_group_inverse(a: RationalMatrix, cap: int = DEFAULT_CONE_CAP) -> Verdict:
+def karamardian_of_group_inverse(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> Verdict:
     """Verdict for A#: a range monotone Z-matrix with nontrivial K certifies
     Yes outright; otherwise the cascade runs on the computed A#."""
     from .monotone import is_range_monotone

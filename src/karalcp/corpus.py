@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import RationalMatrix, Vector, vec
+from .lcp import NO, YES
+from .matrix import ENUMERATION_CAP, RationalMatrix, Vector, vec
 from .predicates import PredicateConfig, evaluate_predicate
-
-YES = "Yes"
-NO = "No"
 
 
 @dataclass(frozen=True)
@@ -203,7 +201,7 @@ class EntryReport:
         return not self.mismatches
 
 
-def verify_entry(entry: CorpusEntry, seed: int = 0, cap: int = 12,
+def verify_entry(entry: CorpusEntry, seed: int = 0, cap: int = ENUMERATION_CAP,
                  max_candidates: int = 16) -> EntryReport:
     cfg = PredicateConfig(seed=seed, cap=cap, max_candidates=max_candidates,
                           hint_d=entry.hint_d)

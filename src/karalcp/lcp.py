@@ -14,22 +14,23 @@ certificates, Unknown with the sampling log.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionMismatchError, QNotNonnegativeError, TooLargeError
+from .errors import DimensionMismatchError, QNotNonnegativeError
 from .lcp_classes import (
     ConeRep,
     CopositivityStatus,
     copositivity_on_cone,
 )
-from .lp import BOUNDED, UNBOUNDED, LinearSystem, lp_feasible, lp_optimize
+from .lp import UNBOUNDED, LinearSystem, lp_feasible, lp_optimize
 from .matrix import (
+    ENUMERATION_CAP,
     RationalMatrix,
     Vector,
+    nonempty_subsets,
     rank,
     solve_linear,
     vec,
@@ -41,7 +42,6 @@ YES = "Yes"
 NO = "No"
 UNKNOWN = "Unknown"
 
-DEFAULT_LCP_CAP = 12
 DEFAULT_SAMPLE_BOUND = 10
 
 _ZERO = Fraction(0)
@@ -82,12 +82,10 @@ class LcpSolutionSet:
         return bool(self.degenerate_supports)
 
 
-def lcp_solutions(a: RationalMatrix, q: Sequence, cap: int = DEFAULT_LCP_CAP) -> LcpSolutionSet:
+def lcp_solutions(a: RationalMatrix, q: Sequence, cap: int = ENUMERATION_CAP) -> LcpSolutionSet:
     """Every exact solution of x >= 0, y = Ax + q >= 0, x^T y = 0."""
-    a.require_square("LCP")
+    a.require_square("LCP", cap)
     n = a.rows
-    if n > cap:
-        raise TooLargeError(f"order {n} exceeds cap {cap}")
     qv = vec(q)
     if len(qv) != n:
         raise DimensionMismatchError("q length must match matrix order")
@@ -95,23 +93,22 @@ def lcp_solutions(a: RationalMatrix, q: Sequence, cap: int = DEFAULT_LCP_CAP) ->
     degenerate: list[tuple[int, ...]] = []
     if all(t >= 0 for t in qv):
         solutions.add(zeros_vec(n))
-    for k in range(1, n + 1):
-        for support in itertools.combinations(range(n), k):
-            sub = a.submatrix(support, support)
-            rhs = [-qv[i] for i in support]
-            sol = solve_linear(sub, rhs)
-            if sol is None:
-                continue
-            if not sol.null_basis:
-                x = _expand(sol.particular, support, n)
-                if _accept(a, qv, x, support):
-                    solutions.add(x)
-                continue
-            found, is_family = _family_solutions(a, qv, support, sol)
-            if found is not None:
-                solutions.add(found)
-                if is_family:
-                    degenerate.append(support)
+    for support in nonempty_subsets(n):
+        sub = a.submatrix(support, support)
+        rhs = [-qv[i] for i in support]
+        sol = solve_linear(sub, rhs)
+        if sol is None:
+            continue
+        if not sol.null_basis:
+            x = _expand(sol.particular, support, n)
+            if _accept(a, qv, x, support):
+                solutions.add(x)
+            continue
+        found, is_family = _family_solutions(a, qv, support, sol)
+        if found is not None:
+            solutions.add(found)
+            if is_family:
+                degenerate.append(support)
     return LcpSolutionSet(tuple(sorted(solutions)), tuple(degenerate), complete=True)
 
 
@@ -174,7 +171,7 @@ def _family_solutions(a: RationalMatrix, q: Vector, support, sol):
     return to_x(out.witness), False
 
 
-def lcp_unique_zero(a: RationalMatrix, q: Sequence, cap: int = DEFAULT_LCP_CAP) -> bool:
+def lcp_unique_zero(a: RationalMatrix, q: Sequence, cap: int = ENUMERATION_CAP) -> bool:
     """True iff zero is the only solution (q >= 0 so that zero solves)."""
     a.require_square("LCP uniqueness")
     qv = vec(q)
@@ -199,13 +196,11 @@ RULE_UNSOLVABLE_Q = "UNSOLVABLE_Q"
 
 
 def is_q_matrix(a: RationalMatrix, samples: int = 64, seed: int = 0,
-                bound: int = DEFAULT_SAMPLE_BOUND, cap: int = DEFAULT_LCP_CAP) -> Verdict:
+                bound: int = DEFAULT_SAMPLE_BOUND, cap: int = ENUMERATION_CAP) -> Verdict:
     """Exact Yes/No where a sound rule fires, else sampling refutation,
     else Unknown with the sample log."""
-    a.require_square("Q-matrix test")
+    a.require_square("Q-matrix test", cap)
     n = a.rows
-    if n > cap:
-        raise TooLargeError(f"order {n} exceeds cap {cap}")
     flags = structural_flags(a)
     if flags.has_nonpositive_row:
         row = next(i for i in range(n) if all(x <= 0 for x in a.data[i]))

@@ -26,19 +26,17 @@ from typing import Sequence
 
 from .errors import EmptyConeError, TooLargeError
 from .matrix import (
+    ENUMERATION_CAP,
     RationalMatrix,
     Subspace,
     Vector,
     dot,
     is_zero_vec,
+    nonempty_subsets,
     solve_linear,
     subspace_bases,
-    vec,
 )
 from .lp import LinearSystem, lp_feasible
-
-DEFAULT_CLASS_CAP = 12
-DEFAULT_GENERATOR_CAP = 12
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -68,31 +66,23 @@ def is_weakly_semipositive(a: RationalMatrix) -> bool:
     return lp_feasible(system).is_feasible
 
 
-def _principal_submatrices(a: RationalMatrix, proper_only: bool = False):
-    n = a.rows
-    top = n - 1 if proper_only else n
-    for k in range(1, top + 1):
-        for idx in itertools.combinations(range(n), k):
-            yield a.submatrix(idx, idx)
+def _principal_submatrices(a: RationalMatrix):
+    return (a.submatrix(idx, idx) for idx in nonempty_subsets(a.rows))
 
 
-def is_semimonotone(a: RationalMatrix, cap: int = DEFAULT_CLASS_CAP) -> bool:
+def is_semimonotone(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> bool:
     """Every principal submatrix (including A) is weakly semipositive."""
-    a.require_square("semimonotonicity")
-    if a.rows > cap:
-        raise TooLargeError(f"order {a.rows} exceeds cap {cap}")
+    a.require_square("semimonotonicity", cap)
     return all(is_weakly_semipositive(sub) for sub in _principal_submatrices(a))
 
 
-def is_strictly_semimonotone(a: RationalMatrix, cap: int = DEFAULT_CLASS_CAP) -> bool:
+def is_strictly_semimonotone(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> bool:
     """Every principal submatrix (including A) is semipositive."""
-    a.require_square("strict semimonotonicity")
-    if a.rows > cap:
-        raise TooLargeError(f"order {a.rows} exceeds cap {cap}")
+    a.require_square("strict semimonotonicity", cap)
     return all(is_semipositive(sub) for sub in _principal_submatrices(a))
 
 
-def is_almost_semimonotone(a: RationalMatrix, cap: int = DEFAULT_CLASS_CAP) -> bool:
+def is_almost_semimonotone(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> bool:
     """All proper principal submatrices semimonotone, A itself not.
 
     Since a submatrix of a proper submatrix is again a proper submatrix,
@@ -101,10 +91,9 @@ def is_almost_semimonotone(a: RationalMatrix, cap: int = DEFAULT_CLASS_CAP) -> b
     failing weak semipositivity.  A 1x1 matrix has no proper submatrices,
     so the quantification is vacuous there.
     """
-    a.require_square("almost semimonotonicity")
-    if a.rows > cap:
-        raise TooLargeError(f"order {a.rows} exceeds cap {cap}")
-    if not all(is_weakly_semipositive(sub) for sub in _principal_submatrices(a, proper_only=True)):
+    a.require_square("almost semimonotonicity", cap)
+    if not all(is_weakly_semipositive(sub) for sub in _principal_submatrices(a)
+               if sub.rows < a.rows):
         return False
     return not is_weakly_semipositive(a)
 
@@ -112,7 +101,7 @@ def is_almost_semimonotone(a: RationalMatrix, cap: int = DEFAULT_CLASS_CAP) -> b
 # -- sign-reversal classes ----------------------------------------------
 
 
-def is_p_hash(a: RationalMatrix, cap: int = DEFAULT_CLASS_CAP) -> bool:
+def is_p_hash(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> bool:
     """No nonzero x in R(A) with x_i (Ax)_i <= 0 for every i.
 
     One LP per sign orthant: substituting x = s * z with z >= 0 makes the
@@ -120,10 +109,8 @@ def is_p_hash(a: RationalMatrix, cap: int = DEFAULT_CLASS_CAP) -> bool:
     left-null basis W, and sum z = 1 rules out zero.  The pair (s, -s)
     describes the same problem, so only orthants with s_1 = +1 run.
     """
-    a.require_square("P# test")
+    a.require_square("P# test", cap)
     n = a.rows
-    if n > cap:
-        raise TooLargeError(f"order {a.rows} exceeds cap {cap}")
     left_null = subspace_bases(a).left_null.basis
     rows_a = [a.row_vec(i) for i in range(n)]
     for signs in itertools.product((1, -1), repeat=n - 1):
@@ -139,23 +126,21 @@ def is_p_hash(a: RationalMatrix, cap: int = DEFAULT_CLASS_CAP) -> bool:
     return True
 
 
-def is_strictly_range_semimonotone(a: RationalMatrix, cap: int = DEFAULT_CLASS_CAP) -> bool:
+def is_strictly_range_semimonotone(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> bool:
     """No nonzero x >= 0 in R(A) with x * Ax <= 0; one LP per support."""
-    a.require_square("strict range semimonotonicity")
+    a.require_square("strict range semimonotonicity", cap)
     n = a.rows
-    if n > cap:
-        raise TooLargeError(f"order {a.rows} exceeds cap {cap}")
     left_null = subspace_bases(a).left_null.basis
-    for k in range(1, n + 1):
-        for support in itertools.combinations(range(n), k):
-            system = LinearSystem(k, nonneg=True)
-            for w in left_null:
-                system.eq([w[j] for j in support], 0)
-            system.eq([_ONE] * k, 1)
-            for i in support:
-                system.ge([-a.data[i][j] for j in support], 0)
-            if lp_feasible(system).is_feasible:
-                return False
+    for support in nonempty_subsets(n):
+        k = len(support)
+        system = LinearSystem(k, nonneg=True)
+        for w in left_null:
+            system.eq([w[j] for j in support], 0)
+        system.eq([_ONE] * k, 1)
+        for i in support:
+            system.ge([-a.data[i][j] for j in support], 0)
+        if lp_feasible(system).is_feasible:
+            return False
     return True
 
 
@@ -191,7 +176,7 @@ class CopositivityResult:
 
 
 def copositivity_on_cone(q: RationalMatrix, cone: ConeRep,
-                         cap: int = DEFAULT_GENERATOR_CAP) -> CopositivityResult:
+                         cap: int = ENUMERATION_CAP) -> CopositivityResult:
     """Exact sign of min x^T Q x over the cone's simplex base.
 
     Uses the symmetrized form (Q + Q^T)/2.  The witness (when the minimum
@@ -214,16 +199,15 @@ def copositivity_on_cone(q: RationalMatrix, cone: ConeRep,
     best: Fraction | None = None
     best_lambda: tuple[int, ...] | None = None
     best_weights: Vector | None = None
-    for k in range(1, m + 1):
-        for support in itertools.combinations(range(m), k):
-            sol = _face_stationary_value(gram, support)
-            if sol is None:
-                continue
-            value, weights = sol
-            if best is None or value < best:
-                best = value
-                best_lambda = support
-                best_weights = weights
+    for support in nonempty_subsets(m):
+        sol = _face_stationary_value(gram, support)
+        if sol is None:
+            continue
+        value, weights = sol
+        if best is None or value < best:
+            best = value
+            best_lambda = support
+            best_weights = weights
     assert best is not None  # singleton supports always produce values
     if best > 0:
         return CopositivityResult(CopositivityStatus.STRICTLY_COPOSITIVE, best)

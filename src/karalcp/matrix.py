@@ -17,12 +17,17 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import BadIndexSetError, DimensionMismatchError, NonSquareError
+from .errors import BadIndexSetError, DimensionMismatchError, NonSquareError, TooLargeError
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
+
+# The largest set whose subsets or sign orthants any scan enumerates.
+ENUMERATION_CAP = 12
+# The longest numerator or denominator, in bits, accepted from outside.
+MAX_ENTRY_BITS = 256
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -43,16 +48,29 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot convert {type(x).__name__} to an exact Fraction")
 
 
+def bounded_rat(x) -> Fraction:
+    """rat(x) for a number read from outside the program: ValueError for
+    anything but an exact number, TooLargeError past MAX_ENTRY_BITS (a
+    decimal exponent is checked before its power of ten is built)."""
+    if isinstance(x, bool):
+        raise ValueError("true/false is not a number")
+    if isinstance(x, str) and abs(int(x.lower().partition("e")[2] or 0)) > MAX_ENTRY_BITS:
+        raise TooLargeError(f"exponent of {x[:40]!r} exceeds {MAX_ENTRY_BITS}")
+    try:
+        value = rat(x)
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"{str(x)[:40]!r} is not an exact number: {exc}") from exc
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_ENTRY_BITS:
+        raise TooLargeError(f"an entry exceeds {MAX_ENTRY_BITS} bits")
+    return value
+
+
 def vec(xs: Iterable) -> Vector:
     return tuple(rat(x) for x in xs)
 
 
 def zeros_vec(n: int) -> Vector:
     return (_ZERO,) * n
-
-
-def unit_vec(n: int, i: int) -> Vector:
-    return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
 def ones_vec(n: int) -> Vector:
@@ -65,28 +83,8 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), _ZERO)
 
 
-def vadd(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c: Fraction, u: Sequence[Fraction]) -> Vector:
-    return tuple(c * a for a in u)
-
-
 def is_zero_vec(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
-
-
-def is_nonneg_vec(u: Sequence[Fraction]) -> bool:
-    return all(a >= 0 for a in u)
-
-
-def is_positive_vec(u: Sequence[Fraction]) -> bool:
-    return all(a > 0 for a in u)
 
 
 def is_unisigned(u: Sequence[Fraction]) -> bool:
@@ -152,21 +150,18 @@ class RationalMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def require_square(self, what: str = "operation") -> None:
+    def require_square(self, what: str = "operation", cap: int | None = None) -> None:
+        """NonSquareError unless square; TooLargeError if the order exceeds `cap`."""
         if not self.is_square:
             raise NonSquareError(f"{what} needs a square matrix, got {self.rows}x{self.cols}")
+        if cap is not None and self.rows > cap:
+            raise TooLargeError(f"{what}: order {self.rows} exceeds cap {cap}")
 
     def row_vec(self, i: int) -> Vector:
         return tuple(self.data[i])
 
     def col_vec(self, j: int) -> Vector:
         return tuple(self.data[i][j] for i in range(self.rows))
-
-    def row_vectors(self) -> list[Vector]:
-        return [tuple(r) for r in self.data]
-
-    def col_vectors(self) -> list[Vector]:
-        return [self.col_vec(j) for j in range(self.cols)]
 
     def entries(self) -> Vector:
         """Row-major flattening."""
@@ -259,10 +254,8 @@ class RationalMatrix:
             out = []
             for j, x in enumerate(row):
                 try:
-                    if isinstance(x, bool):
-                        raise TypeError("true/false is not a number")
-                    out.append(rat(x))
-                except (TypeError, ValueError, ZeroDivisionError) as exc:
+                    out.append(bounded_rat(x))
+                except ValueError as exc:
                     raise ValueError(f"matrix JSON field 'entries' at ({i},{j}): {exc}") from exc
             data.append(out)
         return cls(rows, cols, data)
@@ -383,15 +376,16 @@ def principal_minor(m: RationalMatrix, index_set: Iterable[int]) -> Fraction:
     return determinant(m.submatrix(idx, idx))
 
 
+def nonempty_subsets(n: int) -> Iterator[tuple[int, ...]]:
+    """The nonempty subsets of range(n), in (size, lexicographic) order."""
+    return itertools.chain.from_iterable(itertools.combinations(range(n), k)
+                                         for k in range(1, n + 1))
+
+
 def all_principal_minors(m: RationalMatrix) -> list[tuple[tuple[int, ...], Fraction]]:
     """Every nonempty principal minor, in (size, lexicographic) order."""
     m.require_square("principal minors")
-    n = m.rows
-    out = []
-    for k in range(1, n + 1):
-        for idx in itertools.combinations(range(n), k):
-            out.append((idx, determinant(m.submatrix(idx, idx))))
-    return out
+    return [(idx, determinant(m.submatrix(idx, idx))) for idx in nonempty_subsets(m.rows)]
 
 
 def inverse(m: RationalMatrix) -> RationalMatrix | None:

@@ -9,17 +9,13 @@ by "M-matrix and rank A = rank A^2" (zero eigenvalue of index <= 1).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import TooLargeError
 from .geninv import index_at_most_one
 from .lp import LinearSystem, lp_feasible
-from .matrix import RationalMatrix, determinant, rank
-
-DEFAULT_MINOR_CAP = 12
+from .matrix import ENUMERATION_CAP, RationalMatrix, determinant, nonempty_subsets, rank
 
 
 class MClass(Enum):
@@ -91,31 +87,23 @@ def is_irreducible(a: RationalMatrix) -> bool:
     return reaches_all(adj) and reaches_all(radj)
 
 
-def _check_cap(a: RationalMatrix, cap: int) -> None:
-    if a.rows > cap:
-        raise TooLargeError(f"order {a.rows} exceeds the minor-scan cap {cap}")
-
-
-def minor_class(a: RationalMatrix, cap: int = DEFAULT_MINOR_CAP) -> MinorClassReport:
-    a.require_square("minor classes")
-    _check_cap(a, cap)
-    n = a.rows
+def minor_class(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> MinorClassReport:
+    a.require_square("minor classes", cap)
     is_p = is_p0 = is_n = True
     vanished: list[tuple[int, ...]] = []
-    for k in range(1, n + 1):
-        for idx in itertools.combinations(range(n), k):
-            d = determinant(a.submatrix(idx, idx))
-            if d <= 0:
-                is_p = False
-            if d < 0:
-                is_p0 = False
-            if d >= 0:
-                is_n = False
-            if d == 0:
-                vanished.append(idx)
-            if not (is_p or is_p0 or is_n):
-                # Nothing can change anymore except adequacy, which needs is_p0.
-                return MinorClassReport(False, False, False, False, False)
+    for idx in nonempty_subsets(a.rows):
+        d = determinant(a.submatrix(idx, idx))
+        if d <= 0:
+            is_p = False
+        if d < 0:
+            is_p0 = False
+        if d >= 0:
+            is_n = False
+        if d == 0:
+            vanished.append(idx)
+        if not (is_p or is_p0 or is_n):
+            # Nothing can change anymore except adequacy, which needs is_p0.
+            return MinorClassReport(False, False, False, False, False)
     first_cat = is_n and any(x > 0 for row in a.data for x in row)
     adequate = is_p0 and all(_rows_and_cols_dependent(a, idx) for idx in vanished)
     return MinorClassReport(is_p, is_p0, is_n, first_cat, adequate)
@@ -127,7 +115,7 @@ def _rows_and_cols_dependent(a: RationalMatrix, idx: tuple[int, ...]) -> bool:
     return rank(rows_block) < len(idx) and rank(cols_block) < len(idx)
 
 
-def is_m_matrix(a: RationalMatrix, cap: int = DEFAULT_MINOR_CAP) -> MClass:
+def is_m_matrix(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> MClass:
     """Z + P => nonsingular M; Z + P0 (not P) => singular M; else not M."""
     a.require_square("M-matrix test")
     flags = structural_flags(a)
@@ -141,7 +129,7 @@ def is_m_matrix(a: RationalMatrix, cap: int = DEFAULT_MINOR_CAP) -> MClass:
     return MClass.NOT_M
 
 
-def has_property_c(a: RationalMatrix, cap: int = DEFAULT_MINOR_CAP) -> bool:
+def has_property_c(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> bool:
     """M-matrix whose zero eigenvalue (if any) has index <= 1."""
     a.require_square("property c")
     if is_m_matrix(a, cap) is MClass.NOT_M:

@@ -13,7 +13,7 @@ from typing import Callable
 from . import geninv, lcp_classes, minor_classes, monotone
 from .conelcp import is_karamardian
 from .lcp import NO, UNKNOWN, YES, Verdict, is_q_matrix
-from .matrix import RationalMatrix, Vector
+from .matrix import ENUMERATION_CAP, RationalMatrix, Vector
 from .minor_classes import MClass
 
 NOT_APPLICABLE = "NotApplicable"
@@ -23,8 +23,7 @@ NOT_APPLICABLE = "NotApplicable"
 class PredicateConfig:
     seed: int = 0
     max_candidates: int = 16
-    cap: int = 12
-    samples: int = 64
+    cap: int = ENUMERATION_CAP
     hint_d: tuple[Vector, ...] = ()
 
 
@@ -76,7 +75,7 @@ def _karamardian(a: RationalMatrix, cfg: PredicateConfig) -> PredicateOutcome:
 
 
 def _q_matrix(a: RationalMatrix, cfg: PredicateConfig) -> PredicateOutcome:
-    return _from_verdict(is_q_matrix(a, samples=cfg.samples, seed=cfg.seed, cap=cfg.cap))
+    return _from_verdict(is_q_matrix(a, seed=cfg.seed, cap=cfg.cap))
 
 
 def _bool_pred(fn: Callable[[RationalMatrix], bool], method: str):

@@ -1,6 +1,9 @@
 import json
+import random
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -38,7 +41,7 @@ class TestClassify:
         res = run_cli(["classify", path, "--format", "json"])
         assert res.returncode == 0
         report = json.loads(res.stdout)
-        assert report["schema"] == "1"
+        assert report["schema"] == "2"
         by_name = {p["name"]: p for p in report["predicates"]}
         assert by_name["karamardian"]["status"] == "Yes"
         assert by_name["karamardian"]["certificate"]["rule"] == "STRICT_COPOSITIVE_ON_K"
@@ -204,3 +207,135 @@ class TestSearchCommand:
         assert res.returncode == 0
         # 2x2 matrices are fully classified, so no Unknown survives
         assert Path(out).read_text() == ""
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("args, code", [
+        (["verify-corpus", "--cap", "2"], 3),
+        (["search", "--target", "propc-not-phash", "--n", "13", "--trials", "1"], 3),
+        (["search", "--target", "propc-not-phash", "--n", "0", "--trials", "1"], 2),
+        (["search", "--target", "propc-not-phash", "--n", "-2", "--trials", "1"], 2),
+        (["search", "--target", "propc-not-phash", "--n", "3", "--trials", "-5"], 2),
+        (["search", "--target", "propc-not-phash", "--n", "3", "--trials", "1",
+          "--entry-bound", "-1"], 2),
+        (["search", "--target", "propc-not-phash", "--n", "3", "--trials", "1",
+          "--out", "/nonexistent/x.jsonl"], 2),
+    ])
+    def test_bad_flags_exit_cleanly(self, args, code):
+        res = run_cli(args)
+        assert res.returncode == code
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("entry, hint, q", [
+        ("1e200000", None, None),
+        (str(10 ** 80), None, None),
+        ("1", "[1e300]", None),
+        ("1", None, '["1/%d"]' % 2 ** 300),
+    ])
+    def test_entry_beyond_bit_cap_exits_3(self, tmp_path, entry, hint, q):
+        path = write_matrix(tmp_path, "m.json", None,
+                            raw='{"rows": 1, "cols": 1, "entries": [[%s]]}' % entry)
+        if q is None:
+            args = ["classify", path] + (["--hint-d", hint] if hint else [])
+        else:
+            (tmp_path / "q.json").write_text(q)
+            args = ["lcp", path, str(tmp_path / "q.json")]
+        t0 = time.perf_counter()
+        res = run_cli(args)
+        assert res.returncode == 3
+        assert "Traceback" not in res.stderr
+        assert time.perf_counter() - t0 < 5
+
+    def test_closed_stdout_exits_141(self):
+        # A 4 KiB pipe is smaller than the dump, so the writer is still
+        # writing when the pipe closes.
+        env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
+        proc = subprocess.Popen([sys.executable, "-m", "karalcp.cli", "verify-corpus", "--dump"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                                pipesize=4096)
+        assert proc.stdout.readline().strip() == b"{"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
+# Raw JSON tokens a fuzzed document may carry in place of any value.
+FUZZ_TOKENS = ["NaN", "Infinity", "-Infinity", "true", "false", "null", "1e200000",
+               "-1e-99999", "1e308", "0.5", '"1/0"', '"1/3"', '"x"', '""', "[]", "{}",
+               "[[1]]", str(10 ** 100), "-7", '"1e999999999"', '"-2.5e1"']
+
+
+def _mutate(rng: random.Random, doc):
+    """One random change to a JSON document held as Python data; a string
+    "@TOKEN@" stands for the raw JSON text TOKEN."""
+    slots = []
+
+    def walk(node):
+        children = enumerate(node) if isinstance(node, list) else (
+            node.items() if isinstance(node, dict) else ())
+        for key, child in children:
+            slots.append((node, key))
+            walk(child)
+
+    walk(doc)
+    if not slots:
+        return "@" + rng.choice(FUZZ_TOKENS) + "@"
+    parent, key = rng.choice(slots)
+    value = parent[key]
+    kind = rng.randrange(5)
+    if kind == 0:
+        parent[key] = "@" + rng.choice(FUZZ_TOKENS) + "@"
+    elif kind == 1:  # nesting, rarely deep enough to exhaust the JSON parser
+        parent[key] = [value] if rng.random() < 0.95 else "@" + "[" * 100000 + "@"
+    elif kind == 2 and isinstance(value, list):  # wrong length
+        if rng.random() < 0.5:
+            value.append(value[-1] if value else 1)
+        elif value:
+            value.pop()
+    elif kind == 3:  # wrong type or a huge shape
+        parent[key] = rng.choice([10 ** 9, 13, 0, -1, 2.5, "2"])
+    elif isinstance(parent, list):
+        parent.pop(key)
+    else:
+        del parent[key]
+    return doc
+
+
+def _fuzzed_text(rng: random.Random, obj) -> str:
+    doc = json.loads(json.dumps(obj))
+    for _ in range(rng.randint(1, 3)):
+        doc = _mutate(rng, doc)
+    text = re.sub(r'"@(.*?)@"', lambda m: m.group(1).replace('\\"', '"'), json.dumps(doc))
+    if rng.random() < 0.2:
+        text = text[:rng.randrange(len(text) + 1)]
+    return text
+
+
+def test_fuzzed_input_exits_0_2_or_3(tmp_path, capsys):
+    """Seeded fuzz of classify and lcp: malformed matrices, q and --hint-d
+    vectors always end in exit 0, 2 or 3, never in an escaping exception."""
+    rng = random.Random(20261018)
+    bases = [STCOPEX, QNOTKAR, [[1]], [[0, "1/2"], ["-3/4", "2"]], [[1, 2, 3], [4, 5, 6]]]
+    identity13 = [[int(i == j) for j in range(13)] for i in range(13)]
+    seen = set()
+    for case in range(200):
+        rows = rng.choice(bases + [identity13] * (case % 25 == 0))
+        matrix = {"rows": len(rows), "cols": len(rows[0]), "entries": rows}
+        n = len(rows)
+        vector = [rng.randint(-2, 2) for _ in range(n)]
+        mpath, qpath = tmp_path / "m.json", tmp_path / "q.json"
+        mutate_matrix = rng.random() < 0.5
+        mpath.write_text(_fuzzed_text(rng, matrix) if mutate_matrix else json.dumps(matrix))
+        vtext = json.dumps(vector) if mutate_matrix else _fuzzed_text(rng, vector)
+        if rng.random() < 0.5:
+            args = ["classify", str(mpath), "--hint-d", vtext,
+                    "--format", rng.choice(["json", "text"])]
+        else:
+            qpath.write_text(vtext)
+            args = ["lcp", str(mpath), str(qpath)] + ["--cone"] * rng.randrange(2)
+        code = cli.main(args)
+        capsys.readouterr()
+        assert code in (0, 2, 3), args
+        seen.add(code)
+    assert seen == {0, 2, 3}
