@@ -4,10 +4,14 @@ Karamardian verdict engine.
 For x in R(A) and y = Ax + q = u + v with u >= 0 and A^T v = 0, the
 complementarity x^T y = 0 collapses to x_i u_i = 0 for every i (x is
 orthogonal to N(A^T) automatically), so cone-LCP solutions are enumerated
-by complementary supports exactly like the standard LCP, with one LP per
-support.  The Karamardian decision is a cascade of sound exact rules; the
-existential d of the definition is only semi-decided, by verified
-candidate vectors, so No is never emitted from a failed search.
+by complementary supports exactly like the standard LCP.  Each support's
+linear system is built once, from per-matrix parts (range-basis rows, the
+rows of AB, a left-null basis) computed once per matrix, and that one
+system answers whether a nonzero solution exists, which point represents
+it, and whether the solutions form a family (`lp.first_nonconstant`,
+shared with `lcp.py`).  The Karamardian decision is a cascade of sound
+exact rules; the existential d of the definition is only semi-decided, by
+verified candidate vectors, so No is never emitted from a failed search.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .lcp_classes import (
     is_strictly_semimonotone,
 )
 from .lcp import UNKNOWN, YES, NO, Verdict
-from .lp import BOUNDED, UNBOUNDED, LinearSystem, lp_feasible, lp_optimize
+from .lp import BOUNDED, UNBOUNDED, LinearSystem, first_nonconstant, lp_feasible, lp_optimize
 from .matrix import (
     ENUMERATION_CAP,
     RationalMatrix,
@@ -174,98 +178,84 @@ def int_dual_membership(a: RationalMatrix, d: Sequence) -> bool:
 # -- cone LCP --------------------------------------------------------------
 
 
-def _support_lp(a: RationalMatrix, q: Vector, support: tuple[int, ...], bases):
-    """Constraint system for cone-LCP solutions with x-support inside
-    `support`: variables are range coordinates c, the off-support entries
-    of u, and null-space coordinates w."""
-    n = a.rows
+def _support_parts(a: RationalMatrix):
+    """The parts of every support LP that depend on A alone, computed once
+    per matrix: the rows of a range basis B (x = Bc), the rows of AB, and
+    a basis of N(A^T)."""
+    cached = a._cache.get("supportLP")
+    if cached is not None:
+        return cached
+    bases = subspace_bases(a)
     basis = bases.range.basis
-    null = bases.left_null.basis
-    r, dnull = len(basis), len(null)
+    n, r = a.rows, len(basis)
+    rows_b = tuple(tuple(basis[k][i] for k in range(r)) for i in range(n))
+    rows_ab = tuple(tuple(sum((a.data[i][j] * basis[k][j] for j in range(n)), _ZERO)
+                          for k in range(r)) for i in range(n))
+    result = (rows_b, rows_ab, bases.left_null.basis)
+    a._cache["supportLP"] = result
+    return result
+
+
+def _support_lp(a: RationalMatrix, q: Vector, support: tuple[int, ...]):
+    """Constraint system for cone-LCP solutions with x-support inside
+    `support`, and the support sum sigma = sum_S x_i as a linear form:
+    variables are range coordinates c, the off-support entries of u, and
+    null-space coordinates w."""
+    rows_b, rows_ab, null = _support_parts(a)
+    n = a.rows
+    r, dnull = len(rows_ab[0]), len(null)
     sset = set(support)
     comp = [i for i in range(n) if i not in sset]
     u_pos = {i: r + k for k, i in enumerate(comp)}
-    nvars = r + len(comp) + dnull
-    nonneg = [False] * r + [True] * len(comp) + [False] * dnull
-    system = LinearSystem(nvars, nonneg=nonneg)
-    rows_b = [[basis[k][i] for k in range(r)] for i in range(n)]
-    ab = [a.row_vec(i) for i in range(n)]
-    rows_ab = [[sum((ab[i][j] * basis[k][j] for j in range(n)), _ZERO) for k in range(r)]
-               for i in range(n)]
+    pad = (_ZERO,) * (len(comp) + dnull)
+    system = LinearSystem(r + len(comp) + dnull,
+                          nonneg=[False] * r + [True] * len(comp) + [False] * dnull)
     for i in comp:
-        system.eq(rows_b[i] + [_ZERO] * (len(comp) + dnull), 0)
+        system.eq(rows_b[i] + pad, 0)
     for i in support:
-        system.ge(rows_b[i] + [_ZERO] * (len(comp) + dnull), 0)
+        system.ge(rows_b[i] + pad, 0)
     for i in range(n):
-        coeffs = list(rows_ab[i]) + [_ZERO] * (len(comp) + dnull)
+        coeffs = list(rows_ab[i] + pad)
         if i in u_pos:
             coeffs[u_pos[i]] = -_ONE
         for k in range(dnull):
             coeffs[r + len(comp) + k] = -null[k][i]
         system.eq(coeffs, -q[i])
-    sigma = [sum(rows_b[i][k] for i in support) for k in range(r)] + \
-            [_ZERO] * (len(comp) + dnull)
-    to_x = rows_b
-    return system, sigma, to_x, r
+    sigma = [sum(rows_b[i][k] for i in support) for k in range(r)] + list(pad)
+    return system, sigma
 
 
-def _x_from(witness: Vector, to_x, r: int, n: int) -> Vector:
-    return tuple(sum((to_x[i][k] * witness[k] for k in range(r)), _ZERO) for i in range(n))
+def _support_solution(a: RationalMatrix, q: Vector, support):
+    """(x, is_family) for one support: x is a nonzero cone-LCP solution
+    with support inside `support`, or None; `is_family()` tells whether the
+    support's solutions are more than one point.  One system answers both.
 
-
-def _support_nonzero_solution(a: RationalMatrix, q: Vector, support, bases):
-    """A nonzero cone-LCP solution with support inside `support`, or None.
-
-    For q = 0 the solution set is a cone, so feasibility under the
-    normalization sum_{i in support} x_i = 1 decides; otherwise the support
-    sum is maximized and a positive optimum (or unboundedness) is the test.
+    For q = 0 the solutions form a cone, so feasibility under the
+    normalization sigma = 1 decides, and a nonzero solution lies on a ray.
+    Otherwise sigma is maximized: a positive optimum gives x, and an
+    unbounded sigma gives a family represented by the sigma-minimizer when
+    that is nonzero, else by a point with sigma = 1.  The normalization row
+    is appended in place, so it is the last question asked of the system.
     """
-    system, sigma, to_x, r = _support_lp(a, q, support, bases)
-    n = a.rows
-    if all(t == 0 for t in q):
-        system.eq(sigma, 1)
-        out = lp_feasible(system)
-        if out.is_feasible:
-            return _x_from(out.witness, to_x, r, n)
-        return None
-    out = lp_optimize(sigma, system, "max")
-    if out.status == BOUNDED and out.value > 0:
-        return _x_from(out.witness, to_x, r, n)
-    if out.status == UNBOUNDED:
-        return _nonzero_representative(a, q, support, bases)
-    return None
+    system, sigma = _support_lp(a, q, support)
+    rows_b = _support_parts(a)[0]
 
+    def x_of(witness: Vector) -> Vector:  # x = Bc, c leading the witness
+        return tuple(sum((b * c for b, c in zip(row, witness)), _ZERO) for row in rows_b)
 
-def _nonzero_representative(a: RationalMatrix, q: Vector, support, bases) -> Vector:
-    system, sigma, to_x, r = _support_lp(a, q, support, bases)
-    out = lp_optimize(sigma, system, "min")
-    if out.status == BOUNDED and out.value > 0:
-        return _x_from(out.witness, to_x, r, a.rows)
-    system2, sigma2, to_x2, r2 = _support_lp(a, q, support, bases)
-    system2.eq(sigma2, 1)
-    out2 = lp_feasible(system2)
-    return _x_from(out2.witness, to_x2, r2, a.rows)
-
-
-def _support_is_degenerate(a: RationalMatrix, q: Vector, support, bases) -> bool:
-    """True when the support's solution polyhedron is positive-dimensional
-    in x (some on-support coordinate is not fixed)."""
-    for i in support:
-        lo = hi = None
-        for sense in ("min", "max"):
-            system, _, to_x, r = _support_lp(a, q, support, bases)
-            coeff = list(to_x[i][:r]) + [_ZERO] * (system.n_vars - r)
-            out = lp_optimize(coeff, system, sense)
-            if out.status == UNBOUNDED:
-                return True
-            val = out.value
-            if sense == "min":
-                lo = val
-            else:
-                hi = val
-        if lo != hi:
-            return True
-    return False
+    if is_zero_vec(q):
+        out = lp_feasible(system.eq(sigma, 1))
+        return (x_of(out.witness), lambda: True) if out.is_feasible else (None, None)
+    top = lp_optimize(sigma, system, "max")
+    if top.status == UNBOUNDED:
+        low = lp_optimize(sigma, system, "min")
+        if not low.value:  # zero solves too: represent the family at sigma = 1
+            low = lp_feasible(system.eq(sigma, 1))
+        return x_of(low.witness), lambda: True
+    if top.status != BOUNDED or top.value == 0:
+        return None, None
+    coords = [rows_b[i] + (_ZERO,) * (system.n_vars - len(rows_b[i])) for i in support]
+    return x_of(top.witness), lambda: first_nonconstant(system, coords) is not None
 
 
 def cone_lcp_solutions(a: RationalMatrix, q: Sequence,
@@ -276,17 +266,16 @@ def cone_lcp_solutions(a: RationalMatrix, q: Sequence,
     qv = vec(q)
     if len(qv) != n:
         raise DimensionMismatchError("q length must match matrix order")
-    bases = subspace_bases(a)
     solutions: set[Vector] = set()
     degenerate: list[tuple[int, ...]] = []
     if dual_membership(a, qv):
         solutions.add(zeros_vec(n))
     for support in nonempty_subsets(n):
-        x = _support_nonzero_solution(a, qv, support, bases)
+        x, is_family = _support_solution(a, qv, support)
         if x is None:
             continue
         solutions.add(x)
-        if _support_is_degenerate(a, qv, support, bases):
+        if is_family():
             degenerate.append(support)
     return _lcp.LcpSolutionSet(tuple(sorted(solutions)), tuple(degenerate), complete=True)
 
@@ -298,14 +287,14 @@ def cone_lcp_only_zero(a: RationalMatrix, q: Sequence, cap: int = ENUMERATION_CA
     qv = vec(q)
     if len(qv) != a.rows:
         raise DimensionMismatchError("q length must match matrix order")
-    return _first_nonzero_solution(a, qv, subspace_bases(a)) is None
+    return _first_nonzero_solution(a, qv) is None
 
 
-def _first_nonzero_solution(a: RationalMatrix, q: Vector, bases) -> Vector | None:
+def _first_nonzero_solution(a: RationalMatrix, q: Vector) -> Vector | None:
     """The nonzero cone-LCP solution of the first support, in (size,
     lexicographic) order, that has one; None when only zero solves."""
     for support in nonempty_subsets(a.rows):
-        x = _support_nonzero_solution(a, q, support, bases)
+        x, _ = _support_solution(a, q, support)
         if x is not None:
             return x
     return None
@@ -456,11 +445,16 @@ def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = 
     """
     a.require_square("Karamardian test", cap)
     n = a.rows
-    bases = subspace_bases(a)
+    hints = [vec(d) for d in candidate_ds or ()]
+    for d in hints:
+        if len(d) != n:
+            raise DimensionMismatchError(
+                f"candidate d [{', '.join(map(str, d))}] has length {len(d)},"
+                f" but the matrix has order {n}")
     cone = cone_K(a)
     if cone.trivial:
         return Verdict(NO, rule=RULE_K_TRIVIAL)
-    nonzero = _first_nonzero_solution(a, zeros_vec(n), bases)
+    nonzero = _first_nonzero_solution(a, zeros_vec(n))
     if nonzero is not None:
         return Verdict(NO, rule=RULE_HOMOGENEOUS_NONZERO, witnesses={"solution": nonzero})
 
@@ -496,16 +490,13 @@ def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = 
             return Verdict(NO, rule=RULE_N_FIRST_CATEGORY)
 
     tried: list[Vector] = []
-    pool: list[Vector] = []
-    if candidate_ds:
-        pool.extend(vec(d) for d in candidate_ds)
-    pool.extend(default_candidates(a, cone.nontrivial_witness, seed=seed,
-                                   limit=max(2 * max_candidates, 8)))
+    pool = hints + default_candidates(a, cone.nontrivial_witness, seed=seed,
+                                      limit=max(2 * max_candidates, 8))
     seen = set()
     for d in pool:
         if len(tried) >= max_candidates:
             break
-        if d in seen or len(d) != n:
+        if d in seen:
             continue
         seen.add(d)
         tried.append(d)

@@ -25,7 +25,7 @@ from .lcp_classes import (
     CopositivityStatus,
     copositivity_on_cone,
 )
-from .lp import UNBOUNDED, LinearSystem, lp_feasible, lp_optimize
+from .lp import UNBOUNDED, LinearSystem, first_nonconstant, lp_feasible
 from .matrix import (
     ENUMERATION_CAP,
     RationalMatrix,
@@ -130,23 +130,18 @@ def _family_solutions(a: RationalMatrix, q: Vector, support, sol):
     """Classify an affine family of complementary candidates against the
     sign constraints: returns (representative | None, positive_dimensional)."""
     n = a.rows
-    d = len(sol.null_basis)
     k = len(support)
     comp = [i for i in range(n) if i not in set(support)]
-
-    def build() -> LinearSystem:
-        system = LinearSystem(d)
-        for idx in range(k):
-            coeffs = [nb[idx] for nb in sol.null_basis]
-            system.ge(coeffs, -sol.particular[idx])
-        for i in comp:
-            base = sum((a.data[i][support[idx]] * sol.particular[idx] for idx in range(k)), _ZERO)
-            coeffs = [sum((a.data[i][support[idx]] * nb[idx] for idx in range(k)), _ZERO)
-                      for nb in sol.null_basis]
-            system.ge(coeffs, -q[i] - base)
-        return system
-
-    out = lp_feasible(build())
+    coords = [[nb[idx] for nb in sol.null_basis] for idx in range(k)]
+    system = LinearSystem(len(sol.null_basis))
+    for idx in range(k):
+        system.ge(coords[idx], -sol.particular[idx])
+    for i in comp:
+        base = sum((a.data[i][support[idx]] * sol.particular[idx] for idx in range(k)), _ZERO)
+        coeffs = [sum((a.data[i][support[idx]] * nb[idx] for idx in range(k)), _ZERO)
+                  for nb in sol.null_basis]
+        system.ge(coeffs, -q[i] - base)
+    out = lp_feasible(system)
     if not out.is_feasible:
         return None, False
 
@@ -155,20 +150,18 @@ def _family_solutions(a: RationalMatrix, q: Vector, support, sol):
                for idx in range(k)]
         return _expand(x_s, support, n)
 
-    for idx in range(k):
-        coeffs = [nb[idx] for nb in sol.null_basis]
-        lo = lp_optimize(coeffs, build(), "min")
-        hi = lp_optimize(coeffs, build(), "max")
-        if hi.status == UNBOUNDED:
-            # the coordinate is unbounded above: pin it one unit past the
-            # minimum to produce a representative with that coordinate > 0
-            pinned = build().eq(coeffs, lo.value + 1)
-            pick = lp_feasible(pinned)
-            return to_x(pick.witness), True
-        if lo.value != hi.value:
-            # hi > lo >= 0 on the support, so the max witness is nonzero
-            return to_x(hi.witness), True
-    return to_x(out.witness), False
+    free = first_nonconstant(system, coords)
+    if free is None:
+        return to_x(out.witness), False
+    idx, lo, hi = free
+    if hi.status == UNBOUNDED:
+        # the coordinate is unbounded above: pin it one unit past the
+        # minimum (the last use of the system, as eq appends in place) to
+        # produce a representative with that coordinate > 0
+        pick = lp_feasible(system.eq(coords[idx], lo.value + 1))
+        return to_x(pick.witness), True
+    # hi > lo >= 0 on the support, so the max witness is nonzero
+    return to_x(hi.witness), True
 
 
 def lcp_unique_zero(a: RationalMatrix, q: Sequence, cap: int = ENUMERATION_CAP) -> bool:

@@ -163,10 +163,6 @@ class RationalMatrix:
     def col_vec(self, j: int) -> Vector:
         return tuple(self.data[i][j] for i in range(self.rows))
 
-    def entries(self) -> Vector:
-        """Row-major flattening."""
-        return tuple(x for row in self.data for x in row)
-
     # -- algebra ------------------------------------------------------
 
     def transpose(self) -> "RationalMatrix":
@@ -176,9 +172,6 @@ class RationalMatrix:
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -380,12 +373,6 @@ def nonempty_subsets(n: int) -> Iterator[tuple[int, ...]]:
     """The nonempty subsets of range(n), in (size, lexicographic) order."""
     return itertools.chain.from_iterable(itertools.combinations(range(n), k)
                                          for k in range(1, n + 1))
-
-
-def all_principal_minors(m: RationalMatrix) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Every nonempty principal minor, in (size, lexicographic) order."""
-    m.require_square("principal minors")
-    return [(idx, determinant(m.submatrix(idx, idx))) for idx in nonempty_subsets(m.rows)]
 
 
 def inverse(m: RationalMatrix) -> RationalMatrix | None:

@@ -8,7 +8,20 @@ from fractions import Fraction
 
 import sympy
 
-from karalcp.matrix import LinearSolution, RationalMatrix, RrefResult, rat
+from karalcp.conelcp import dual_membership
+from karalcp.lcp import LcpSolutionSet
+from karalcp.lp import BOUNDED, UNBOUNDED, LinearSystem, lp_feasible, lp_optimize
+from karalcp.matrix import (
+    LinearSolution,
+    RationalMatrix,
+    RrefResult,
+    nonempty_subsets,
+    rat,
+    solve_linear,
+    subspace_bases,
+    vec,
+    zeros_vec,
+)
 
 
 def det2(m) -> Fraction:
@@ -278,3 +291,172 @@ def penrose_holds(a: RationalMatrix, x: RationalMatrix) -> bool:
 
 def group_equations_hold(a: RationalMatrix, x: RationalMatrix) -> bool:
     return a @ x @ a == a and x @ a @ x == x and a @ x == x @ a
+
+
+# -- support enumeration that rebuilds every LP: the reference for lcp.py and
+# -- conelcp.py, which build each support's system once ----------------------
+
+
+def lcp_solutions_reference(a: RationalMatrix, q) -> LcpSolutionSet:
+    """Every solution of the standard LCP, one fresh LP per question."""
+    n = a.rows
+    qv = vec(q)
+    solutions = set()
+    degenerate = []
+    if all(t >= 0 for t in qv):
+        solutions.add(zeros_vec(n))
+    for support in nonempty_subsets(n):
+        sol = solve_linear(a.submatrix(support, support), [-qv[i] for i in support])
+        if sol is None:
+            continue
+        if not sol.null_basis:
+            x = _expand(sol.particular, support, n)
+            if all(x[i] >= 0 for i in support) and all(
+                    sum(a.data[i][j] * x[j] for j in range(n)) + qv[i] >= 0
+                    for i in range(n) if i not in support):
+                solutions.add(x)
+            continue
+        found, is_family = _family_solutions_reference(a, qv, support, sol)
+        if found is not None:
+            solutions.add(found)
+            if is_family:
+                degenerate.append(support)
+    return LcpSolutionSet(tuple(sorted(solutions)), tuple(degenerate), complete=True)
+
+
+def _expand(x_s, support, n: int) -> tuple:
+    x = [Fraction(0)] * n
+    for val, i in zip(x_s, support):
+        x[i] = val
+    return tuple(x)
+
+
+def _family_solutions_reference(a: RationalMatrix, q, support, sol):
+    n = a.rows
+    k = len(support)
+    comp = [i for i in range(n) if i not in set(support)]
+
+    def build() -> LinearSystem:
+        system = LinearSystem(len(sol.null_basis))
+        for idx in range(k):
+            system.ge([nb[idx] for nb in sol.null_basis], -sol.particular[idx])
+        for i in comp:
+            base = sum((a.data[i][support[idx]] * sol.particular[idx] for idx in range(k)),
+                       Fraction(0))
+            coeffs = [sum((a.data[i][support[idx]] * nb[idx] for idx in range(k)), Fraction(0))
+                      for nb in sol.null_basis]
+            system.ge(coeffs, -q[i] - base)
+        return system
+
+    out = lp_feasible(build())
+    if not out.is_feasible:
+        return None, False
+
+    def to_x(t):
+        x_s = [sol.particular[idx] + sum(nb[idx] * t[j] for j, nb in enumerate(sol.null_basis))
+               for idx in range(k)]
+        return _expand(x_s, support, n)
+
+    for idx in range(k):
+        coeffs = [nb[idx] for nb in sol.null_basis]
+        lo = lp_optimize(coeffs, build(), "min")
+        hi = lp_optimize(coeffs, build(), "max")
+        if hi.status == UNBOUNDED:
+            return to_x(lp_feasible(build().eq(coeffs, lo.value + 1)).witness), True
+        if lo.value != hi.value:
+            return to_x(hi.witness), True
+    return to_x(out.witness), False
+
+
+def cone_lcp_solutions_reference(a: RationalMatrix, q) -> LcpSolutionSet:
+    """Every solution of the cone LCP, one fresh support LP per question."""
+    n = a.rows
+    qv = vec(q)
+    solutions = set()
+    degenerate = []
+    if dual_membership(a, qv):
+        solutions.add(zeros_vec(n))
+    for support in nonempty_subsets(n):
+        x = _cone_support_solution_reference(a, qv, support)
+        if x is None:
+            continue
+        solutions.add(x)
+        if _cone_support_is_degenerate_reference(a, qv, support):
+            degenerate.append(support)
+    return LcpSolutionSet(tuple(sorted(solutions)), tuple(degenerate), complete=True)
+
+
+def first_nonzero_cone_solution_reference(a: RationalMatrix, q):
+    """The nonzero cone-LCP solution of the first support, in (size,
+    lexicographic) order, that has one; None when only zero solves."""
+    for support in nonempty_subsets(a.rows):
+        x = _cone_support_solution_reference(a, vec(q), support)
+        if x is not None:
+            return x
+    return None
+
+
+def _cone_support_lp(a: RationalMatrix, q, support):
+    n = a.rows
+    bases = subspace_bases(a)
+    basis, null = bases.range.basis, bases.left_null.basis
+    r, dnull = len(basis), len(null)
+    comp = [i for i in range(n) if i not in set(support)]
+    u_pos = {i: r + k for k, i in enumerate(comp)}
+    pad = [Fraction(0)] * (len(comp) + dnull)
+    system = LinearSystem(r + len(comp) + dnull,
+                          nonneg=[False] * r + [True] * len(comp) + [False] * dnull)
+    rows_b = [[basis[k][i] for k in range(r)] for i in range(n)]
+    rows_ab = [[sum((a.data[i][j] * basis[k][j] for j in range(n)), Fraction(0))
+                for k in range(r)] for i in range(n)]
+    for i in comp:
+        system.eq(rows_b[i] + pad, 0)
+    for i in support:
+        system.ge(rows_b[i] + pad, 0)
+    for i in range(n):
+        coeffs = rows_ab[i] + pad
+        if i in u_pos:
+            coeffs[u_pos[i]] = Fraction(-1)
+        for k in range(dnull):
+            coeffs[r + len(comp) + k] = -null[k][i]
+        system.eq(coeffs, -q[i])
+    sigma = [sum(rows_b[i][k] for i in support) for k in range(r)] + pad
+
+    def to_x(witness):
+        return tuple(sum((rows_b[i][k] * witness[k] for k in range(r)), Fraction(0))
+                     for i in range(n))
+
+    return system, sigma, to_x, rows_b
+
+
+def _cone_support_solution_reference(a: RationalMatrix, q, support):
+    system, sigma, to_x, _ = _cone_support_lp(a, q, support)
+    if all(t == 0 for t in q):
+        out = lp_feasible(system.eq(sigma, 1))
+        return to_x(out.witness) if out.is_feasible else None
+    out = lp_optimize(sigma, system, "max")
+    if out.status == BOUNDED and out.value > 0:
+        return to_x(out.witness)
+    if out.status != UNBOUNDED:
+        return None
+    system, sigma, to_x, _ = _cone_support_lp(a, q, support)
+    low = lp_optimize(sigma, system, "min")
+    if low.status == BOUNDED and low.value > 0:
+        return to_x(low.witness)
+    system, sigma, to_x, _ = _cone_support_lp(a, q, support)
+    return to_x(lp_feasible(system.eq(sigma, 1)).witness)
+
+
+def _cone_support_is_degenerate_reference(a: RationalMatrix, q, support) -> bool:
+    for i in support:
+        values = []
+        for sense in ("min", "max"):
+            system, _, _, rows_b = _cone_support_lp(a, q, support)
+            coeffs = rows_b[i] + [Fraction(0)] * (system.n_vars - len(rows_b[i]))
+            out = lp_optimize(coeffs, system, sense)
+            if out.status == UNBOUNDED:
+                return True
+            values.append(out.value)
+        if values[0] != values[1]:
+            return True
+    return False

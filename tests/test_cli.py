@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import re
 import subprocess
@@ -14,10 +15,18 @@ from karalcp.errors import NonSquareError
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(args, tmp_path=None):
+def cli_env() -> dict:
+    """A bare environment for CLI subprocesses; it keeps
+    PYTHONDONTWRITEBYTECODE when set, so such a run leaves no bytecode in src/."""
     env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
+
+
+def run_cli(args, tmp_path=None):
     return subprocess.run([sys.executable, "-m", "karalcp.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=cli_env())
 
 
 def write_matrix(tmp_path, name, rows, cols=None, entries=None, raw=None):
@@ -120,6 +129,13 @@ class TestClassify:
         assert "q_matrix" not in names
         by_name = {p["name"]: p for p in report["predicates"]}
         assert by_name["karamardian"]["status"] == "Yes"
+
+    def test_wrong_length_hint_exits_2(self, tmp_path):
+        path = write_matrix(tmp_path, "m.json", [[0, 1, 1], [-1, 1, 2], [1, 2, 1]])
+        res = run_cli(["classify", path, "--hint-d", "[3,1]"])
+        assert res.returncode == 2
+        assert "candidate d [3, 1]" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 class TestLcpCommand:
@@ -249,9 +265,8 @@ class TestExitCodes:
     def test_closed_stdout_exits_141(self):
         # A 4 KiB pipe is smaller than the dump, so the writer is still
         # writing when the pipe closes.
-        env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
         proc = subprocess.Popen([sys.executable, "-m", "karalcp.cli", "verify-corpus", "--dump"],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
                                 pipesize=4096)
         assert proc.stdout.readline().strip() == b"{"
         proc.stdout.close()

@@ -14,7 +14,12 @@ from karalcp.conelcp import (
     karamardian_of_group_inverse,
     rank_one_classification,
 )
-from karalcp.errors import NoGroupInverseError, Not2x2Error, ZeroVectorError
+from karalcp.errors import (
+    DimensionMismatchError,
+    NoGroupInverseError,
+    Not2x2Error,
+    ZeroVectorError,
+)
 from karalcp.geninv import group_inverse
 from karalcp.lcp import NO, YES, is_q_matrix
 from karalcp.matrix import RationalMatrix, dot, rank, vec
@@ -290,6 +295,14 @@ class TestKaramardianCascade:
         b = RationalMatrix.from_rows([[0, 1, 1], [-1, 1, 2], [1, 2, 1]])
         v = is_karamardian(b, candidate_ds=[vec([1, 1, 1])])
         assert v.status == YES
+
+    def test_wrong_length_candidate_is_rejected(self):
+        b = RationalMatrix.from_rows([[0, 1, 1], [-1, 1, 2], [1, 2, 1]])
+        with pytest.raises(DimensionMismatchError, match=r"candidate d \[3, 1\]"):
+            is_karamardian(b, candidate_ds=[vec([1, 1, 1]), vec([3, 1])])
+        # rejected even when a cascade rule would settle the matrix first
+        with pytest.raises(DimensionMismatchError):
+            is_karamardian(BLOCK_Z, candidate_ds=[vec([1, 1, 1, 1])])
 
     def test_search_never_returns_no(self):
         rng = random.Random(7)

@@ -67,7 +67,7 @@ def kernel_matrices(draw, square=False):
 def assert_identical(got: RationalMatrix, want: RationalMatrix):
     """Equal, and every entry a Fraction, as the oracle's are."""
     assert got == want
-    assert all(type(x) is Fraction for x in got.entries())
+    assert all(type(x) is Fraction for row in got.data for x in row)
 
 
 M3 = RationalMatrix.from_rows([[0, -1, -2], [0, 1, 2], [1, 1, 1]])
