@@ -20,7 +20,7 @@ from . import __version__
 from .corpus import corpus_entries, corpus_to_json, verify_entry
 from .errors import KaralcpError, TooLargeError
 from .lcp import lcp_solutions
-from .conelcp import cone_lcp_solutions
+from .conelcp import CANDIDATE_BUDGET, cone_lcp_solutions
 from .matrix import ENUMERATION_CAP, RationalMatrix, Vector, bounded_rat
 from .predicates import PREDICATE_ORDER, PredicateConfig, evaluate_predicate
 from .search import TARGETS, hit_to_json_line, run_search
@@ -73,13 +73,18 @@ def _jsonable(value):
     return value
 
 
+def _require_order(matrix: RationalMatrix, args) -> None:
+    """`--cap` can lower the library's ENUMERATION_CAP, not raise it."""
+    if max(matrix.rows, matrix.cols) > args.cap:
+        raise TooLargeError(f"matrix order {max(matrix.rows, matrix.cols)} exceeds cap {args.cap}")
+
+
 def cmd_classify(args) -> int:
     try:
         matrix = _load_matrix(args.matrix)
     except ValueError as exc:
         return _fail(EXIT_PARSE, str(exc))
-    if max(matrix.rows, matrix.cols) > args.cap:
-        raise TooLargeError(f"matrix order {max(matrix.rows, matrix.cols)} exceeds cap {args.cap}")
+    _require_order(matrix, args)
     hints = []
     for raw in args.hint_d or []:
         try:
@@ -93,7 +98,7 @@ def cmd_classify(args) -> int:
     if unknown:
         return _fail(EXIT_PARSE, f"--skip names unknown predicates: {sorted(unknown)}")
     cfg = PredicateConfig(seed=args.seed, max_candidates=args.max_candidates,
-                          cap=args.cap, hint_d=tuple(hints))
+                          hint_d=tuple(hints))
     rows = []
     for name in PREDICATE_ORDER:
         if name in skip:
@@ -134,8 +139,9 @@ def cmd_lcp(args) -> int:
             q = _parse_vector(fh.read())
     except ValueError as exc:
         return _fail(EXIT_PARSE, str(exc))
+    _require_order(matrix, args)
     solve = cone_lcp_solutions if args.cone else lcp_solutions
-    result = solve(matrix, q, cap=args.cap)
+    result = solve(matrix, q)
     kind = "cone LCP" if args.cone else "LCP"
     print(f"{kind} solutions: {len(result.solutions)}"
           f"  degenerate supports: {len(result.degenerate_supports)}")
@@ -157,7 +163,8 @@ def cmd_verify_corpus(args) -> int:
             return _fail(EXIT_PARSE, f"no corpus entries tagged {args.filter!r}")
     failures = 0
     for entry in entries:
-        report = verify_entry(entry, seed=args.seed, cap=args.cap)
+        _require_order(entry.matrix, args)
+        report = verify_entry(entry, seed=args.seed)
         status = "pass" if report.ok else "FAIL"
         detail = ""
         if not report.ok:
@@ -204,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="path to a matrix JSON file")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-candidates", type=int, default=16)
+    p.add_argument("--max-candidates", type=int, default=CANDIDATE_BUDGET)
     p.add_argument("--hint-d", action="append", metavar="VECTOR_JSON")
     p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     p.add_argument("--skip", action="append", metavar="PRED[,PRED...]")

@@ -37,7 +37,7 @@ from .lcp_classes import (
     is_semimonotone,
     is_strictly_semimonotone,
 )
-from .lcp import UNKNOWN, YES, NO, Verdict
+from .lcp import UNKNOWN, YES, NO, Verdict, n_first_category_applies
 from .lp import BOUNDED, UNBOUNDED, LinearSystem, first_nonconstant, lp_feasible, lp_optimize
 from .matrix import (
     ENUMERATION_CAP,
@@ -76,6 +76,9 @@ RULE_N_FIRST_CATEGORY = "N_FIRST_CATEGORY"
 RULE_CANDIDATE_D = "CANDIDATE_D"
 RULE_RANGE_MONOTONE_Z = "RANGE_MONOTONE_Z_GROUP_INVERSE"
 RULE_PERMUTATION_REDUCT = "PERMUTATION_REDUCT"
+
+# How many candidate vectors d the Karamardian search verifies by default.
+CANDIDATE_BUDGET = 16
 
 
 # -- the cone K and its dual ---------------------------------------------
@@ -258,10 +261,9 @@ def _support_solution(a: RationalMatrix, q: Vector, support):
     return x_of(top.witness), lambda: first_nonconstant(system, coords) is not None
 
 
-def cone_lcp_solutions(a: RationalMatrix, q: Sequence,
-                       cap: int = ENUMERATION_CAP) -> "_lcp.LcpSolutionSet":
+def cone_lcp_solutions(a: RationalMatrix, q: Sequence) -> "_lcp.LcpSolutionSet":
     """All solutions of the cone LCP: x in K, Ax + q in K*, x^T (Ax+q) = 0."""
-    a.require_square("cone LCP", cap)
+    a.require_square("cone LCP", scan=True)
     n = a.rows
     qv = vec(q)
     if len(qv) != n:
@@ -280,10 +282,10 @@ def cone_lcp_solutions(a: RationalMatrix, q: Sequence,
     return _lcp.LcpSolutionSet(tuple(sorted(solutions)), tuple(degenerate), complete=True)
 
 
-def cone_lcp_only_zero(a: RationalMatrix, q: Sequence, cap: int = ENUMERATION_CAP) -> bool:
+def cone_lcp_only_zero(a: RationalMatrix, q: Sequence) -> bool:
     """True iff the cone LCP has no nonzero solution (a positive-dimensional
     family would contain one, so no separate degeneracy check is needed)."""
-    a.require_square("cone LCP", cap)
+    a.require_square("cone LCP", scan=True)
     qv = vec(q)
     if len(qv) != a.rows:
         raise DimensionMismatchError("q length must match matrix order")
@@ -377,16 +379,6 @@ def classify_2x2(a: RationalMatrix) -> Verdict:
 # -- the Karamardian cascade ------------------------------------------------
 
 
-def _n_first_category_applicable(a: RationalMatrix, cap: int) -> bool:
-    """N-matrix of the first category with a positive entry in every column:
-    then the LCP has exactly three solutions for every q > 0, so no interior
-    d can make the non-homogeneous problem uniquely solvable."""
-    report = minor_class(a, cap)
-    if not (report.is_n and report.n_first_category):
-        return False
-    return all(any(a.data[i][j] > 0 for i in range(a.rows)) for j in range(a.cols))
-
-
 def default_candidates(a: RationalMatrix, witness: Vector | None,
                        seed: int = 0, limit: int = 32) -> list[Vector]:
     """Deterministic candidate-d pool for the existential part of the
@@ -432,8 +424,7 @@ def default_candidates(a: RationalMatrix, witness: Vector | None,
 
 
 def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = None,
-                   max_candidates: int = 16, seed: int = 0,
-                   cap: int = ENUMERATION_CAP,
+                   max_candidates: int = CANDIDATE_BUDGET, seed: int = 0,
                    force_candidate_search: bool = False) -> Verdict:
     """Decision cascade; the first firing rule wins.
 
@@ -443,7 +434,7 @@ def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = 
     never No.  `force_candidate_search` skips the exact shortcut rules
     (used by the cross-validation tests).
     """
-    a.require_square("Karamardian test", cap)
+    a.require_square("Karamardian test", scan=True)
     n = a.rows
     hints = [vec(d) for d in candidate_ds or ()]
     for d in hints:
@@ -469,7 +460,7 @@ def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = 
         flags = structural_flags(a)
         if flags.nonnegative and all(a.data[i][i] > 0 for i in range(n)):
             return Verdict(YES, rule=RULE_NONNEG_POS_DIAG)
-        minors = minor_class(a, cap)
+        minors = minor_class(a)
         if minors.is_p:
             return Verdict(YES, rule=RULE_P_MATRIX)
         if len(cone.cone.generators) <= ENUMERATION_CAP:
@@ -477,16 +468,16 @@ def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = 
             if cop.status is CopositivityStatus.STRICTLY_COPOSITIVE:
                 return Verdict(YES, rule=RULE_STRICT_COPOSITIVE_ON_K)
         invertible = rank(a) == n
-        if invertible and is_strictly_semimonotone(a, cap):
+        if invertible and is_strictly_semimonotone(a):
             return Verdict(YES, rule=RULE_STRICTLY_SEMIMONOTONE)
-        if invertible and is_semimonotone(a, cap):
+        if invertible and is_semimonotone(a):
             # The homogeneous problem was already shown to have only zero.
             return Verdict(YES, rule=RULE_SEMIMONOTONE)
-        if is_almost_semimonotone(a, cap):
+        if is_almost_semimonotone(a):
             return Verdict(NO, rule=RULE_ALMOST_SEMIMONOTONE)
         if invertible and flags.z_matrix and not minors.is_p:
             return Verdict(NO, rule=RULE_Z_NOT_P)
-        if _n_first_category_applicable(a, cap):
+        if n_first_category_applies(a):
             return Verdict(NO, rule=RULE_N_FIRST_CATEGORY)
 
     tried: list[Vector] = []
@@ -502,12 +493,12 @@ def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = 
         tried.append(d)
         if not int_dual_membership(a, d):
             continue
-        if cone_lcp_only_zero(a, d, cap):
+        if cone_lcp_only_zero(a, d):
             return Verdict(YES, rule=RULE_CANDIDATE_D, witnesses={"d": d})
     return Verdict(UNKNOWN, evidence={"tried": tuple(tried), "seed": seed})
 
 
-def karamardian_of_group_inverse(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> Verdict:
+def karamardian_of_group_inverse(a: RationalMatrix) -> Verdict:
     """Verdict for A#: a range monotone Z-matrix with nontrivial K certifies
     Yes outright; otherwise the cascade runs on the computed A#."""
     from .monotone import is_range_monotone
@@ -519,4 +510,4 @@ def karamardian_of_group_inverse(a: RationalMatrix, cap: int = ENUMERATION_CAP) 
     flags = structural_flags(a)
     if flags.z_matrix and not cone_K(a).trivial and is_range_monotone(a):
         return Verdict(YES, rule=RULE_RANGE_MONOTONE_Z)
-    return is_karamardian(gi.inverse, cap=cap)
+    return is_karamardian(gi.inverse)

@@ -18,7 +18,6 @@ from typing import Sequence
 from .errors import (
     BadInnerProductError,
     BadUError,
-    NonSquareError,
     NotInvertibleMError,
     NotIrreducibleError,
     NotRowStochasticError,

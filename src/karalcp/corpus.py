@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lcp import NO, YES
-from .matrix import ENUMERATION_CAP, RationalMatrix, Vector, vec
+from .matrix import RationalMatrix, Vector, vec
 from .predicates import PredicateConfig, evaluate_predicate
 
 
@@ -201,10 +201,8 @@ class EntryReport:
         return not self.mismatches
 
 
-def verify_entry(entry: CorpusEntry, seed: int = 0, cap: int = ENUMERATION_CAP,
-                 max_candidates: int = 16) -> EntryReport:
-    cfg = PredicateConfig(seed=seed, cap=cap, max_candidates=max_candidates,
-                          hint_d=entry.hint_d)
+def verify_entry(entry: CorpusEntry, seed: int = 0) -> EntryReport:
+    cfg = PredicateConfig(seed=seed, hint_d=entry.hint_d)
     mismatches = []
     for name in sorted(entry.expected):
         actual = evaluate_predicate(name, entry.matrix, cfg).status

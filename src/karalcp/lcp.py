@@ -27,7 +27,6 @@ from .lcp_classes import (
 )
 from .lp import UNBOUNDED, LinearSystem, first_nonconstant, lp_feasible
 from .matrix import (
-    ENUMERATION_CAP,
     RationalMatrix,
     Vector,
     nonempty_subsets,
@@ -42,7 +41,8 @@ YES = "Yes"
 NO = "No"
 UNKNOWN = "Unknown"
 
-DEFAULT_SAMPLE_BOUND = 10
+Q_SAMPLES = 64
+Q_SAMPLE_BOUND = 10
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -82,9 +82,9 @@ class LcpSolutionSet:
         return bool(self.degenerate_supports)
 
 
-def lcp_solutions(a: RationalMatrix, q: Sequence, cap: int = ENUMERATION_CAP) -> LcpSolutionSet:
+def lcp_solutions(a: RationalMatrix, q: Sequence) -> LcpSolutionSet:
     """Every exact solution of x >= 0, y = Ax + q >= 0, x^T y = 0."""
-    a.require_square("LCP", cap)
+    a.require_square("LCP", scan=True)
     n = a.rows
     qv = vec(q)
     if len(qv) != n:
@@ -164,13 +164,13 @@ def _family_solutions(a: RationalMatrix, q: Vector, support, sol):
     return to_x(hi.witness), True
 
 
-def lcp_unique_zero(a: RationalMatrix, q: Sequence, cap: int = ENUMERATION_CAP) -> bool:
+def lcp_unique_zero(a: RationalMatrix, q: Sequence) -> bool:
     """True iff zero is the only solution (q >= 0 so that zero solves)."""
     a.require_square("LCP uniqueness")
     qv = vec(q)
     if any(t < 0 for t in qv):
         raise QNotNonnegativeError("q must be entrywise nonnegative")
-    result = lcp_solutions(a, qv, cap)
+    result = lcp_solutions(a, qv)
     return result.solutions == (zeros_vec(a.rows),) and not result.has_degenerate
 
 
@@ -188,11 +188,19 @@ RULE_KARAMARDIAN_INVERTIBLE = "KARAMARDIAN_INVERTIBLE"
 RULE_UNSOLVABLE_Q = "UNSOLVABLE_Q"
 
 
-def is_q_matrix(a: RationalMatrix, samples: int = 64, seed: int = 0,
-                bound: int = DEFAULT_SAMPLE_BOUND, cap: int = ENUMERATION_CAP) -> Verdict:
+def n_first_category_applies(a: RationalMatrix) -> bool:
+    """N-matrix of the first category with a positive entry in every column:
+    a Q-matrix whose LCP has exactly three solutions for every q > 0, so Yes
+    in the Q-matrix cascade and No in the Karamardian one."""
+    if not minor_class(a).n_first_category:
+        return False
+    return all(any(a.data[i][j] > 0 for i in range(a.rows)) for j in range(a.cols))
+
+
+def is_q_matrix(a: RationalMatrix, seed: int = 0) -> Verdict:
     """Exact Yes/No where a sound rule fires, else sampling refutation,
     else Unknown with the sample log."""
-    a.require_square("Q-matrix test", cap)
+    a.require_square("Q-matrix test", scan=True)
     n = a.rows
     flags = structural_flags(a)
     if flags.has_nonpositive_row:
@@ -202,7 +210,7 @@ def is_q_matrix(a: RationalMatrix, samples: int = 64, seed: int = 0,
     diag_positive = all(a.data[i][i] > 0 for i in range(n))
     if flags.nonnegative and not diag_positive:
         return Verdict(NO, rule=RULE_NONNEG_ZERO_DIAG)
-    minors = minor_class(a, cap)
+    minors = minor_class(a)
     if flags.z_matrix:
         if minors.is_p:
             return Verdict(YES, rule=RULE_Z_AND_P)
@@ -211,7 +219,7 @@ def is_q_matrix(a: RationalMatrix, samples: int = 64, seed: int = 0,
         return Verdict(YES, rule=RULE_NONNEG_POS_DIAG)
     if minors.is_p:
         return Verdict(YES, rule=RULE_P_MATRIX)
-    if minors.n_first_category and all(any(a.data[i][j] > 0 for i in range(n)) for j in range(n)):
+    if n_first_category_applies(a):
         return Verdict(YES, rule=RULE_N_FIRST_CATEGORY)
     cop = copositivity_on_cone(a, ConeRep.nonnegative_orthant(n))
     if cop.status is CopositivityStatus.STRICTLY_COPOSITIVE:
@@ -219,24 +227,24 @@ def is_q_matrix(a: RationalMatrix, samples: int = 64, seed: int = 0,
     if rank(a) == n:
         from .conelcp import is_karamardian
 
-        kara = is_karamardian(a, seed=seed, cap=cap)
+        kara = is_karamardian(a, seed=seed)
         if kara.status == YES:
             return Verdict(YES, rule=RULE_KARAMARDIAN_INVERTIBLE,
                            witnesses=dict(kara.witnesses, via=kara.rule))
     tried = []
-    for q in _sample_qs(n, samples, seed, bound):
+    for q in _sample_qs(n, seed):
         tried.append(q)
-        if not lcp_solutions(a, q, cap).solutions:
+        if not lcp_solutions(a, q).solutions:
             return Verdict(NO, rule=RULE_UNSOLVABLE_Q, witnesses={"q": q})
-    return Verdict(UNKNOWN, evidence={"tried": tuple(tried), "seed": seed, "bound": bound})
+    return Verdict(UNKNOWN, evidence={"tried": tuple(tried), "seed": seed, "bound": Q_SAMPLE_BOUND})
 
 
-def _sample_qs(n: int, samples: int, seed: int, bound: int):
+def _sample_qs(n: int, seed: int):
     yield tuple(-_ONE for _ in range(n))
     for i in range(n):
         yield tuple(-_ONE if j == i else _ZERO for j in range(n))
     for i in range(n):
         yield tuple(_ONE if j == i else _ZERO for j in range(n))
     rng = random.Random(seed)
-    for _ in range(samples):
-        yield tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))
+    for _ in range(Q_SAMPLES):
+        yield tuple(Fraction(rng.randint(-Q_SAMPLE_BOUND, Q_SAMPLE_BOUND)) for _ in range(n))

@@ -70,19 +70,19 @@ def _principal_submatrices(a: RationalMatrix):
     return (a.submatrix(idx, idx) for idx in nonempty_subsets(a.rows))
 
 
-def is_semimonotone(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> bool:
+def is_semimonotone(a: RationalMatrix) -> bool:
     """Every principal submatrix (including A) is weakly semipositive."""
-    a.require_square("semimonotonicity", cap)
+    a.require_square("semimonotonicity", scan=True)
     return all(is_weakly_semipositive(sub) for sub in _principal_submatrices(a))
 
 
-def is_strictly_semimonotone(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> bool:
+def is_strictly_semimonotone(a: RationalMatrix) -> bool:
     """Every principal submatrix (including A) is semipositive."""
-    a.require_square("strict semimonotonicity", cap)
+    a.require_square("strict semimonotonicity", scan=True)
     return all(is_semipositive(sub) for sub in _principal_submatrices(a))
 
 
-def is_almost_semimonotone(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> bool:
+def is_almost_semimonotone(a: RationalMatrix) -> bool:
     """All proper principal submatrices semimonotone, A itself not.
 
     Since a submatrix of a proper submatrix is again a proper submatrix,
@@ -91,7 +91,7 @@ def is_almost_semimonotone(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> boo
     failing weak semipositivity.  A 1x1 matrix has no proper submatrices,
     so the quantification is vacuous there.
     """
-    a.require_square("almost semimonotonicity", cap)
+    a.require_square("almost semimonotonicity", scan=True)
     if not all(is_weakly_semipositive(sub) for sub in _principal_submatrices(a)
                if sub.rows < a.rows):
         return False
@@ -101,7 +101,7 @@ def is_almost_semimonotone(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> boo
 # -- sign-reversal classes ----------------------------------------------
 
 
-def is_p_hash(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> bool:
+def is_p_hash(a: RationalMatrix) -> bool:
     """No nonzero x in R(A) with x_i (Ax)_i <= 0 for every i.
 
     One LP per sign orthant: substituting x = s * z with z >= 0 makes the
@@ -109,7 +109,7 @@ def is_p_hash(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> bool:
     left-null basis W, and sum z = 1 rules out zero.  The pair (s, -s)
     describes the same problem, so only orthants with s_1 = +1 run.
     """
-    a.require_square("P# test", cap)
+    a.require_square("P# test", scan=True)
     n = a.rows
     left_null = subspace_bases(a).left_null.basis
     rows_a = [a.row_vec(i) for i in range(n)]
@@ -126,9 +126,9 @@ def is_p_hash(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> bool:
     return True
 
 
-def is_strictly_range_semimonotone(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> bool:
+def is_strictly_range_semimonotone(a: RationalMatrix) -> bool:
     """No nonzero x >= 0 in R(A) with x * Ax <= 0; one LP per support."""
-    a.require_square("strict range semimonotonicity", cap)
+    a.require_square("strict range semimonotonicity", scan=True)
     n = a.rows
     left_null = subspace_bases(a).left_null.basis
     for support in nonempty_subsets(n):
@@ -175,8 +175,7 @@ class CopositivityResult:
     witness: Vector | None = None
 
 
-def copositivity_on_cone(q: RationalMatrix, cone: ConeRep,
-                         cap: int = ENUMERATION_CAP) -> CopositivityResult:
+def copositivity_on_cone(q: RationalMatrix, cone: ConeRep) -> CopositivityResult:
     """Exact sign of min x^T Q x over the cone's simplex base.
 
     Uses the symmetrized form (Q + Q^T)/2.  The witness (when the minimum
@@ -187,8 +186,8 @@ def copositivity_on_cone(q: RationalMatrix, cone: ConeRep,
     gens = cone.generators
     if not gens:
         raise EmptyConeError("cone has no generators (K = {0})")
-    if len(gens) > cap:
-        raise TooLargeError(f"{len(gens)} generators exceed cap {cap}")
+    if len(gens) > ENUMERATION_CAP:
+        raise TooLargeError(f"{len(gens)} generators exceed cap {ENUMERATION_CAP}")
     if any(is_zero_vec(g) for g in gens):
         raise EmptyConeError("zero vector is not a valid generator")
     qhat = q + q.transpose()  # factor 2 is sign-irrelevant and kept exact below

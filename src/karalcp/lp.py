@@ -343,23 +343,20 @@ class _Simplex:
             return INFEASIBLE, None, None, None
         scaled, scale = integer_row(minimize)
         width = self.rhs_col + 1
-        cost_true = [Fraction(0)] * width
+        cost_true = [0] * width
         for j, ci in enumerate(scaled):
             if ci:
                 cost_true[self.col_of_pos[j]] += ci
                 neg = self.col_of_neg[j]
                 if neg is not None:
                     cost_true[neg] -= ci
-        # Price out the current basis: reduced = c - c_B . (B^-1 A); stored rows
-        # are den * (B^-1 A), so accumulate exactly and rescale by den at the end.
-        den = Fraction(self.den)
-        red = list(cost_true)
+        # Price out the current basis: stored rows are den * (B^-1 A), so the
+        # reduced cost scaled by den, den * c - c_B . row, is an integer row.
+        cost = [self.den * c for c in cost_true]
         for i in range(self.m):
             cb = cost_true[self.basis[i]]
             if cb:
-                row = self.tableau[i]
-                red = [x - cb * Fraction(y, self.den) for x, y in zip(red, row)]
-        cost = [int(x * den) for x in red]
+                cost = [x - cb * y for x, y in zip(cost, self.tableau[i])]
         status = self._run(cost, self.rhs_col)
         if status == "unbounded":
             return UNBOUNDED, self._witness(), None, self._ray()

@@ -150,12 +150,12 @@ class RationalMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def require_square(self, what: str = "operation", cap: int | None = None) -> None:
-        """NonSquareError unless square; TooLargeError if the order exceeds `cap`."""
+    def require_square(self, what: str = "operation", scan: bool = False) -> None:
+        """NonSquareError unless square; with `scan`, TooLargeError past ENUMERATION_CAP."""
         if not self.is_square:
             raise NonSquareError(f"{what} needs a square matrix, got {self.rows}x{self.cols}")
-        if cap is not None and self.rows > cap:
-            raise TooLargeError(f"{what}: order {self.rows} exceeds cap {cap}")
+        if scan and self.rows > ENUMERATION_CAP:
+            raise TooLargeError(f"{what}: order {self.rows} exceeds cap {ENUMERATION_CAP}")
 
     def row_vec(self, i: int) -> Vector:
         return tuple(self.data[i])

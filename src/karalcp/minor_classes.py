@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .geninv import index_at_most_one
 from .lp import LinearSystem, lp_feasible
-from .matrix import ENUMERATION_CAP, RationalMatrix, determinant, nonempty_subsets, rank
+from .matrix import RationalMatrix, determinant, nonempty_subsets, rank
 
 
 class MClass(Enum):
@@ -45,10 +45,13 @@ class MinorClassReport:
 
 def structural_flags(a: RationalMatrix) -> StructuralFlags:
     a.require_square("structural flags")
+    cached = a._cache.get("flags")
+    if cached is not None:
+        return cached
     d = a.data
     n = a.rows
     nonneg = all(x >= 0 for row in d for x in row)
-    return StructuralFlags(
+    result = StructuralFlags(
         nonnegative=nonneg,
         positive=all(x > 0 for row in d for x in row),
         z_matrix=all(d[i][j] <= 0 for i in range(n) for j in range(n) if i != j),
@@ -56,6 +59,8 @@ def structural_flags(a: RationalMatrix) -> StructuralFlags:
         irreducible=is_irreducible(a),
         has_nonpositive_row=any(all(x <= 0 for x in row) for row in d),
     )
+    a._cache["flags"] = result
+    return result
 
 
 def is_irreducible(a: RationalMatrix) -> bool:
@@ -87,8 +92,11 @@ def is_irreducible(a: RationalMatrix) -> bool:
     return reaches_all(adj) and reaches_all(radj)
 
 
-def minor_class(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> MinorClassReport:
-    a.require_square("minor classes", cap)
+def minor_class(a: RationalMatrix) -> MinorClassReport:
+    a.require_square("minor classes", scan=True)
+    cached = a._cache.get("minors")
+    if cached is not None:
+        return cached
     is_p = is_p0 = is_n = True
     vanished: list[tuple[int, ...]] = []
     for idx in nonempty_subsets(a.rows):
@@ -102,11 +110,11 @@ def minor_class(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> MinorClassRepo
         if d == 0:
             vanished.append(idx)
         if not (is_p or is_p0 or is_n):
-            # Nothing can change anymore except adequacy, which needs is_p0.
-            return MinorClassReport(False, False, False, False, False)
+            break  # nothing can change anymore: adequacy needs is_p0 too
     first_cat = is_n and any(x > 0 for row in a.data for x in row)
     adequate = is_p0 and all(_rows_and_cols_dependent(a, idx) for idx in vanished)
-    return MinorClassReport(is_p, is_p0, is_n, first_cat, adequate)
+    result = a._cache["minors"] = MinorClassReport(is_p, is_p0, is_n, first_cat, adequate)
+    return result
 
 
 def _rows_and_cols_dependent(a: RationalMatrix, idx: tuple[int, ...]) -> bool:
@@ -115,13 +123,13 @@ def _rows_and_cols_dependent(a: RationalMatrix, idx: tuple[int, ...]) -> bool:
     return rank(rows_block) < len(idx) and rank(cols_block) < len(idx)
 
 
-def is_m_matrix(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> MClass:
+def is_m_matrix(a: RationalMatrix) -> MClass:
     """Z + P => nonsingular M; Z + P0 (not P) => singular M; else not M."""
-    a.require_square("M-matrix test")
+    a.require_square("M-matrix test", scan=True)
     flags = structural_flags(a)
     if not flags.z_matrix:
         return MClass.NOT_M
-    report = minor_class(a, cap)
+    report = minor_class(a)
     if report.is_p:
         return MClass.NONSINGULAR_M
     if report.is_p0:
@@ -129,10 +137,9 @@ def is_m_matrix(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> MClass:
     return MClass.NOT_M
 
 
-def has_property_c(a: RationalMatrix, cap: int = ENUMERATION_CAP) -> bool:
+def has_property_c(a: RationalMatrix) -> bool:
     """M-matrix whose zero eigenvalue (if any) has index <= 1."""
-    a.require_square("property c")
-    if is_m_matrix(a, cap) is MClass.NOT_M:
+    if is_m_matrix(a) is MClass.NOT_M:
         return False
     return index_at_most_one(a)
 

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import geninv, lcp_classes, minor_classes, monotone
-from .conelcp import is_karamardian
+from .conelcp import CANDIDATE_BUDGET, is_karamardian
 from .lcp import NO, UNKNOWN, YES, Verdict, is_q_matrix
-from .matrix import ENUMERATION_CAP, RationalMatrix, Vector
+from .matrix import RationalMatrix, Vector
 from .minor_classes import MClass
 
 NOT_APPLICABLE = "NotApplicable"
@@ -22,8 +22,7 @@ NOT_APPLICABLE = "NotApplicable"
 @dataclass(frozen=True)
 class PredicateConfig:
     seed: int = 0
-    max_candidates: int = 16
-    cap: int = ENUMERATION_CAP
+    max_candidates: int = CANDIDATE_BUDGET
     hint_d: tuple[Vector, ...] = ()
 
 
@@ -55,13 +54,13 @@ def _structural(flag: str):
 
 def _minor(flag: str):
     def run(a: RationalMatrix, cfg: PredicateConfig) -> PredicateOutcome:
-        value = getattr(minor_classes.minor_class(a, cfg.cap), flag)
+        value = getattr(minor_classes.minor_class(a), flag)
         return _from_bool(value, "minor-scan")
     return run
 
 
 def _m_matrix(a: RationalMatrix, cfg: PredicateConfig) -> PredicateOutcome:
-    kind = minor_classes.is_m_matrix(a, cfg.cap)
+    kind = minor_classes.is_m_matrix(a)
     if kind is MClass.NOT_M:
         return PredicateOutcome(NO, {"by": "minor-scan"})
     return PredicateOutcome(YES, {"by": "minor-scan", "kind": kind.value})
@@ -69,24 +68,17 @@ def _m_matrix(a: RationalMatrix, cfg: PredicateConfig) -> PredicateOutcome:
 
 def _karamardian(a: RationalMatrix, cfg: PredicateConfig) -> PredicateOutcome:
     verdict = is_karamardian(a, candidate_ds=cfg.hint_d or None,
-                             max_candidates=cfg.max_candidates,
-                             seed=cfg.seed, cap=cfg.cap)
+                             max_candidates=cfg.max_candidates, seed=cfg.seed)
     return _from_verdict(verdict)
 
 
 def _q_matrix(a: RationalMatrix, cfg: PredicateConfig) -> PredicateOutcome:
-    return _from_verdict(is_q_matrix(a, seed=cfg.seed, cap=cfg.cap))
+    return _from_verdict(is_q_matrix(a, seed=cfg.seed))
 
 
 def _bool_pred(fn: Callable[[RationalMatrix], bool], method: str):
     def run(a: RationalMatrix, cfg: PredicateConfig) -> PredicateOutcome:
         return _from_bool(fn(a), method)
-    return run
-
-
-def _capped_pred(fn, method: str):
-    def run(a: RationalMatrix, cfg: PredicateConfig) -> PredicateOutcome:
-        return _from_bool(fn(a, cfg.cap), method)
     return run
 
 
@@ -114,11 +106,11 @@ PREDICATES: dict[str, Callable[[RationalMatrix, PredicateConfig], PredicateOutco
     "h_matrix_positive_diag": _bool_pred(minor_classes.is_h_matrix_positive_diag, "lp"),
     "semipositive": _bool_pred(lcp_classes.is_semipositive, "lp"),
     "weakly_semipositive": _bool_pred(lcp_classes.is_weakly_semipositive, "lp"),
-    "semimonotone": _capped_pred(lcp_classes.is_semimonotone, "submatrix lp"),
-    "strictly_semimonotone": _capped_pred(lcp_classes.is_strictly_semimonotone, "submatrix lp"),
-    "almost_semimonotone": _capped_pred(lcp_classes.is_almost_semimonotone, "submatrix lp"),
-    "p_hash": _capped_pred(lcp_classes.is_p_hash, "orthant lp"),
-    "strictly_range_semimonotone": _capped_pred(lcp_classes.is_strictly_range_semimonotone, "support lp"),
+    "semimonotone": _bool_pred(lcp_classes.is_semimonotone, "submatrix lp"),
+    "strictly_semimonotone": _bool_pred(lcp_classes.is_strictly_semimonotone, "submatrix lp"),
+    "almost_semimonotone": _bool_pred(lcp_classes.is_almost_semimonotone, "submatrix lp"),
+    "p_hash": _bool_pred(lcp_classes.is_p_hash, "orthant lp"),
+    "strictly_range_semimonotone": _bool_pred(lcp_classes.is_strictly_range_semimonotone, "support lp"),
     "monotone": _bool_pred(monotone.is_monotone, "inverse sign"),
     "range_monotone": _bool_pred(monotone.is_range_monotone, "lp"),
     "row_monotone": _bool_pred(monotone.is_row_monotone, "lp"),

@@ -54,7 +54,7 @@ def random_integer_matrix(rng: random.Random, n: int, entry_bound: int,
 
 def run_search(target: str, n: int, trials: int, seed: int = 0,
                density: Fraction = Fraction(1), entry_bound: int = 3,
-               max_candidates: int = 16, on_hit=None) -> list[SearchHit]:
+               on_hit=None) -> list[SearchHit]:
     if target not in TARGETS:
         raise ValueError(f"unknown target '{target}'; expected one of {TARGETS}")
     rng = random.Random(seed)
@@ -64,7 +64,7 @@ def run_search(target: str, n: int, trials: int, seed: int = 0,
         if target == "propc-not-phash":
             hit = _check_propc_not_phash(a)
         else:
-            hit = _check_phash_not_karamardian(a, seed, max_candidates)
+            hit = _check_phash_not_karamardian(a, seed)
         if hit is not None:
             record = SearchHit(trial, a, hit)
             hits.append(record)
@@ -80,23 +80,24 @@ def _check_propc_not_phash(a: RationalMatrix) -> dict | None:
         return None
     if is_p_hash(a):
         return None
-    # Re-verify the defining predicates from scratch before reporting.
-    if not (structural_flags(a).z_matrix and has_property_c(a) and not is_p_hash(a)):
+    # Re-verify the defining predicates from scratch, without a's caches.
+    fresh = RationalMatrix.from_rows(a.data)
+    if not (structural_flags(fresh).z_matrix and has_property_c(fresh) and not is_p_hash(fresh)):
         raise ArithmeticError("search hit failed re-verification")
     return {"z_matrix": True, "property_c": True, "p_hash": False}
 
 
-def _check_phash_not_karamardian(a: RationalMatrix, seed: int,
-                                 max_candidates: int) -> dict | None:
+def _check_phash_not_karamardian(a: RationalMatrix, seed: int) -> dict | None:
     if not is_p_hash(a):
         return None
     cone = cone_K(a)
     if cone.trivial:
         return None
-    verdict = is_karamardian(a, seed=seed, max_candidates=max_candidates)
+    verdict = is_karamardian(a, seed=seed)
     if verdict.status != UNKNOWN:
         return None
-    if not (is_p_hash(a) and not cone_K(a).trivial):
+    fresh = RationalMatrix.from_rows(a.data)
+    if not (is_p_hash(fresh) and not cone_K(fresh).trivial):
         raise ArithmeticError("search hit failed re-verification")
     return {
         "p_hash": True,

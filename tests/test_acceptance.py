@@ -27,12 +27,11 @@ from karalcp.geninv import group_inverse, moore_penrose
 from karalcp.lcp import NO, UNKNOWN, YES, lcp_solutions
 from karalcp.lcp_classes import is_p_hash, is_strictly_range_semimonotone
 from karalcp.lp import LinearSystem, lp_feasible
-from karalcp.matrix import RationalMatrix, dot, rank, subspace_bases, vec
+from karalcp.matrix import RationalMatrix, dot, subspace_bases, vec
 from karalcp.minor_classes import has_property_c
 from karalcp.monotone import is_range_monotone
 from karalcp.search import run_search
 from conftest import (
-    rand_fraction,
     rand_matrix,
     rand_nonzero_vector,
     rand_p_matrix,

@@ -111,6 +111,16 @@ class TestClassify:
         res = run_cli(["classify", path, "--cap", "4"])
         assert res.returncode == 3
 
+    @pytest.mark.parametrize("command", [["classify"], ["lcp"], ["lcp", "--cone"]])
+    def test_cap_cannot_raise_the_library_limit(self, tmp_path, capsys, command):
+        rows = [[1 if i == j else 0 for j in range(13)] for i in range(13)]
+        args = [command[0], write_matrix(tmp_path, "m.json", rows)]
+        if command[0] == "lcp":
+            (tmp_path / "q.json").write_text(json.dumps([0] * 13))
+            args.append(str(tmp_path / "q.json"))
+        assert cli.main(args + command[1:] + ["--cap", "13"]) == 3
+        assert "order 13 exceeds cap 12" in capsys.readouterr().err
+
     def test_rectangular_input(self, tmp_path):
         path = write_matrix(tmp_path, "m.json", [[1, 0, 0], [0, 1, 1]])
         res = run_cli(["classify", path, "--format", "json"])

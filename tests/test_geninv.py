@@ -11,7 +11,7 @@ from karalcp.geninv import (
     is_range_symmetric,
     moore_penrose,
 )
-from karalcp.matrix import RationalMatrix, rank, subspace_bases, vec
+from karalcp.matrix import RationalMatrix, rank, subspace_bases
 from conftest import rand_group_invertible, rand_int_matrix, rand_matrix
 from oracles import group_equations_hold, penrose_holds
 

@@ -89,7 +89,7 @@ class TestSemimonotone:
 
     def test_cap(self):
         with pytest.raises(TooLargeError):
-            is_semimonotone(RationalMatrix.identity(4), cap=3)
+            is_semimonotone(RationalMatrix.identity(13))
 
 
 class TestAlmostSemimonotone:

@@ -18,7 +18,6 @@ from karalcp.minor_classes import (
     structural_flags,
 )
 from conftest import (
-    rand_group_invertible,
     rand_int_matrix,
     rand_p_matrix,
     rand_singular_irreducible_m,
@@ -81,7 +80,7 @@ class TestMinorClass:
 
     def test_cap(self):
         with pytest.raises(TooLargeError):
-            minor_class(RationalMatrix.identity(4), cap=3)
+            minor_class(RationalMatrix.identity(13))
 
 
 class TestAdequate:

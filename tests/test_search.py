@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from karalcp.conelcp import classify_2x2, cone_K
-from karalcp.lcp import YES
 from karalcp.lcp_classes import is_p_hash
 from karalcp.search import hit_to_json_line, run_search
 

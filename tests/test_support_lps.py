@@ -5,12 +5,12 @@ supports and the first nonzero cone-LCP solution must agree exactly."""
 
 from collections import Counter
 
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from karalcp import conelcp
 from karalcp.conelcp import _first_nonzero_solution, cone_lcp_solutions
 from karalcp.lcp import lcp_solutions
-from karalcp.matrix import RationalMatrix, vec
+from karalcp.matrix import RationalMatrix, is_zero_vec, rank, subspace_bases, vec
 from oracles import (
     cone_lcp_solutions_reference,
     first_nonzero_cone_solution_reference,
@@ -59,25 +59,80 @@ def instances(draw):
     return a, vec(q)
 
 
-@seed(0)
-@settings(max_examples=200, deadline=None)
-@given(instances())
-def test_cone_lcp_matches_rebuilding_reference(instance):
-    a, q = instance
+@st.composite
+def cone_families(draw):
+    """A cone LCP with q != 0 whose solutions include a segment or a ray.
+
+    A = u v^T + p r^T with v, r orthogonal to u, so u lies in N(A) and,
+    once the rank check passes, in R(A); x0 = s u + s' p >= 0 lies in K;
+    z lies in N(A^T).  For q = z - A x0, every x = x0 + t u >= 0 has
+    Ax + q = z in K* and x^T z = 0.  Such x exist for t = 0 and t = +-1,
+    so the support of x0 and u holds a family: a ray when u >= 0, often a
+    segment otherwise.  Returns (A, q, that support).
+    """
+    n = draw(st.integers(2, 5))
+    nonneg = st.integers(0, 2)
+    u = [draw(nonneg if draw(st.booleans()) else small) for _ in range(n)]
+    p = [draw(nonneg) for _ in range(n)]
+    s, s2 = draw(nonneg), draw(nonneg)
+    x0 = [s * ui + s2 * pi for ui, pi in zip(u, p)]
+    assume(any(u) and min(x0) >= 0)
+    assume(any(min(x + t * ui for x, ui in zip(x0, u)) >= 0 for t in (1, -1)))
+    uu = sum(t * t for t in u)
+
+    def orthogonal_to_u():
+        w = [draw(small) for _ in range(n)]
+        uw = sum(ui * wi for ui, wi in zip(u, w))
+        return [uu * wi - uw * ui for ui, wi in zip(u, w)]
+
+    v, r = orthogonal_to_u(), orthogonal_to_u()
+    a = RationalMatrix.from_rows([[u[i] * v[j] + p[i] * r[j] for j in range(n)]
+                                  for i in range(n)])
+    assume(rank(a) == rank(RationalMatrix.from_columns(
+        [a.col_vec(j) for j in range(n)] + [vec(u), vec(x0)])))
+    null = subspace_bases(a).left_null.basis
+    coeffs = [draw(small) for _ in null]
+    ax0 = a.mul_vec(vec(x0))
+    q = vec([sum((c * w[i] for c, w in zip(coeffs, null)), 0) - ax0[i] for i in range(n)])
+    assume(not is_zero_vec(q))
+    return a, q, tuple(i for i in range(n) if x0[i] or u[i])
+
+
+def assert_cone_lcp_matches_reference(a, q):
     got, want = cone_lcp_solutions(a, q), cone_lcp_solutions_reference(a, q)
     assert got.solutions == want.solutions
     assert got.degenerate_supports == want.degenerate_supports
     assert _first_nonzero_solution(a, q) == first_nonzero_cone_solution_reference(a, q)
+    return got
+
+
+def assert_lcp_matches_reference(a, q):
+    got, want = lcp_solutions(a, q), lcp_solutions_reference(a, q)
+    assert got.solutions == want.solutions
+    assert got.degenerate_supports == want.degenerate_supports
+
+
+@seed(0)
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_cone_lcp_matches_rebuilding_reference(instance):
+    assert_cone_lcp_matches_reference(*instance)
 
 
 @seed(1)
 @settings(max_examples=200, deadline=None)
 @given(instances())
 def test_lcp_matches_rebuilding_reference(instance):
-    a, q = instance
-    got, want = lcp_solutions(a, q), lcp_solutions_reference(a, q)
-    assert got.solutions == want.solutions
-    assert got.degenerate_supports == want.degenerate_supports
+    assert_lcp_matches_reference(*instance)
+
+
+@seed(2)
+@settings(max_examples=100, deadline=None)
+@given(cone_families())
+def test_families_with_nonzero_q_match_rebuilding_reference(family):
+    a, q, support = family
+    assert support in assert_cone_lcp_matches_reference(a, q).degenerate_supports
+    assert_lcp_matches_reference(a, q)
 
 
 FAMILY_CASES = [
