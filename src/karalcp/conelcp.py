@@ -1,17 +1,15 @@
 """The cone K = R^n_+ intersect R(A), its dual, the cone LCP, and the
 Karamardian verdict engine.
 
-For x in R(A) and y = Ax + q = u + v with u >= 0 and A^T v = 0, the
-complementarity x^T y = 0 collapses to x_i u_i = 0 for every i (x is
-orthogonal to N(A^T) automatically), so cone-LCP solutions are enumerated
-by complementary supports exactly like the standard LCP.  Each support's
-linear system is built once, from per-matrix parts (range-basis rows, the
-rows of AB, a left-null basis) computed once per matrix, and that one
-system answers whether a nonzero solution exists, which point represents
-it, and whether the solutions form a family (`lp.first_nonconstant`,
-shared with `lcp.py`).  The Karamardian decision is a cascade of sound
-exact rules; the existential d of the definition is only semi-decided, by
-verified candidate vectors, so No is never emitted from a failed search.
+For a basis N of N(A^T): x in R(A) iff N^T x = 0, and y in
+K* = R^n_+ + N(A^T) iff y = u + Nw with u >= 0.  As x^T N w = 0, the
+complementarity x^T (Ax + q) = 0 becomes x_i u_i = 0 for every i, so the
+cone LCP is the mixed LCP of [[A, -N], [N^T, 0]] with w free and is
+solved by the standard LCP's support solver (`lcp.support_solution`),
+whose standard case is N empty; `dual_membership` decides whether zero
+solves.  The Karamardian decision is a cascade of sound exact rules; the
+existential d of the definition is only semi-decided, by verified
+candidate vectors, so No is never emitted from a failed search.
 """
 
 from __future__ import annotations
@@ -37,8 +35,20 @@ from .lcp_classes import (
     is_semimonotone,
     is_strictly_semimonotone,
 )
-from .lcp import UNKNOWN, YES, NO, Verdict, n_first_category_applies
-from .lp import BOUNDED, UNBOUNDED, LinearSystem, first_nonconstant, lp_feasible, lp_optimize
+from .lcp import (
+    NO,
+    RULE_N_FIRST_CATEGORY,
+    RULE_NONNEG_POS_DIAG,
+    RULE_P_MATRIX,
+    UNKNOWN,
+    YES,
+    LcpSolutionSet,
+    Verdict,
+    complementary_solutions,
+    n_first_category_applies,
+    support_solution,
+)
+from .lp import BOUNDED, UNBOUNDED, LinearSystem, lp_feasible, lp_optimize
 from .matrix import (
     ENUMERATION_CAP,
     RationalMatrix,
@@ -56,7 +66,6 @@ from .matrix import (
     zeros_vec,
 )
 from .minor_classes import minor_class, structural_flags
-from . import lcp as _lcp
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -65,14 +74,11 @@ RULE_K_TRIVIAL = "K_TRIVIAL"
 RULE_HOMOGENEOUS_NONZERO = "HOMOGENEOUS_NONZERO"
 RULE_RANK_ONE = "RANK_ONE"
 RULE_CLASS_2X2 = "CLASS_2X2"
-RULE_NONNEG_POS_DIAG = "NONNEG_POS_DIAG"
-RULE_P_MATRIX = "P_MATRIX"
 RULE_STRICT_COPOSITIVE_ON_K = "STRICT_COPOSITIVE_ON_K"
 RULE_STRICTLY_SEMIMONOTONE = "STRICTLY_SEMIMONOTONE_NONSINGULAR"
 RULE_SEMIMONOTONE = "SEMIMONOTONE_NONSINGULAR"
 RULE_ALMOST_SEMIMONOTONE = "ALMOST_SEMIMONOTONE"
 RULE_Z_NOT_P = "Z_NOT_P_NONSINGULAR"
-RULE_N_FIRST_CATEGORY = "N_FIRST_CATEGORY"
 RULE_CANDIDATE_D = "CANDIDATE_D"
 RULE_RANGE_MONOTONE_Z = "RANGE_MONOTONE_Z_GROUP_INVERSE"
 RULE_PERMUTATION_REDUCT = "PERMUTATION_REDUCT"
@@ -181,105 +187,14 @@ def int_dual_membership(a: RationalMatrix, d: Sequence) -> bool:
 # -- cone LCP --------------------------------------------------------------
 
 
-def _support_parts(a: RationalMatrix):
-    """The parts of every support LP that depend on A alone, computed once
-    per matrix: the rows of a range basis B (x = Bc), the rows of AB, and
-    a basis of N(A^T)."""
-    cached = a._cache.get("supportLP")
-    if cached is not None:
-        return cached
-    bases = subspace_bases(a)
-    basis = bases.range.basis
-    n, r = a.rows, len(basis)
-    rows_b = tuple(tuple(basis[k][i] for k in range(r)) for i in range(n))
-    rows_ab = tuple(tuple(sum((a.data[i][j] * basis[k][j] for j in range(n)), _ZERO)
-                          for k in range(r)) for i in range(n))
-    result = (rows_b, rows_ab, bases.left_null.basis)
-    a._cache["supportLP"] = result
-    return result
-
-
-def _support_lp(a: RationalMatrix, q: Vector, support: tuple[int, ...]):
-    """Constraint system for cone-LCP solutions with x-support inside
-    `support`, and the support sum sigma = sum_S x_i as a linear form:
-    variables are range coordinates c, the off-support entries of u, and
-    null-space coordinates w."""
-    rows_b, rows_ab, null = _support_parts(a)
-    n = a.rows
-    r, dnull = len(rows_ab[0]), len(null)
-    sset = set(support)
-    comp = [i for i in range(n) if i not in sset]
-    u_pos = {i: r + k for k, i in enumerate(comp)}
-    pad = (_ZERO,) * (len(comp) + dnull)
-    system = LinearSystem(r + len(comp) + dnull,
-                          nonneg=[False] * r + [True] * len(comp) + [False] * dnull)
-    for i in comp:
-        system.eq(rows_b[i] + pad, 0)
-    for i in support:
-        system.ge(rows_b[i] + pad, 0)
-    for i in range(n):
-        coeffs = list(rows_ab[i] + pad)
-        if i in u_pos:
-            coeffs[u_pos[i]] = -_ONE
-        for k in range(dnull):
-            coeffs[r + len(comp) + k] = -null[k][i]
-        system.eq(coeffs, -q[i])
-    sigma = [sum(rows_b[i][k] for i in support) for k in range(r)] + list(pad)
-    return system, sigma
-
-
-def _support_solution(a: RationalMatrix, q: Vector, support):
-    """(x, is_family) for one support: x is a nonzero cone-LCP solution
-    with support inside `support`, or None; `is_family()` tells whether the
-    support's solutions are more than one point.  One system answers both.
-
-    For q = 0 the solutions form a cone, so feasibility under the
-    normalization sigma = 1 decides, and a nonzero solution lies on a ray.
-    Otherwise sigma is maximized: a positive optimum gives x, and an
-    unbounded sigma gives a family represented by the sigma-minimizer when
-    that is nonzero, else by a point with sigma = 1.  The normalization row
-    is appended in place, so it is the last question asked of the system.
-    """
-    system, sigma = _support_lp(a, q, support)
-    rows_b = _support_parts(a)[0]
-
-    def x_of(witness: Vector) -> Vector:  # x = Bc, c leading the witness
-        return tuple(sum((b * c for b, c in zip(row, witness)), _ZERO) for row in rows_b)
-
-    if is_zero_vec(q):
-        out = lp_feasible(system.eq(sigma, 1))
-        return (x_of(out.witness), lambda: True) if out.is_feasible else (None, None)
-    top = lp_optimize(sigma, system, "max")
-    if top.status == UNBOUNDED:
-        low = lp_optimize(sigma, system, "min")
-        if not low.value:  # zero solves too: represent the family at sigma = 1
-            low = lp_feasible(system.eq(sigma, 1))
-        return x_of(low.witness), lambda: True
-    if top.status != BOUNDED or top.value == 0:
-        return None, None
-    coords = [rows_b[i] + (_ZERO,) * (system.n_vars - len(rows_b[i])) for i in support]
-    return x_of(top.witness), lambda: first_nonconstant(system, coords) is not None
-
-
-def cone_lcp_solutions(a: RationalMatrix, q: Sequence) -> "_lcp.LcpSolutionSet":
+def cone_lcp_solutions(a: RationalMatrix, q: Sequence) -> LcpSolutionSet:
     """All solutions of the cone LCP: x in K, Ax + q in K*, x^T (Ax+q) = 0."""
     a.require_square("cone LCP", scan=True)
-    n = a.rows
     qv = vec(q)
-    if len(qv) != n:
+    if len(qv) != a.rows:
         raise DimensionMismatchError("q length must match matrix order")
-    solutions: set[Vector] = set()
-    degenerate: list[tuple[int, ...]] = []
-    if dual_membership(a, qv):
-        solutions.add(zeros_vec(n))
-    for support in nonempty_subsets(n):
-        x, is_family = _support_solution(a, qv, support)
-        if x is None:
-            continue
-        solutions.add(x)
-        if is_family():
-            degenerate.append(support)
-    return _lcp.LcpSolutionSet(tuple(sorted(solutions)), tuple(degenerate), complete=True)
+    return complementary_solutions(a, qv, subspace_bases(a).left_null.basis,
+                                   zero_solves=dual_membership(a, qv))
 
 
 def cone_lcp_only_zero(a: RationalMatrix, q: Sequence) -> bool:
@@ -295,9 +210,10 @@ def cone_lcp_only_zero(a: RationalMatrix, q: Sequence) -> bool:
 def _first_nonzero_solution(a: RationalMatrix, q: Vector) -> Vector | None:
     """The nonzero cone-LCP solution of the first support, in (size,
     lexicographic) order, that has one; None when only zero solves."""
+    null = subspace_bases(a).left_null.basis
     for support in nonempty_subsets(a.rows):
-        x, _ = _support_solution(a, q, support)
-        if x is not None:
+        x, _ = support_solution(a, q, null, support)
+        if x is not None and not is_zero_vec(x):
             return x
     return None
 

@@ -88,9 +88,7 @@ def is_range_symmetric(a: RationalMatrix) -> bool:
     """R(A) = R(A^T) as exact subspaces."""
     a.require_square("range symmetry")
     bases = subspace_bases(a)
-    col = bases.range
-    rw = bases.row
-    return col.dim == rw.dim and all(col.contains(v) for v in rw.basis)
+    return bases.row.equals(bases.range)
 
 
 def generalized_idempotent_scalar(a: RationalMatrix) -> Fraction | None:

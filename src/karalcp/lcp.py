@@ -1,11 +1,18 @@
-"""Standard LCP(A, q) by complementary-support enumeration, and the
-Q-matrix semi-decision.
+"""LCP(A, q) by complementary-support enumeration, for the standard and
+the cone LCP, and the Q-matrix semi-decision.
 
-For each support S the complementary system A_SS x_S = -q_S is solved
-exactly; an invertible block gives at most one candidate, a singular but
+One support solver serves both problems.  In the cone LCP of conelcp.py,
+with N a basis of N(A^T): x in R(A) iff N^T x = 0, y in
+K* = R^n_+ + N(A^T) iff y = u + Nw with u >= 0, and since x^T N w = 0 the
+complementarity x^T y = 0 becomes x_i u_i = 0 for every i.  So the cone
+LCP is the mixed LCP of the bordered matrix [[A, -N], [N^T, 0]] with w
+free, and the standard LCP is its case N empty.  For each support S the
+square block [[A_SS, -N_S], [N_S^T, 0]] (x_S, w) = (-q_S, 0) is solved
+exactly; a nonsingular block gives at most one candidate, a singular but
 consistent block gives an affine family that is intersected with the sign
-constraints and classified as empty, a point, or a positive-dimensional
-family (flagged degenerate with one representative).
+constraints by one LP and classified as empty, a point, or a
+positive-dimensional family in x (flagged degenerate with one
+representative).
 
 Q-matrix membership is only semi-decidable at desk scale, so the verdict
 type carries its epistemic state: Yes and No come with re-checkable
@@ -25,7 +32,7 @@ from .lcp_classes import (
     CopositivityStatus,
     copositivity_on_cone,
 )
-from .lp import UNBOUNDED, LinearSystem, first_nonconstant, lp_feasible
+from .lp import UNBOUNDED, LinearSystem, lp_feasible, lp_optimize
 from .matrix import (
     RationalMatrix,
     Vector,
@@ -85,31 +92,59 @@ class LcpSolutionSet:
 def lcp_solutions(a: RationalMatrix, q: Sequence) -> LcpSolutionSet:
     """Every exact solution of x >= 0, y = Ax + q >= 0, x^T y = 0."""
     a.require_square("LCP", scan=True)
-    n = a.rows
     qv = vec(q)
-    if len(qv) != n:
+    if len(qv) != a.rows:
         raise DimensionMismatchError("q length must match matrix order")
-    solutions: set[Vector] = set()
+    return complementary_solutions(a, qv, (), zero_solves=all(t >= 0 for t in qv))
+
+
+def complementary_solutions(a: RationalMatrix, q: Vector, null: Sequence[Vector],
+                            zero_solves: bool) -> LcpSolutionSet:
+    """Every solution of the LCP with y-side translated by span(null), one
+    `support_solution` per support; `zero_solves` says whether x = 0 does."""
+    n = a.rows
+    solutions: set[Vector] = {zeros_vec(n)} if zero_solves else set()
     degenerate: list[tuple[int, ...]] = []
-    if all(t >= 0 for t in qv):
-        solutions.add(zeros_vec(n))
     for support in nonempty_subsets(n):
-        sub = a.submatrix(support, support)
-        rhs = [-qv[i] for i in support]
-        sol = solve_linear(sub, rhs)
-        if sol is None:
+        x, is_family = support_solution(a, q, null, support)
+        if x is None:
             continue
-        if not sol.null_basis:
-            x = _expand(sol.particular, support, n)
-            if _accept(a, qv, x, support):
-                solutions.add(x)
-            continue
-        found, is_family = _family_solutions(a, qv, support, sol)
-        if found is not None:
-            solutions.add(found)
-            if is_family:
-                degenerate.append(support)
+        solutions.add(x)
+        if is_family:
+            degenerate.append(support)
     return LcpSolutionSet(tuple(sorted(solutions)), tuple(degenerate), complete=True)
+
+
+def support_solution(a: RationalMatrix, q: Vector, null: Sequence[Vector], support):
+    """(x, is_family) for one support S: x is a solution with x = 0 off S,
+    or None when S has none, and is_family tells whether the solutions
+    with x = 0 off S are more than one point.
+
+    The unknowns are x_S and the free w, one per vector of `null`; the
+    square block [[A_SS, -N_S], [N_S^T, 0]] (x_S, w) = (-q_S, 0) is solved
+    once.  A unique solution needs only the sign checks x_S >= 0 and
+    (Ax - Nw + q)_i >= 0 off S; an affine family goes to
+    `_family_solutions`.
+    """
+    k, d = len(support), len(null)
+    rows = [[a.data[i][j] for j in support] + [-w[i] for w in null] for i in support]
+    rows += [[w[i] for i in support] + [_ZERO] * d for w in null]
+    sol = solve_linear(RationalMatrix(k + d, k + d, rows), [-q[i] for i in support] + [_ZERO] * d)
+    if sol is None:
+        return None, False
+    comp = [i for i in range(a.rows) if i not in support]
+
+    def off_support(i: int, v: Vector) -> Fraction:
+        """(Ax - Nw)_i for the block vector v = (x_S, w)."""
+        return (sum((a.data[i][j] * v[idx] for idx, j in enumerate(support)), _ZERO)
+                - sum((w[i] * v[k + m] for m, w in enumerate(null)), _ZERO))
+
+    if sol.null_basis:
+        return _family_solutions(a.rows, q, support, sol, comp, off_support)
+    v = sol.particular
+    if any(t < 0 for t in v[:k]) or any(off_support(i, v) + q[i] < 0 for i in comp):
+        return None, False
+    return _expand(v[:k], support, a.rows), False
 
 
 def _expand(x_s: Sequence[Fraction], support, n: int) -> Vector:
@@ -119,28 +154,18 @@ def _expand(x_s: Sequence[Fraction], support, n: int) -> Vector:
     return tuple(x)
 
 
-def _accept(a: RationalMatrix, q: Vector, x: Vector, support) -> bool:
-    if any(x[i] < 0 for i in support):
-        return False
-    y = [sum((a.data[i][j] * x[j] for j in range(a.rows)), _ZERO) + q[i] for i in range(a.rows)]
-    return all(y[i] >= 0 for i in range(a.rows) if i not in support)
-
-
-def _family_solutions(a: RationalMatrix, q: Vector, support, sol):
-    """Classify an affine family of complementary candidates against the
-    sign constraints: returns (representative | None, positive_dimensional)."""
-    n = a.rows
+def _family_solutions(n: int, q: Vector, support, sol, comp, off_support):
+    """Classify an affine family of block solutions, v = particular + sum
+    t_j basis_j, against the sign constraints: returns (representative |
+    None, positive_dimensional), where only x_S counts towards dimension."""
     k = len(support)
-    comp = [i for i in range(n) if i not in set(support)]
     coords = [[nb[idx] for nb in sol.null_basis] for idx in range(k)]
     system = LinearSystem(len(sol.null_basis))
     for idx in range(k):
         system.ge(coords[idx], -sol.particular[idx])
     for i in comp:
-        base = sum((a.data[i][support[idx]] * sol.particular[idx] for idx in range(k)), _ZERO)
-        coeffs = [sum((a.data[i][support[idx]] * nb[idx] for idx in range(k)), _ZERO)
-                  for nb in sol.null_basis]
-        system.ge(coeffs, -q[i] - base)
+        coeffs = [off_support(i, nb) for nb in sol.null_basis]
+        system.ge(coeffs, -q[i] - off_support(i, sol.particular))
     out = lp_feasible(system)
     if not out.is_feasible:
         return None, False
@@ -150,18 +175,19 @@ def _family_solutions(a: RationalMatrix, q: Vector, support, sol):
                for idx in range(k)]
         return _expand(x_s, support, n)
 
-    free = first_nonconstant(system, coords)
-    if free is None:
-        return to_x(out.witness), False
-    idx, lo, hi = free
-    if hi.status == UNBOUNDED:
-        # the coordinate is unbounded above: pin it one unit past the
-        # minimum (the last use of the system, as eq appends in place) to
-        # produce a representative with that coordinate > 0
-        pick = lp_feasible(system.eq(coords[idx], lo.value + 1))
-        return to_x(pick.witness), True
-    # hi > lo >= 0 on the support, so the max witness is nonzero
-    return to_x(hi.witness), True
+    # the family is a single point in x unless some x_i is nonconstant
+    for coeffs in coords:
+        lo = lp_optimize(coeffs, system, "min")
+        hi = lp_optimize(coeffs, system, "max")
+        if hi.status == UNBOUNDED:
+            # x_i is unbounded above: pin it one unit past the minimum (the
+            # last use of the system, as eq appends in place) to produce a
+            # representative with x_i > 0
+            return to_x(lp_feasible(system.eq(coeffs, lo.value + 1)).witness), True
+        if lo.value != hi.value:
+            # hi > lo >= 0, so the max witness is nonzero
+            return to_x(hi.witness), True
+    return to_x(out.witness), False
 
 
 def lcp_unique_zero(a: RationalMatrix, q: Sequence) -> bool:

@@ -104,19 +104,6 @@ def lp_optimize(objective: Sequence, system: LinearSystem, sense: str = "max") -
     return LpOutcome(BOUNDED, witness=witness, value=value)
 
 
-def first_nonconstant(system: LinearSystem, objectives: Sequence[Sequence]):
-    """The first objective whose minimum and maximum over a feasible system
-    differ, or whose maximum is unbounded, as (index, min outcome, max
-    outcome); None when every objective is constant on the system.  This
-    decides whether a family of solutions is a single point."""
-    for k, coeffs in enumerate(objectives):
-        lo = lp_optimize(coeffs, system, "min")
-        hi = lp_optimize(coeffs, system, "max")
-        if hi.status == UNBOUNDED or lo.value != hi.value:
-            return k, lo, hi
-    return None
-
-
 class _Simplex:
     """Two-phase simplex on an integer tableau (stored = true * den)."""
 

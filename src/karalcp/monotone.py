@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .geninv import group_inverse, moore_penrose
 from .lp import LinearSystem, lp_feasible
-from .matrix import RationalMatrix, Subspace, inverse, subspace_bases
+from .matrix import RationalMatrix, inverse, subspace_bases
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -28,10 +28,11 @@ def is_monotone(a: RationalMatrix) -> bool:
     return inv is not None and _matrix_nonneg(inv)
 
 
-def _cone_implies_nonneg(a: RationalMatrix, subspace: Subspace) -> bool:
-    """Ax >= 0 and x in `subspace` imply x >= 0 (exact, per coordinate)."""
+def _cone_implies_nonneg(a: RationalMatrix, complement) -> bool:
+    """Ax >= 0 and w . x = 0 for every w in `complement` imply x >= 0
+    (exact, per coordinate); `complement` spans the orthogonal complement
+    of the subspace x is confined to."""
     n = a.rows
-    complement = _orthogonal_complement_rows(subspace)
     for i in range(n):
         system = LinearSystem(n)
         for w in complement:
@@ -46,25 +47,18 @@ def _cone_implies_nonneg(a: RationalMatrix, subspace: Subspace) -> bool:
     return True
 
 
-def _orthogonal_complement_rows(subspace: Subspace) -> list:
-    """Rows w with (w . x = 0 for all rows) <=> x in subspace."""
-    if not subspace.basis:
-        return [tuple(_ONE if j == i else _ZERO for j in range(subspace.ambient_dim))
-                for i in range(subspace.ambient_dim)]
-    stacked = RationalMatrix.from_rows(subspace.basis)
-    return list(subspace_bases(stacked).null.basis)
-
-
 def is_range_monotone(a: RationalMatrix) -> bool:
-    """Ax >= 0 with x in R(A) implies x >= 0."""
+    """Ax >= 0 with x in R(A) implies x >= 0 (R(A) is the orthogonal
+    complement of N(A^T))."""
     a.require_square("range monotonicity")
-    return _cone_implies_nonneg(a, subspace_bases(a).range)
+    return _cone_implies_nonneg(a, subspace_bases(a).left_null.basis)
 
 
 def is_row_monotone(a: RationalMatrix) -> bool:
-    """Ax >= 0 with x in R(A^T) implies x >= 0."""
+    """Ax >= 0 with x in R(A^T) implies x >= 0 (R(A^T) is the orthogonal
+    complement of N(A))."""
     a.require_square("row monotonicity")
-    return _cone_implies_nonneg(a, Subspace(a.cols, subspace_bases(a).row.basis))
+    return _cone_implies_nonneg(a, subspace_bases(a).null.basis)
 
 
 def is_group_monotone(a: RationalMatrix) -> bool:

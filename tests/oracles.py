@@ -293,8 +293,8 @@ def group_equations_hold(a: RationalMatrix, x: RationalMatrix) -> bool:
     return a @ x @ a == a and x @ a @ x == x and a @ x == x @ a
 
 
-# -- support enumeration that rebuilds every LP: the reference for lcp.py and
-# -- conelcp.py, which build each support's system once ----------------------
+# -- support enumeration that rebuilds every LP: the reference for the one
+# -- support solver of lcp.py, which solves each support's block once --------
 
 
 def lcp_solutions_reference(a: RationalMatrix, q) -> LcpSolutionSet:

@@ -158,9 +158,8 @@ class TestConeLcp:
     def test_matches_standard_lcp_on_invertible_matrices(self):
         # for invertible A the cone is the whole orthant and the dual is
         # again the orthant, so the cone LCP and the standard LCP coincide;
-        # positive-dimensional families are flagged on the same supports by
-        # both solvers, but their one-per-family representatives may differ,
-        # so exact set equality is asserted only for family-free instances
+        # both run the same support solver, so even the one-per-family
+        # representatives agree
         from karalcp.lcp import lcp_solutions
 
         rng = random.Random(12)
@@ -175,8 +174,7 @@ class TestConeLcp:
             cone = cone_lcp_solutions(a, q)
             std = lcp_solutions(a, q)
             assert cone.degenerate_supports == std.degenerate_supports
-            if not cone.degenerate_supports:
-                assert cone.solutions == std.solutions
+            assert cone.solutions == std.solutions
 
     def test_rank_one_closed_form_certificates(self):
         """For A = u v^T with u >= 0 nonzero: if u^T v > 0 then the shifted

@@ -1,16 +1,24 @@
-"""The support enumerations of lcp.py and conelcp.py, which build each
-support's LP once, against references that rebuild it for every question
-(tests/oracles.py).  Solutions, family representatives, degenerate
-supports and the first nonzero cone-LCP solution must agree exactly."""
+"""The one complementary-support solver of lcp.py, run as the standard
+and as the cone LCP, against references that rebuild an LP for every
+question (tests/oracles.py).
 
-from collections import Counter
+The standard LCP must agree exactly.  The cone LCP must agree exactly on
+degenerate supports and on isolated solutions, while a family's
+representative and the first nonzero solution may be another point of
+the same family, so they are checked by exact substitution."""
 
 from hypothesis import assume, given, seed, settings, strategies as st
 
-from karalcp import conelcp
-from karalcp.conelcp import _first_nonzero_solution, cone_lcp_solutions
+from karalcp import lp
+from karalcp.conelcp import (
+    _first_nonzero_solution,
+    cone_lcp_only_zero,
+    cone_lcp_solutions,
+    dual_membership,
+    is_karamardian,
+)
 from karalcp.lcp import lcp_solutions
-from karalcp.matrix import RationalMatrix, is_zero_vec, rank, subspace_bases, vec
+from karalcp.matrix import RationalMatrix, dot, is_zero_vec, rank, subspace_bases, vec
 from oracles import (
     cone_lcp_solutions_reference,
     first_nonzero_cone_solution_reference,
@@ -98,11 +106,36 @@ def cone_families(draw):
     return a, q, tuple(i for i in range(n) if x0[i] or u[i])
 
 
+def _inside(x, supports) -> bool:
+    """x is supported inside one of `supports`."""
+    return any(all(x[i] == 0 or i in s for i in range(len(x))) for s in supports)
+
+
+def assert_cone_lcp_solution(a, q, x):
+    """x >= 0, W^T x = 0, Ax + q in K* and x^T (Ax + q) = 0, exactly."""
+    y = tuple(t + qi for t, qi in zip(a.mul_vec(x), q))
+    assert all(t >= 0 for t in x)
+    assert all(dot(w, x) == 0 for w in subspace_bases(a).left_null.basis)
+    assert dual_membership(a, y)
+    assert dot(x, y) == 0
+
+
 def assert_cone_lcp_matches_reference(a, q):
     got, want = cone_lcp_solutions(a, q), cone_lcp_solutions_reference(a, q)
-    assert got.solutions == want.solutions
-    assert got.degenerate_supports == want.degenerate_supports
-    assert _first_nonzero_solution(a, q) == first_nonzero_cone_solution_reference(a, q)
+    families = got.degenerate_supports
+    assert families == want.degenerate_supports
+    isolated = [x for x in got.solutions if not _inside(x, families)]
+    assert isolated == [x for x in want.solutions if not _inside(x, families)]
+    for x in got.solutions:
+        assert_cone_lcp_solution(a, q, x)
+    for support in families:  # each family is represented by a nonzero point
+        assert any(not is_zero_vec(x) and _inside(x, [support]) for x in got.solutions)
+    first, first_ref = _first_nonzero_solution(a, q), first_nonzero_cone_solution_reference(a, q)
+    assert (first is None) == (first_ref is None)
+    if first is not None:
+        assert not is_zero_vec(first)
+        assert_cone_lcp_solution(a, q, first)
+        assert first == first_ref or _inside(first, families)
     return got
 
 
@@ -151,37 +184,24 @@ def test_each_family_branch_matches_reference():
     """One fixed instance per way a cone-LCP support can hold a family."""
     for rows, q in FAMILY_CASES:
         a, qv = RationalMatrix.from_rows(rows), vec(q)
-        got, want = cone_lcp_solutions(a, qv), cone_lcp_solutions_reference(a, qv)
-        assert got.degenerate_supports
-        assert (got.solutions, got.degenerate_supports) == \
-            (want.solutions, want.degenerate_supports)
-        assert _first_nonzero_solution(a, qv) == first_nonzero_cone_solution_reference(a, qv)
-        std, std_ref = lcp_solutions(a, qv), lcp_solutions_reference(a, qv)
-        assert (std.solutions, std.degenerate_supports) == \
-            (std_ref.solutions, std_ref.degenerate_supports)
+        assert assert_cone_lcp_matches_reference(a, qv).degenerate_supports
+        assert_lcp_matches_reference(a, qv)
 
 
-def test_one_system_per_support_and_no_isolation_lps_for_only_zero(monkeypatch):
-    built, isolation = Counter(), []
-    support_lp, first_nonconstant = conelcp._support_lp, conelcp.first_nonconstant
+def test_no_lp_for_the_cone_lcp_of_an_invertible_p_matrix(monkeypatch):
+    """Every block A_SS of an invertible P-matrix is nonsingular and N(A^T)
+    is zero, so the cone LCP is solved by linear systems alone."""
+    built = []
 
-    def counting_support_lp(a, q, support):
-        built[support] += 1
-        return support_lp(a, q, support)
+    class CountingSimplex(lp._Simplex):
+        def __init__(self, system):
+            built.append(system)
+            super().__init__(system)
 
-    def counting_first_nonconstant(system, objectives):
-        isolation.append(len(objectives))
-        return first_nonconstant(system, objectives)
-
-    monkeypatch.setattr(conelcp, "_support_lp", counting_support_lp)
-    monkeypatch.setattr(conelcp, "first_nonconstant", counting_first_nonconstant)
-    rows, q = FAMILY_CASES[3]
-    a = RationalMatrix.from_rows(rows)
-    cone_lcp_solutions(a, vec(q))
-    assert sorted(built) == sorted(conelcp.nonempty_subsets(3)) and set(built.values()) == {1}
-    assert isolation  # a bounded nonzero solution needs the isolation LPs
-    assert conelcp._support_parts(a) is conelcp._support_parts(a)
-    isolation.clear()
-    assert not conelcp.cone_lcp_only_zero(a, vec(q))
-    conelcp.is_karamardian(a)
-    assert not isolation
+    monkeypatch.setattr(lp, "_Simplex", CountingSimplex)
+    a = RationalMatrix.from_rows([[2, 1, 0], [-1, 2, 1], [0, -1, 2]])
+    for q in ([1, -2, 1], [0, 0, 0], [-1, -1, -1]):
+        assert len(cone_lcp_solutions(a, vec(q)).solutions) == 1
+        cone_lcp_only_zero(a, vec([1, 1, 1]))
+    assert is_karamardian(a).rule == "P_MATRIX"
+    assert not built
