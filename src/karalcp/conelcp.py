@@ -5,11 +5,13 @@ For a basis N of N(A^T): x in R(A) iff N^T x = 0, and y in
 K* = R^n_+ + N(A^T) iff y = u + Nw with u >= 0.  As x^T N w = 0, the
 complementarity x^T (Ax + q) = 0 becomes x_i u_i = 0 for every i, so the
 cone LCP is the mixed LCP of [[A, -N], [N^T, 0]] with w free and is
-solved by the standard LCP's support solver (`lcp.support_solution`),
-whose standard case is N empty; `dual_membership` decides whether zero
-solves.  The Karamardian decision is a cascade of sound exact rules; the
-existential d of the definition is only semi-decided, by verified
-candidate vectors, so No is never emitted from a failed search.
+solved by the standard LCP's support scans, whose standard case is N
+empty: `lcp.complementary_solutions` for every solution,
+`lcp.first_nonzero_solution` for whether only zero solves.
+`dual_membership` decides whether zero solves.  The Karamardian decision
+is a cascade of sound exact rules; the existential d of the definition is
+only semi-decided, by verified candidate vectors, so No is never emitted
+from a failed search.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from .lcp import (
     LcpSolutionSet,
     Verdict,
     complementary_solutions,
+    first_nonzero_solution,
     n_first_category_applies,
-    support_solution,
 )
 from .lp import BOUNDED, UNBOUNDED, LinearSystem, lp_feasible, lp_optimize
 from .matrix import (
@@ -57,7 +59,6 @@ from .matrix import (
     full_rank_factorization,
     is_unisigned,
     is_zero_vec,
-    nonempty_subsets,
     ones_vec,
     rank,
     solve_linear,
@@ -92,11 +93,10 @@ CANDIDATE_BUDGET = 16
 
 @dataclass(frozen=True)
 class ConeData:
-    """K = R^n_+ intersect R(A) in constraint and generator form, with the
-    dual decomposition K* = R^n_+ + N(A^T)."""
+    """K = R^n_+ intersect R(A) by its generators, with the basis of N(A^T)
+    in the dual decomposition K* = R^n_+ + N(A^T)."""
 
     cone: ConeRep
-    dual_nonneg_dim: int
     dual_null_basis: tuple[Vector, ...]
     nontrivial_witness: Vector | None
 
@@ -107,16 +107,14 @@ class ConeData:
 
 def cone_K(a: RationalMatrix) -> ConeData:
     """Generators are the vertices of {x in R(A), x >= 0, sum x = 1}."""
-    a.require_square("cone K")
+    a.require_square("cone K", scan=True)
     cached = a._cache.get("coneK")
     if cached is not None:
         return cached
     bases = subspace_bases(a)
     vertices = _base_polytope_vertices(a, bases)
-    cone = ConeRep(a.rows, tuple(vertices), constraint_subspace=bases.range)
     result = ConeData(
-        cone=cone,
-        dual_nonneg_dim=a.rows,
+        cone=ConeRep(a.rows, tuple(vertices)),
         dual_null_basis=bases.left_null.basis,
         nontrivial_witness=vertices[0] if vertices else None,
     )
@@ -198,24 +196,12 @@ def cone_lcp_solutions(a: RationalMatrix, q: Sequence) -> LcpSolutionSet:
 
 
 def cone_lcp_only_zero(a: RationalMatrix, q: Sequence) -> bool:
-    """True iff the cone LCP has no nonzero solution (a positive-dimensional
-    family would contain one, so no separate degeneracy check is needed)."""
+    """True iff the cone LCP has no nonzero solution."""
     a.require_square("cone LCP", scan=True)
     qv = vec(q)
     if len(qv) != a.rows:
         raise DimensionMismatchError("q length must match matrix order")
-    return _first_nonzero_solution(a, qv) is None
-
-
-def _first_nonzero_solution(a: RationalMatrix, q: Vector) -> Vector | None:
-    """The nonzero cone-LCP solution of the first support, in (size,
-    lexicographic) order, that has one; None when only zero solves."""
-    null = subspace_bases(a).left_null.basis
-    for support in nonempty_subsets(a.rows):
-        x, _ = support_solution(a, q, null, support)
-        if x is not None and not is_zero_vec(x):
-            return x
-    return None
+    return first_nonzero_solution(a, qv, subspace_bases(a).left_null.basis) is None
 
 
 # -- rank-one and 2x2 classifications --------------------------------------
@@ -361,7 +347,7 @@ def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = 
     cone = cone_K(a)
     if cone.trivial:
         return Verdict(NO, rule=RULE_K_TRIVIAL)
-    nonzero = _first_nonzero_solution(a, zeros_vec(n))
+    nonzero = first_nonzero_solution(a, zeros_vec(n), subspace_bases(a).left_null.basis)
     if nonzero is not None:
         return Verdict(NO, rule=RULE_HOMOGENEOUS_NONZERO, witnesses={"solution": nonzero})
 

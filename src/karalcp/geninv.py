@@ -1,9 +1,9 @@
 """Exact generalized inverses: Moore-Penrose and group inverse.
 
 Both come from a full-rank factorization A = F G, which keeps everything
-rational: the Moore-Penrose inverse is G^T (G G^T)^-1 (F^T F)^-1 F^T, and
-the group inverse exists iff G F is invertible, in which case it equals
-F (G F)^-2 G.  Every computed inverse is re-verified against its defining
+rational: the Moore-Penrose inverse is G^T (F^T A G^T)^-1 F^T (as
+F^T A G^T = (F^T F)(G G^T)), and the group inverse exists iff G F is
+invertible, in which case it equals F (G F)^-2 G.  Every computed inverse is re-verified against its defining
 equations by exact multiplication before being returned.
 """
 
@@ -17,7 +17,6 @@ from .matrix import (
     RationalMatrix,
     full_rank_factorization,
     inverse,
-    rank,
     subspace_bases,
 )
 
@@ -37,9 +36,8 @@ def moore_penrose(a: RationalMatrix) -> RationalMatrix:
     if f.cols == 0:
         x = RationalMatrix.zeros(a.cols, a.rows)
     else:
-        ggt_inv = inverse(g @ g.transpose())
-        ftf_inv = inverse(f.transpose() @ f)
-        x = g.transpose() @ ggt_inv @ ftf_inv @ f.transpose()
+        ft, gt = f.transpose(), g.transpose()
+        x = gt @ inverse(ft @ a @ gt) @ ft
     _verify_penrose(a, x)
     a._cache["mp"] = x
     return x
@@ -74,14 +72,16 @@ def group_inverse(a: RationalMatrix) -> GroupInverseResult:
 
 
 def _verify_group(a: RationalMatrix, x: RationalMatrix) -> None:
-    if a @ x @ a != a or x @ a @ x != x or a @ x != x @ a:
+    ax = a @ x
+    xa = x @ a
+    if ax @ a != a or xa @ x != x or ax != xa:
         raise ArithmeticError("group inverse self-check failed")
 
 
 def index_at_most_one(a: RationalMatrix) -> bool:
     """rank A = rank A^2, i.e. the group inverse exists."""
     a.require_square("index test")
-    return rank(a) == rank(a @ a)
+    return group_inverse(a).exists
 
 
 def is_range_symmetric(a: RationalMatrix) -> bool:

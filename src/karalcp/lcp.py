@@ -12,7 +12,10 @@ exactly; a nonsingular block gives at most one candidate, a singular but
 consistent block gives an affine family that is intersected with the sign
 constraints by one LP and classified as empty, a point, or a
 positive-dimensional family in x (flagged degenerate with one
-representative).
+representative).  `complementary_solutions` visits every support;
+`first_nonzero_solution` stops at the first nonzero solution, which
+answers both yes/no questions asked here: is zero the only solution
+(q >= 0), and is there any (q with a negative entry, so none is zero)?
 
 Q-matrix membership is only semi-decidable at desk scale, so the verdict
 type carries its epistemic state: Yes and No come with re-checkable
@@ -36,6 +39,7 @@ from .lp import UNBOUNDED, LinearSystem, lp_feasible, lp_optimize
 from .matrix import (
     RationalMatrix,
     Vector,
+    is_zero_vec,
     nonempty_subsets,
     rank,
     solve_linear,
@@ -76,13 +80,11 @@ class LcpSolutionSet:
 
     `solutions` holds one exact vector per isolated solution and one
     representative per degenerate family; supports whose solution set is
-    positive-dimensional are listed in `degenerate_supports`.  `complete`
-    records that all 2^n supports were enumerated.
+    positive-dimensional are listed in `degenerate_supports`.
     """
 
     solutions: tuple[Vector, ...]
     degenerate_supports: tuple[tuple[int, ...], ...]
-    complete: bool
 
     @property
     def has_degenerate(self) -> bool:
@@ -112,7 +114,19 @@ def complementary_solutions(a: RationalMatrix, q: Vector, null: Sequence[Vector]
         solutions.add(x)
         if is_family:
             degenerate.append(support)
-    return LcpSolutionSet(tuple(sorted(solutions)), tuple(degenerate), complete=True)
+    return LcpSolutionSet(tuple(sorted(solutions)), tuple(degenerate))
+
+
+def first_nonzero_solution(a: RationalMatrix, q: Vector, null: Sequence[Vector]) -> Vector | None:
+    """The nonzero solution of the first support, in (size, lexicographic)
+    order, that has one, for the LCP with y-side translated by span(null);
+    None when no solution is nonzero.  A positive-dimensional family holds
+    a nonzero point, so no separate degeneracy check is needed."""
+    for support in nonempty_subsets(a.rows):
+        x, _ = support_solution(a, q, null, support)
+        if x is not None and not is_zero_vec(x):
+            return x
+    return None
 
 
 def support_solution(a: RationalMatrix, q: Vector, null: Sequence[Vector], support):
@@ -192,12 +206,13 @@ def _family_solutions(n: int, q: Vector, support, sol, comp, off_support):
 
 def lcp_unique_zero(a: RationalMatrix, q: Sequence) -> bool:
     """True iff zero is the only solution (q >= 0 so that zero solves)."""
-    a.require_square("LCP uniqueness")
+    a.require_square("LCP uniqueness", scan=True)
     qv = vec(q)
     if any(t < 0 for t in qv):
         raise QNotNonnegativeError("q must be entrywise nonnegative")
-    result = lcp_solutions(a, qv)
-    return result.solutions == (zeros_vec(a.rows),) and not result.has_degenerate
+    if len(qv) != a.rows:
+        raise DimensionMismatchError("q length must match matrix order")
+    return first_nonzero_solution(a, qv, ()) is None
 
 
 # -- Q-matrix semi-decision -------------------------------------------------
@@ -260,17 +275,20 @@ def is_q_matrix(a: RationalMatrix, seed: int = 0) -> Verdict:
     tried = []
     for q in _sample_qs(n, seed):
         tried.append(q)
-        if not lcp_solutions(a, q).solutions:
+        # q has a negative entry, so every solution is nonzero
+        if first_nonzero_solution(a, q, ()) is None:
             return Verdict(NO, rule=RULE_UNSOLVABLE_Q, witnesses={"q": q})
     return Verdict(UNKNOWN, evidence={"tried": tuple(tried), "seed": seed, "bound": Q_SAMPLE_BOUND})
 
 
 def _sample_qs(n: int, seed: int):
+    """-e, the -e_i, then seeded random draws, keeping only q with a
+    negative entry: x = 0 solves every q >= 0, which cannot refute Q."""
     yield tuple(-_ONE for _ in range(n))
     for i in range(n):
         yield tuple(-_ONE if j == i else _ZERO for j in range(n))
-    for i in range(n):
-        yield tuple(_ONE if j == i else _ZERO for j in range(n))
     rng = random.Random(seed)
     for _ in range(Q_SAMPLES):
-        yield tuple(Fraction(rng.randint(-Q_SAMPLE_BOUND, Q_SAMPLE_BOUND)) for _ in range(n))
+        q = tuple(Fraction(rng.randint(-Q_SAMPLE_BOUND, Q_SAMPLE_BOUND)) for _ in range(n))
+        if min(q) < 0:
+            yield q

@@ -28,7 +28,6 @@ from .errors import EmptyConeError, TooLargeError
 from .matrix import (
     ENUMERATION_CAP,
     RationalMatrix,
-    Subspace,
     Vector,
     dot,
     is_zero_vec,
@@ -149,12 +148,10 @@ def is_strictly_range_semimonotone(a: RationalMatrix) -> bool:
 
 @dataclass(frozen=True)
 class ConeRep:
-    """Polyhedral cone: conic hull of `generators`, optionally also known
-    as (subspace intersect nonnegative orthant) via `constraint_subspace`."""
+    """Polyhedral cone: conic hull of `generators`."""
 
     ambient_dim: int
     generators: tuple[Vector, ...]
-    constraint_subspace: Subspace | None = None
 
     @classmethod
     def nonnegative_orthant(cls, n: int) -> "ConeRep":

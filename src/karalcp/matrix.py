@@ -127,24 +127,12 @@ class RationalMatrix:
         return cls(rows, cols, [[_ZERO] * cols for _ in range(rows)])
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Fraction]], rows: int | None = None) -> "RationalMatrix":
-        if not columns:
-            if rows is None:
-                raise DimensionMismatchError("from_columns with no columns needs an explicit row count")
-            return cls.zeros(rows, 0)
+    def from_columns(cls, columns: Sequence[Sequence[Fraction]]) -> "RationalMatrix":
         n = len(columns[0])
         data = [[rat(col[i]) for col in columns] for i in range(n)]
         return cls(n, len(columns), data)
 
-    @classmethod
-    def column(cls, v: Sequence[Fraction]) -> "RationalMatrix":
-        return cls(len(v), 1, [[rat(x)] for x in v])
-
     # -- accessors ----------------------------------------------------
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.data[i][j]
 
     @property
     def is_square(self) -> bool:
@@ -207,10 +195,6 @@ class RationalMatrix:
         if len(v) != self.cols:
             raise DimensionMismatchError("matrix-vector length mismatch")
         return tuple(sum((row[k] * v[k] for k in range(self.cols)), _ZERO) for row in self.data)
-
-    def trace(self) -> Fraction:
-        self.require_square("trace")
-        return sum((self.data[i][i] for i in range(self.rows)), _ZERO)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)

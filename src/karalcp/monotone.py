@@ -1,8 +1,8 @@
 """The monotonicity family.
 
-Each predicate is either a closed-form inverse-sign check or a small set
-of per-coordinate LP infeasibility tests (the defining implications are
-homogeneous, so "x_i < 0 somewhere" scales to "x_i <= -1" exactly).
+Each predicate is either a closed-form inverse-sign check or LP
+infeasibility tests (the defining implications are homogeneous, so
+"x_i < 0 somewhere" scales to "x_i <= -1" exactly).
 """
 
 from __future__ import annotations
@@ -76,14 +76,12 @@ def is_gi_semimonotone(a: RationalMatrix) -> bool:
 
 
 def is_almost_monotone(a: RationalMatrix) -> bool:
-    """Ax >= 0 implies Ax = 0."""
+    """Ax >= 0 implies Ax = 0: no x has Ax >= 0 with e^T Ax >= 1 (a
+    nonzero Ax >= 0 has a positive sum, which scales to 1)."""
     a.require_square("almost monotonicity")
     n = a.rows
-    for i in range(n):
-        system = LinearSystem(n)
-        for r in range(n):
-            system.ge(a.row_vec(r), 0)
-        system.ge(a.row_vec(i), 1)
-        if lp_feasible(system).is_feasible:
-            return False
-    return True
+    system = LinearSystem(n)
+    for r in range(n):
+        system.ge(a.row_vec(r), 0)
+    system.ge([sum(col) for col in zip(*a.data)], 1)
+    return not lp_feasible(system).is_feasible

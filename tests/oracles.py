@@ -293,6 +293,23 @@ def group_equations_hold(a: RationalMatrix, x: RationalMatrix) -> bool:
     return a @ x @ a == a and x @ a @ x == x and a @ x == x @ a
 
 
+# -- almost monotonicity, one LP per coordinate: the reference for the one
+# -- LP of monotone.is_almost_monotone ----------------------------------------
+
+
+def is_almost_monotone_reference(a: RationalMatrix) -> bool:
+    """Ax >= 0 implies Ax = 0: for no i has some x Ax >= 0 and (Ax)_i >= 1."""
+    n = a.rows
+    for i in range(n):
+        system = LinearSystem(n)
+        for r in range(n):
+            system.ge(a.row_vec(r), 0)
+        system.ge(a.row_vec(i), 1)
+        if lp_feasible(system).is_feasible:
+            return False
+    return True
+
+
 # -- support enumeration that rebuilds every LP: the reference for the one
 # -- support solver of lcp.py, which solves each support's block once --------
 
@@ -321,7 +338,7 @@ def lcp_solutions_reference(a: RationalMatrix, q) -> LcpSolutionSet:
             solutions.add(found)
             if is_family:
                 degenerate.append(support)
-    return LcpSolutionSet(tuple(sorted(solutions)), tuple(degenerate), complete=True)
+    return LcpSolutionSet(tuple(sorted(solutions)), tuple(degenerate))
 
 
 def _expand(x_s, support, n: int) -> tuple:
@@ -383,7 +400,7 @@ def cone_lcp_solutions_reference(a: RationalMatrix, q) -> LcpSolutionSet:
         solutions.add(x)
         if _cone_support_is_degenerate_reference(a, qv, support):
             degenerate.append(support)
-    return LcpSolutionSet(tuple(sorted(solutions)), tuple(degenerate), complete=True)
+    return LcpSolutionSet(tuple(sorted(solutions)), tuple(degenerate))
 
 
 def first_nonzero_cone_solution_reference(a: RationalMatrix, q):

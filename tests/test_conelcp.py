@@ -18,6 +18,7 @@ from karalcp.errors import (
     DimensionMismatchError,
     NoGroupInverseError,
     Not2x2Error,
+    TooLargeError,
     ZeroVectorError,
 )
 from karalcp.geninv import group_inverse
@@ -75,6 +76,12 @@ class TestConeK:
             cone = cone_K(a)
             gens = set(cone.cone.generators)
             assert gens == {vec([1, 0, 0]), vec([0, 1, 0]), vec([0, 0, 1])}
+
+    def test_cap(self):
+        """The vertex scan visits C(n, r - 1) row subsets, so it refuses an
+        order past the cap before it starts."""
+        with pytest.raises(TooLargeError, match="order 13 exceeds cap 12"):
+            cone_K(RationalMatrix.identity(13))
 
 
 class TestDualMembership:

@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from karalcp.errors import QNotNonnegativeError, TooLargeError
+from karalcp import lcp
+from karalcp.errors import DimensionMismatchError, QNotNonnegativeError, TooLargeError
 from karalcp.lcp import (
     NO,
     UNKNOWN,
     YES,
+    Q_SAMPLE_BOUND,
+    Q_SAMPLES,
+    _sample_qs,
     is_q_matrix,
     lcp_solutions,
     lcp_unique_zero,
@@ -30,7 +34,7 @@ class TestLcpSolutions:
     def test_identity_negative_q(self):
         result = lcp_solutions(RationalMatrix.identity(3), vec([-1, -1, -1]))
         assert result.solutions == (vec([1, 1, 1]),)
-        assert not result.has_degenerate and result.complete
+        assert not result.has_degenerate
 
     def test_three_solutions_for_positive_q(self):
         result = lcp_solutions(QNOTKAR, vec([1, 1, 1]))
@@ -103,6 +107,14 @@ class TestLcpUniqueZero:
         with pytest.raises(QNotNonnegativeError):
             lcp_unique_zero(RationalMatrix.identity(2), vec([-1, 0]))
 
+    def test_rejects_wrong_q_length(self):
+        with pytest.raises(DimensionMismatchError):
+            lcp_unique_zero(RationalMatrix.identity(2), vec([1, 1, 1]))
+
+    def test_cap(self):
+        with pytest.raises(TooLargeError, match="order 13 exceeds cap 12"):
+            lcp_unique_zero(RationalMatrix.identity(13), vec([0] * 13))
+
 
 class TestQMatrix:
     def test_all_ones(self):
@@ -160,6 +172,34 @@ class TestQMatrix:
             if verdict.status == UNKNOWN:
                 assert verdict.evidence["seed"] == 0
                 assert len(verdict.evidence["tried"]) > 0
+
+    def test_never_enumerates_every_support(self, monkeypatch):
+        """The sampler asks only whether some solution exists, so it stops
+        at the first support that holds one."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("is_q_matrix enumerated every support")
+        monkeypatch.setattr(lcp, "complementary_solutions", refuse)
+        rng = random.Random(4)
+        sampled = 0
+        for _ in range(30):
+            verdict = is_q_matrix(rand_int_matrix(rng, 3, 3))
+            sampled += verdict.status == UNKNOWN or verdict.rule == "UNSOLVABLE_Q"
+        assert sampled
+
+    def test_sampled_qs_have_a_negative_entry(self):
+        """-e first, then the -e_i, then the seeded draws with a negative
+        entry, in the order the seeded stream produces them."""
+        for n in range(1, 6):
+            for seed in (0, 3):
+                qs = list(_sample_qs(n, seed))
+                assert qs[0] == vec([-1] * n)
+                assert qs[1:n + 1] == [vec([-1 if j == i else 0 for j in range(n)])
+                                       for i in range(n)]
+                rng = random.Random(seed)
+                draws = [vec([rng.randint(-Q_SAMPLE_BOUND, Q_SAMPLE_BOUND) for _ in range(n)])
+                         for _ in range(Q_SAMPLES)]
+                assert qs[n + 1:] == [q for q in draws if min(q) < 0]
+                assert all(min(q) < 0 for q in qs)
 
     def test_p_matrix_unique_solution_for_many_q(self):
         rng = random.Random(5)

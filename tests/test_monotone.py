@@ -14,6 +14,7 @@ from karalcp.monotone import (
     is_row_monotone,
 )
 from conftest import rand_int_matrix, rand_nonzero_vector
+from oracles import is_almost_monotone_reference
 
 
 def ones(n):
@@ -105,6 +106,22 @@ class TestAlmostMonotone:
 
     def test_zero_matrix(self):
         assert is_almost_monotone(RationalMatrix.zeros(2, 2))
+
+    def test_one_lp_matches_per_coordinate_reference(self):
+        """The single LP agrees with one LP per coordinate on seeded random
+        matrices of order 1-5, half of them rank-deficient products F G."""
+        rng = random.Random(11)
+        verdicts = []
+        for trial in range(300):
+            n = rng.randint(1, 5)
+            if trial % 2:
+                r = rng.randint(1, n)
+                a = rand_int_matrix(rng, n, r, 2) @ rand_int_matrix(rng, r, n, 2)
+            else:
+                a = rand_int_matrix(rng, n, n, 2)
+            verdicts.append(is_almost_monotone(a))
+            assert verdicts[-1] == is_almost_monotone_reference(a), a
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestRankOneMonotonicity:

@@ -7,7 +7,7 @@ it starts scanning; the others still answer.
 
 import pytest
 
-from karalcp import conelcp, lcp, lcp_classes, matrix, minor_classes
+from karalcp import lcp, lcp_classes, matrix, minor_classes
 from karalcp.errors import TooLargeError
 from karalcp.matrix import ENUMERATION_CAP, RationalMatrix
 from karalcp.predicates import PREDICATE_ORDER, PredicateConfig, evaluate_predicate
@@ -41,7 +41,7 @@ CONFIGS = [
 def no_scans(monkeypatch):
     def refuse(n):
         raise AssertionError(f"a scan over {n} indices started")
-    for module in (matrix, minor_classes, lcp_classes, lcp, conelcp):
+    for module in (matrix, minor_classes, lcp_classes, lcp):
         monkeypatch.setattr(module, "nonempty_subsets", refuse)
 
 

@@ -5,19 +5,20 @@ question (tests/oracles.py).
 The standard LCP must agree exactly.  The cone LCP must agree exactly on
 degenerate supports and on isolated solutions, while a family's
 representative and the first nonzero solution may be another point of
-the same family, so they are checked by exact substitution."""
+the same family, so they are checked by exact substitution.  The
+early-exit scan `first_nonzero_solution` must find a nonzero solution
+exactly when the full enumeration holds one."""
 
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from karalcp import lp
 from karalcp.conelcp import (
-    _first_nonzero_solution,
     cone_lcp_only_zero,
     cone_lcp_solutions,
     dual_membership,
     is_karamardian,
 )
-from karalcp.lcp import lcp_solutions
+from karalcp.lcp import first_nonzero_solution, lcp_solutions
 from karalcp.matrix import RationalMatrix, dot, is_zero_vec, rank, subspace_bases, vec
 from oracles import (
     cone_lcp_solutions_reference,
@@ -130,7 +131,8 @@ def assert_cone_lcp_matches_reference(a, q):
         assert_cone_lcp_solution(a, q, x)
     for support in families:  # each family is represented by a nonzero point
         assert any(not is_zero_vec(x) and _inside(x, [support]) for x in got.solutions)
-    first, first_ref = _first_nonzero_solution(a, q), first_nonzero_cone_solution_reference(a, q)
+    null = subspace_bases(a).left_null.basis
+    first, first_ref = first_nonzero_solution(a, q, null), first_nonzero_cone_solution_reference(a, q)
     assert (first is None) == (first_ref is None)
     if first is not None:
         assert not is_zero_vec(first)
@@ -143,6 +145,20 @@ def assert_lcp_matches_reference(a, q):
     got, want = lcp_solutions(a, q), lcp_solutions_reference(a, q)
     assert got.solutions == want.solutions
     assert got.degenerate_supports == want.degenerate_supports
+    assert_first_nonzero_matches_reference(a, q, want)
+
+
+def assert_first_nonzero_matches_reference(a, q, want):
+    """None exactly when the reference has no nonzero solution and no
+    degenerate support; otherwise a nonzero solution, by substitution."""
+    first = first_nonzero_solution(a, q, ())
+    only_zero = all(is_zero_vec(x) for x in want.solutions) and not want.degenerate_supports
+    assert (first is None) == only_zero
+    if first is not None:
+        y = tuple(t + qi for t, qi in zip(a.mul_vec(first), q))
+        assert not is_zero_vec(first)
+        assert all(t >= 0 for t in first) and all(t >= 0 for t in y)
+        assert dot(first, y) == 0
 
 
 @seed(0)
@@ -166,6 +182,23 @@ def test_families_with_nonzero_q_match_rebuilding_reference(family):
     a, q, support = family
     assert support in assert_cone_lcp_matches_reference(a, q).degenerate_supports
     assert_lcp_matches_reference(a, q)
+
+
+@st.composite
+def square_instances(draw):
+    """Any square matrix of order 1-5, with q = 0, q >= 0 or q of any sign."""
+    n = draw(st.integers(1, 5))
+    a = RationalMatrix.from_rows([[draw(small) for _ in range(n)] for _ in range(n)])
+    entry = draw(st.sampled_from([st.just(0), st.integers(0, 3), st.integers(-3, 3)]))
+    return a, vec([draw(entry) for _ in range(n)])
+
+
+@seed(3)
+@settings(max_examples=300, deadline=None)
+@given(square_instances())
+def test_first_nonzero_solution_matches_rebuilding_reference(instance):
+    a, q = instance
+    assert_first_nonzero_matches_reference(a, q, lcp_solutions_reference(a, q))
 
 
 FAMILY_CASES = [
