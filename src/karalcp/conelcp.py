@@ -57,6 +57,7 @@ from .matrix import (
     Vector,
     dot,
     full_rank_factorization,
+    integer_rows,
     is_unisigned,
     is_zero_vec,
     ones_vec,
@@ -294,11 +295,9 @@ def default_candidates(a: RationalMatrix, witness: Vector | None,
     # A positive x with Ax >= 0 doubles as d = x, and Ax as well when nonzero.
     system = LinearSystem(n, nonneg=True)
     for j in range(n):
-        row = [_ZERO] * n
-        row[j] = _ONE
-        system.ge(row, 1)
-    for i in range(n):
-        system.ge(a.row_vec(i), 0)
+        system.ge([int(i == j) for i in range(n)], 1)
+    for ints, _ in integer_rows(a):
+        system.ge(ints, 0)
     feas = lp_feasible(system)
     if feas.is_feasible:
         out.append(feas.witness)

@@ -30,6 +30,8 @@ from .matrix import (
     RationalMatrix,
     Vector,
     dot,
+    integer_row,
+    integer_rows,
     is_zero_vec,
     nonempty_subsets,
     solve_linear,
@@ -46,39 +48,51 @@ _ONE = Fraction(1)
 
 def is_semipositive(a: RationalMatrix) -> bool:
     """Exists x > 0 with Ax > 0; exact by homogenizing both strict signs."""
-    system = LinearSystem(a.cols, nonneg=True)
-    for j in range(a.cols):
-        row = [_ZERO] * a.cols
-        row[j] = _ONE
-        system.ge(row, 1)
-    for i in range(a.rows):
-        system.ge(a.row_vec(i), 1)
-    return lp_feasible(system).is_feasible
+    return _semipositive(a, tuple(range(a.rows)), tuple(range(a.cols)), True)
 
 
 def is_weakly_semipositive(a: RationalMatrix) -> bool:
     """Exists 0 != x >= 0 with Ax >= 0."""
-    system = LinearSystem(a.cols, nonneg=True)
-    system.eq([_ONE] * a.cols, 1)
-    for i in range(a.rows):
-        system.ge(a.row_vec(i), 0)
-    return lp_feasible(system).is_feasible
+    return _semipositive(a, tuple(range(a.rows)), tuple(range(a.cols)), False)
 
 
-def _principal_submatrices(a: RationalMatrix):
-    return (a.submatrix(idx, idx) for idx in nonempty_subsets(a.rows))
+def _semipositive(a: RationalMatrix, rows: tuple[int, ...], cols: tuple[int, ...],
+                  strict: bool) -> bool:
+    """(Weak) semipositivity of the submatrix A[rows, cols], memoized per
+    index pair in a._cache, as the principal scans below revisit them."""
+    memo = a._cache.setdefault("semipositive", {})
+    key = (rows, cols, strict)
+    if key not in memo:
+        k = len(cols)
+        system = LinearSystem(k, nonneg=True)
+        if strict:
+            for j in range(k):
+                system.ge([int(i == j) for i in range(k)], 1)
+        else:
+            system.eq([1] * k, 1)
+        int_rows = integer_rows(a)
+        for i in rows:
+            ints, mult = int_rows[i]
+            system.ge([ints[j] for j in cols], mult if strict else 0)
+        memo[key] = lp_feasible(system).is_feasible
+    return memo[key]
+
+
+def _all_principal(a: RationalMatrix, strict: bool, proper: bool = False) -> bool:
+    return all(_semipositive(a, idx, idx, strict) for idx in nonempty_subsets(a.rows)
+               if not proper or len(idx) < a.rows)
 
 
 def is_semimonotone(a: RationalMatrix) -> bool:
     """Every principal submatrix (including A) is weakly semipositive."""
     a.require_square("semimonotonicity", scan=True)
-    return all(is_weakly_semipositive(sub) for sub in _principal_submatrices(a))
+    return _all_principal(a, False)
 
 
 def is_strictly_semimonotone(a: RationalMatrix) -> bool:
     """Every principal submatrix (including A) is semipositive."""
     a.require_square("strict semimonotonicity", scan=True)
-    return all(is_semipositive(sub) for sub in _principal_submatrices(a))
+    return _all_principal(a, True)
 
 
 def is_almost_semimonotone(a: RationalMatrix) -> bool:
@@ -91,10 +105,7 @@ def is_almost_semimonotone(a: RationalMatrix) -> bool:
     so the quantification is vacuous there.
     """
     a.require_square("almost semimonotonicity", scan=True)
-    if not all(is_weakly_semipositive(sub) for sub in _principal_submatrices(a)
-               if sub.rows < a.rows):
-        return False
-    return not is_weakly_semipositive(a)
+    return _all_principal(a, False, proper=True) and not is_weakly_semipositive(a)
 
 
 # -- sign-reversal classes ----------------------------------------------
@@ -110,14 +121,14 @@ def is_p_hash(a: RationalMatrix) -> bool:
     """
     a.require_square("P# test", scan=True)
     n = a.rows
-    left_null = subspace_bases(a).left_null.basis
-    rows_a = [a.row_vec(i) for i in range(n)]
+    left_null = [integer_row(w)[0] for w in subspace_bases(a).left_null.basis]
+    rows_a = [ints for ints, _ in integer_rows(a)]
     for signs in itertools.product((1, -1), repeat=n - 1):
         s = (1,) + signs
         system = LinearSystem(n, nonneg=True)
         for w in left_null:
             system.eq([w[j] * s[j] for j in range(n)], 0)
-        system.eq([_ONE] * n, 1)
+        system.eq([1] * n, 1)
         for i in range(n):
             system.ge([-s[i] * rows_a[i][j] * s[j] for j in range(n)], 0)
         if lp_feasible(system).is_feasible:
@@ -129,15 +140,16 @@ def is_strictly_range_semimonotone(a: RationalMatrix) -> bool:
     """No nonzero x >= 0 in R(A) with x * Ax <= 0; one LP per support."""
     a.require_square("strict range semimonotonicity", scan=True)
     n = a.rows
-    left_null = subspace_bases(a).left_null.basis
+    left_null = [integer_row(w)[0] for w in subspace_bases(a).left_null.basis]
+    rows_a = [ints for ints, _ in integer_rows(a)]
     for support in nonempty_subsets(n):
         k = len(support)
         system = LinearSystem(k, nonneg=True)
         for w in left_null:
             system.eq([w[j] for j in support], 0)
-        system.eq([_ONE] * k, 1)
+        system.eq([1] * k, 1)
         for i in support:
-            system.ge([-a.data[i][j] for j in support], 0)
+            system.ge([-rows_a[i][j] for j in support], 0)
         if lp_feasible(system).is_feasible:
             return False
     return True

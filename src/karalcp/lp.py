@@ -1,10 +1,15 @@
 """Exact linear programming over the rationals.
 
 Feasibility and optimization are decided by a two-phase primal simplex
-with Bland's rule (guaranteed termination, no tolerances).  The tableau
-is kept integral via integer pivoting: the stored tableau equals the true
-tableau times the current basis determinant `den > 0`, so sign tests and
-ratio comparisons run on machine/big ints and every pivot divides exactly.
+with Bland's rule (guaranteed termination, no tolerances).  The layer is
+integer from row entry to witness check: each constraint row is scaled
+to integers once, when it is added (`integer_row`; an all-int row is kept
+as given), and the tableau is kept integral via integer pivoting: the
+stored tableau equals the true tableau times the current basis
+determinant `den > 0`, so sign tests and ratio comparisons run on ints
+and every pivot divides exactly.  A basic solution is verified against
+every row in integers, as numerators over `den`, before it becomes the
+Fractions the layer returns.
 
 Variables are free unless the system marks them nonnegative; free
 variables are split internally.  Strict inequalities never appear here:
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .matrix import Vector, integer_row, rat
@@ -31,15 +37,16 @@ class LinearSystem:
 
     `nonneg[j]` declares x_j >= 0 structurally (equivalent to, but cheaper
     than, an inequality row).  Rows may be given as sequences of anything
-    `rat` accepts.
+    `rat` accepts; each is stored as an integer (coeffs, rhs) pair, the
+    given row times a positive factor (1 for an all-int row).
     """
 
     __slots__ = ("n_vars", "equalities", "inequalities_ge", "nonneg")
 
     def __init__(self, n_vars: int, nonneg: Sequence[bool] | bool = False):
         self.n_vars = n_vars
-        self.equalities: list[tuple[Vector, Fraction]] = []
-        self.inequalities_ge: list[tuple[Vector, Fraction]] = []
+        self.equalities: list[tuple[tuple[int, ...], int]] = []
+        self.inequalities_ge: list[tuple[tuple[int, ...], int]] = []
         if isinstance(nonneg, bool):
             self.nonneg = [nonneg] * n_vars
         else:
@@ -48,15 +55,30 @@ class LinearSystem:
                 raise ValueError("nonneg marker length must equal n_vars")
 
     def eq(self, coeffs: Sequence, rhs=0) -> "LinearSystem":
-        self.equalities.append((tuple(rat(c) for c in coeffs), rat(rhs)))
+        self.equalities.append(_int_row(coeffs, rhs))
         return self
 
     def ge(self, coeffs: Sequence, rhs=0) -> "LinearSystem":
-        self.inequalities_ge.append((tuple(rat(c) for c in coeffs), rat(rhs)))
+        self.inequalities_ge.append(_int_row(coeffs, rhs))
         return self
 
     def le(self, coeffs: Sequence, rhs=0) -> "LinearSystem":
-        return self.ge([-rat(c) for c in coeffs], -rat(rhs))
+        ints, r = _int_row(coeffs, rhs)
+        self.inequalities_ge.append((tuple(-c for c in ints), -r))
+        return self
+
+
+def _scaled(values: Sequence) -> tuple[list[int], int]:
+    """`values` times a positive multiplier, as ints, and the multiplier:
+    integer_row of the Fractions, or the ints themselves when all are int."""
+    if all(type(x) is int for x in values):
+        return list(values), 1
+    return integer_row([rat(x) for x in values])
+
+
+def _int_row(coeffs: Sequence, rhs) -> tuple[tuple[int, ...], int]:
+    *ints, r = _scaled((*coeffs, rhs))[0]
+    return tuple(ints), r
 
 
 @dataclass
@@ -90,11 +112,11 @@ def lp_optimize(objective: Sequence, system: LinearSystem, sense: str = "max") -
     """Exact optimum with witness, Unbounded with improving ray, or Infeasible."""
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
-    obj = [rat(c) for c in objective]
+    obj, scale = _scaled(objective)
     if len(obj) != system.n_vars:
         raise ValueError("objective length must equal n_vars")
     minimize = obj if sense == "min" else [-c for c in obj]
-    status, witness, value, ray = _Simplex(system).optimize(minimize)
+    status, witness, value, ray = _Simplex(system).optimize(minimize, scale)
     if status == INFEASIBLE:
         return LpOutcome(INFEASIBLE)
     if status == UNBOUNDED:
@@ -131,22 +153,16 @@ class _Simplex:
                 c += 1
         self.n_struct = c
 
-        raw_rows: list[tuple[Vector, Fraction, bool]] = []
-        for coeffs, rhs in sysm.equalities:
-            raw_rows.append((coeffs, rhs, True))
-        for coeffs, rhs in sysm.inequalities_ge:
-            raw_rows.append((coeffs, rhs, False))
-
-        kept: list[tuple[list[int], int, bool]] = []
-        for coeffs, rhs, is_eq in raw_rows:
-            if len(coeffs) != n:
-                raise ValueError("constraint row length must equal n_vars")
-            if all(x == 0 for x in coeffs):
-                if (is_eq and rhs != 0) or (not is_eq and rhs > 0):
-                    self.trivially_infeasible = True
-                continue
-            ints, _ = integer_row((*coeffs, rhs))
-            kept.append((ints[:-1], ints[-1], is_eq))
+        kept: list[tuple[tuple[int, ...], int, bool]] = []
+        for rows, is_eq in ((sysm.equalities, True), (sysm.inequalities_ge, False)):
+            for coeffs, rhs in rows:
+                if len(coeffs) != n:
+                    raise ValueError("constraint row length must equal n_vars")
+                if not any(coeffs):
+                    if (is_eq and rhs != 0) or (not is_eq and rhs > 0):
+                        self.trivially_infeasible = True
+                    continue
+                kept.append((coeffs, rhs, is_eq))
 
         self.n_surplus = sum(1 for _, _, is_eq in kept if not is_eq)
         m = len(kept)
@@ -277,46 +293,21 @@ class _Simplex:
 
     # -- extraction -------------------------------------------------------
 
-    def _witness(self) -> Vector:
-        vals = {self.basis[i]: Fraction(self.tableau[i][self.rhs_col], self.den) for i in range(self.m)}
-        out = []
-        for j in range(self.system.n_vars):
-            x = vals.get(self.col_of_pos[j], Fraction(0))
-            neg = self.col_of_neg[j]
-            if neg is not None:
-                x -= vals.get(neg, Fraction(0))
-            out.append(x)
-        witness = tuple(out)
-        self._check_witness(witness)
-        return witness
+    def _to_vars(self, cols: dict[int, int]) -> list[int]:
+        """Column values to original variables: each positive part minus its
+        split negative part."""
+        return [cols.get(p, 0) - cols.get(q, 0) for p, q in zip(self.col_of_pos, self.col_of_neg)]
 
-    def _check_witness(self, x: Vector) -> None:
-        sysm = self.system
-        for coeffs, rhs in sysm.equalities:
-            if sum(c * v for c, v in zip(coeffs, x)) != rhs:
-                raise ArithmeticError("simplex produced an invalid equality witness")
-        for coeffs, rhs in sysm.inequalities_ge:
-            if sum(c * v for c, v in zip(coeffs, x)) < rhs:
-                raise ArithmeticError("simplex produced an invalid inequality witness")
-        for j, flag in enumerate(sysm.nonneg):
-            if flag and x[j] < 0:
-                raise ArithmeticError("simplex violated a nonnegativity marker")
+    def _witness(self) -> Vector:
+        x = self._to_vars({self.basis[i]: self.tableau[i][self.rhs_col] for i in range(self.m)})
+        check_witness(self.system, x, self.den)
+        return tuple(Fraction(v, self.den) for v in x)
 
     def _ray(self) -> Vector:
         p = self._unbounded_col
-        dy = {p: Fraction(1)}
-        for i in range(self.m):
-            a = self.tableau[i][p]
-            if a:
-                dy[self.basis[i]] = Fraction(-a, self.den)
-        out = []
-        for j in range(self.system.n_vars):
-            d = dy.get(self.col_of_pos[j], Fraction(0))
-            neg = self.col_of_neg[j]
-            if neg is not None:
-                d -= dy.get(neg, Fraction(0))
-            out.append(d)
-        return tuple(out)
+        dy = {self.basis[i]: -self.tableau[i][p] for i in range(self.m)}
+        dy[p] = self.den
+        return tuple(Fraction(v, self.den) for v in self._to_vars(dy))
 
     # -- drivers ----------------------------------------------------------
 
@@ -325,13 +316,13 @@ class _Simplex:
             return None
         return self._witness()
 
-    def optimize(self, minimize: list[Fraction]):
+    def optimize(self, minimize: list[int], scale: int):
+        """Minimize `minimize / scale` (the objective as integers over scale > 0)."""
         if not self._phase1():
             return INFEASIBLE, None, None, None
-        scaled, scale = integer_row(minimize)
         width = self.rhs_col + 1
         cost_true = [0] * width
-        for j, ci in enumerate(scaled):
+        for j, ci in enumerate(minimize):
             if ci:
                 cost_true[self.col_of_pos[j]] += ci
                 neg = self.col_of_neg[j]
@@ -349,3 +340,16 @@ class _Simplex:
             return UNBOUNDED, self._witness(), None, self._ray()
         value = Fraction(-cost[self.rhs_col], self.den) / scale
         return BOUNDED, self._witness(), value, None
+
+
+def check_witness(system: LinearSystem, x: Sequence[int], den: int) -> None:
+    """ArithmeticError unless the point x / den (integer numerators over
+    den > 0) satisfies every row and nonnegativity marker of `system`,
+    checked in integers: sum c * x = rhs * den, sum c * x >= rhs * den,
+    and x_j >= 0."""
+    if any(sum(map(mul, c, x)) != rhs * den for c, rhs in system.equalities):
+        raise ArithmeticError("simplex produced an invalid equality witness")
+    if any(sum(map(mul, c, x)) < rhs * den for c, rhs in system.inequalities_ge):
+        raise ArithmeticError("simplex produced an invalid inequality witness")
+    if any(flag and v < 0 for flag, v in zip(system.nonneg, x)):
+        raise ArithmeticError("simplex violated a nonnegativity marker")

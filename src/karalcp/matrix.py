@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadIndexSetError, DimensionMismatchError, NonSquareError, TooLargeError
@@ -183,12 +184,12 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise DimensionMismatchError(f"matmul: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        od = other.data
+        # Each row of self and column of other is scaled to integers once,
+        # so every entry is one integer dot product over one denominator.
+        cols = [integer_row([row[j] for row in other.data]) for j in range(other.cols)]
         out = []
-        for i in range(self.rows):
-            ri = self.data[i]
-            out.append([sum((ri[k] * od[k][j] for k in range(self.cols)), _ZERO)
-                        for j in range(other.cols)])
+        for ri, mi in integer_rows(self):
+            out.append([_ratio(sum(map(mul, ri, cj)), mi * mj) for cj, mj in cols])
         return RationalMatrix(self.rows, other.cols, out)
 
     def mul_vec(self, v: Sequence[Fraction]) -> Vector:
@@ -259,6 +260,14 @@ def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
     """
     mult = lcm(*(x.denominator for x in row))
     return [x.numerator * (mult // x.denominator) for x in row], mult
+
+
+def integer_rows(m: RationalMatrix) -> list[tuple[list[int], int]]:
+    """integer_row of every row of m, computed once per matrix."""
+    cached = m._cache.get("int_rows")
+    if cached is None:
+        cached = m._cache["int_rows"] = [integer_row(row) for row in m.data]
+    return cached
 
 
 def _eliminate(a: list[list[int]], ncols: int) -> tuple[int, tuple[int, ...], int]:

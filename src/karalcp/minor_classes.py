@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .geninv import index_at_most_one
 from .lp import LinearSystem, lp_feasible
-from .matrix import RationalMatrix, determinant, nonempty_subsets, rank
+from .matrix import RationalMatrix, determinant, integer_rows, nonempty_subsets, rank
 
 
 class MClass(Enum):
@@ -152,15 +151,8 @@ def is_h_matrix_positive_diag(a: RationalMatrix) -> bool:
     if any(a.data[i][i] <= 0 for i in range(n)):
         return False
     system = LinearSystem(n, nonneg=True)
+    for i, (ints, mult) in enumerate(integer_rows(a)):
+        system.ge([abs(x) if j == i else -abs(x) for j, x in enumerate(ints)], mult)
     for i in range(n):
-        coeffs = [Fraction(0)] * n
-        coeffs[i] = abs(a.data[i][i])
-        for j in range(n):
-            if j != i:
-                coeffs[j] = -abs(a.data[i][j])
-        system.ge(coeffs, 1)
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        system.ge(e, 1)
+        system.ge([int(j == i) for j in range(n)], 1)
     return lp_feasible(system).is_feasible

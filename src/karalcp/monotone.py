@@ -7,14 +7,9 @@ infeasibility tests (the defining implications are homogeneous, so
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .geninv import group_inverse, moore_penrose
 from .lp import LinearSystem, lp_feasible
-from .matrix import RationalMatrix, inverse, subspace_bases
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .matrix import RationalMatrix, integer_row, integer_rows, inverse, subspace_bases
 
 
 def _matrix_nonneg(a: RationalMatrix) -> bool:
@@ -33,15 +28,14 @@ def _cone_implies_nonneg(a: RationalMatrix, complement) -> bool:
     (exact, per coordinate); `complement` spans the orthogonal complement
     of the subspace x is confined to."""
     n = a.rows
+    complement = [integer_row(w)[0] for w in complement]
     for i in range(n):
         system = LinearSystem(n)
         for w in complement:
             system.eq(w, 0)
-        for r in range(n):
-            system.ge(a.row_vec(r), 0)
-        bad = [_ZERO] * n
-        bad[i] = _ONE
-        system.le(bad, -1)
+        for row, _ in integer_rows(a):
+            system.ge(row, 0)
+        system.le([int(j == i) for j in range(n)], -1)
         if lp_feasible(system).is_feasible:
             return False
     return True
@@ -81,7 +75,7 @@ def is_almost_monotone(a: RationalMatrix) -> bool:
     a.require_square("almost monotonicity")
     n = a.rows
     system = LinearSystem(n)
-    for r in range(n):
-        system.ge(a.row_vec(r), 0)
+    for ints, _ in integer_rows(a):
+        system.ge(ints, 0)
     system.ge([sum(col) for col in zip(*a.data)], 1)
     return not lp_feasible(system).is_feasible

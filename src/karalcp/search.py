@@ -40,13 +40,15 @@ def random_integer_matrix(rng: random.Random, n: int, entry_bound: int,
                           density: Fraction) -> RationalMatrix:
     """Integer entries in [-entry_bound, entry_bound]; each entry is zeroed
     with probability 1 - density.  Draw order is fixed row-major for
-    reproducibility."""
+    reproducibility; the draw r = p/q is compared with density exactly, in
+    integers."""
     data = []
     for _ in range(n):
         row = []
         for _ in range(n):
             v = rng.randint(-entry_bound, entry_bound)
-            keep = rng.random() < density
+            p, q = rng.random().as_integer_ratio()
+            keep = p * density.denominator < density.numerator * q
             row.append(Fraction(v if keep else 0))
         data.append(row)
     return RationalMatrix(n, n, data)

@@ -147,6 +147,35 @@ def solve_linear_fraction(m: RationalMatrix, b) -> LinearSolution | None:
     return LinearSolution(tuple(x), tuple(basis))
 
 
+# -- Fraction matrix product: the reference for the integer dot products of
+# -- RationalMatrix.__matmul__ ---------------------------------------------
+
+
+def matmul_fraction(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """A @ B by Fraction sums, entry by entry."""
+    assert a.cols == b.rows
+    return RationalMatrix(a.rows, b.cols, [
+        [sum((a.data[i][k] * b.data[k][j] for k in range(a.cols)), Fraction(0))
+         for j in range(b.cols)] for i in range(a.rows)])
+
+
+# -- Fraction witness check: the reference for the integer check of lp.py ---
+
+
+def check_witness_fraction(system: LinearSystem, x) -> None:
+    """ArithmeticError unless the Fraction point x satisfies every row and
+    nonnegativity marker of `system`, checked in Fraction arithmetic."""
+    for coeffs, rhs in system.equalities:
+        if sum(c * v for c, v in zip(coeffs, x)) != rhs:
+            raise ArithmeticError("simplex produced an invalid equality witness")
+    for coeffs, rhs in system.inequalities_ge:
+        if sum(c * v for c, v in zip(coeffs, x)) < rhs:
+            raise ArithmeticError("simplex produced an invalid inequality witness")
+    for j, flag in enumerate(system.nonneg):
+        if flag and x[j] < 0:
+            raise ArithmeticError("simplex violated a nonnegativity marker")
+
+
 # -- 2-variable LP feasibility by vertex enumeration ------------------------
 
 
@@ -185,8 +214,9 @@ def lp2_feasible_bruteforce(system) -> bool:
         det = c1[0] * c2[1] - c1[1] * c2[0]
         if det == 0:
             continue
-        x = (r1 * c2[1] - r2 * c1[1]) / det
-        y = (c1[0] * r2 - c2[0] * r1) / det
+        # rows may be stored as ints; Fraction keeps the division exact
+        x = Fraction(r1 * c2[1] - r2 * c1[1]) / det
+        y = Fraction(c1[0] * r2 - c2[0] * r1) / det
         if ok((x, y)):
             return True
     return False

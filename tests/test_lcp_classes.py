@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from karalcp import lcp_classes
 from karalcp.conelcp import cone_K
 from karalcp.errors import EmptyConeError, TooLargeError
 from karalcp.geninv import generalized_idempotent_scalar, group_inverse
@@ -72,6 +73,22 @@ class TestSemimonotone:
             a = RationalMatrix(n, n, [[Fraction(rng.randint(1, 5)) for _ in range(n)]
                                       for _ in range(n)])
             assert is_strictly_semimonotone(a)
+
+    def test_each_principal_lp_runs_once_per_matrix(self, monkeypatch):
+        # A positive 4x4 passes every test, so each scan visits all 15
+        # supports: 15 weak and 15 strict LPs in all, and a repeat is free.
+        calls = []
+        real = lcp_classes.lp_feasible
+        monkeypatch.setattr(lcp_classes, "lp_feasible", lambda s: calls.append(s) or real(s))
+        a = RationalMatrix.from_rows([[1, 2, 1, 3], [2, 1, 1, 1], [1, 3, 2, 1], [1, 1, 1, 2]])
+        for _ in range(2):
+            assert is_semimonotone(a) and not is_almost_semimonotone(a)
+            assert is_strictly_semimonotone(a)
+            assert len(calls) == 30
+        # the memo lives on the matrix: a fresh copy solves them again
+        fresh = RationalMatrix.from_rows(a.data)
+        assert is_semimonotone(fresh) and is_strictly_semimonotone(fresh)
+        assert len(calls) == 60
 
     def test_p_matrices_are_strictly_semimonotone(self):
         rng = random.Random(1)

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import lcm
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from karalcp.lp import (
     BOUNDED,
@@ -9,21 +11,12 @@ from karalcp.lp import (
     INFEASIBLE,
     UNBOUNDED,
     LinearSystem,
+    check_witness,
     lp_feasible,
     lp_optimize,
 )
-from karalcp.matrix import RationalMatrix, subspace_bases, vec
-from oracles import lp2_feasible_bruteforce
-
-
-def check_witness(system, x):
-    for coeffs, rhs in system.equalities:
-        assert sum(c * v for c, v in zip(coeffs, x)) == rhs
-    for coeffs, rhs in system.inequalities_ge:
-        assert sum(c * v for c, v in zip(coeffs, x)) >= rhs
-    for j, flag in enumerate(system.nonneg):
-        if flag:
-            assert x[j] >= 0
+from karalcp.matrix import RationalMatrix, integer_row, subspace_bases, vec
+from oracles import check_witness_fraction, lp2_feasible_bruteforce
 
 
 class TestFeasibility:
@@ -31,7 +24,7 @@ class TestFeasibility:
         system = LinearSystem(2, nonneg=True).eq([1, 1], 1)
         out = lp_feasible(system)
         assert out.status == FEASIBLE
-        check_witness(system, out.witness)
+        check_witness_fraction(system, out.witness)
 
     def test_one_var_contradiction(self):
         system = LinearSystem(1).ge([1], 1).le([1], 0)
@@ -97,7 +90,7 @@ class TestOptimize:
         system.le([1, 1], 2)
         out = lp_optimize([Fraction(1, 7), 1], system, "max")
         assert out.status == BOUNDED
-        check_witness(system, out.witness)
+        check_witness_fraction(system, out.witness)
 
 
 coeff = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
@@ -117,7 +110,7 @@ def test_two_variable_systems_match_bruteforce(rows, nonneg):
     out = lp_feasible(system)
     assert (out.status == FEASIBLE) == lp2_feasible_bruteforce(system)
     if out.status == FEASIBLE:
-        check_witness(system, out.witness)
+        check_witness_fraction(system, out.witness)
 
 
 @settings(max_examples=80, deadline=None)
@@ -159,3 +152,70 @@ def test_infeasibility_stable_under_row_permutation(rows, seed):
     shuffled = rows[:]
     random.Random(seed).shuffle(shuffled)
     assert build(rows) == build(shuffled)
+
+
+pq_coeff = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 7]))
+
+
+@seed(11)
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(st.lists(pq_coeff, min_size=n, max_size=n), pq_coeff,
+                       st.sampled_from(["eq", "ge", "le"])), min_size=1, max_size=5),
+    st.lists(st.booleans(), min_size=n, max_size=n),
+    st.lists(pq_coeff, min_size=n, max_size=n))))
+def test_fraction_rows_and_prescaled_int_rows_solve_identically(case):
+    """Rows given as p/q Fractions and the same rows pre-scaled to ints by
+    integer_row build the same tableau: status, witness, value and ray agree."""
+    rows, nonneg, objective = case
+
+    def build(prescale: bool) -> LinearSystem:
+        system = LinearSystem(len(nonneg), nonneg=nonneg)
+        for coeffs, rhs, kind in rows:
+            if prescale:
+                *coeffs, rhs = integer_row([*coeffs, rhs])[0]
+            getattr(system, kind)(coeffs, rhs)
+        return system
+
+    frac, ints = build(False), build(True)
+    assert frac.equalities == ints.equalities and frac.inequalities_ge == ints.inequalities_ge
+    assert lp_feasible(frac) == lp_feasible(ints)
+    obj_ints, scale = integer_row(objective)
+    for sense in ("max", "min"):
+        want = lp_optimize(objective, frac, sense)
+        got = lp_optimize(obj_ints, ints, sense)
+        assert (got.status, got.witness, got.ray) == (want.status, want.witness, want.ray)
+        assert got.value == (None if want.value is None else want.value * scale)
+
+
+def _fraction_check(system, x, den):
+    check_witness_fraction(system, tuple(Fraction(v, den) for v in x))
+
+
+@pytest.mark.parametrize("check", [check_witness, _fraction_check],
+                         ids=["integer", "fraction_oracle"])
+class TestWitnessCheck:
+    """x + y = 1 and 3x >= 1 with x, y >= 0, at the vertex (1/3, 2/3): one
+    unit of 1/den off in either row is caught."""
+
+    @staticmethod
+    def system() -> LinearSystem:
+        return LinearSystem(2, nonneg=True).eq([1, 1], 1).ge([3, 0], 1)
+
+    def test_vertex_passes(self, check):
+        check(self.system(), [1, 2], 3)
+        out = lp_feasible(self.system())
+        den = lcm(*(v.denominator for v in out.witness))
+        check(self.system(), [int(v * den) for v in out.witness], den)
+
+    def test_equality_row_off_by_one_over_den(self, check):
+        with pytest.raises(ArithmeticError, match="equality"):
+            check(self.system(), [1, 3], 3)
+
+    def test_inequality_row_off_by_one_over_den(self, check):
+        with pytest.raises(ArithmeticError, match="inequality"):
+            check(self.system(), [0, 3], 3)
+
+    def test_nonnegativity_marker(self, check):
+        with pytest.raises(ArithmeticError, match="nonnegativity"):
+            check(LinearSystem(2, nonneg=True).eq([1, 1], 1), [4, -1], 3)

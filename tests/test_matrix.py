@@ -18,8 +18,8 @@ from karalcp.matrix import (
     vec,
 )
 from conftest import rand_matrix
-from oracles import (det_cofactor, det_fraction, inverse_fraction, rref_fraction,
-                     solve_linear_fraction)
+from oracles import (det_cofactor, det_fraction, inverse_fraction, matmul_fraction,
+                     rref_fraction, solve_linear_fraction)
 
 fractions_st = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
 
@@ -42,11 +42,12 @@ def _draw_matrix(draw, rows, cols):
 
 
 @st.composite
-def kernel_matrices(draw, square=False):
-    """Any shape up to 5x5, k x 0 and 0 x k included; half of them rank
-    deficient by construction (F @ G through an inner dimension k), some
-    with one row or column zeroed."""
-    rows = draw(st.integers(0, 5))
+def kernel_matrices(draw, square=False, rows=None):
+    """Any shape up to 5x5 (or with the given row count), k x 0 and 0 x k
+    included; half of them rank deficient by construction (F @ G through
+    an inner dimension k), some with one row or column zeroed."""
+    if rows is None:
+        rows = draw(st.integers(0, 5))
     cols = rows if square else draw(st.integers(0, 5))
     if draw(st.booleans()):
         k = draw(st.integers(0, min(rows, cols)))
@@ -267,6 +268,13 @@ class TestKernelAgainstFractionOracle:
             assert got is None
         else:
             assert_identical(got, want)
+
+    @seed(4)
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_matrices(), st.data())
+    def test_matmul(self, a, data):
+        b = data.draw(kernel_matrices(rows=a.cols))
+        assert_identical(a @ b, matmul_fraction(a, b))
 
     @seed(3)
     @settings(max_examples=200, deadline=None)
