@@ -333,7 +333,8 @@ def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = 
     solution, the exact rank-one / 2x2 / almost-semimonotone / Z-not-P /
     first-category-N rules); an exhausted candidate search yields Unknown,
     never No.  `force_candidate_search` skips the exact shortcut rules
-    (used by the cross-validation tests).
+    (used by the cross-validation tests).  The verdict is memoized in
+    `a._cache` per argument set.
     """
     a.require_square("Karamardian test", scan=True)
     n = a.rows
@@ -343,6 +344,17 @@ def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = 
             raise DimensionMismatchError(
                 f"candidate d [{', '.join(map(str, d))}] has length {len(d)},"
                 f" but the matrix has order {n}")
+    key = ("karamardian", tuple(hints), max_candidates, seed, force_candidate_search)
+    cached = a._cache.get(key)
+    if cached is None:
+        cached = a._cache[key] = _karamardian_cascade(a, hints, max_candidates, seed,
+                                                      force_candidate_search)
+    return cached
+
+
+def _karamardian_cascade(a: RationalMatrix, hints: list[Vector], max_candidates: int,
+                         seed: int, force_candidate_search: bool) -> Verdict:
+    n = a.rows
     cone = cone_K(a)
     if cone.trivial:
         return Verdict(NO, rule=RULE_K_TRIVIAL)

@@ -8,14 +8,15 @@ complementarity x^T y = 0 becomes x_i u_i = 0 for every i.  So the cone
 LCP is the mixed LCP of the bordered matrix [[A, -N], [N^T, 0]] with w
 free, and the standard LCP is its case N empty.  For each support S the
 square block [[A_SS, -N_S], [N_S^T, 0]] (x_S, w) = (-q_S, 0) is solved
-exactly; a nonsingular block gives at most one candidate, a singular but
-consistent block gives an affine family that is intersected with the sign
-constraints by one LP and classified as empty, a point, or a
-positive-dimensional family in x (flagged degenerate with one
-representative).  `complementary_solutions` visits every support;
-`first_nonzero_solution` stops at the first nonzero solution, which
-answers both yes/no questions asked here: is zero the only solution
-(q >= 0), and is there any (q with a negative entry, so none is zero)?
+exactly; a nonsingular block, factored once per matrix in integers, gives
+at most one candidate per q, a singular but consistent block gives an
+affine family that is intersected with the sign constraints by one LP and
+classified as empty, a point, or a positive-dimensional family in x
+(flagged degenerate with one representative).  `complementary_solutions`
+visits every support; `first_nonzero_solution` stops at the first nonzero
+solution, which answers both yes/no questions asked here: is zero the only
+solution (q >= 0), and is there any (q with a negative entry, so none is
+zero)?
 
 Q-matrix membership is only semi-decidable at desk scale, so the verdict
 type carries its epistemic state: Yes and No come with re-checkable
@@ -27,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatchError, QNotNonnegativeError
@@ -39,6 +41,9 @@ from .lp import UNBOUNDED, LinearSystem, lp_feasible, lp_optimize
 from .matrix import (
     RationalMatrix,
     Vector,
+    _eliminate,
+    integer_row,
+    integer_rows,
     is_zero_vec,
     nonempty_subsets,
     rank,
@@ -103,12 +108,13 @@ def lcp_solutions(a: RationalMatrix, q: Sequence) -> LcpSolutionSet:
 def complementary_solutions(a: RationalMatrix, q: Vector, null: Sequence[Vector],
                             zero_solves: bool) -> LcpSolutionSet:
     """Every solution of the LCP with y-side translated by span(null), one
-    `support_solution` per support; `zero_solves` says whether x = 0 does."""
+    `support_solver` call per support; `zero_solves` says whether x = 0 does."""
     n = a.rows
+    solve = support_solver(a, q, null)
     solutions: set[Vector] = {zeros_vec(n)} if zero_solves else set()
     degenerate: list[tuple[int, ...]] = []
     for support in nonempty_subsets(n):
-        x, is_family = support_solution(a, q, null, support)
+        x, is_family = solve(support)
         if x is None:
             continue
         solutions.add(x)
@@ -122,24 +128,77 @@ def first_nonzero_solution(a: RationalMatrix, q: Vector, null: Sequence[Vector])
     order, that has one, for the LCP with y-side translated by span(null);
     None when no solution is nonzero.  A positive-dimensional family holds
     a nonzero point, so no separate degeneracy check is needed."""
+    solve = support_solver(a, q, null)
     for support in nonempty_subsets(a.rows):
-        x, _ = support_solution(a, q, null, support)
+        x, _ = solve(support)
         if x is not None and not is_zero_vec(x):
             return x
     return None
 
 
-def support_solution(a: RationalMatrix, q: Vector, null: Sequence[Vector], support):
-    """(x, is_family) for one support S: x is a solution with x = 0 off S,
-    or None when S has none, and is_family tells whether the solutions
-    with x = 0 off S are more than one point.
+def support_solver(a: RationalMatrix, q: Vector, null: Sequence[Vector]):
+    """S -> (x, is_family) for this q: x is a solution with x = 0 off S, or
+    None when S has none, and is_family tells whether the solutions with
+    x = 0 off S are more than one point.
 
-    The unknowns are x_S and the free w, one per vector of `null`; the
-    square block [[A_SS, -N_S], [N_S^T, 0]] (x_S, w) = (-q_S, 0) is solved
-    once.  A unique solution needs only the sign checks x_S >= 0 and
-    (Ax - Nw + q)_i >= 0 off S; an affine family goes to
-    `_family_solutions`.
+    S solves the square block [[A_SS, -N_S], [N_S^T, 0]] (x_S, w) = (-q_S, 0)
+    in x_S and the free w, one per vector of `null`.  A nonsingular block is
+    factored once per matrix and null basis (`_block_factor`), so a q costs
+    integer products and sign checks, and Fractions only for a returned
+    solution.  A singular block is solved in Fractions and its affine
+    family goes to `_family_solutions`.
     """
+    key = ("supports", tuple(null))
+    cached = a._cache.get(key)
+    if cached is None:
+        cached = a._cache[key] = (integer_rows(a), [integer_row(w)[0] for w in null], {})
+    rows, null_ints, factors = cached
+    qn, qden = integer_row(q)
+
+    def solve(support):
+        if support not in factors:
+            factors[support] = _block_factor(rows, null_ints, support)
+        factor = factors[support]
+        if factor is None:
+            return _singular_support(a, q, null, support)
+        den, inv, residuals = factor
+        qs = [qn[i] for i in support]
+        v = [sum(map(mul, row, qs)) for row in inv]
+        x_s = v[:len(support)]
+        if min(x_s) < 0 or any(sum(map(mul, r, v)) + c * qn[i] < 0 for r, c, i in residuals):
+            return None, False
+        return _expand([Fraction(t, den * qden) for t in x_s], support, a.rows), False
+
+    return solve
+
+
+def _block_factor(rows, null_ints, support):
+    """(den, inv, residuals) for S's block B_S with row i of A scaled by its
+    multiplier m_i and each null vector to integers (a positive rescale of
+    w, so x is unchanged), or None when B_S is singular.  One elimination of
+    [B_S | I] gives den B_S^-1, kept as `inv` on the columns of the support
+    rows times -m_i and with den made positive: for q = Q / qden, v = inv Q_S
+    is (x_S, w) den qden, and for each (r_i, m_i den, i) in residuals, one
+    per i off S, r_i . v + m_i den Q_i is (Ax - Nw + q)_i m_i den qden."""
+    k, size = len(support), len(support) + len(null_ints)
+    block_row = [[ints[j] for j in support] + [-mult * w[i] for w in null_ints]
+                 for i, (ints, mult) in enumerate(rows)]
+    aug = [block_row[i] + [int(r == c) for c in range(k)] for r, i in enumerate(support)]
+    aug += [[w[i] for i in support] + [0] * size for w in null_ints]
+    den, pivots, _ = _eliminate(aug, size)
+    if len(pivots) < size:
+        return None
+    sign = 1 if den > 0 else -1
+    col_scale = [-sign * rows[i][1] for i in support]
+    inv = [[t * f for t, f in zip(row[size:], col_scale)] for row in aug]
+    residuals = [(block_row[i], rows[i][1] * sign * den, i)
+                 for i in range(len(rows)) if i not in support]
+    return sign * den, inv, residuals
+
+
+def _singular_support(a: RationalMatrix, q: Vector, null: Sequence[Vector], support):
+    """`support_solver` on a singular block: one Fraction solve, and the
+    affine family of solutions, if any, classified by `_family_solutions`."""
     k, d = len(support), len(null)
     rows = [[a.data[i][j] for j in support] + [-w[i] for w in null] for i in support]
     rows += [[w[i] for i in support] + [_ZERO] * d for w in null]
@@ -153,12 +212,7 @@ def support_solution(a: RationalMatrix, q: Vector, null: Sequence[Vector], suppo
         return (sum((a.data[i][j] * v[idx] for idx, j in enumerate(support)), _ZERO)
                 - sum((w[i] * v[k + m] for m, w in enumerate(null)), _ZERO))
 
-    if sol.null_basis:
-        return _family_solutions(a.rows, q, support, sol, comp, off_support)
-    v = sol.particular
-    if any(t < 0 for t in v[:k]) or any(off_support(i, v) + q[i] < 0 for i in comp):
-        return None, False
-    return _expand(v[:k], support, a.rows), False
+    return _family_solutions(a.rows, q, support, sol, comp, off_support)
 
 
 def _expand(x_s: Sequence[Fraction], support, n: int) -> Vector:

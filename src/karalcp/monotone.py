@@ -26,7 +26,10 @@ def is_monotone(a: RationalMatrix) -> bool:
 def _cone_implies_nonneg(a: RationalMatrix, complement) -> bool:
     """Ax >= 0 and w . x = 0 for every w in `complement` imply x >= 0
     (exact, per coordinate); `complement` spans the orthogonal complement
-    of the subspace x is confined to."""
+    of the subspace x is confined to.  An empty complement means A is
+    nonsingular and x ranges over R^n, which is plain monotonicity."""
+    if not complement:
+        return is_monotone(a)
     n = a.rows
     complement = [integer_row(w)[0] for w in complement]
     for i in range(n):

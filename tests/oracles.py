@@ -9,12 +9,13 @@ from fractions import Fraction
 import sympy
 
 from karalcp.conelcp import dual_membership
-from karalcp.lcp import LcpSolutionSet
+from karalcp.lcp import LcpSolutionSet, _family_solutions
 from karalcp.lp import BOUNDED, UNBOUNDED, LinearSystem, lp_feasible, lp_optimize
 from karalcp.matrix import (
     LinearSolution,
     RationalMatrix,
     RrefResult,
+    is_zero_vec,
     nonempty_subsets,
     rat,
     solve_linear,
@@ -340,6 +341,27 @@ def is_almost_monotone_reference(a: RationalMatrix) -> bool:
     return True
 
 
+# -- range and row monotonicity, one LP per coordinate: the reference for
+# -- the inverse-sign test monotone._cone_implies_nonneg uses when A is
+# -- nonsingular ----------------------------------------------------------------
+
+
+def cone_implies_nonneg_reference(a: RationalMatrix, complement) -> bool:
+    """Ax >= 0 and w . x = 0 for every w in `complement` imply x >= 0: for
+    no i has some such x the coordinate x_i <= -1."""
+    n = a.rows
+    for i in range(n):
+        system = LinearSystem(n)
+        for w in complement:
+            system.eq(w, 0)
+        for r in range(n):
+            system.ge(a.row_vec(r), 0)
+        system.le([Fraction(int(j == i)) for j in range(n)], -1)
+        if lp_feasible(system).is_feasible:
+            return False
+    return True
+
+
 # -- support enumeration that rebuilds every LP: the reference for the one
 # -- support solver of lcp.py, which solves each support's block once --------
 
@@ -507,3 +529,57 @@ def _cone_support_is_degenerate_reference(a: RationalMatrix, q, support) -> bool
         if values[0] != values[1]:
             return True
     return False
+
+
+# -- one Fraction solve per support and q: the reference for the integer
+# -- block factors of lcp.support_solver, built once per matrix ---------------
+
+
+def support_solution_fraction(a: RationalMatrix, q, null, support):
+    """(x, is_family) for one support: the block [[A_SS, -N_S], [N_S^T, 0]]
+    (x_S, w) = (-q_S, 0) solved afresh in Fractions, the sign checks of a
+    unique solution made in Fractions, and an affine family classified by
+    lcp._family_solutions."""
+    zero = Fraction(0)
+    k, d = len(support), len(null)
+    rows = [[a.data[i][j] for j in support] + [-w[i] for w in null] for i in support]
+    rows += [[w[i] for i in support] + [zero] * d for w in null]
+    sol = solve_linear(RationalMatrix(k + d, k + d, rows), [-q[i] for i in support] + [zero] * d)
+    if sol is None:
+        return None, False
+    comp = [i for i in range(a.rows) if i not in support]
+
+    def off_support(i, v):
+        return (sum((a.data[i][j] * v[idx] for idx, j in enumerate(support)), zero)
+                - sum((w[i] * v[k + m] for m, w in enumerate(null)), zero))
+
+    if sol.null_basis:
+        return _family_solutions(a.rows, q, support, sol, comp, off_support)
+    v = sol.particular
+    if any(t < 0 for t in v[:k]) or any(off_support(i, v) + q[i] < 0 for i in comp):
+        return None, False
+    return _expand(v[:k], support, a.rows), False
+
+
+def complementary_solutions_fraction(a: RationalMatrix, q, null, zero_solves) -> LcpSolutionSet:
+    """lcp.complementary_solutions with every support solved afresh."""
+    n = a.rows
+    solutions = {zeros_vec(n)} if zero_solves else set()
+    degenerate = []
+    for support in nonempty_subsets(n):
+        x, is_family = support_solution_fraction(a, q, null, support)
+        if x is None:
+            continue
+        solutions.add(x)
+        if is_family:
+            degenerate.append(support)
+    return LcpSolutionSet(tuple(sorted(solutions)), tuple(degenerate))
+
+
+def first_nonzero_solution_fraction(a: RationalMatrix, q, null):
+    """lcp.first_nonzero_solution with every support solved afresh."""
+    for support in nonempty_subsets(a.rows):
+        x, _ = support_solution_fraction(a, q, null, support)
+        if x is not None and not is_zero_vec(x):
+            return x
+    return None

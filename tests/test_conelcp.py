@@ -22,7 +22,7 @@ from karalcp.errors import (
     ZeroVectorError,
 )
 from karalcp.geninv import group_inverse
-from karalcp.lcp import NO, YES, is_q_matrix
+from karalcp.lcp import NO, YES, first_nonzero_solution, is_q_matrix
 from karalcp.matrix import RationalMatrix, dot, rank, vec
 from conftest import (
     rand_group_invertible,
@@ -308,6 +308,38 @@ class TestKaramardianCascade:
         # rejected even when a cascade rule would settle the matrix first
         with pytest.raises(DimensionMismatchError):
             is_karamardian(BLOCK_Z, candidate_ds=[vec([1, 1, 1, 1])])
+
+    def test_verdict_is_memoized_per_argument_set(self, monkeypatch):
+        """A repeat with the same arguments builds no LP and runs no support
+        scan; other hints are a new argument set, and the argument checks
+        still run first."""
+        from karalcp import conelcp, lp
+
+        built, scans = [], []
+
+        class CountingSimplex(lp._Simplex):
+            def __init__(self, system):
+                built.append(system)
+                super().__init__(system)
+
+        def counting_scan(*args):
+            scans.append(args)
+            return first_nonzero_solution(*args)
+
+        monkeypatch.setattr(lp, "_Simplex", CountingSimplex)
+        monkeypatch.setattr(conelcp, "first_nonzero_solution", counting_scan)
+        a = RationalMatrix.from_rows([[2, 1, 0], [-1, 2, 1], [0, -1, 2]])
+        first = is_karamardian(a, force_candidate_search=True)
+        assert built and scans
+        built.clear()
+        scans.clear()
+        assert is_karamardian(a, force_candidate_search=True) is first
+        assert not built and not scans
+        hinted = is_karamardian(a, candidate_ds=[vec([1, 2, 1])], force_candidate_search=True)
+        assert hinted.status == YES and hinted.witnesses["d"] == vec([1, 2, 1])
+        assert built and scans
+        with pytest.raises(DimensionMismatchError):
+            is_karamardian(a, candidate_ds=[vec([1, 1])], force_candidate_search=True)
 
     def test_search_never_returns_no(self):
         rng = random.Random(7)

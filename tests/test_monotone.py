@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 from karalcp.conelcp import is_karamardian
+from karalcp import lp
 from karalcp.geninv import group_inverse, moore_penrose
 from karalcp.lcp import YES
-from karalcp.matrix import RationalMatrix
+from karalcp.matrix import RationalMatrix, inverse
 from karalcp.monotone import (
     is_almost_monotone,
     is_gi_semimonotone,
@@ -14,7 +15,7 @@ from karalcp.monotone import (
     is_row_monotone,
 )
 from conftest import rand_int_matrix, rand_nonzero_vector
-from oracles import is_almost_monotone_reference
+from oracles import cone_implies_nonneg_reference, is_almost_monotone_reference
 
 
 def ones(n):
@@ -80,6 +81,37 @@ class TestRowMonotone:
             a = rand_int_matrix(rng, 3, 3)
             if is_gi_semimonotone(a):
                 assert is_row_monotone(a)
+
+
+def test_nonsingular_range_and_row_monotonicity_match_per_coordinate_lps(monkeypatch):
+    """For a nonsingular A both properties are monotonicity, decided from the
+    inverse without an LP; the per-coordinate LPs agree on seeded matrices
+    of order 1-5, half of them inverses of nonnegative matrices (so Yes)."""
+    built = []
+
+    class CountingSimplex(lp._Simplex):
+        def __init__(self, system):
+            built.append(system)
+            super().__init__(system)
+
+    rng = random.Random(12)
+    cases = []
+    while len(cases) < 200:
+        n = rng.randint(1, 5)
+        a = rand_int_matrix(rng, n, n, 2)
+        if len(cases) % 2:
+            a = inverse(RationalMatrix.from_rows([[abs(x) for x in row] for row in a.data]))
+        if a is not None and inverse(a) is not None:
+            cases.append(a)
+    monkeypatch.setattr(lp, "_Simplex", CountingSimplex)
+    verdicts = []
+    for a in cases:
+        verdicts.append(is_range_monotone(a))
+        assert is_row_monotone(a) == verdicts[-1]
+    assert not built
+    monkeypatch.undo()
+    assert verdicts == [cone_implies_nonneg_reference(a, ()) for a in cases]
+    assert any(verdicts) and not all(verdicts)
 
 
 class TestGroupAndGiMonotone:

@@ -1,6 +1,7 @@
 """The one complementary-support solver of lcp.py, run as the standard
 and as the cone LCP, against references that rebuild an LP for every
-question (tests/oracles.py).
+question, and against the same scans with every support block solved
+afresh in Fractions (tests/oracles.py).
 
 The standard LCP must agree exactly.  The cone LCP must agree exactly on
 degenerate supports and on isolated solutions, while a family's
@@ -9,20 +10,33 @@ the same family, so they are checked by exact substitution.  The
 early-exit scan `first_nonzero_solution` must find a nonzero solution
 exactly when the full enumeration holds one."""
 
+from fractions import Fraction
+
 from hypothesis import assume, given, seed, settings, strategies as st
 
-from karalcp import lp
+from karalcp import lcp, lp, matrix
 from karalcp.conelcp import (
     cone_lcp_only_zero,
     cone_lcp_solutions,
     dual_membership,
     is_karamardian,
 )
-from karalcp.lcp import first_nonzero_solution, lcp_solutions
-from karalcp.matrix import RationalMatrix, dot, is_zero_vec, rank, subspace_bases, vec
+from karalcp.lcp import complementary_solutions, first_nonzero_solution, lcp_solutions
+from karalcp.matrix import (
+    RationalMatrix,
+    dot,
+    is_zero_vec,
+    nonempty_subsets,
+    rank,
+    subspace_bases,
+    vec,
+)
 from oracles import (
+    complementary_solutions_fraction,
     cone_lcp_solutions_reference,
+    det_fraction,
     first_nonzero_cone_solution_reference,
+    first_nonzero_solution_fraction,
     lcp_solutions_reference,
 )
 
@@ -238,3 +252,97 @@ def test_no_lp_for_the_cone_lcp_of_an_invertible_p_matrix(monkeypatch):
         cone_lcp_only_zero(a, vec([1, 1, 1]))
     assert is_karamardian(a).rule == "P_MATRIX"
     assert not built
+
+
+# -- the integer block factors against a Fraction solve per support and q ----
+
+fraction = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+nonzero_fraction = fraction.filter(bool)
+
+
+@st.composite
+def matrix_with_many_qs(draw):
+    """A matrix of order 1-5 with p/q entries, rank-deficient half the time
+    (its last row a combination of the others), a basis of N(A^T) with each
+    vector scaled by a p/q of either sign, and several q's: zero, >= 0 and
+    of mixed sign."""
+    n = draw(st.integers(1, 5))
+    rows = [[draw(fraction) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        coeffs = [draw(fraction) for _ in range(n - 1)]
+        rows[-1] = [sum((c * rows[i][j] for i, c in enumerate(coeffs)), Fraction(0))
+                    for j in range(n)]
+    a = RationalMatrix(n, n, rows)
+    null = tuple(tuple(draw(nonzero_fraction) * t for t in w)
+                 for w in subspace_bases(a).left_null.basis)
+    nonneg = st.builds(Fraction, st.integers(0, 3), st.sampled_from([1, 2, 3]))
+    qs = [vec([0] * n)] + [tuple(draw(entry) for _ in range(n))
+                           for entry in draw(st.lists(st.sampled_from([nonneg, fraction]),
+                                                      min_size=3, max_size=6))]
+    return a, null, qs
+
+
+def assert_scans_match_fraction_solves(a, null, qs):
+    """Every scan of one matrix object, standard and cone, equals the scan
+    that solves each support's block afresh in Fractions."""
+    for nb in ((), null):
+        for q in qs:
+            zero_solves = all(t >= 0 for t in q)
+            assert (complementary_solutions(a, q, nb, zero_solves)
+                    == complementary_solutions_fraction(a, q, nb, zero_solves))
+            assert first_nonzero_solution(a, q, nb) == first_nonzero_solution_fraction(a, q, nb)
+
+
+@seed(4)
+@settings(max_examples=200, deadline=None)
+@given(matrix_with_many_qs())
+def test_factored_scans_match_fraction_solves(instance):
+    assert_scans_match_fraction_solves(*instance)
+
+
+def _block(a, null, support):
+    k, d = len(support), len(null)
+    rows = [[a.data[i][j] for j in support] + [-w[i] for w in null] for i in support]
+    rows += [[w[i] for i in support] + [Fraction(0)] * d for w in null]
+    return RationalMatrix(k + d, k + d, rows)
+
+
+def test_second_scan_factors_nothing_and_solves_only_singular_blocks(monkeypatch):
+    """A rank-2 order-3 matrix with a singular block in each problem: the
+    first scan factors each nonsingular block, some with a negative den, and
+    a second scan with a new q eliminates no nonsingular block and calls
+    solve_linear once per singular block, standard and cone alike."""
+    a = RationalMatrix.from_rows([["1/2", "1/2", "1/2"], [-1, -2, 1], [0, -1, 2]])
+    null = subspace_bases(a).left_null.basis
+    factor_dens, kernel_calls, solves = [], [], []
+    eliminate, solve_linear = lcp._eliminate, lcp.solve_linear
+
+    def factor(rows, ncols):
+        out = eliminate(rows, ncols)
+        factor_dens.append(out[0])
+        return out
+
+    def kernel(rows, ncols):
+        kernel_calls.append(ncols)
+        return eliminate(rows, ncols)
+
+    def counting_solve(m, b):
+        solves.append(m)
+        return solve_linear(m, b)
+
+    monkeypatch.setattr(lcp, "_eliminate", factor)
+    monkeypatch.setattr(matrix, "_eliminate", kernel)
+    monkeypatch.setattr(lcp, "solve_linear", counting_solve)
+    for nb in ((), null):
+        singular = [s for s in nonempty_subsets(3) if det_fraction(_block(a, nb, s)) == 0]
+        assert 0 < len(singular) < 7
+        complementary_solutions(a, vec([1, -2, "1/3"]), nb, zero_solves=False)
+        assert any(den < 0 for den in factor_dens)
+        factor_dens.clear()
+        kernel_calls.clear()
+        solves.clear()
+        q = vec(["-1/2", 1, -1])
+        got = complementary_solutions(a, q, nb, zero_solves=False)
+        assert not factor_dens
+        assert len(solves) == len(kernel_calls) == len(singular)
+        assert got == complementary_solutions_fraction(a, q, nb, zero_solves=False)
