@@ -29,6 +29,7 @@ from .lcp_classes import (
     is_p_hash,
     is_semimonotone,
     is_semipositive,
+    is_strictly_copositive,
     is_strictly_range_semimonotone,
     is_strictly_semimonotone,
     is_weakly_semipositive,

@@ -31,10 +31,9 @@ from .errors import (
 from .geninv import group_inverse
 from .lcp_classes import (
     ConeRep,
-    CopositivityStatus,
-    copositivity_on_cone,
     is_almost_semimonotone,
     is_semimonotone,
+    is_strictly_copositive,
     is_strictly_semimonotone,
 )
 from .lcp import (
@@ -152,10 +151,7 @@ def _base_polytope_vertices(a: RationalMatrix, bases) -> list[Vector]:
 
 def dual_membership(a: RationalMatrix, y: Sequence) -> bool:
     """y in K* = R^n_+ + N(A^T)."""
-    a.require_square("dual membership")
-    yv = vec(y)
-    if len(yv) != a.rows:
-        raise DimensionMismatchError("vector length must match matrix order")
+    yv = a.square_and_vector(y, "dual membership")
     null = subspace_bases(a).left_null.basis
     if not null:
         return all(t >= 0 for t in yv)
@@ -168,10 +164,7 @@ def dual_membership(a: RationalMatrix, y: Sequence) -> bool:
 def int_dual_membership(a: RationalMatrix, d: Sequence) -> bool:
     """d in int(K*) = int(R^n_+) + N(A^T): max t with d - b >= t e, A^T b = 0
     is positive (or unbounded)."""
-    a.require_square("interior dual membership")
-    dv = vec(d)
-    if len(dv) != a.rows:
-        raise DimensionMismatchError("vector length must match matrix order")
+    dv = a.square_and_vector(d, "interior dual membership")
     null = subspace_bases(a).left_null.basis
     if not null:
         return min(dv) > 0
@@ -188,20 +181,14 @@ def int_dual_membership(a: RationalMatrix, d: Sequence) -> bool:
 
 def cone_lcp_solutions(a: RationalMatrix, q: Sequence) -> LcpSolutionSet:
     """All solutions of the cone LCP: x in K, Ax + q in K*, x^T (Ax+q) = 0."""
-    a.require_square("cone LCP", scan=True)
-    qv = vec(q)
-    if len(qv) != a.rows:
-        raise DimensionMismatchError("q length must match matrix order")
+    qv = a.square_and_vector(q, "cone LCP", scan=True)
     return complementary_solutions(a, qv, subspace_bases(a).left_null.basis,
                                    zero_solves=dual_membership(a, qv))
 
 
 def cone_lcp_only_zero(a: RationalMatrix, q: Sequence) -> bool:
     """True iff the cone LCP has no nonzero solution."""
-    a.require_square("cone LCP", scan=True)
-    qv = vec(q)
-    if len(qv) != a.rows:
-        raise DimensionMismatchError("q length must match matrix order")
+    qv = a.square_and_vector(q, "cone LCP", scan=True)
     return first_nonzero_solution(a, qv, subspace_bases(a).left_null.basis) is None
 
 
@@ -376,10 +363,9 @@ def _karamardian_cascade(a: RationalMatrix, hints: list[Vector], max_candidates:
         minors = minor_class(a)
         if minors.is_p:
             return Verdict(YES, rule=RULE_P_MATRIX)
-        if len(cone.cone.generators) <= ENUMERATION_CAP:
-            cop = copositivity_on_cone(a, cone.cone)
-            if cop.status is CopositivityStatus.STRICTLY_COPOSITIVE:
-                return Verdict(YES, rule=RULE_STRICT_COPOSITIVE_ON_K)
+        if (len(cone.cone.generators) <= ENUMERATION_CAP
+                and is_strictly_copositive(a, cone.cone)):
+            return Verdict(YES, rule=RULE_STRICT_COPOSITIVE_ON_K)
         invertible = rank(a) == n
         if invertible and is_strictly_semimonotone(a):
             return Verdict(YES, rule=RULE_STRICTLY_SEMIMONOTONE)

@@ -31,12 +31,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .errors import DimensionMismatchError, QNotNonnegativeError
-from .lcp_classes import (
-    ConeRep,
-    CopositivityStatus,
-    copositivity_on_cone,
-)
+from .errors import QNotNonnegativeError
+from .lcp_classes import ConeRep, is_strictly_copositive
 from .lp import UNBOUNDED, LinearSystem, lp_feasible, lp_optimize
 from .matrix import (
     RationalMatrix,
@@ -48,7 +44,6 @@ from .matrix import (
     nonempty_subsets,
     rank,
     solve_linear,
-    vec,
     zeros_vec,
 )
 from .minor_classes import minor_class, structural_flags
@@ -98,10 +93,7 @@ class LcpSolutionSet:
 
 def lcp_solutions(a: RationalMatrix, q: Sequence) -> LcpSolutionSet:
     """Every exact solution of x >= 0, y = Ax + q >= 0, x^T y = 0."""
-    a.require_square("LCP", scan=True)
-    qv = vec(q)
-    if len(qv) != a.rows:
-        raise DimensionMismatchError("q length must match matrix order")
+    qv = a.square_and_vector(q, "LCP", scan=True)
     return complementary_solutions(a, qv, (), zero_solves=all(t >= 0 for t in qv))
 
 
@@ -260,12 +252,9 @@ def _family_solutions(n: int, q: Vector, support, sol, comp, off_support):
 
 def lcp_unique_zero(a: RationalMatrix, q: Sequence) -> bool:
     """True iff zero is the only solution (q >= 0 so that zero solves)."""
-    a.require_square("LCP uniqueness", scan=True)
-    qv = vec(q)
+    qv = a.square_and_vector(q, "LCP uniqueness", scan=True)
     if any(t < 0 for t in qv):
         raise QNotNonnegativeError("q must be entrywise nonnegative")
-    if len(qv) != a.rows:
-        raise DimensionMismatchError("q length must match matrix order")
     return first_nonzero_solution(a, qv, ()) is None
 
 
@@ -316,8 +305,7 @@ def is_q_matrix(a: RationalMatrix, seed: int = 0) -> Verdict:
         return Verdict(YES, rule=RULE_P_MATRIX)
     if n_first_category_applies(a):
         return Verdict(YES, rule=RULE_N_FIRST_CATEGORY)
-    cop = copositivity_on_cone(a, ConeRep.nonnegative_orthant(n))
-    if cop.status is CopositivityStatus.STRICTLY_COPOSITIVE:
+    if is_strictly_copositive(a, ConeRep.nonnegative_orthant(n)):
         return Verdict(YES, rule=RULE_STRICTLY_COPOSITIVE)
     if rank(a) == n:
         from .conelcp import is_karamardian

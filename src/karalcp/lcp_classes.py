@@ -6,14 +6,18 @@ slack maximization.  The P# test runs one LP per sign orthant (halved by
 the x -> -x symmetry); strict range semimonotonicity runs one LP per
 nonempty support.
 
-Copositivity over a polyhedral cone with generator matrix G reduces to
-the sign of min over the standard simplex of lambda^T (G^T Q G) lambda.
-That minimum is found exactly by enumerating KKT supports: on the face
-with support T the stationary points satisfy M_TT lambda = nu * e with
-e^T lambda = 1, the quadratic is constant (= nu) on each face's
-stationary set, and the global minimizer is stationary on the relative
-interior of its own support face, so the minimum over all supports'
-feasible stationary values is the true minimum.
+Copositivity over a polyhedral cone with generators V is the sign of the
+minimum of lambda^T G lambda over the standard simplex, for the symmetric
+G = V^T ((Q + Q^T)/2) V.  The minimum is taken at a KKT point, G lambda =
+v e + mu with mu >= 0 and mu^T lambda = 0, whose value is v.  Scaled by
+1/|v|, such a point is a nonzero solution of LCP(G, e), LCP(G, 0) or
+LCP(G, -e) as v < 0, v = 0 or v > 0, and a solution x of LCP(G, e) or
+LCP(G, -e) is one of value -1/e^T x or 1/e^T x; as G is symmetric, e^T x
+is the same for every solution on one support.  So G is strictly
+copositive iff LCP(G, e) and LCP(G, 0) have only the zero solution, and
+not copositive iff LCP(G, e) has a nonzero solution (Cottle, Pang &
+Stone, The Linear Complementarity Problem, 1992); lcp.py's support scans
+answer both.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import EmptyConeError, TooLargeError
 from .matrix import (
@@ -34,7 +37,6 @@ from .matrix import (
     integer_rows,
     is_zero_vec,
     nonempty_subsets,
-    solve_linear,
     subspace_bases,
 )
 from .lp import LinearSystem, lp_feasible
@@ -58,22 +60,24 @@ def is_weakly_semipositive(a: RationalMatrix) -> bool:
 
 def _semipositive(a: RationalMatrix, rows: tuple[int, ...], cols: tuple[int, ...],
                   strict: bool) -> bool:
-    """(Weak) semipositivity of the submatrix A[rows, cols], memoized per
-    index pair in a._cache, as the principal scans below revisit them."""
+    """(Weak) semipositivity of the submatrix A[rows, cols], memoized in
+    a._cache per restricted system, as the principal scans below revisit
+    it (and distinct supports can restrict alike)."""
+    int_rows = integer_rows(a)
+    k = len(cols)
+    restricted = tuple((tuple(int_rows[i][0][j] for j in cols), int_rows[i][1] if strict else 0)
+                       for i in rows)
     memo = a._cache.setdefault("semipositive", {})
-    key = (rows, cols, strict)
+    key = (k, strict, restricted)
     if key not in memo:
-        k = len(cols)
         system = LinearSystem(k, nonneg=True)
         if strict:
             for j in range(k):
                 system.ge([int(i == j) for i in range(k)], 1)
         else:
             system.eq([1] * k, 1)
-        int_rows = integer_rows(a)
-        for i in rows:
-            ints, mult = int_rows[i]
-            system.ge([ints[j] for j in cols], mult if strict else 0)
+        for coeffs, rhs in restricted:
+            system.ge(coeffs, rhs)
         memo[key] = lp_feasible(system).is_feasible
     return memo[key]
 
@@ -187,10 +191,40 @@ class CopositivityResult:
 def copositivity_on_cone(q: RationalMatrix, cone: ConeRep) -> CopositivityResult:
     """Exact sign of min x^T Q x over the cone's simplex base.
 
-    Uses the symmetrized form (Q + Q^T)/2.  The witness (when the minimum
-    is <= 0) is the base point of the lexicographically first support
-    attaining the minimum, mapped back to ambient coordinates.
+    Uses the symmetrized form (Q + Q^T)/2.  When the minimum is < 0 the
+    witness is the base point of the solution of LCP(G, e) with the least
+    e^T x (the first of them in sorted order); when it is 0, the base point
+    of the first nonzero solution of LCP(G, 0).
     """
+    from .lcp import complementary_solutions, first_nonzero_solution
+
+    gram = _gram(q, cone)
+    m = gram.rows
+    below = complementary_solutions(gram, (_ONE,) * m, (), zero_solves=False).solutions
+    if below:
+        x = min(below, key=sum)
+        return CopositivityResult(CopositivityStatus.NOT_COPOSITIVE, -1 / sum(x),
+                                  _combine(cone, x))
+    x = first_nonzero_solution(gram, (_ZERO,) * m, ())
+    if x is not None:
+        return CopositivityResult(CopositivityStatus.COPOSITIVE_ONLY, _ZERO, _combine(cone, x))
+    above = complementary_solutions(gram, (-_ONE,) * m, (), zero_solves=False).solutions
+    return CopositivityResult(CopositivityStatus.STRICTLY_COPOSITIVE, 1 / max(map(sum, above)))
+
+
+def is_strictly_copositive(q: RationalMatrix, cone: ConeRep) -> bool:
+    """x^T Q x > 0 for every nonzero x in the cone: LCP(G, e) and LCP(G, 0)
+    have only the zero solution."""
+    from .lcp import first_nonzero_solution
+
+    gram = _gram(q, cone)
+    m = gram.rows
+    return all(first_nonzero_solution(gram, rhs, ()) is None
+               for rhs in ((_ONE,) * m, (_ZERO,) * m))
+
+
+def _gram(q: RationalMatrix, cone: ConeRep) -> RationalMatrix:
+    """G = V^T ((Q + Q^T)/2) V for the cone's generators V."""
     q.require_square("copositivity")
     gens = cone.generators
     if not gens:
@@ -199,72 +233,13 @@ def copositivity_on_cone(q: RationalMatrix, cone: ConeRep) -> CopositivityResult
         raise TooLargeError(f"{len(gens)} generators exceed cap {ENUMERATION_CAP}")
     if any(is_zero_vec(g) for g in gens):
         raise EmptyConeError("zero vector is not a valid generator")
-    qhat = q + q.transpose()  # factor 2 is sign-irrelevant and kept exact below
-    m = len(gens)
+    qhat = q + q.transpose()
     qg = [qhat.mul_vec(g) for g in gens]
-    gram = [[dot(gens[i], qg[j]) / 2 for j in range(m)] for i in range(m)]
-
-    best: Fraction | None = None
-    best_lambda: tuple[int, ...] | None = None
-    best_weights: Vector | None = None
-    for support in nonempty_subsets(m):
-        sol = _face_stationary_value(gram, support)
-        if sol is None:
-            continue
-        value, weights = sol
-        if best is None or value < best:
-            best = value
-            best_lambda = support
-            best_weights = weights
-    assert best is not None  # singleton supports always produce values
-    if best > 0:
-        return CopositivityResult(CopositivityStatus.STRICTLY_COPOSITIVE, best)
-    witness = _combine(gens, best_lambda, best_weights, cone.ambient_dim)
-    status = (CopositivityStatus.COPOSITIVE_ONLY if best == 0
-              else CopositivityStatus.NOT_COPOSITIVE)
-    return CopositivityResult(status, best, witness)
+    return RationalMatrix(len(gens), len(gens), [[dot(g, h) / 2 for h in qg] for g in gens])
 
 
-def _face_stationary_value(gram: list[list[Fraction]], support: tuple[int, ...]):
-    """Feasible stationary value of the quadratic on one simplex face.
-
-    Solves M_TT lambda = nu e, sum lambda = 1 with lambda >= 0; the value
-    of the quadratic there is nu.  Returns (nu, lambda) or None.
-    """
-    k = len(support)
-    if k == 1:
-        i = support[0]
-        return gram[i][i], (Fraction(1),)
-    rows = [[gram[i][j] for j in support] + [Fraction(-1)] for i in support]
-    rows.append([Fraction(1)] * k + [Fraction(0)])
-    system_m = RationalMatrix(k + 1, k + 1, rows)
-    rhs = [Fraction(0)] * k + [Fraction(1)]
-    sol = solve_linear(system_m, rhs)
-    if sol is None:
-        return None
-    if not sol.null_basis:
-        lam = sol.particular[:k]
-        if any(x < 0 for x in lam):
-            return None
-        return sol.particular[k], tuple(lam)
-    # Degenerate face: pick any feasible stationary point by LP; the value
-    # is constant on the stationary set.
-    lp = LinearSystem(k + 1, nonneg=[True] * k + [False])
-    for i in range(k):
-        lp.eq(rows[i], 0)
-    lp.eq([Fraction(1)] * k + [Fraction(0)], 1)
-    out = lp_feasible(lp)
-    if not out.is_feasible:
-        return None
-    return out.witness[k], tuple(out.witness[:k])
-
-
-def _combine(gens: Sequence[Vector], support: tuple[int, ...],
-             weights: Vector, n: int) -> Vector:
-    out = [_ZERO] * n
-    for idx, w in zip(support, weights):
-        if w:
-            g = gens[idx]
-            for i in range(n):
-                out[i] += w * g[i]
-    return tuple(out)
+def _combine(cone: ConeRep, x: Vector) -> Vector:
+    """The point sum_i lambda_i g_i of the cone for lambda = x / e^T x."""
+    total = sum(x)
+    return tuple(sum((w * g[i] for w, g in zip(x, cone.generators) if w), _ZERO) / total
+                 for i in range(cone.ambient_dim))

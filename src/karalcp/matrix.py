@@ -146,6 +146,16 @@ class RationalMatrix:
         if scan and self.rows > ENUMERATION_CAP:
             raise TooLargeError(f"{what}: order {self.rows} exceeds cap {ENUMERATION_CAP}")
 
+    def square_and_vector(self, v: Iterable, what: str, scan: bool = False) -> Vector:
+        """require_square(what, scan), then v as a Vector, with
+        DimensionMismatchError unless its length is the matrix order."""
+        self.require_square(what, scan)
+        out = vec(v)
+        if len(out) != self.rows:
+            raise DimensionMismatchError(
+                f"{what}: vector length {len(out)} does not match matrix order {self.rows}")
+        return out
+
     def row_vec(self, i: int) -> Vector:
         return tuple(self.data[i])
 

@@ -10,11 +10,13 @@ import sympy
 
 from karalcp.conelcp import dual_membership
 from karalcp.lcp import LcpSolutionSet, _family_solutions
+from karalcp.lcp_classes import ConeRep, CopositivityResult, CopositivityStatus
 from karalcp.lp import BOUNDED, UNBOUNDED, LinearSystem, lp_feasible, lp_optimize
 from karalcp.matrix import (
     LinearSolution,
     RationalMatrix,
     RrefResult,
+    dot,
     is_zero_vec,
     nonempty_subsets,
     rat,
@@ -583,3 +585,83 @@ def first_nonzero_solution_fraction(a: RationalMatrix, q, null):
         if x is not None and not is_zero_vec(x):
             return x
     return None
+
+
+# -- copositivity by KKT face enumeration: the reference for the LCP scans
+# -- of lcp_classes.copositivity_on_cone and is_strictly_copositive ----------
+
+
+def copositivity_kkt_reference(q: RationalMatrix, cone: ConeRep) -> CopositivityResult:
+    """Exact sign of min x^T Q x over the cone's simplex base, from the
+    stationary points of the symmetrized form on every face of the simplex.
+
+    On the face with support T the stationary points satisfy M_TT lambda =
+    nu * e with e^T lambda = 1, the quadratic is constant (= nu) on each
+    face's stationary set, and the global minimizer is stationary on the
+    relative interior of its own support face, so the minimum over all
+    supports' feasible stationary values is the true minimum.  The witness
+    (when the minimum is <= 0) is the base point of the lexicographically
+    first support attaining the minimum, mapped back to ambient coordinates.
+    """
+    gens = cone.generators
+    qhat = q + q.transpose()  # factor 2 is sign-irrelevant and kept exact below
+    m = len(gens)
+    qg = [qhat.mul_vec(g) for g in gens]
+    gram = [[dot(gens[i], qg[j]) / 2 for j in range(m)] for i in range(m)]
+
+    best: Fraction | None = None
+    best_lambda: tuple[int, ...] | None = None
+    best_weights = None
+    for support in nonempty_subsets(m):
+        sol = _face_stationary_value(gram, support)
+        if sol is None:
+            continue
+        value, weights = sol
+        if best is None or value < best:
+            best = value
+            best_lambda = support
+            best_weights = weights
+    assert best is not None  # singleton supports always produce values
+    if best > 0:
+        return CopositivityResult(CopositivityStatus.STRICTLY_COPOSITIVE, best)
+    witness = [Fraction(0)] * cone.ambient_dim
+    for idx, w in zip(best_lambda, best_weights):
+        for i in range(cone.ambient_dim):
+            witness[i] += w * gens[idx][i]
+    status = (CopositivityStatus.COPOSITIVE_ONLY if best == 0
+              else CopositivityStatus.NOT_COPOSITIVE)
+    return CopositivityResult(status, best, tuple(witness))
+
+
+def _face_stationary_value(gram: list[list[Fraction]], support: tuple[int, ...]):
+    """Feasible stationary value of the quadratic on one simplex face.
+
+    Solves M_TT lambda = nu e, sum lambda = 1 with lambda >= 0; the value
+    of the quadratic there is nu.  Returns (nu, lambda) or None.
+    """
+    k = len(support)
+    if k == 1:
+        i = support[0]
+        return gram[i][i], (Fraction(1),)
+    rows = [[gram[i][j] for j in support] + [Fraction(-1)] for i in support]
+    rows.append([Fraction(1)] * k + [Fraction(0)])
+    system_m = RationalMatrix(k + 1, k + 1, rows)
+    rhs = [Fraction(0)] * k + [Fraction(1)]
+    sol = solve_linear(system_m, rhs)
+    if sol is None:
+        return None
+    if not sol.null_basis:
+        lam = sol.particular[:k]
+        if any(x < 0 for x in lam):
+            return None
+        return sol.particular[k], tuple(lam)
+    # Degenerate face: pick any feasible stationary point by LP; the value
+    # is constant on the stationary set.
+    lp = LinearSystem(k + 1, nonneg=[True] * k + [False])
+    for i in range(k):
+        lp.eq(rows[i], 0)
+    lp.eq([Fraction(1)] * k + [Fraction(0)], 1)
+    out = lp_feasible(lp)
+    if not out.is_feasible:
+        return None
+    return out.witness[k], tuple(out.witness[:k])

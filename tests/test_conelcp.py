@@ -341,6 +341,27 @@ class TestKaramardianCascade:
         with pytest.raises(DimensionMismatchError):
             is_karamardian(a, candidate_ds=[vec([1, 1])], force_candidate_search=True)
 
+    def test_never_enumerates_every_support(self, monkeypatch):
+        """Strict copositivity on K is a yes/no question, so the cascade asks
+        it by the early-exit scans and never lists every solution."""
+        from karalcp import conelcp, lcp
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("is_karamardian enumerated every support")
+
+        monkeypatch.setattr(lcp, "complementary_solutions", refuse)
+        monkeypatch.setattr(conelcp, "complementary_solutions", refuse)
+        rng = random.Random(5)
+        rules = set()
+        for trial in range(60):
+            n = rng.randint(3, 4)
+            if trial % 2:
+                a = rand_int_matrix(rng, n, n - 1) @ rand_int_matrix(rng, n - 1, n)
+            else:
+                a = rand_int_matrix(rng, n, n)
+            rules.add(is_karamardian(a).rule)
+        assert "STRICT_COPOSITIVE_ON_K" in rules
+
     def test_search_never_returns_no(self):
         rng = random.Random(7)
         for _ in range(60):

@@ -4,7 +4,18 @@ from fractions import Fraction
 import pytest
 
 from karalcp import lcp
-from karalcp.errors import DimensionMismatchError, QNotNonnegativeError, TooLargeError
+from karalcp.conelcp import (
+    cone_lcp_only_zero,
+    cone_lcp_solutions,
+    dual_membership,
+    int_dual_membership,
+)
+from karalcp.errors import (
+    DimensionMismatchError,
+    NonSquareError,
+    QNotNonnegativeError,
+    TooLargeError,
+)
 from karalcp.lcp import (
     NO,
     UNKNOWN,
@@ -114,6 +125,26 @@ class TestLcpUniqueZero:
     def test_cap(self):
         with pytest.raises(TooLargeError, match="order 13 exceeds cap 12"):
             lcp_unique_zero(RationalMatrix.identity(13), vec([0] * 13))
+
+    def test_length_is_checked_before_the_sign(self):
+        with pytest.raises(DimensionMismatchError):
+            lcp_unique_zero(RationalMatrix.identity(2), vec([-1, 0, 0]))
+
+
+@pytest.mark.parametrize("entry, scans", [
+    (lcp_solutions, True), (lcp_unique_zero, True), (cone_lcp_solutions, True),
+    (cone_lcp_only_zero, True), (dual_membership, False), (int_dual_membership, False)])
+def test_entry_points_check_matrix_and_vector(entry, scans):
+    """Every LCP and dual entry point wants a square matrix and a vector of
+    its order, and the support scans an order within the enumeration cap."""
+    with pytest.raises(NonSquareError):
+        entry(RationalMatrix.from_rows([[1, 0, 0], [0, 1, 0]]), vec([1, 1]))
+    with pytest.raises(DimensionMismatchError, match="length 3 does not match matrix order 2"):
+        entry(RationalMatrix.identity(2), vec([1, 1, 1]))
+    assert entry(RationalMatrix.identity(2), ["1", Fraction(1, 2)]) is not None
+    if scans:
+        with pytest.raises(TooLargeError):
+            entry(RationalMatrix.identity(13), vec([1] * 13))
 
 
 class TestQMatrix:

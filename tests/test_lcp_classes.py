@@ -15,13 +15,16 @@ from karalcp.lcp_classes import (
     is_p_hash,
     is_semimonotone,
     is_semipositive,
+    is_strictly_copositive,
     is_strictly_range_semimonotone,
     is_strictly_semimonotone,
     is_weakly_semipositive,
 )
+from karalcp.lp import LinearSystem, lp_feasible
 from karalcp.matrix import RationalMatrix, inverse, rank
 from karalcp.minor_classes import has_property_c, minor_class
 from karalcp.monotone import is_range_monotone
+from oracles import copositivity_kkt_reference
 from conftest import (
     rand_group_invertible,
     rand_int_matrix,
@@ -76,7 +79,9 @@ class TestSemimonotone:
 
     def test_each_principal_lp_runs_once_per_matrix(self, monkeypatch):
         # A positive 4x4 passes every test, so each scan visits all 15
-        # supports: 15 weak and 15 strict LPs in all, and a repeat is free.
+        # supports.  Supports that restrict to the same system share one LP:
+        # {0} and {1} (equal diagonals), {2} and {3}, and {0, 2} and {1, 3}.
+        # That leaves 12 weak and 12 strict LPs, and a repeat is free.
         calls = []
         real = lcp_classes.lp_feasible
         monkeypatch.setattr(lcp_classes, "lp_feasible", lambda s: calls.append(s) or real(s))
@@ -84,11 +89,11 @@ class TestSemimonotone:
         for _ in range(2):
             assert is_semimonotone(a) and not is_almost_semimonotone(a)
             assert is_strictly_semimonotone(a)
-            assert len(calls) == 30
+            assert len(calls) == 24
         # the memo lives on the matrix: a fresh copy solves them again
         fresh = RationalMatrix.from_rows(a.data)
         assert is_semimonotone(fresh) and is_strictly_semimonotone(fresh)
-        assert len(calls) == 60
+        assert len(calls) == 48
 
     def test_p_matrices_are_strictly_semimonotone(self):
         rng = random.Random(1)
@@ -265,3 +270,41 @@ class TestCopositivity:
             ra = copositivity_on_cone(a, ConeRep.nonnegative_orthant(3))
             rs = copositivity_on_cone(sym, ConeRep.nonnegative_orthant(3))
             assert ra.status is rs.status and ra.minimum == rs.minimum
+
+    def test_lcp_scans_match_kkt_face_enumeration(self):
+        """Seeded asymmetric Q on orthants and on the cones K of square and
+        rank-deficient matrices: status and minimum equal the KKT oracle's,
+        the strictness predicate agrees, and each witness is a base point of
+        the cone (a convex combination of its generators) where x^T Q x is
+        the minimum."""
+        rng = random.Random(21)
+        seen = set()
+        for trial in range(300):
+            n = rng.randint(1, 5)
+            if trial % 3 == 2:
+                r = rng.randint(1, n)
+                a = rand_int_matrix(rng, n, r) @ rand_int_matrix(rng, r, n)
+            else:
+                a = rand_int_matrix(rng, n, n)
+            cone = ConeRep.nonnegative_orthant(n) if trial % 3 == 0 else cone_K(a).cone
+            if not cone.generators:
+                continue
+            q = a if trial % 2 else rand_int_matrix(rng, n, n)
+            got = copositivity_on_cone(q, cone)
+            want = copositivity_kkt_reference(q, cone)
+            assert (got.status, got.minimum) == (want.status, want.minimum), (q, cone)
+            strict = got.status is CopositivityStatus.STRICTLY_COPOSITIVE
+            assert is_strictly_copositive(q, cone) == strict
+            seen.add(got.status)
+            if strict:
+                assert got.witness is None
+                continue
+            x = got.witness
+            assert sum(x[i] * q.data[i][j] * x[j] for i in range(n) for j in range(n)) \
+                == got.minimum
+            m = len(cone.generators)
+            base = LinearSystem(m, nonneg=True).eq([1] * m, 1)
+            for i in range(n):
+                base.eq([g[i] for g in cone.generators], x[i])
+            assert lp_feasible(base).is_feasible
+        assert seen == set(CopositivityStatus)
