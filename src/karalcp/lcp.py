@@ -8,15 +8,20 @@ complementarity x^T y = 0 becomes x_i u_i = 0 for every i.  So the cone
 LCP is the mixed LCP of the bordered matrix [[A, -N], [N^T, 0]] with w
 free, and the standard LCP is its case N empty.  For each support S the
 square block [[A_SS, -N_S], [N_S^T, 0]] (x_S, w) = (-q_S, 0) is solved
-exactly; a nonsingular block, factored once per matrix in integers, gives
-at most one candidate per q, a singular but consistent block gives an
-affine family that is intersected with the sign constraints by one LP and
-classified as empty, a point, or a positive-dimensional family in x
-(flagged degenerate with one representative).  `complementary_solutions`
-visits every support; `first_nonzero_solution` stops at the first nonzero
-solution, which answers both yes/no questions asked here: is zero the only
-solution (q >= 0), and is there any (q with a negative entry, so none is
-zero)?
+exactly.  A nonsingular block gives at most one candidate per q, from the
+signed det and adj of its integer block, kept in one table per matrix and
+null basis.  The table is built by a bordering walk over the scan's
+(size, lex) order: each block is its parent's (S minus its last index,
+visited first) bordered by one row and column, in O(|S|^2) integer
+operations.  A block with |S| < dim N is singular by shape, and a block
+whose parent is singular is eliminated directly.  A singular but
+consistent block gives an affine family that is intersected with the
+sign constraints by one LP and classified as empty, a point, or a
+positive-dimensional family in x (flagged degenerate with one
+representative).  `complementary_solutions` visits every support;
+`first_nonzero_solution` stops at the first nonzero solution, which
+answers both yes/no questions asked here: is zero the only solution
+(q >= 0), and is there any (q with a negative entry, so none is zero)?
 
 Q-matrix membership is only semi-decidable at desk scale, so the verdict
 type carries its epistemic state: Yes and No come with re-checkable
@@ -29,7 +34,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import QNotNonnegativeError
 from .lcp_classes import ConeRep, is_strictly_copositive
@@ -134,77 +139,167 @@ def support_solver(a: RationalMatrix, q: Vector, null: Sequence[Vector]):
     x = 0 off S are more than one point.
 
     S solves the square block [[A_SS, -N_S], [N_S^T, 0]] (x_S, w) = (-q_S, 0)
-    in x_S and the free w, one per vector of `null`.  A nonsingular block is
-    factored once per matrix and null basis (`_block_factor`), so a q costs
-    integer products and sign checks, and Fractions only for a returned
-    solution.  A singular block is solved in Fractions and its affine
-    family goes to `_family_solutions`.
+    in x_S and the free w, one per vector of `null`.  The block's signed
+    det and adj come from the per-matrix table (`_block_entry`), so a q
+    costs integer products and sign checks, and Fractions only for a
+    returned solution: with q = Q / qden and m_i the multiplier of row i,
+    v = adj (-sign(det) m_S Q_S) is |det| qden (x_S, w), and for i off S
+    the bordered row i times v, plus |det| m_i Q_i, is
+    (Ax - Nw + q)_i m_i |det| qden.  A singular block is solved in
+    Fractions and its affine family goes to `_family_solutions`.
     """
-    key = ("supports", tuple(null))
-    cached = a._cache.get(key)
-    if cached is None:
-        cached = a._cache[key] = (integer_rows(a), [integer_row(w)[0] for w in null], {})
-    rows, null_ints, factors = cached
+    table = _block_table(a, null)
+    n = a.rows
     qn, qden = integer_row(q)
+    mq = [mult * t for mult, t in zip(table.mults, qn)]
+    folded = ([-t for t in mq], mq)  # -sign(det) m_i Q_i for det > 0, det < 0
 
     def solve(support):
-        if support not in factors:
-            factors[support] = _block_factor(rows, null_ints, support)
-        factor = factors[support]
-        if factor is None:
-            return _singular_support(a, q, null, support)
-        den, inv, residuals = factor
-        qs = [qn[i] for i in support]
-        v = [sum(map(mul, row, qs)) for row in inv]
-        x_s = v[:len(support)]
-        if min(x_s) < 0 or any(sum(map(mul, r, v)) + c * qn[i] < 0 for r, c, i in residuals):
+        entry = _block_entry(table, support)
+        if entry is None:
+            return _singular_support(a, q, null, support, table)
+        det, adj = entry
+        signed = folded[det < 0]
+        qs = [signed[i] for i in support]
+        v = [sum(map(mul, row, qs)) for row in adj]
+        k = len(support)
+        if min(v[:k]) < 0:
             return None, False
-        return _expand([Fraction(t, den * qden) for t in x_s], support, a.rows), False
+        scale = abs(det)
+        block_v = _scatter(v, support, n)
+        if any(sum(map(mul, table.bordered[i], block_v)) + scale * mq[i] < 0
+               for i in range(n) if i not in support):
+            return None, False
+        return _expand([Fraction(t, scale * qden) for t in v[:k]], support, n), False
 
     return solve
 
 
-def _block_factor(rows, null_ints, support):
-    """(den, inv, residuals) for S's block B_S with row i of A scaled by its
-    multiplier m_i and each null vector to integers (a positive rescale of
-    w, so x is unchanged), or None when B_S is singular.  One elimination of
-    [B_S | I] gives den B_S^-1, kept as `inv` on the columns of the support
-    rows times -m_i and with den made positive: for q = Q / qden, v = inv Q_S
-    is (x_S, w) den qden, and for each (r_i, m_i den, i) in residuals, one
-    per i off S, r_i . v + m_i den Q_i is (Ax - Nw + q)_i m_i den qden."""
-    k, size = len(support), len(support) + len(null_ints)
-    block_row = [[ints[j] for j in support] + [-mult * w[i] for w in null_ints]
-                 for i, (ints, mult) in enumerate(rows)]
-    aug = [block_row[i] + [int(r == c) for c in range(k)] for r, i in enumerate(support)]
-    aug += [[w[i] for i in support] + [0] * size for w in null_ints]
-    den, pivots, _ = _eliminate(aug, size)
+class _BlockTable(NamedTuple):
+    """The principal blocks of one matrix and null basis.
+
+    `bordered` holds the rows of the integer matrix [[mA, -mN], [N^T, 0]]:
+    row i of A scaled by its multiplier m_i (in `mults`, from
+    integer_rows), and each null vector scaled to integers by its
+    multiplier in `null_mults` (a positive rescale of w, so x is
+    unchanged).  `blocks` maps each support built so far to its block's
+    (det, adj), or None when the block is singular."""
+
+    mults: list
+    null_mults: list
+    bordered: list
+    blocks: dict
+
+
+def _block_table(a: RationalMatrix, null: Sequence[Vector]) -> _BlockTable:
+    """The block table of a and null, cached in a._cache."""
+    key = ("supports", tuple(null))
+    table = a._cache.get(key)
+    if table is None:
+        rows = integer_rows(a)
+        scaled = [integer_row(w) for w in null]
+        bordered = [ints + [-mult * w[i] for w, _ in scaled] for i, (ints, mult) in enumerate(rows)]
+        bordered += [w + [0] * len(null) for w, _ in scaled]
+        # the empty support's block is the d x d zero corner, with det 1 at d = 0
+        blocks = {(): None if null else (1, [])}
+        table = a._cache[key] = _BlockTable([m for _, m in rows], [c for _, c in scaled],
+                                            bordered, blocks)
+    return table
+
+
+def _block_entry(table: _BlockTable, support):
+    """(det, adj) of S's block, the principal submatrix of the bordered
+    matrix on S and the border, or None when it is singular.
+
+    Built once per support by bordering the entry of its parent, S minus
+    its last index, which (size, lex) order visits first (`_border`).  A
+    block with fewer indices in S than null vectors is singular by shape:
+    its zero corner leaves the border rows rank at most |S|.  A singular
+    parent leaves one direct elimination of the block (`_factor`)."""
+    if support in table.blocks:
+        return table.blocks[support]
+    d = len(table.null_mults)
+    if len(support) < d:
+        return None
+    parent = _block_entry(table, support[:-1])
+    n = len(table.mults)
+    idx = list(support) + list(range(n, n + d))
+    if parent is None:
+        entry = _factor(table.bordered, idx)
+    else:
+        entry = _border(table.bordered, parent, idx, len(support) - 1)
+    table.blocks[support] = entry
+    return entry
+
+
+def _border(bordered, parent, idx, p):
+    """(det, adj) of the principal block of `bordered` on idx, from the
+    parent's (d_P, X = adj B_P) on idx without its position p, or None when
+    det = 0.  With b, c and e the new column, row and diagonal entry,
+    det = d_P e - c X b and adj = [[(det X + (Xb)(cX)) / d_P, -Xb],
+    [-cX, d_P]], every division exact (Bareiss, Math. Comp. 22, 1968); the
+    new row and column then move to position p."""
+    d_p, x = parent
+    new = idx[p]
+    rest = idx[:p] + idx[p + 1:]
+    b = [bordered[r][new] for r in rest]
+    c = [bordered[new][r] for r in rest]
+    xb = [sum(map(mul, row, b)) for row in x]
+    cx = [sum(map(mul, c, col)) for col in zip(*x)]
+    det = d_p * bordered[new][new] - sum(map(mul, c, xb))
+    if not det:
+        return None
+    adj = [[(det * t + s * u) // d_p for t, u in zip(row, cx)] for row, s in zip(x, xb)]
+    for row, s in zip(adj, xb):
+        row.insert(p, -s)
+    adj.insert(p, [-u for u in cx])
+    adj[p].insert(p, d_p)
+    return det, adj
+
+
+def _factor(bordered, idx):
+    """(det, adj) of the principal block of `bordered` on idx by one
+    elimination of [B | I], or None when B is singular: the right half
+    ends as den B^-1, and sign den is det."""
+    size = len(idx)
+    aug = [[bordered[r][c] for c in idx] + [int(r == c) for c in idx] for r in idx]
+    den, pivots, sign = _eliminate(aug, size)
     if len(pivots) < size:
         return None
-    sign = 1 if den > 0 else -1
-    col_scale = [-sign * rows[i][1] for i in support]
-    inv = [[t * f for t, f in zip(row[size:], col_scale)] for row in aug]
-    residuals = [(block_row[i], rows[i][1] * sign * den, i)
-                 for i in range(len(rows)) if i not in support]
-    return sign * den, inv, residuals
+    return sign * den, [[sign * t for t in row[size:]] for row in aug]
 
 
-def _singular_support(a: RationalMatrix, q: Vector, null: Sequence[Vector], support):
+def _scatter(v, support, n: int) -> list:
+    """The block vector v = (x_S, w) on the bordered matrix's columns:
+    x_S at S, zero elsewhere among the first n, then w."""
+    out = [0] * n + v[len(support):]
+    for t, i in zip(v, support):
+        out[i] = t
+    return out
+
+
+def _singular_support(a: RationalMatrix, q: Vector, null: Sequence[Vector], support,
+                      table: _BlockTable):
     """`support_solver` on a singular block: one Fraction solve, and the
     affine family of solutions, if any, classified by `_family_solutions`."""
-    k, d = len(support), len(null)
+    k, d, n = len(support), len(null), a.rows
     rows = [[a.data[i][j] for j in support] + [-w[i] for w in null] for i in support]
     rows += [[w[i] for i in support] + [_ZERO] * d for w in null]
     sol = solve_linear(RationalMatrix(k + d, k + d, rows), [-q[i] for i in support] + [_ZERO] * d)
     if sol is None:
         return None, False
-    comp = [i for i in range(a.rows) if i not in support]
+    comp = [i for i in range(n) if i not in support]
 
-    def off_support(i: int, v: Vector) -> Fraction:
-        """(Ax - Nw)_i for the block vector v = (x_S, w)."""
-        return (sum((a.data[i][j] * v[idx] for idx, j in enumerate(support)), _ZERO)
-                - sum((w[i] * v[k + m] for m, w in enumerate(null)), _ZERO))
+    def off_support(v: Vector) -> list[Fraction]:
+        """(Ax - Nw)_i for each i off S and the block vector v = (x_S, w),
+        each one integer dot product with a bordered row: scaling each
+        null vector by its multiplier divides its w by it."""
+        ints, den = integer_row(list(v[:k]) + [t / c for t, c in zip(v[k:], table.null_mults)])
+        block_v = _scatter(ints, support, n)
+        return [Fraction(sum(map(mul, table.bordered[i], block_v)), table.mults[i] * den)
+                for i in comp]
 
-    return _family_solutions(a.rows, q, support, sol, comp, off_support)
+    return _family_solutions(n, q, support, sol, comp, off_support)
 
 
 def _expand(x_s: Sequence[Fraction], support, n: int) -> Vector:
@@ -217,15 +312,16 @@ def _expand(x_s: Sequence[Fraction], support, n: int) -> Vector:
 def _family_solutions(n: int, q: Vector, support, sol, comp, off_support):
     """Classify an affine family of block solutions, v = particular + sum
     t_j basis_j, against the sign constraints: returns (representative |
-    None, positive_dimensional), where only x_S counts towards dimension."""
+    None, positive_dimensional), where only x_S counts towards dimension.
+    off_support(v) gives (Ax - Nw)_i for each i in comp."""
     k = len(support)
     coords = [[nb[idx] for nb in sol.null_basis] for idx in range(k)]
     system = LinearSystem(len(sol.null_basis))
     for idx in range(k):
         system.ge(coords[idx], -sol.particular[idx])
-    for i in comp:
-        coeffs = [off_support(i, nb) for nb in sol.null_basis]
-        system.ge(coeffs, -q[i] - off_support(i, sol.particular))
+    columns = [off_support(nb) for nb in sol.null_basis]
+    for idx, (i, fixed) in enumerate(zip(comp, off_support(sol.particular))):
+        system.ge([col[idx] for col in columns], -q[i] - fixed)
     out = lp_feasible(system)
     if not out.is_feasible:
         return None, False

@@ -146,15 +146,21 @@ def is_strictly_range_semimonotone(a: RationalMatrix) -> bool:
     n = a.rows
     left_null = [integer_row(w)[0] for w in subspace_bases(a).left_null.basis]
     rows_a = [ints for ints, _ in integer_rows(a)]
+    memo = a._cache.setdefault("range_semimonotone", {})
     for support in nonempty_subsets(n):
-        k = len(support)
-        system = LinearSystem(k, nonneg=True)
-        for w in left_null:
-            system.eq([w[j] for j in support], 0)
-        system.eq([1] * k, 1)
-        for i in support:
-            system.ge([-rows_a[i][j] for j in support], 0)
-        if lp_feasible(system).is_feasible:
+        # distinct supports can restrict to the same system: key on it
+        key = (tuple(tuple(w[j] for j in support) for w in left_null),
+               tuple(tuple(rows_a[i][j] for j in support) for i in support))
+        if key not in memo:
+            k = len(support)
+            system = LinearSystem(k, nonneg=True)
+            for w in key[0]:
+                system.eq(w, 0)
+            system.eq([1] * k, 1)
+            for row in key[1]:
+                system.ge([-t for t in row], 0)
+            memo[key] = lp_feasible(system).is_feasible
+        if memo[key]:
             return False
     return True
 
@@ -214,13 +220,18 @@ def copositivity_on_cone(q: RationalMatrix, cone: ConeRep) -> CopositivityResult
 
 def is_strictly_copositive(q: RationalMatrix, cone: ConeRep) -> bool:
     """x^T Q x > 0 for every nonzero x in the cone: LCP(G, e) and LCP(G, 0)
-    have only the zero solution."""
+    have only the zero solution.  Memoized in q._cache per generator set,
+    as both cascades ask it of R^n_+ for an invertible matrix."""
     from .lcp import first_nonzero_solution
 
-    gram = _gram(q, cone)
-    m = gram.rows
-    return all(first_nonzero_solution(gram, rhs, ()) is None
-               for rhs in ((_ONE,) * m, (_ZERO,) * m))
+    memo = q._cache.setdefault("strictly_copositive", {})
+    key = tuple(sorted(cone.generators))
+    if key not in memo:
+        gram = _gram(q, cone)
+        m = gram.rows
+        memo[key] = all(first_nonzero_solution(gram, rhs, ()) is None
+                        for rhs in ((_ONE,) * m, (_ZERO,) * m))
+    return memo[key]
 
 
 def _gram(q: RationalMatrix, cone: ConeRep) -> RationalMatrix:

@@ -16,6 +16,7 @@ from karalcp.matrix import (
     LinearSolution,
     RationalMatrix,
     RrefResult,
+    _eliminate,
     dot,
     is_zero_vec,
     nonempty_subsets,
@@ -534,7 +535,7 @@ def _cone_support_is_degenerate_reference(a: RationalMatrix, q, support) -> bool
 
 
 # -- one Fraction solve per support and q: the reference for the integer
-# -- block factors of lcp.support_solver, built once per matrix ---------------
+# -- block table of lcp.support_solver, built once per matrix -----------------
 
 
 def support_solution_fraction(a: RationalMatrix, q, null, support):
@@ -556,7 +557,8 @@ def support_solution_fraction(a: RationalMatrix, q, null, support):
                 - sum((w[i] * v[k + m] for m, w in enumerate(null)), zero))
 
     if sol.null_basis:
-        return _family_solutions(a.rows, q, support, sol, comp, off_support)
+        return _family_solutions(a.rows, q, support, sol, comp,
+                                 lambda v: [off_support(i, v) for i in comp])
     v = sol.particular
     if any(t < 0 for t in v[:k]) or any(off_support(i, v) + q[i] < 0 for i in comp):
         return None, False
@@ -585,6 +587,34 @@ def first_nonzero_solution_fraction(a: RationalMatrix, q, null):
         if x is not None and not is_zero_vec(x):
             return x
     return None
+
+
+# -- one elimination of [B_S | I] per support: the reference for the
+# -- bordering walk of lcp._block_entry ----------------------------------------
+
+
+def block_factor_reference(rows, null_ints, support):
+    """(den, inv, residuals) for S's block B_S with row i of A scaled by its
+    multiplier m_i and each null vector to integers (a positive rescale of
+    w, so x is unchanged), or None when B_S is singular.  One elimination of
+    [B_S | I] gives den B_S^-1, kept as `inv` on the columns of the support
+    rows times -m_i and with den made positive: for q = Q / qden, v = inv Q_S
+    is (x_S, w) den qden, and for each (r_i, m_i den, i) in residuals, one
+    per i off S, r_i . v + m_i den Q_i is (Ax - Nw + q)_i m_i den qden."""
+    k, size = len(support), len(support) + len(null_ints)
+    block_row = [[ints[j] for j in support] + [-mult * w[i] for w in null_ints]
+                 for i, (ints, mult) in enumerate(rows)]
+    aug = [block_row[i] + [int(r == c) for c in range(k)] for r, i in enumerate(support)]
+    aug += [[w[i] for i in support] + [0] * size for w in null_ints]
+    den, pivots, _ = _eliminate(aug, size)
+    if len(pivots) < size:
+        return None
+    sign = 1 if den > 0 else -1
+    col_scale = [-sign * rows[i][1] for i in support]
+    inv = [[t * f for t, f in zip(row[size:], col_scale)] for row in aug]
+    residuals = [(block_row[i], rows[i][1] * sign * den, i)
+                 for i in range(len(rows)) if i not in support]
+    return sign * den, inv, residuals
 
 
 # -- copositivity by KKT face enumeration: the reference for the LCP scans

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from karalcp import lcp_classes
-from karalcp.conelcp import cone_K
+from karalcp import lcp, lcp_classes
+from karalcp.conelcp import cone_K, is_karamardian
 from karalcp.errors import EmptyConeError, TooLargeError
 from karalcp.geninv import generalized_idempotent_scalar, group_inverse
 from karalcp.lcp_classes import (
@@ -20,6 +20,7 @@ from karalcp.lcp_classes import (
     is_strictly_semimonotone,
     is_weakly_semipositive,
 )
+from karalcp.lcp import is_q_matrix
 from karalcp.lp import LinearSystem, lp_feasible
 from karalcp.matrix import RationalMatrix, inverse, rank
 from karalcp.minor_classes import has_property_c, minor_class
@@ -231,8 +232,50 @@ class TestStrictRangeSemimonotone:
                       is_strictly_range_semimonotone(z), is_p_hash(z)}
             assert len(values) == 1
 
+    def test_each_support_lp_runs_once_per_matrix(self, monkeypatch):
+        # A positive invertible 4x4 is strictly range semimonotone, so the
+        # scan visits all 15 supports.  Supports that restrict to the same
+        # system share one LP: {0} and {1}, {2} and {3}, and {0, 2} and
+        # {1, 3}.  That leaves 12 LPs, and a repeat is free.
+        calls = []
+        real = lcp_classes.lp_feasible
+        monkeypatch.setattr(lcp_classes, "lp_feasible", lambda s: calls.append(s) or real(s))
+        a = RationalMatrix.from_rows([[1, 2, 1, 3], [2, 1, 1, 1], [1, 3, 2, 1], [1, 1, 1, 2]])
+        assert rank(a) == 4
+        for _ in range(2):
+            assert is_strictly_range_semimonotone(a)
+            assert len(calls) == 12
+        # the memo lives on the matrix: a fresh copy solves them again
+        assert is_strictly_range_semimonotone(RationalMatrix.from_rows(a.data))
+        assert len(calls) == 24
+
 
 class TestCopositivity:
+    def test_strict_copositivity_scans_once_per_generator_set(self, monkeypatch):
+        # Invertible, strictly copositive and not P: the Q-matrix and the
+        # Karamardian cascades each reach their strict-copositivity rule on
+        # K = R^3_+, so one pair of Gram-matrix scans answers both.
+        a = RationalMatrix.from_rows([[3, -2, 3], [-2, 2, 1], [3, 0, 1]])
+        scans = []
+        real = lcp.first_nonzero_solution
+
+        def counting(m, q, null):
+            if m is not a:
+                scans.append(q)
+            return real(m, q, null)
+
+        monkeypatch.setattr(lcp, "first_nonzero_solution", counting)
+        assert is_q_matrix(a).rule == "STRICTLY_COPOSITIVE"
+        assert is_karamardian(a).rule == "STRICT_COPOSITIVE_ON_K"
+        assert len(scans) == 2
+        orthant = ConeRep.nonnegative_orthant(3).generators
+        assert is_strictly_copositive(a, ConeRep(3, orthant[::-1]))
+        assert len(scans) == 2
+        # another generator set, or a fresh copy of the matrix, scans again
+        assert is_strictly_copositive(a, ConeRep(3, orthant[:2]))
+        assert is_strictly_copositive(RationalMatrix.from_rows(a.data), ConeRep(3, orthant))
+        assert len(scans) == 6
+
     def test_strict_on_nontrivial_k(self):
         a = RationalMatrix.from_rows([[1, -1, 0], [-1, 1, 0], [0, 0, 1]])
         cone = cone_K(a).cone

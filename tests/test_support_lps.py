@@ -1,7 +1,8 @@
 """The one complementary-support solver of lcp.py, run as the standard
 and as the cone LCP, against references that rebuild an LP for every
-question, and against the same scans with every support block solved
-afresh in Fractions (tests/oracles.py).
+question, against the same scans with every support block solved afresh
+in Fractions, and its table of block determinants and adjugates against
+one elimination per block (tests/oracles.py).
 
 The standard LCP must agree exactly.  The cone LCP must agree exactly on
 degenerate supports and on isolated solutions, while a family's
@@ -10,6 +11,7 @@ the same family, so they are checked by exact substitution.  The
 early-exit scan `first_nonzero_solution` must find a nonzero solution
 exactly when the full enumeration holds one."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import assume, given, seed, settings, strategies as st
@@ -32,6 +34,7 @@ from karalcp.matrix import (
     vec,
 )
 from oracles import (
+    block_factor_reference,
     complementary_solutions_fraction,
     cone_lcp_solutions_reference,
     det_fraction,
@@ -254,7 +257,7 @@ def test_no_lp_for_the_cone_lcp_of_an_invertible_p_matrix(monkeypatch):
     assert not built
 
 
-# -- the integer block factors against a Fraction solve per support and q ----
+# -- the integer block table against a Fraction solve per support and q ------
 
 fraction = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
 nonzero_fraction = fraction.filter(bool)
@@ -309,18 +312,19 @@ def _block(a, null, support):
 
 def test_second_scan_factors_nothing_and_solves_only_singular_blocks(monkeypatch):
     """A rank-2 order-3 matrix with a singular block in each problem: the
-    first scan factors each nonsingular block, some with a negative den, and
-    a second scan with a new q eliminates no nonsingular block and calls
-    solve_linear once per singular block, standard and cone alike."""
+    first scan builds each block's table entry, some with a negative det,
+    and a second scan with a new q borders and eliminates no block and
+    calls solve_linear once per singular block, standard and cone alike."""
     a = RationalMatrix.from_rows([["1/2", "1/2", "1/2"], [-1, -2, 1], [0, -1, 2]])
     null = subspace_bases(a).left_null.basis
-    factor_dens, kernel_calls, solves = [], [], []
-    eliminate, solve_linear = lcp._eliminate, lcp.solve_linear
+    built, kernel_calls, solves = [], [], []
+    eliminate, solve_linear = matrix._eliminate, lcp.solve_linear
 
-    def factor(rows, ncols):
-        out = eliminate(rows, ncols)
-        factor_dens.append(out[0])
-        return out
+    def building(fn):
+        def wrapped(*args):
+            built.append(fn(*args))
+            return built[-1]
+        return wrapped
 
     def kernel(rows, ncols):
         kernel_calls.append(ncols)
@@ -330,19 +334,113 @@ def test_second_scan_factors_nothing_and_solves_only_singular_blocks(monkeypatch
         solves.append(m)
         return solve_linear(m, b)
 
-    monkeypatch.setattr(lcp, "_eliminate", factor)
+    monkeypatch.setattr(lcp, "_border", building(lcp._border))
+    monkeypatch.setattr(lcp, "_factor", building(lcp._factor))
     monkeypatch.setattr(matrix, "_eliminate", kernel)
     monkeypatch.setattr(lcp, "solve_linear", counting_solve)
     for nb in ((), null):
         singular = [s for s in nonempty_subsets(3) if det_fraction(_block(a, nb, s)) == 0]
         assert 0 < len(singular) < 7
         complementary_solutions(a, vec([1, -2, "1/3"]), nb, zero_solves=False)
-        assert any(den < 0 for den in factor_dens)
-        factor_dens.clear()
+        assert any(entry is not None and entry[0] < 0 for entry in built)
+        built.clear()
         kernel_calls.clear()
         solves.clear()
         q = vec(["-1/2", 1, -1])
         got = complementary_solutions(a, q, nb, zero_solves=False)
-        assert not factor_dens
+        assert not built
         assert len(solves) == len(kernel_calls) == len(singular)
         assert got == complementary_solutions_fraction(a, q, nb, zero_solves=False)
+
+
+# -- the bordering walk against one elimination of [B_S | I] per support ------
+
+
+def _rational_matrix_of_rank(rng, n, r):
+    """F G with p/q entries, F n x r and G r x n, redrawn until its rank
+    is r; the p/q entries make the row multipliers m_i differ from 1."""
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+
+    while True:
+        f = [[entry() for _ in range(r)] for _ in range(n)]
+        g = [[entry() for _ in range(n)] for _ in range(r)]
+        a = RationalMatrix(n, n, [[sum((f[i][k] * g[k][j] for k in range(r)), Fraction(0))
+                                   for j in range(n)] for i in range(n)])
+        if rank(a) == r:
+            return a
+
+
+def assert_table_matches_elimination(a, null):
+    """Every support's table entry against block_factor_reference: the
+    same singular flag, den = |det| and den B_S^-1 on the support columns
+    (which the reference keeps times -m_i), det equal to the exact
+    determinant of the integer block, and B_S adj = det I for the whole
+    adj."""
+    table = lcp._block_table(a, null)
+    rows = matrix.integer_rows(a)
+    null_ints = [matrix.integer_row(w)[0] for w in null]
+    n, d = a.rows, len(null)
+    for support in nonempty_subsets(n):
+        entry = lcp._block_entry(table, support)
+        want = block_factor_reference(rows, null_ints, support)
+        assert (entry is None) == (want is None), support
+        if entry is None:
+            continue
+        det, adj = entry
+        idx = list(support) + list(range(n, n + d))
+        block = [[table.bordered[r][c] for c in idx] for r in idx]
+        assert det == det_fraction(RationalMatrix.from_rows(block))
+        den, inv, _ = want
+        sign = 1 if det > 0 else -1
+        assert den == sign * det
+        assert inv == [[-sign * rows[i][1] * t for t, i in zip(row, support)] for row in adj]
+        size = len(idx)
+        assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*adj)] for row in block] \
+            == [[det * (r == c) for c in range(size)] for r in range(size)]
+
+
+def test_bordering_walk_matches_elimination_per_support():
+    """Rational matrices of orders 1-7 at every rank, with N empty and with
+    N a basis of N(A^T)."""
+    rng = random.Random(12)
+    for n in range(1, 8):
+        for r in range(1, n + 1):
+            a = _rational_matrix_of_rank(rng, n, r)
+            assert_table_matches_elimination(a, ())
+            assert_table_matches_elimination(a, subspace_bases(a).left_null.basis)
+
+
+def test_singular_parent_and_shape_singular_supports(monkeypatch):
+    """[[0, 1], [1, 0]]: both singletons are singular, so the nonsingular
+    {0, 1} is eliminated directly, with det -1.  A rank-1 order-3 matrix
+    has a 2-dimensional N(A^T), so every singleton's cone block is
+    singular by shape and built with no elimination, and each pair's
+    block, whose parent is a singleton, is eliminated directly."""
+    eliminated = []
+    eliminate = lcp._eliminate
+    monkeypatch.setattr(lcp, "_eliminate", lambda rows, ncols: eliminated.append(ncols)
+                        or eliminate(rows, ncols))
+    swap = RationalMatrix.from_rows([[0, 1], [1, 0]])
+    table = lcp._block_table(swap, ())
+    assert lcp._block_entry(table, (0,)) is None and lcp._block_entry(table, (1,)) is None
+    assert not eliminated
+    assert lcp._block_entry(table, (0, 1)) == (-1, [[0, -1], [-1, 0]])
+    assert eliminated == [2]
+    assert lcp_solutions(swap, vec([-1, -1])).solutions == ((1, 1),)
+
+    eliminated.clear()
+    a = RationalMatrix.from_rows([[1, 2, -1], [2, 4, -2], [-1, -2, 1]])
+    null = subspace_bases(a).left_null.basis
+    assert len(null) == 2
+    table = lcp._block_table(a, null)
+    for i in range(3):
+        assert lcp._block_entry(table, (i,)) is None
+    assert not eliminated
+    for pair in ((0, 1), (0, 2), (1, 2)):
+        lcp._block_entry(table, pair)
+    assert eliminated == [4, 4, 4]
+    assert_table_matches_elimination(a, null)
+    for q in (vec([0, 0, 0]), vec([1, -2, 1]), vec([-1, 0, 1])):
+        assert (complementary_solutions(a, q, null, all(t >= 0 for t in q))
+                == complementary_solutions_fraction(a, q, null, all(t >= 0 for t in q)))
