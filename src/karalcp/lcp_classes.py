@@ -2,9 +2,12 @@
 
 "Nonzero vector" conditions are encoded by orthant/support normalization
 (sum of |x_i| = 1), which an LP handles exactly; strict conditions become
-slack maximization.  The P# test runs one LP per sign orthant (halved by
-the x -> -x symmetry); strict range semimonotonicity runs one LP per
-nonempty support.
+slack maximization.  For invertible A, R(A) = R^n: P# is then the
+sign-reversal characterisation of P-matrices (Fiedler & Ptak, 1966), so
+the principal-minor test decides it, and strict range semimonotonicity
+is strict semimonotonicity.  Only for singular A does the P# test run
+one LP per sign orthant (halved by the x -> -x symmetry), and strict
+range semimonotonicity one LP per nonempty support.
 
 Copositivity over a polyhedral cone with generators V is the sign of the
 minimum of lambda^T G lambda over the standard simplex, for the symmetric
@@ -32,6 +35,7 @@ from .matrix import (
     ENUMERATION_CAP,
     RationalMatrix,
     Vector,
+    determinant,
     dot,
     integer_row,
     integer_rows,
@@ -40,6 +44,7 @@ from .matrix import (
     subspace_bases,
 )
 from .lp import LinearSystem, lp_feasible
+from .minor_classes import minor_class
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -118,12 +123,17 @@ def is_almost_semimonotone(a: RationalMatrix) -> bool:
 def is_p_hash(a: RationalMatrix) -> bool:
     """No nonzero x in R(A) with x_i (Ax)_i <= 0 for every i.
 
-    One LP per sign orthant: substituting x = s * z with z >= 0 makes the
-    orthant constraints structural, range membership is W^T x = 0 for a
-    left-null basis W, and sum z = 1 rules out zero.  The pair (s, -s)
-    describes the same problem, so only orthants with s_1 = +1 run.
+    For invertible A, R(A) = R^n and this says A is a P-matrix (Fiedler &
+    Ptak; Cottle, Pang & Stone, Thm 3.3.4), decided by the principal
+    minors.  For singular A, one LP per sign orthant: substituting x = s * z
+    with z >= 0 makes the orthant constraints structural, range membership
+    is W^T x = 0 for a left-null basis W, and sum z = 1 rules out zero.
+    The pair (s, -s) describes the same problem, so only orthants with
+    s_1 = +1 run.
     """
     a.require_square("P# test", scan=True)
+    if determinant(a) != 0:
+        return minor_class(a).is_p
     n = a.rows
     left_null = [integer_row(w)[0] for w in subspace_bases(a).left_null.basis]
     rows_a = [ints for ints, _ in integer_rows(a)]
@@ -141,8 +151,12 @@ def is_p_hash(a: RationalMatrix) -> bool:
 
 
 def is_strictly_range_semimonotone(a: RationalMatrix) -> bool:
-    """No nonzero x >= 0 in R(A) with x * Ax <= 0; one LP per support."""
+    """No nonzero x >= 0 in R(A) with x * Ax <= 0.  For invertible A,
+    R(A) = R^n and this is strict semimonotonicity; for singular A, one LP
+    per support."""
     a.require_square("strict range semimonotonicity", scan=True)
+    if determinant(a) != 0:
+        return is_strictly_semimonotone(a)
     n = a.rows
     left_null = [integer_row(w)[0] for w in subspace_bases(a).left_null.basis]
     rows_a = [ints for ints, _ in integer_rows(a)]

@@ -344,6 +344,46 @@ def is_almost_monotone_reference(a: RationalMatrix) -> bool:
     return True
 
 
+# -- P# and strict range semimonotonicity by LPs on every input: the
+# -- reference for lcp_classes, which decides an invertible matrix by its
+# -- principal minors or principal semipositivity LPs instead ----------------
+
+
+def p_hash_orthant_reference(a: RationalMatrix) -> bool:
+    """No nonzero x in R(A) with x_i (Ax)_i <= 0 for every i: one LP per
+    sign orthant s with s_1 = +1, over x = s * z, z >= 0, sum z = 1 and
+    W^T x = 0 for a left-null basis W."""
+    n = a.rows
+    left_null = subspace_bases(a).left_null.basis
+    for signs in itertools.product((1, -1), repeat=n - 1):
+        s = (1,) + signs
+        system = LinearSystem(n, nonneg=True)
+        for w in left_null:
+            system.eq([w[j] * s[j] for j in range(n)], 0)
+        system.eq([1] * n, 1)
+        for i in range(n):
+            system.ge([-s[i] * a.data[i][j] * s[j] for j in range(n)], 0)
+        if lp_feasible(system).is_feasible:
+            return False
+    return True
+
+
+def strictly_range_semimonotone_reference(a: RationalMatrix) -> bool:
+    """No nonzero x >= 0 in R(A) with x * Ax <= 0: one LP per support S,
+    over x_S >= 0, sum x_S = 1, W_S^T x_S = 0 and (A_SS x_S) <= 0."""
+    left_null = subspace_bases(a).left_null.basis
+    for support in nonempty_subsets(a.rows):
+        system = LinearSystem(len(support), nonneg=True)
+        for w in left_null:
+            system.eq([w[j] for j in support], 0)
+        system.eq([1] * len(support), 1)
+        for i in support:
+            system.le([a.data[i][j] for j in support], 0)
+        if lp_feasible(system).is_feasible:
+            return False
+    return True
+
+
 # -- range and row monotonicity, one LP per coordinate: the reference for
 # -- the inverse-sign test monotone._cone_implies_nonneg uses when A is
 # -- nonsingular ----------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from karalcp import lcp, lcp_classes
 from karalcp.conelcp import cone_K, is_karamardian
+from karalcp.corpus import corpus_entries
 from karalcp.errors import EmptyConeError, TooLargeError
 from karalcp.geninv import generalized_idempotent_scalar, group_inverse
 from karalcp.lcp_classes import (
@@ -22,10 +23,14 @@ from karalcp.lcp_classes import (
 )
 from karalcp.lcp import is_q_matrix
 from karalcp.lp import LinearSystem, lp_feasible
-from karalcp.matrix import RationalMatrix, inverse, rank
+from karalcp.matrix import RationalMatrix, determinant, inverse, rank
 from karalcp.minor_classes import has_property_c, minor_class
 from karalcp.monotone import is_range_monotone
-from oracles import copositivity_kkt_reference
+from oracles import (
+    copositivity_kkt_reference,
+    p_hash_orthant_reference,
+    strictly_range_semimonotone_reference,
+)
 from conftest import (
     rand_group_invertible,
     rand_int_matrix,
@@ -166,11 +171,15 @@ class TestPHash:
                 assert group_inverse(a).exists
 
     def test_invertible_p_hash_iff_p(self):
+        # Fiedler-Ptak: with R(A) = R^n, P# is the sign-reversal property
+        # of P-matrices, so the orthant LPs agree with the minor test
         rng = random.Random(6)
-        for _ in range(80):
-            a = rand_int_matrix(rng, 3, 3)
-            if rank(a) == 3:
-                assert is_p_hash(a) == minor_class(a).is_p
+        matrices = [rand_int_matrix(rng, 3, 3) for _ in range(80)]
+        matrices += [rand_p_matrix(rng, n) for n in (1, 2, 3, 4) for _ in range(5)]
+        invertible = [a for a in matrices if rank(a) == a.rows]
+        assert len(invertible) > 60
+        for a in invertible:
+            assert p_hash_orthant_reference(a) == minor_class(a).is_p
 
     def test_rank_one_iff_positive_inner_product(self):
         rng = random.Random(7)
@@ -211,6 +220,76 @@ class TestPHash:
             assert is_p_hash(gram)
 
 
+def _rank_deficient(rng: random.Random, n: int) -> RationalMatrix:
+    """F G with F n x r and G r x n, r < n."""
+    r = rng.randint(1, n - 1)
+    return rand_int_matrix(rng, n, r, bound=2) @ rand_int_matrix(rng, r, n, bound=2)
+
+
+def _rank_one(rng: random.Random, n: int) -> RationalMatrix:
+    u, v = rand_nonzero_vector(rng, n), rand_nonzero_vector(rng, n)
+    return RationalMatrix(n, n, [[ui * vj for vj in v] for ui in u])
+
+
+def _differential_inputs(seed: int):
+    """Random integer, P- and positive (strictly semimonotone, rarely P)
+    matrices of orders 1 to 5, rank-deficient products F G and rank-one
+    u v^T of orders 2 to 5, then the corpus P# entries."""
+    rng = random.Random(seed)
+    for _ in range(150):
+        yield rand_int_matrix(rng, *(rng.randint(1, 5),) * 2)
+    for _ in range(20):
+        yield rand_p_matrix(rng, rng.randint(1, 5))
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        yield RationalMatrix.from_rows([[rng.randint(1, 3) for _ in range(n)] for _ in range(n)])
+    for _ in range(100):
+        yield _rank_deficient(rng, rng.randint(2, 5))
+    for _ in range(60):
+        yield _rank_one(rng, rng.randint(2, 5))
+    for entry in corpus_entries():
+        if "phash" in entry.tags:
+            yield entry.matrix
+
+
+class TestLpReferences:
+    """The minor test and the principal semipositivity LPs that decide an
+    invertible matrix, and the LPs that decide a singular one, against the
+    LP decisions run on every input (tests/oracles.py)."""
+
+    def test_p_hash_matches_orthant_reference(self):
+        seen = {True: 0, False: 0}
+        singular = 0
+        for a in _differential_inputs(21):
+            expected = p_hash_orthant_reference(a)
+            assert is_p_hash(a) is expected, a.data
+            seen[expected] += 1
+            singular += determinant(a) == 0
+        assert min(seen.values()) > 30 and singular > 150
+
+    def test_strict_range_semimonotone_matches_support_reference(self):
+        seen = {True: 0, False: 0}
+        for a in _differential_inputs(22):
+            expected = strictly_range_semimonotone_reference(a)
+            assert is_strictly_range_semimonotone(a) is expected, a.data
+            seen[expected] += 1
+        assert min(seen.values()) > 30
+
+    def test_invertible_matrix_runs_no_lp(self, monkeypatch):
+        # P# of an invertible matrix is read from its minor scan, and strict
+        # range semimonotonicity from the memoized semipositivity LPs
+        calls = []
+        real = lcp_classes.lp_feasible
+        monkeypatch.setattr(lcp_classes, "lp_feasible", lambda s: calls.append(s) or real(s))
+        a = RationalMatrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+        assert minor_class(a).is_p and is_strictly_semimonotone(a)
+        before = len(calls)
+        assert is_p_hash(a) and is_strictly_range_semimonotone(a)
+        assert len(calls) == before
+        assert determinant(M1) == 0 and not is_p_hash(M1)  # decided by orthant LPs
+        assert len(calls) > before
+
+
 class TestStrictRangeSemimonotone:
     def test_laplacian_shift(self):
         a = RationalMatrix.from_rows(
@@ -233,21 +312,22 @@ class TestStrictRangeSemimonotone:
             assert len(values) == 1
 
     def test_each_support_lp_runs_once_per_matrix(self, monkeypatch):
-        # A positive invertible 4x4 is strictly range semimonotone, so the
-        # scan visits all 15 supports.  Supports that restrict to the same
-        # system share one LP: {0} and {1}, {2} and {3}, and {0, 2} and
-        # {1, 3}.  That leaves 12 LPs, and a repeat is free.
+        # A positive singular 4x4 (row 4 is rows 1 plus 2) is strictly range
+        # semimonotone, so the scan visits all 15 supports.  With the
+        # left-null vector (-1, -1, 0, 1), supports {0} and {1} restrict to
+        # the same system and share one LP.  That leaves 14 LPs, and a
+        # repeat is free.
         calls = []
         real = lcp_classes.lp_feasible
         monkeypatch.setattr(lcp_classes, "lp_feasible", lambda s: calls.append(s) or real(s))
-        a = RationalMatrix.from_rows([[1, 2, 1, 3], [2, 1, 1, 1], [1, 3, 2, 1], [1, 1, 1, 2]])
-        assert rank(a) == 4
+        a = RationalMatrix.from_rows([[1, 2, 1, 3], [2, 1, 1, 1], [1, 3, 2, 1], [3, 3, 2, 4]])
+        assert rank(a) == 3
         for _ in range(2):
             assert is_strictly_range_semimonotone(a)
-            assert len(calls) == 12
+            assert len(calls) == 14
         # the memo lives on the matrix: a fresh copy solves them again
         assert is_strictly_range_semimonotone(RationalMatrix.from_rows(a.data))
-        assert len(calls) == 24
+        assert len(calls) == 28
 
 
 class TestCopositivity:
