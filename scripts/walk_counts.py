@@ -8,7 +8,9 @@ perfbench/inputs.lcp_ops(seed, ops) once, as perfbench/run.py does, and
 prints one JSON object: the blocks bordered from their parent's entry
 (and how many of those came out singular), the blocks eliminated directly
 because their parent is singular (and how many of those are singular), and
-the supports skipped as singular by shape (|S| < dim N(A^T)).
+the nonempty supports skipped as singular by shape (0 < |S| < dim N(A^T)).
+The cone LCP's empty support, singular by shape too and the LP that decides
+x = 0, is left out of that count.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def main() -> None:
         return wrapped
 
     def singular_support(a, q, null, support, table):
-        counts["shape_singular"] += len(support) < len(null)
+        counts["shape_singular"] += 0 < len(support) < len(null)
         return real_singular(a, q, null, support, table)
 
     real_singular = lcp._singular_support

@@ -6,12 +6,13 @@ K* = R^n_+ + N(A^T) iff y = u + Nw with u >= 0.  As x^T N w = 0, the
 complementarity x^T (Ax + q) = 0 becomes x_i u_i = 0 for every i, so the
 cone LCP is the mixed LCP of [[A, -N], [N^T, 0]] with w free and is
 solved by the standard LCP's support scans, whose standard case is N
-empty: `lcp.complementary_solutions` for every solution,
-`lcp.first_nonzero_solution` for whether only zero solves.
-`dual_membership` decides whether zero solves.  The Karamardian decision
-is a cascade of sound exact rules; the existential d of the definition is
-only semi-decided, by verified candidate vectors, so No is never emitted
-from a failed search.
+empty: `lcp.complementary_solutions` for every solution, x = 0 among them
+from the empty support, and `lcp.first_nonzero_solution` for whether only
+zero solves.  K lies in R^n_+, so it is pointed, and K* and int K* are
+read on the generators of K.  The Karamardian decision is a cascade of
+sound exact rules; the existential d of the definition is only
+semi-decided, by verified candidate vectors, so No is never emitted from
+a failed search.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .lcp import (
     first_nonzero_solution,
     n_first_category_applies,
 )
-from .lp import BOUNDED, UNBOUNDED, LinearSystem, lp_feasible, lp_optimize
+from .lp import LinearSystem, lp_feasible
 from .matrix import (
     ENUMERATION_CAP,
     RationalMatrix,
@@ -150,30 +151,17 @@ def _base_polytope_vertices(a: RationalMatrix, bases) -> list[Vector]:
 
 
 def dual_membership(a: RationalMatrix, y: Sequence) -> bool:
-    """y in K* = R^n_+ + N(A^T)."""
-    yv = a.square_and_vector(y, "dual membership")
-    null = subspace_bases(a).left_null.basis
-    if not null:
-        return all(t >= 0 for t in yv)
-    system = LinearSystem(len(null))
-    for i in range(a.rows):
-        system.ge([-w[i] for w in null], -yv[i])
-    return lp_feasible(system).is_feasible
+    """y in K* = R^n_+ + N(A^T), the dual of the pointed cone K: g^T y >= 0
+    for every generator g of K."""
+    yv = a.square_and_vector(y, "dual membership", scan=True)
+    return all(dot(g, yv) >= 0 for g in cone_K(a).cone.generators)
 
 
 def int_dual_membership(a: RationalMatrix, d: Sequence) -> bool:
-    """d in int(K*) = int(R^n_+) + N(A^T): max t with d - b >= t e, A^T b = 0
-    is positive (or unbounded)."""
-    dv = a.square_and_vector(d, "interior dual membership")
-    null = subspace_bases(a).left_null.basis
-    if not null:
-        return min(dv) > 0
-    k = len(null)
-    system = LinearSystem(k + 1)
-    for i in range(a.rows):
-        system.ge([-w[i] for w in null] + [-_ONE], -dv[i])
-    out = lp_optimize([_ZERO] * k + [_ONE], system, "max")
-    return out.status == UNBOUNDED or (out.status == BOUNDED and out.value > 0)
+    """d in int(K*) = int(R^n_+) + N(A^T): g^T d > 0 for every generator g
+    of K, as K is pointed."""
+    dv = a.square_and_vector(d, "interior dual membership", scan=True)
+    return all(dot(g, dv) > 0 for g in cone_K(a).cone.generators)
 
 
 # -- cone LCP --------------------------------------------------------------
@@ -182,8 +170,7 @@ def int_dual_membership(a: RationalMatrix, d: Sequence) -> bool:
 def cone_lcp_solutions(a: RationalMatrix, q: Sequence) -> LcpSolutionSet:
     """All solutions of the cone LCP: x in K, Ax + q in K*, x^T (Ax+q) = 0."""
     qv = a.square_and_vector(q, "cone LCP", scan=True)
-    return complementary_solutions(a, qv, subspace_bases(a).left_null.basis,
-                                   zero_solves=dual_membership(a, qv))
+    return complementary_solutions(a, qv, subspace_bases(a).left_null.basis)
 
 
 def cone_lcp_only_zero(a: RationalMatrix, q: Sequence) -> bool:

@@ -18,10 +18,14 @@ whose parent is singular is eliminated directly.  A singular but
 consistent block gives an affine family that is intersected with the
 sign constraints by one LP and classified as empty, a point, or a
 positive-dimensional family in x (flagged degenerate with one
-representative).  `complementary_solutions` visits every support;
-`first_nonzero_solution` stops at the first nonzero solution, which
-answers both yes/no questions asked here: is zero the only solution
-(q >= 0), and is there any (q with a negative entry, so none is zero)?
+representative).  x = 0 is the empty support's solution: its block is
+the d x d zero corner, det 1 for N empty (x = 0 solves iff q >= 0) and
+else singular by shape, whose family LP asks for a w with q - Nw >= 0.
+`complementary_solutions` visits every support, the empty one first;
+`first_nonzero_solution` scans the nonempty ones and stops at the first
+nonzero solution, which answers both yes/no questions asked here: is zero
+the only solution (q >= 0), and is there any (q with a negative entry, so
+none is zero)?
 
 Q-matrix membership is only semi-decidable at desk scale, so the verdict
 type carries its epistemic state: Yes and No come with re-checkable
@@ -30,6 +34,7 @@ certificates, Unknown with the sampling log.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,7 +54,6 @@ from .matrix import (
     nonempty_subsets,
     rank,
     solve_linear,
-    zeros_vec,
 )
 from .minor_classes import minor_class, structural_flags
 
@@ -99,18 +103,16 @@ class LcpSolutionSet:
 def lcp_solutions(a: RationalMatrix, q: Sequence) -> LcpSolutionSet:
     """Every exact solution of x >= 0, y = Ax + q >= 0, x^T y = 0."""
     qv = a.square_and_vector(q, "LCP", scan=True)
-    return complementary_solutions(a, qv, (), zero_solves=all(t >= 0 for t in qv))
+    return complementary_solutions(a, qv, ())
 
 
-def complementary_solutions(a: RationalMatrix, q: Vector, null: Sequence[Vector],
-                            zero_solves: bool) -> LcpSolutionSet:
+def complementary_solutions(a: RationalMatrix, q: Vector, null: Sequence[Vector]) -> LcpSolutionSet:
     """Every solution of the LCP with y-side translated by span(null), one
-    `support_solver` call per support; `zero_solves` says whether x = 0 does."""
-    n = a.rows
+    `support_solver` call per support, x = 0 from the empty one."""
     solve = support_solver(a, q, null)
-    solutions: set[Vector] = {zeros_vec(n)} if zero_solves else set()
+    solutions: set[Vector] = set()
     degenerate: list[tuple[int, ...]] = []
-    for support in nonempty_subsets(n):
+    for support in itertools.chain([()], nonempty_subsets(a.rows)):
         x, is_family = solve(support)
         if x is None:
             continue
@@ -163,7 +165,7 @@ def support_solver(a: RationalMatrix, q: Vector, null: Sequence[Vector]):
         qs = [signed[i] for i in support]
         v = [sum(map(mul, row, qs)) for row in adj]
         k = len(support)
-        if min(v[:k]) < 0:
+        if k and min(v[:k]) < 0:
             return None, False
         scale = abs(det)
         block_v = _scatter(v, support, n)

@@ -220,7 +220,7 @@ def copositivity_on_cone(q: RationalMatrix, cone: ConeRep) -> CopositivityResult
 
     gram = _gram(q, cone)
     m = gram.rows
-    below = complementary_solutions(gram, (_ONE,) * m, (), zero_solves=False).solutions
+    below = [x for x in complementary_solutions(gram, (_ONE,) * m, ()).solutions if any(x)]
     if below:
         x = min(below, key=sum)
         return CopositivityResult(CopositivityStatus.NOT_COPOSITIVE, -1 / sum(x),
@@ -228,7 +228,7 @@ def copositivity_on_cone(q: RationalMatrix, cone: ConeRep) -> CopositivityResult
     x = first_nonzero_solution(gram, (_ZERO,) * m, ())
     if x is not None:
         return CopositivityResult(CopositivityStatus.COPOSITIVE_ONLY, _ZERO, _combine(cone, x))
-    above = complementary_solutions(gram, (-_ONE,) * m, (), zero_solves=False).solutions
+    above = complementary_solutions(gram, (-_ONE,) * m, ()).solutions
     return CopositivityResult(CopositivityStatus.STRICTLY_COPOSITIVE, 1 / max(map(sum, above)))
 
 

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import sympy
 
-from karalcp.conelcp import dual_membership
 from karalcp.lcp import LcpSolutionSet, _family_solutions
 from karalcp.lcp_classes import ConeRep, CopositivityResult, CopositivityStatus
 from karalcp.lp import BOUNDED, UNBOUNDED, LinearSystem, lp_feasible, lp_optimize
@@ -405,6 +404,41 @@ def cone_implies_nonneg_reference(a: RationalMatrix, complement) -> bool:
     return True
 
 
+# -- K* and int K* by one LP on N(A^T): the reference for the generator
+# -- tests of conelcp.dual_membership and int_dual_membership -----------------
+
+
+def dual_membership_lp_reference(a: RationalMatrix, y) -> bool:
+    """y in K* = R^n_+ + N(A^T)."""
+    yv = a.square_and_vector(y, "dual membership")
+    return orthant_plus_span_lp_reference(yv, subspace_bases(a).left_null.basis)
+
+
+def orthant_plus_span_lp_reference(y, null) -> bool:
+    """y in R^n_+ + span(null): some w has y - Nw >= 0, by one LP."""
+    if not null:
+        return all(t >= 0 for t in y)
+    system = LinearSystem(len(null))
+    for i in range(len(y)):
+        system.ge([-w[i] for w in null], -y[i])
+    return lp_feasible(system).is_feasible
+
+
+def int_dual_membership_lp_reference(a: RationalMatrix, d) -> bool:
+    """d in int(K*) = int(R^n_+) + N(A^T): max t with d - b >= t e, A^T b = 0
+    is positive (or unbounded)."""
+    dv = a.square_and_vector(d, "interior dual membership")
+    null = subspace_bases(a).left_null.basis
+    if not null:
+        return min(dv) > 0
+    k = len(null)
+    system = LinearSystem(k + 1)
+    for i in range(a.rows):
+        system.ge([-w[i] for w in null] + [-Fraction(1)], -dv[i])
+    out = lp_optimize([Fraction(0)] * k + [Fraction(1)], system, "max")
+    return out.status == UNBOUNDED or (out.status == BOUNDED and out.value > 0)
+
+
 # -- support enumeration that rebuilds every LP: the reference for the one
 # -- support solver of lcp.py, which solves each support's block once --------
 
@@ -486,7 +520,7 @@ def cone_lcp_solutions_reference(a: RationalMatrix, q) -> LcpSolutionSet:
     qv = vec(q)
     solutions = set()
     degenerate = []
-    if dual_membership(a, qv):
+    if dual_membership_lp_reference(a, qv):
         solutions.add(zeros_vec(n))
     for support in nonempty_subsets(n):
         x = _cone_support_solution_reference(a, qv, support)

@@ -31,8 +31,13 @@ from conftest import (
     rand_nonzero_vector,
     rand_permutation,
     rand_symmetric_z_matrix,
+    rand_vector,
 )
-from oracles import karamardian_2x2_oracle
+from oracles import (
+    dual_membership_lp_reference,
+    int_dual_membership_lp_reference,
+    karamardian_2x2_oracle,
+)
 
 TRIDIAGONAL = RationalMatrix.from_rows([[0, -1, 0], [-1, 0, -1], [0, -1, 0]])
 BLOCK_Z = RationalMatrix.from_rows([[1, -1, 0], [-1, 1, 0], [0, 0, 1]])
@@ -118,6 +123,55 @@ class TestDualMembership:
             w = cone_K(a).nontrivial_witness
             if w is not None and inside:
                 assert dot(w, y) >= 0
+
+    def test_generator_tests_match_the_lp_references(self):
+        """F G products of orders 1-6 at every rank 0..n, against one LP on
+        N(A^T) per question, with y = 0, the unit vectors and random
+        vectors of both signs.  The sample holds a trivial K, a K with
+        more generators than rank A, and both answers of each predicate."""
+        rng = random.Random(14)
+        seen = set()
+        for n in range(1, 7):
+            for r in range(n + 1):
+                for _ in range(3):
+                    a = rand_int_matrix(rng, n, r) @ rand_int_matrix(rng, r, n)
+                    gens = cone_K(a).cone.generators
+                    seen.add("trivial" if not gens else
+                             "non-simplicial" if len(gens) > rank(a) else "simplicial")
+                    ys = [vec([0] * n)] + [vec([int(i == j) for j in range(n)]) for i in range(n)]
+                    ys += [rand_vector(rng, n) for _ in range(6)]
+                    for y in ys:
+                        inside = dual_membership(a, y)
+                        interior = int_dual_membership(a, y)
+                        assert inside == dual_membership_lp_reference(a, y), (a.data, y)
+                        assert interior == int_dual_membership_lp_reference(a, y), (a.data, y)
+                        seen.update({("dual", inside), ("interior", interior)})
+        assert seen >= {"trivial", "non-simplicial", ("dual", True), ("dual", False),
+                        ("interior", True), ("interior", False)}
+
+    def test_membership_builds_no_lp(self, monkeypatch):
+        """On a rank-2 order-3 matrix both predicates read the generators of
+        K and build no LP, while the cone LCP at q = 0 builds five, one of
+        them the empty support's, which decides x = 0."""
+        from karalcp import lp
+
+        built = []
+
+        class CountingSimplex(lp._Simplex):
+            def __init__(self, system):
+                built.append(system)
+                super().__init__(system)
+
+        monkeypatch.setattr(lp, "_Simplex", CountingSimplex)
+        a = RationalMatrix.from_rows([["1/2", "1/2", "1/2"], [-1, -2, 1], [0, -1, 2]])
+        zero = vec([0, 0, 0])
+        assert rank(a) == 2
+        assert dual_membership(a, zero) and not int_dual_membership(a, zero)
+        assert not dual_membership(a, vec([1, -2, 1]))
+        assert int_dual_membership(a, vec([1, 1, 1]))
+        assert not built
+        assert cone_lcp_solutions(a, zero).solutions == (zero, vec([0, 1, 1]))
+        assert len(built) == 5
 
 
 class TestConeLcp:

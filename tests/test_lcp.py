@@ -133,7 +133,7 @@ class TestLcpUniqueZero:
 
 @pytest.mark.parametrize("entry, scans", [
     (lcp_solutions, True), (lcp_unique_zero, True), (cone_lcp_solutions, True),
-    (cone_lcp_only_zero, True), (dual_membership, False), (int_dual_membership, False)])
+    (cone_lcp_only_zero, True), (dual_membership, True), (int_dual_membership, True)])
 def test_entry_points_check_matrix_and_vector(entry, scans):
     """Every LCP and dual entry point wants a square matrix and a vector of
     its order, and the support scans an order within the enumeration cap."""

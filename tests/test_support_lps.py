@@ -41,6 +41,7 @@ from oracles import (
     first_nonzero_cone_solution_reference,
     first_nonzero_solution_fraction,
     lcp_solutions_reference,
+    orthant_plus_span_lp_reference,
 )
 
 small = st.integers(-2, 2)
@@ -287,11 +288,12 @@ def matrix_with_many_qs(draw):
 
 def assert_scans_match_fraction_solves(a, null, qs):
     """Every scan of one matrix object, standard and cone, equals the scan
-    that solves each support's block afresh in Fractions."""
+    that solves each support's block afresh in Fractions, told by one LP
+    whether x = 0 solves: whether q is in R^n_+ + span(N)."""
     for nb in ((), null):
         for q in qs:
-            zero_solves = all(t >= 0 for t in q)
-            assert (complementary_solutions(a, q, nb, zero_solves)
+            zero_solves = orthant_plus_span_lp_reference(q, nb)
+            assert (complementary_solutions(a, q, nb)
                     == complementary_solutions_fraction(a, q, nb, zero_solves))
             assert first_nonzero_solution(a, q, nb) == first_nonzero_solution_fraction(a, q, nb)
 
@@ -314,7 +316,8 @@ def test_second_scan_factors_nothing_and_solves_only_singular_blocks(monkeypatch
     """A rank-2 order-3 matrix with a singular block in each problem: the
     first scan builds each block's table entry, some with a negative det,
     and a second scan with a new q borders and eliminates no block and
-    calls solve_linear once per singular block, standard and cone alike."""
+    calls solve_linear once per singular block, standard and cone alike,
+    the cone LCP's empty block among them."""
     a = RationalMatrix.from_rows([["1/2", "1/2", "1/2"], [-1, -2, 1], [0, -1, 2]])
     null = subspace_bases(a).left_null.basis
     built, kernel_calls, solves = [], [], []
@@ -341,16 +344,19 @@ def test_second_scan_factors_nothing_and_solves_only_singular_blocks(monkeypatch
     for nb in ((), null):
         singular = [s for s in nonempty_subsets(3) if det_fraction(_block(a, nb, s)) == 0]
         assert 0 < len(singular) < 7
-        complementary_solutions(a, vec([1, -2, "1/3"]), nb, zero_solves=False)
+        if nb:
+            singular.append(())  # the d x d zero corner
+        complementary_solutions(a, vec([1, -2, "1/3"]), nb)
         assert any(entry is not None and entry[0] < 0 for entry in built)
         built.clear()
         kernel_calls.clear()
         solves.clear()
         q = vec(["-1/2", 1, -1])
-        got = complementary_solutions(a, q, nb, zero_solves=False)
+        got = complementary_solutions(a, q, nb)
         assert not built
         assert len(solves) == len(kernel_calls) == len(singular)
-        assert got == complementary_solutions_fraction(a, q, nb, zero_solves=False)
+        zero_solves = orthant_plus_span_lp_reference(q, nb)
+        assert got == complementary_solutions_fraction(a, q, nb, zero_solves)
 
 
 # -- the bordering walk against one elimination of [B_S | I] per support ------
@@ -442,5 +448,6 @@ def test_singular_parent_and_shape_singular_supports(monkeypatch):
     assert eliminated == [4, 4, 4]
     assert_table_matches_elimination(a, null)
     for q in (vec([0, 0, 0]), vec([1, -2, 1]), vec([-1, 0, 1])):
-        assert (complementary_solutions(a, q, null, all(t >= 0 for t in q))
-                == complementary_solutions_fraction(a, q, null, all(t >= 0 for t in q)))
+        zero_solves = orthant_plus_span_lp_reference(q, null)
+        assert (complementary_solutions(a, q, null)
+                == complementary_solutions_fraction(a, q, null, zero_solves))
