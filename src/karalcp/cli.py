@@ -181,10 +181,10 @@ def cmd_search(args) -> int:
     if args.n < 1 or args.trials < 0 or args.entry_bound < 0:
         return _fail(EXIT_PARSE, "--n must be positive, --trials and --entry-bound nonnegative")
     try:
-        density = Fraction(args.density)
+        density = bounded_rat(args.density)
         if not 0 < density <= 1:
             raise ValueError("density must be in (0, 1]")
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         return _fail(EXIT_PARSE, f"bad --density: {exc}")
     out_path = args.out or f"search_{args.target}_n{args.n}_seed{args.seed}.jsonl"
     count = 0

@@ -260,7 +260,8 @@ def default_candidates(a: RationalMatrix, witness: Vector | None,
                        seed: int = 0, limit: int = 32) -> list[Vector]:
     """Deterministic candidate-d pool for the existential part of the
     Karamardian definition.  All candidates are later verified to lie in
-    int(K*) before they count, so this list may overshoot freely."""
+    int(K*) before they count, so this list may overshoot freely, and it
+    may repeat a candidate: the cascade skips repeats."""
     n = a.rows
     out: list[Vector] = [ones_vec(n)]
     if witness is not None:
@@ -289,13 +290,7 @@ def default_candidates(a: RationalMatrix, witness: Vector | None,
             coeffs = [rng.randint(-3, 3) for _ in null]
             out.append(tuple(e[i] + sum(c * w[i] for c, w in zip(coeffs, null))
                              for i in range(n)))
-    seen = set()
-    unique = []
-    for d in out:
-        if d not in seen:
-            seen.add(d)
-            unique.append(d)
-    return unique
+    return out
 
 
 def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = None,

@@ -1,13 +1,14 @@
 """LCP matrix classes decided by exact feasibility search.
 
-"Nonzero vector" conditions are encoded by orthant/support normalization
-(sum of |x_i| = 1), which an LP handles exactly; strict conditions become
-slack maximization.  For invertible A, R(A) = R^n: P# is then the
-sign-reversal characterisation of P-matrices (Fiedler & Ptak, 1966), so
-the principal-minor test decides it, and strict range semimonotonicity
-is strict semimonotonicity.  Only for singular A does the P# test run
-one LP per sign orthant (halved by the x -> -x symmetry), and strict
-range semimonotonicity one LP per nonempty support.
+Every semipositivity-type test asks one memoized LP, _simplex_point: is
+there x >= 0 with e^T x = 1, Ex = 0 and Gx >= 0?  Weak semipositivity and
+semimonotonicity ask it for G = A and G = A_SS; semipositivity is its
+absence for G = -A^T (Ville's theorem), strict (range) semimonotonicity
+its absence for G = -A_SS (and E = W_S^T, W a basis of N(A^T)) on every
+support S, and P# of a singular A its absence for G = -D_s A D_s and
+E = (D_s W)^T on every sign orthant s.  For invertible A, R(A) = R^n, so
+P# is the P-matrix minor test (Fiedler & Ptak, 1966).  The H-matrix test
+of minor_classes and almost monotonicity in monotone ask the same LP.
 
 Copositivity over a polyhedral cone with generators V is the sign of the
 minimum of lambda^T G lambda over the standard simplex, for the symmetric
@@ -53,55 +54,56 @@ _ONE = Fraction(1)
 # -- semipositivity ----------------------------------------------------
 
 
-def is_semipositive(a: RationalMatrix) -> bool:
-    """Exists x > 0 with Ax > 0; exact by homogenizing both strict signs."""
-    return _semipositive(a, tuple(range(a.rows)), tuple(range(a.cols)), True)
-
-
-def is_weakly_semipositive(a: RationalMatrix) -> bool:
-    """Exists 0 != x >= 0 with Ax >= 0."""
-    return _semipositive(a, tuple(range(a.rows)), tuple(range(a.cols)), False)
-
-
-def _semipositive(a: RationalMatrix, rows: tuple[int, ...], cols: tuple[int, ...],
-                  strict: bool) -> bool:
-    """(Weak) semipositivity of the submatrix A[rows, cols], memoized in
-    a._cache per restricted system, as the principal scans below revisit
-    it (and distinct supports can restrict alike)."""
-    int_rows = integer_rows(a)
-    k = len(cols)
-    restricted = tuple((tuple(int_rows[i][0][j] for j in cols), int_rows[i][1] if strict else 0)
-                       for i in rows)
-    memo = a._cache.setdefault("semipositive", {})
-    key = (k, strict, restricted)
+def _simplex_point(a: RationalMatrix, k: int, eqs: tuple, ges: tuple) -> bool:
+    """Some x >= 0 in R^k with e^T x = 1 has Ex = 0 and Gx >= 0, for the
+    integer rows `eqs` of E and `ges` of G.  One LP per (k, E, G), memoized
+    in a._cache: the scans revisit systems, and tests meet in one (P#'s
+    all-plus orthant is strict range semimonotonicity's full support)."""
+    memo = a._cache.setdefault("simplex_point", {})
+    key = (k, eqs, ges)
     if key not in memo:
         system = LinearSystem(k, nonneg=True)
-        if strict:
-            for j in range(k):
-                system.ge([int(i == j) for i in range(k)], 1)
-        else:
-            system.eq([1] * k, 1)
-        for coeffs, rhs in restricted:
-            system.ge(coeffs, rhs)
+        for row in eqs:
+            system.eq(row, 0)
+        system.eq([1] * k, 1)
+        for row in ges:
+            system.ge(row, 0)
         memo[key] = lp_feasible(system).is_feasible
     return memo[key]
 
 
-def _all_principal(a: RationalMatrix, strict: bool, proper: bool = False) -> bool:
-    return all(_semipositive(a, idx, idx, strict) for idx in nonempty_subsets(a.rows)
-               if not proper or len(idx) < a.rows)
+def _block(a: RationalMatrix, idx: tuple[int, ...], sign: int = 1) -> tuple:
+    """The integer rows of sign * A[idx, idx], each row scaled as in A."""
+    rows = integer_rows(a)
+    return tuple(tuple(sign * rows[i][0][j] for j in idx) for i in idx)
+
+
+def _left_null(a: RationalMatrix) -> tuple:
+    """The integer rows of W^T for the basis W of N(A^T)."""
+    return tuple(tuple(integer_row(w)[0]) for w in subspace_bases(a).left_null.basis)
+
+
+def is_semipositive(a: RationalMatrix) -> bool:
+    """Exists x > 0 with Ax > 0: no nonzero y >= 0 has A^T y <= 0 (Ville)."""
+    return not _simplex_point(a, a.rows, (), tuple(
+        tuple(-t for t in integer_row(col)[0]) for col in zip(*a.data)))
+
+
+def is_weakly_semipositive(a: RationalMatrix) -> bool:
+    """Exists 0 != x >= 0 with Ax >= 0."""
+    return _simplex_point(a, a.cols, (), tuple(tuple(ints) for ints, _ in integer_rows(a)))
 
 
 def is_semimonotone(a: RationalMatrix) -> bool:
     """Every principal submatrix (including A) is weakly semipositive."""
     a.require_square("semimonotonicity", scan=True)
-    return _all_principal(a, False)
+    return all(_simplex_point(a, len(s), (), _block(a, s)) for s in nonempty_subsets(a.rows))
 
 
 def is_strictly_semimonotone(a: RationalMatrix) -> bool:
-    """Every principal submatrix (including A) is semipositive."""
+    """No nonzero x >= 0 has x * Ax <= 0 (every principal submatrix is semipositive)."""
     a.require_square("strict semimonotonicity", scan=True)
-    return _all_principal(a, True)
+    return not _sign_reversed(a, ())
 
 
 def is_almost_semimonotone(a: RationalMatrix) -> bool:
@@ -114,7 +116,18 @@ def is_almost_semimonotone(a: RationalMatrix) -> bool:
     so the quantification is vacuous there.
     """
     a.require_square("almost semimonotonicity", scan=True)
-    return _all_principal(a, False, proper=True) and not is_weakly_semipositive(a)
+    return (all(_simplex_point(a, len(s), (), _block(a, s))
+                for s in nonempty_subsets(a.rows) if len(s) < a.rows)
+            and not is_weakly_semipositive(a))
+
+
+def _sign_reversed(a: RationalMatrix, null: tuple) -> bool:
+    """Some nonzero x >= 0 with W^T x = 0 has x * Ax <= 0, for the integer
+    rows `null` of W^T: on the support S of x, x_S is a simplex point with
+    W_S^T x_S = 0 and -A_SS x_S >= 0, one LP per S."""
+    return any(_simplex_point(a, len(s), tuple(tuple(w[j] for j in s) for w in null),
+                              _block(a, s, -1))
+               for s in nonempty_subsets(a.rows))
 
 
 # -- sign-reversal classes ----------------------------------------------
@@ -125,58 +138,27 @@ def is_p_hash(a: RationalMatrix) -> bool:
 
     For invertible A, R(A) = R^n and this says A is a P-matrix (Fiedler &
     Ptak; Cottle, Pang & Stone, Thm 3.3.4), decided by the principal
-    minors.  For singular A, one LP per sign orthant: substituting x = s * z
-    with z >= 0 makes the orthant constraints structural, range membership
-    is W^T x = 0 for a left-null basis W, and sum z = 1 rules out zero.
-    The pair (s, -s) describes the same problem, so only orthants with
-    s_1 = +1 run.
+    minors.  For singular A, one LP per sign orthant s: x = D_s z with z on
+    the simplex, W^T D_s z = 0 and -D_s A D_s z >= 0.  The pair (s, -s)
+    describes the same problem, so only orthants with s_1 = +1 run.
     """
     a.require_square("P# test", scan=True)
     if determinant(a) != 0:
         return minor_class(a).is_p
     n = a.rows
-    left_null = [integer_row(w)[0] for w in subspace_bases(a).left_null.basis]
-    rows_a = [ints for ints, _ in integer_rows(a)]
-    for signs in itertools.product((1, -1), repeat=n - 1):
-        s = (1,) + signs
-        system = LinearSystem(n, nonneg=True)
-        for w in left_null:
-            system.eq([w[j] * s[j] for j in range(n)], 0)
-        system.eq([1] * n, 1)
-        for i in range(n):
-            system.ge([-s[i] * rows_a[i][j] * s[j] for j in range(n)], 0)
-        if lp_feasible(system).is_feasible:
-            return False
-    return True
+    null, minus_a = _left_null(a), _block(a, tuple(range(n)), -1)
+    return not any(
+        _simplex_point(a, n, tuple(tuple(w[j] * s[j] for j in range(n)) for w in null),
+                       tuple(tuple(s[i] * g[j] * s[j] for j in range(n))
+                             for i, g in enumerate(minus_a)))
+        for s in ((1,) + signs for signs in itertools.product((1, -1), repeat=n - 1)))
 
 
 def is_strictly_range_semimonotone(a: RationalMatrix) -> bool:
-    """No nonzero x >= 0 in R(A) with x * Ax <= 0.  For invertible A,
-    R(A) = R^n and this is strict semimonotonicity; for singular A, one LP
-    per support."""
+    """No nonzero x >= 0 in R(A) with x * Ax <= 0; for invertible A, R(A) =
+    R^n and the LPs are those of strict semimonotonicity."""
     a.require_square("strict range semimonotonicity", scan=True)
-    if determinant(a) != 0:
-        return is_strictly_semimonotone(a)
-    n = a.rows
-    left_null = [integer_row(w)[0] for w in subspace_bases(a).left_null.basis]
-    rows_a = [ints for ints, _ in integer_rows(a)]
-    memo = a._cache.setdefault("range_semimonotone", {})
-    for support in nonempty_subsets(n):
-        # distinct supports can restrict to the same system: key on it
-        key = (tuple(tuple(w[j] for j in support) for w in left_null),
-               tuple(tuple(rows_a[i][j] for j in support) for i in support))
-        if key not in memo:
-            k = len(support)
-            system = LinearSystem(k, nonneg=True)
-            for w in key[0]:
-                system.eq(w, 0)
-            system.eq([1] * k, 1)
-            for row in key[1]:
-                system.ge([-t for t in row], 0)
-            memo[key] = lp_feasible(system).is_feasible
-        if memo[key]:
-            return False
-    return True
+    return not _sign_reversed(a, _left_null(a))
 
 
 # -- copositivity over polyhedral cones ----------------------------------

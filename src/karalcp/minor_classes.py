@@ -4,7 +4,8 @@ P / P0 / N (with category) / adequate come from exhaustive principal-minor
 scans (2^n - 1 exact determinants, size-capped).  M-matrices are decided
 by the Fiedler-Ptak characterization Z + P (nonsingular) / Z + P0
 (singular), which sidesteps the spectral radius entirely, and property c
-by "M-matrix and rank A = rank A^2" (zero eigenvalue of index <= 1).
+by "M-matrix and rank A = rank A^2" (zero eigenvalue of index <= 1), and
+the H-matrix test is lcp_classes' one simplex-point LP.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .geninv import index_at_most_one
-from .lp import LinearSystem, lp_feasible
-from .matrix import RationalMatrix, determinant, integer_rows, nonempty_subsets, rank
+from .matrix import RationalMatrix, determinant, integer_row, nonempty_subsets, rank
 
 
 class MClass(Enum):
@@ -144,15 +144,16 @@ def has_property_c(a: RationalMatrix) -> bool:
 
 
 def is_h_matrix_positive_diag(a: RationalMatrix) -> bool:
-    """Positive diagonal and a positive scaling vector d making |a_ii| d_i
-    strictly dominate the off-diagonal row sums; exact via a slack-1 LP."""
+    """Positive diagonal and some d > 0 making |a_ii| d_i strictly dominate
+    the scaled off-diagonal row sums: the comparison matrix C is semipositive,
+    so no nonzero y >= 0 has C^T y <= 0 (Ville's theorem)."""
+    from .lcp_classes import _simplex_point
+
     a.require_square("H-matrix test")
     n = a.rows
     if any(a.data[i][i] <= 0 for i in range(n)):
         return False
-    system = LinearSystem(n, nonneg=True)
-    for i, (ints, mult) in enumerate(integer_rows(a)):
-        system.ge([abs(x) if j == i else -abs(x) for j, x in enumerate(ints)], mult)
-    for i in range(n):
-        system.ge([int(j == i) for j in range(n)], 1)
-    return lp_feasible(system).is_feasible
+    # row j of -C^T: -|a_jj| at j, |a_ij| elsewhere (-A^T for a Z-matrix)
+    return not _simplex_point(a, n, (), tuple(
+        tuple(-t if i == j else abs(t) for i, t in enumerate(integer_row(col)[0]))
+        for j, col in enumerate(zip(*a.data))))

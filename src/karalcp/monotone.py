@@ -1,13 +1,15 @@
 """The monotonicity family.
 
-Each predicate is either a closed-form inverse-sign check or LP
-infeasibility tests (the defining implications are homogeneous, so
-"x_i < 0 somewhere" scales to "x_i <= -1" exactly).
+Each predicate is a closed-form inverse-sign check or LP infeasibility
+(the defining implications are homogeneous, so "x_i < 0 somewhere"
+scales to "x_i <= -1" exactly); almost monotonicity is lcp_classes' one
+simplex-point LP.
 """
 
 from __future__ import annotations
 
 from .geninv import group_inverse, moore_penrose
+from .lcp_classes import _left_null, _simplex_point
 from .lp import LinearSystem, lp_feasible
 from .matrix import RationalMatrix, integer_row, integer_rows, inverse, subspace_bases
 
@@ -73,12 +75,7 @@ def is_gi_semimonotone(a: RationalMatrix) -> bool:
 
 
 def is_almost_monotone(a: RationalMatrix) -> bool:
-    """Ax >= 0 implies Ax = 0: no x has Ax >= 0 with e^T Ax >= 1 (a
-    nonzero Ax >= 0 has a positive sum, which scales to 1)."""
+    """Ax >= 0 implies Ax = 0: R(A) meets R^n_+ only at 0, so no y >= 0
+    with e^T y = 1 has W^T y = 0 for the basis W of N(A^T)."""
     a.require_square("almost monotonicity")
-    n = a.rows
-    system = LinearSystem(n)
-    for ints, _ in integer_rows(a):
-        system.ge(ints, 0)
-    system.ge([sum(col) for col in zip(*a.data)], 1)
-    return not lp_feasible(system).is_feasible
+    return not _simplex_point(a, a.rows, _left_null(a), ())

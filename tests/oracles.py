@@ -327,7 +327,7 @@ def group_equations_hold(a: RationalMatrix, x: RationalMatrix) -> bool:
 
 
 # -- almost monotonicity, one LP per coordinate: the reference for the one
-# -- LP of monotone.is_almost_monotone ----------------------------------------
+# -- simplex-point LP of monotone.is_almost_monotone ---------------------------
 
 
 def is_almost_monotone_reference(a: RationalMatrix) -> bool:
@@ -341,6 +341,39 @@ def is_almost_monotone_reference(a: RationalMatrix) -> bool:
         if lp_feasible(system).is_feasible:
             return False
     return True
+
+
+# -- semipositivity as x >= e, Ax >= e, its principal scans, and the H-matrix
+# -- scaling LP: the references for the one simplex-point LP of lcp_classes,
+# -- which asks the alternative of Ville's theorem instead --------------------
+
+
+def semipositive_reference(a: RationalMatrix) -> bool:
+    """Some x > 0 has Ax > 0: by homogeneity, some x >= e has Ax >= e."""
+    system = LinearSystem(a.cols, nonneg=True)
+    for j in range(a.cols):
+        system.ge([int(i == j) for i in range(a.cols)], 1)
+    for r in range(a.rows):
+        system.ge(a.row_vec(r), 1)
+    return lp_feasible(system).is_feasible
+
+
+def strictly_semimonotone_reference(a: RationalMatrix) -> bool:
+    """Every principal submatrix is semipositive."""
+    return all(semipositive_reference(a.submatrix(idx, idx)) for idx in nonempty_subsets(a.rows))
+
+
+def h_matrix_positive_diag_reference(a: RationalMatrix) -> bool:
+    """Positive diagonal and some d >= e with |a_ii| d_i - sum_{j != i}
+    |a_ij| d_j >= 1 for every i."""
+    n = a.rows
+    if any(a.data[i][i] <= 0 for i in range(n)):
+        return False
+    system = LinearSystem(n, nonneg=True)
+    for i in range(n):
+        system.ge([abs(x) if j == i else -abs(x) for j, x in enumerate(a.data[i])], 1)
+        system.ge([int(j == i) for j in range(n)], 1)
+    return lp_feasible(system).is_feasible
 
 
 # -- P# and strict range semimonotonicity by LPs on every input: the

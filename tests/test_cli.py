@@ -246,6 +246,16 @@ class TestExitCodes:
           "--entry-bound", "-1"], 2),
         (["search", "--target", "propc-not-phash", "--n", "3", "--trials", "1",
           "--out", "/nonexistent/x.jsonl"], 2),
+        # --density is read like every number from outside: an exponent or
+        # entry past 256 bits exits 3 before any power of ten is built
+        (["search", "--target", "propc-not-phash", "--n", "3", "--trials", "1",
+          "--density", "1e-3000000"], 3),
+        (["search", "--target", "propc-not-phash", "--n", "3", "--trials", "1",
+          "--density", "1/%d" % 2 ** 300], 3),
+        (["search", "--target", "propc-not-phash", "--n", "3", "--trials", "1",
+          "--density", "half"], 2),
+        (["search", "--target", "propc-not-phash", "--n", "3", "--trials", "1",
+          "--density", "1/0"], 2),
     ])
     def test_bad_flags_exit_cleanly(self, args, code):
         res = run_cli(args)

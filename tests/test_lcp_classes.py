@@ -24,16 +24,21 @@ from karalcp.lcp_classes import (
 from karalcp.lcp import is_q_matrix
 from karalcp.lp import LinearSystem, lp_feasible
 from karalcp.matrix import RationalMatrix, determinant, inverse, rank
-from karalcp.minor_classes import has_property_c, minor_class
-from karalcp.monotone import is_range_monotone
+from karalcp.minor_classes import has_property_c, is_h_matrix_positive_diag, minor_class
+from karalcp.monotone import is_almost_monotone, is_range_monotone
 from oracles import (
     copositivity_kkt_reference,
+    h_matrix_positive_diag_reference,
+    is_almost_monotone_reference,
     p_hash_orthant_reference,
+    semipositive_reference,
     strictly_range_semimonotone_reference,
+    strictly_semimonotone_reference,
 )
 from conftest import (
     rand_group_invertible,
     rand_int_matrix,
+    rand_matrix,
     rand_nonzero_vector,
     rand_p_matrix,
     rand_symmetric_z_matrix,
@@ -276,8 +281,9 @@ class TestLpReferences:
         assert min(seen.values()) > 30
 
     def test_invertible_matrix_runs_no_lp(self, monkeypatch):
-        # P# of an invertible matrix is read from its minor scan, and strict
-        # range semimonotonicity from the memoized semipositivity LPs
+        # P# of an invertible matrix is read from its minor scan; strict range
+        # semimonotonicity has an empty left-null basis, so its support LPs
+        # are strict semimonotonicity's, already memoized
         calls = []
         real = lcp_classes.lp_feasible
         monkeypatch.setattr(lcp_classes, "lp_feasible", lambda s: calls.append(s) or real(s))
@@ -288,6 +294,78 @@ class TestLpReferences:
         assert len(calls) == before
         assert determinant(M1) == 0 and not is_p_hash(M1)  # decided by orthant LPs
         assert len(calls) > before
+
+
+def _counted_lps(monkeypatch) -> list:
+    calls = []
+    real = lcp_classes.lp_feasible
+    monkeypatch.setattr(lcp_classes, "lp_feasible", lambda s: calls.append(s) or real(s))
+    return calls
+
+
+class TestSimplexPoint:
+    """The one simplex-point LP behind the semipositivity-type tests, against
+    the LP forms it replaced (tests/oracles.py), and the LPs tests share."""
+
+    def test_predicates_match_the_replaced_lp_forms(self):
+        rng = random.Random(31)
+        inputs = [rand_int_matrix(rng, *(rng.randint(1, 5),) * 2) for _ in range(80)]
+        inputs += [rand_matrix(rng, rng.randint(1, 4), 4, 3) for _ in range(60)]
+        inputs += [_rank_deficient(rng, rng.randint(2, 5)) for _ in range(60)]
+        inputs += [rand_z_matrix(rng, rng.randint(1, 4)) for _ in range(40)]
+        rectangular = [rand_int_matrix(rng, m, n) for m, n in
+                       ((rng.randint(1, 5), rng.randint(1, 5)) for _ in range(60)) if m != n]
+        checks = {
+            "semipositive": (is_semipositive, semipositive_reference),
+            "strictly_semimonotone": (is_strictly_semimonotone, strictly_semimonotone_reference),
+            "h_matrix_positive_diag": (is_h_matrix_positive_diag, h_matrix_positive_diag_reference),
+            "almost_monotone": (is_almost_monotone, is_almost_monotone_reference),
+        }
+        seen = {name: set() for name in checks}
+        for a in inputs + rectangular:
+            for name, (predicate, reference) in checks.items():
+                if a.rows != a.cols and name != "semipositive":
+                    continue
+                expected = reference(a)
+                assert predicate(a) is expected, (name, a.data)
+                seen[name].add(expected)
+        assert all(answers == {True, False} for answers in seen.values()), seen
+        assert any(not is_semipositive(a) for a in rectangular)
+        assert any(is_semipositive(a) for a in rectangular)
+
+    def test_p_hash_and_strict_range_semimonotone_share_the_full_support(self, monkeypatch):
+        # Singular, so P# runs its orthant LPs; the all-plus orthant (W^T x = 0,
+        # -Ax >= 0) is strict range semimonotonicity's full support.
+        rows = [[1, 2, 1, 3], [2, 1, 1, 1], [1, 3, 2, 1], [3, 3, 2, 4]]
+        calls = _counted_lps(monkeypatch)
+        a = RationalMatrix.from_rows(rows)
+        assert determinant(a) == 0 and is_strictly_range_semimonotone(a)
+        srsm = len(calls)
+        p_hash = is_p_hash(RationalMatrix.from_rows(rows))
+        alone = len(calls) - srsm
+        both = RationalMatrix.from_rows(rows)
+        assert is_p_hash(both) is p_hash and is_strictly_range_semimonotone(both)
+        assert len(calls) - srsm - alone == srsm + alone - 1
+
+    def test_tests_on_one_matrix_keep_their_own_systems(self):
+        # Strict semimonotonicity and strict range semimonotonicity ask the
+        # same G = -A_SS on each support; only E = W_S^T tells them apart.
+        rows = [[0, -1], [0, 1]]
+        a, b = RationalMatrix.from_rows(rows), RationalMatrix.from_rows(rows)
+        assert not is_strictly_semimonotone(a) and is_strictly_range_semimonotone(a)
+        assert is_strictly_range_semimonotone(b) and not is_strictly_semimonotone(b)
+
+    def test_h_matrix_of_a_z_matrix_reuses_the_semipositivity_lp(self, monkeypatch):
+        # For a Z-matrix with positive diagonal the comparison matrix is A.
+        calls = _counted_lps(monkeypatch)
+        for rows, expected in (([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], True),
+                               ([[1, -2], [-2, 1]], False)):
+            a = RationalMatrix.from_rows(rows)
+            before = len(calls)
+            assert is_semipositive(a) is expected
+            assert len(calls) == before + 1
+            assert is_h_matrix_positive_diag(a) is expected
+            assert len(calls) == before + 1
 
 
 class TestStrictRangeSemimonotone:
