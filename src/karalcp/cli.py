@@ -80,6 +80,8 @@ def _require_order(matrix: RationalMatrix, args) -> None:
 
 
 def cmd_classify(args) -> int:
+    if args.max_candidates < 0:
+        return _fail(EXIT_PARSE, "--max-candidates must be nonnegative")
     try:
         matrix = _load_matrix(args.matrix)
     except ValueError as exc:
@@ -211,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="path to a matrix JSON file")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-candidates", type=int, default=CANDIDATE_BUDGET)
+    p.add_argument("--max-candidates", type=int, default=CANDIDATE_BUDGET,
+                   help="most candidate vectors d the Karamardian search verifies"
+                        " (default %(default)s); the --hint-d vectors and e always are")
     p.add_argument("--hint-d", action="append", metavar="VECTOR_JSON")
     p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     p.add_argument("--skip", action="append", metavar="PRED[,PRED...]")

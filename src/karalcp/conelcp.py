@@ -9,10 +9,11 @@ solved by the standard LCP's support scans, whose standard case is N
 empty: `lcp.complementary_solutions` for every solution, x = 0 among them
 from the empty support, and `lcp.first_nonzero_solution` for whether only
 zero solves.  K lies in R^n_+, so it is pointed, and K* and int K* are
-read on the generators of K.  The Karamardian decision is a cascade of
-sound exact rules; the existential d of the definition is only
-semi-decided, by verified candidate vectors, so No is never emitted from
-a failed search.
+read on the generators of K.  Each generator sums to 1, so e lies in
+int K*.  The Karamardian decision is a cascade of sound exact rules; the
+existential d of the definition is only semi-decided, by verified
+candidate vectors, e always among them, so No is never emitted from a
+failed search.
 """
 
 from __future__ import annotations
@@ -30,18 +31,10 @@ from .errors import (
     ZeroVectorError,
 )
 from .geninv import group_inverse
-from .lcp_classes import (
-    ConeRep,
-    is_almost_semimonotone,
-    is_semimonotone,
-    is_strictly_copositive,
-    is_strictly_semimonotone,
-)
+from .lcp_classes import ConeRep, is_almost_semimonotone
 from .lcp import (
     NO,
     RULE_N_FIRST_CATEGORY,
-    RULE_NONNEG_POS_DIAG,
-    RULE_P_MATRIX,
     UNKNOWN,
     YES,
     LcpSolutionSet,
@@ -52,7 +45,6 @@ from .lcp import (
 )
 from .lp import LinearSystem, lp_feasible
 from .matrix import (
-    ENUMERATION_CAP,
     RationalMatrix,
     Vector,
     dot,
@@ -76,9 +68,6 @@ RULE_K_TRIVIAL = "K_TRIVIAL"
 RULE_HOMOGENEOUS_NONZERO = "HOMOGENEOUS_NONZERO"
 RULE_RANK_ONE = "RANK_ONE"
 RULE_CLASS_2X2 = "CLASS_2X2"
-RULE_STRICT_COPOSITIVE_ON_K = "STRICT_COPOSITIVE_ON_K"
-RULE_STRICTLY_SEMIMONOTONE = "STRICTLY_SEMIMONOTONE_NONSINGULAR"
-RULE_SEMIMONOTONE = "SEMIMONOTONE_NONSINGULAR"
 RULE_ALMOST_SEMIMONOTONE = "ALMOST_SEMIMONOTONE"
 RULE_Z_NOT_P = "Z_NOT_P_NONSINGULAR"
 RULE_CANDIDATE_D = "CANDIDATE_D"
@@ -298,12 +287,14 @@ def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = 
                    force_candidate_search: bool = False) -> Verdict:
     """Decision cascade; the first firing rule wins.
 
-    No is emitted only from sound rules (trivial K, nonzero homogeneous
-    solution, the exact rank-one / 2x2 / almost-semimonotone / Z-not-P /
-    first-category-N rules); an exhausted candidate search yields Unknown,
-    never No.  `force_candidate_search` skips the exact shortcut rules
-    (used by the cross-validation tests).  The verdict is memoized in
-    `a._cache` per argument set.
+    After the trivial-K and homogeneous rules come the hints and then e,
+    which lies in int K* (every generator of K sums to 1), whatever
+    `max_candidates` is.  No is emitted only from sound rules (trivial K,
+    nonzero homogeneous solution, the exact rank-one / 2x2 /
+    almost-semimonotone / Z-not-P / first-category-N rules); an exhausted
+    candidate search yields Unknown, never No.  `force_candidate_search`
+    skips the exact shortcut rules (used by the cross-validation tests).
+    The verdict is memoized in `a._cache` per argument set.
     """
     a.require_square("Karamardian test", scan=True)
     n = a.rows
@@ -331,6 +322,13 @@ def _karamardian_cascade(a: RationalMatrix, hints: list[Vector], max_candidates:
     if nonzero is not None:
         return Verdict(NO, rule=RULE_HOMOGENEOUS_NONZERO, witnesses={"solution": nonzero})
 
+    # The hints, then e, whatever max_candidates is.
+    tried: list[Vector] = []
+    for d in hints + [ones_vec(n)]:
+        verdict = _try_candidate(a, d, tried)
+        if verdict is not None:
+            return verdict
+
     if not force_candidate_search:
         if rank(a) == 1:
             u, v = _rank_one_factors(a)
@@ -339,44 +337,32 @@ def _karamardian_cascade(a: RationalMatrix, hints: list[Vector], max_candidates:
                            witnesses={"u": u, "v": v})
         if n == 2:
             return classify_2x2(a)
-        flags = structural_flags(a)
-        if flags.nonnegative and all(a.data[i][i] > 0 for i in range(n)):
-            return Verdict(YES, rule=RULE_NONNEG_POS_DIAG)
-        minors = minor_class(a)
-        if minors.is_p:
-            return Verdict(YES, rule=RULE_P_MATRIX)
-        if (len(cone.cone.generators) <= ENUMERATION_CAP
-                and is_strictly_copositive(a, cone.cone)):
-            return Verdict(YES, rule=RULE_STRICT_COPOSITIVE_ON_K)
-        invertible = rank(a) == n
-        if invertible and is_strictly_semimonotone(a):
-            return Verdict(YES, rule=RULE_STRICTLY_SEMIMONOTONE)
-        if invertible and is_semimonotone(a):
-            # The homogeneous problem was already shown to have only zero.
-            return Verdict(YES, rule=RULE_SEMIMONOTONE)
         if is_almost_semimonotone(a):
             return Verdict(NO, rule=RULE_ALMOST_SEMIMONOTONE)
-        if invertible and flags.z_matrix and not minors.is_p:
+        if rank(a) == n and structural_flags(a).z_matrix and not minor_class(a).is_p:
             return Verdict(NO, rule=RULE_Z_NOT_P)
         if n_first_category_applies(a):
             return Verdict(NO, rule=RULE_N_FIRST_CATEGORY)
 
-    tried: list[Vector] = []
-    pool = hints + default_candidates(a, cone.nontrivial_witness, seed=seed,
-                                      limit=max(2 * max_candidates, 8))
-    seen = set()
-    for d in pool:
+    for d in default_candidates(a, cone.nontrivial_witness, seed=seed,
+                                limit=max(2 * max_candidates, 8)):
         if len(tried) >= max_candidates:
             break
-        if d in seen:
-            continue
-        seen.add(d)
-        tried.append(d)
-        if not int_dual_membership(a, d):
-            continue
-        if cone_lcp_only_zero(a, d):
-            return Verdict(YES, rule=RULE_CANDIDATE_D, witnesses={"d": d})
+        verdict = _try_candidate(a, d, tried)
+        if verdict is not None:
+            return verdict
     return Verdict(UNKNOWN, evidence={"tried": tuple(tried), "seed": seed})
+
+
+def _try_candidate(a: RationalMatrix, d: Vector, tried: list[Vector]) -> Verdict | None:
+    """A Yes certificate when d is new to `tried` (it is then appended), lies
+    in int K* and leaves the cone LCP (A, d) only the zero solution."""
+    if d in tried:
+        return None
+    tried.append(d)
+    if int_dual_membership(a, d) and cone_lcp_only_zero(a, d):
+        return Verdict(YES, rule=RULE_CANDIDATE_D, witnesses={"d": d})
+    return None
 
 
 def karamardian_of_group_inverse(a: RationalMatrix) -> Verdict:

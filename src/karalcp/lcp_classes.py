@@ -116,9 +116,9 @@ def is_almost_semimonotone(a: RationalMatrix) -> bool:
     so the quantification is vacuous there.
     """
     a.require_square("almost semimonotonicity", scan=True)
-    return (all(_simplex_point(a, len(s), (), _block(a, s))
-                for s in nonempty_subsets(a.rows) if len(s) < a.rows)
-            and not is_weakly_semipositive(a))
+    return (not is_weakly_semipositive(a)
+            and all(_simplex_point(a, len(s), (), _block(a, s))
+                    for s in nonempty_subsets(a.rows) if len(s) < a.rows))
 
 
 def _sign_reversed(a: RationalMatrix, null: tuple) -> bool:
@@ -216,18 +216,13 @@ def copositivity_on_cone(q: RationalMatrix, cone: ConeRep) -> CopositivityResult
 
 def is_strictly_copositive(q: RationalMatrix, cone: ConeRep) -> bool:
     """x^T Q x > 0 for every nonzero x in the cone: LCP(G, e) and LCP(G, 0)
-    have only the zero solution.  Memoized in q._cache per generator set,
-    as both cascades ask it of R^n_+ for an invertible matrix."""
+    have only the zero solution."""
     from .lcp import first_nonzero_solution
 
-    memo = q._cache.setdefault("strictly_copositive", {})
-    key = tuple(sorted(cone.generators))
-    if key not in memo:
-        gram = _gram(q, cone)
-        m = gram.rows
-        memo[key] = all(first_nonzero_solution(gram, rhs, ()) is None
-                        for rhs in ((_ONE,) * m, (_ZERO,) * m))
-    return memo[key]
+    gram = _gram(q, cone)
+    m = gram.rows
+    return all(first_nonzero_solution(gram, rhs, ()) is None
+               for rhs in ((_ONE,) * m, (_ZERO,) * m))
 
 
 def _gram(q: RationalMatrix, cone: ConeRep) -> RationalMatrix:

@@ -8,10 +8,19 @@ from fractions import Fraction
 
 import sympy
 
+from karalcp.conelcp import cone_K
 from karalcp.lcp import LcpSolutionSet, _family_solutions
-from karalcp.lcp_classes import ConeRep, CopositivityResult, CopositivityStatus
+from karalcp.lcp_classes import (
+    ConeRep,
+    CopositivityResult,
+    CopositivityStatus,
+    is_semimonotone,
+    is_strictly_copositive,
+    is_strictly_semimonotone,
+)
 from karalcp.lp import BOUNDED, UNBOUNDED, LinearSystem, lp_feasible, lp_optimize
 from karalcp.matrix import (
+    ENUMERATION_CAP,
     LinearSolution,
     RationalMatrix,
     RrefResult,
@@ -19,12 +28,14 @@ from karalcp.matrix import (
     dot,
     is_zero_vec,
     nonempty_subsets,
+    rank,
     rat,
     solve_linear,
     subspace_bases,
     vec,
     zeros_vec,
 )
+from karalcp.minor_classes import minor_class
 
 
 def det2(m) -> Fraction:
@@ -802,3 +813,37 @@ def _face_stationary_value(gram: list[list[Fraction]], support: tuple[int, ...])
     if not out.is_feasible:
         return None
     return out.witness[k], tuple(out.witness[:k])
+
+
+# -- the five Karamardian Yes rules that d = e replaced: the reference for
+# -- conelcp._karamardian_cascade, which tries e right after the homogeneous
+# -- problem instead ----------------------------------------------------------
+
+
+def retired_karamardian_yes_rule(a: RationalMatrix) -> str | None:
+    """The first of the five Yes rules, in the order the cascade once asked
+    them, that holds for the square A; None when none does.  When K is
+    nontrivial and the homogeneous cone LCP has only zero, each implies that
+    the cone LCP (A, e) has only zero too:
+    - NONNEG_POS_DIAG: x^T (Ax + e) >= sum a_ii x_i^2 + e^T x > 0;
+    - P_MATRIX: K = R^n_+, and LCP(A, e) has the one solution 0;
+    - STRICT_COPOSITIVE_ON_K: x^T (Ax + e) = 0 forces x^T A x < 0;
+    - the two semimonotone rules: K = R^n_+, and some k has x_k > 0 and
+      (Ax + e)_k >= 1.
+    """
+    n = a.rows
+    if (all(t >= 0 for row in a.data for t in row)
+            and all(a.data[i][i] > 0 for i in range(n))):
+        return "NONNEG_POS_DIAG"
+    if minor_class(a).is_p:
+        return "P_MATRIX"
+    cone = cone_K(a).cone
+    if (cone.generators and len(cone.generators) <= ENUMERATION_CAP
+            and is_strictly_copositive(a, cone)):
+        return "STRICT_COPOSITIVE_ON_K"
+    invertible = rank(a) == n
+    if invertible and is_strictly_semimonotone(a):
+        return "STRICTLY_SEMIMONOTONE_NONSINGULAR"
+    if invertible and is_semimonotone(a):
+        return "SEMIMONOTONE_NONSINGULAR"
+    return None

@@ -10,8 +10,8 @@ every interior dual vector admits the nonzero solution
 (d2/2, (d1+d3)/2, d2/2), so the true verdict is No.  None of the sound No
 rules of `is_karamardian` applies to this matrix and an exhausted candidate
 search yields Unknown, never No, so the sub-case asserts Unknown, that the
-published hint was tried first, and the refutation at the hint by
-substitution.  See tests/test_conelcp.py for the frozen counterexample
+published hint and then e were tried first, and the refutation at the hint
+by substitution.  See tests/test_conelcp.py for the frozen counterexample
 family.
 """
 
@@ -137,9 +137,9 @@ def test_criterion_3_karamardian_corpus():
                                  candidate_ds=[vec(h) for h in hints] or None)
         if verdict.status != expected:
             failures.append((name, expected, verdict.status))
-        elif expected == UNKNOWN and (verdict.evidence["tried"][:len(hints)]
-                                      != tuple(vec(h) for h in hints)):
-            failures.append((name, "hints not tried first", verdict.evidence))
+        elif expected == UNKNOWN and (verdict.evidence["tried"][:len(hints) + 1]
+                                      != tuple(vec(h) for h in hints) + (vec([1] * len(rows)),)):
+            failures.append((name, "hints and then e not tried first", verdict.evidence))
     # refutation of the published tridiagonal claim at its hint, by
     # substitution: x = A z >= 0 lies in K, y = Ax + d lies in N(A^T),
     # hence in K*, and x . y = 0

@@ -53,7 +53,8 @@ class TestClassify:
         assert report["schema"] == "2"
         by_name = {p["name"]: p for p in report["predicates"]}
         assert by_name["karamardian"]["status"] == "Yes"
-        assert by_name["karamardian"]["certificate"]["rule"] == "STRICT_COPOSITIVE_ON_K"
+        assert by_name["karamardian"]["certificate"] == {
+            "rule": "CANDIDATE_D", "witnesses": {"d": ["1", "1", "1"]}}
         assert by_name["q_matrix"]["status"] == "No"
         for entry in report["predicates"]:
             if entry["status"] in ("Yes", "No"):
@@ -145,6 +146,13 @@ class TestClassify:
         res = run_cli(["classify", path, "--hint-d", "[3,1]"])
         assert res.returncode == 2
         assert "candidate d [3, 1]" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_negative_max_candidates_exits_2(self, tmp_path):
+        path = write_matrix(tmp_path, "m.json", STCOPEX)
+        res = run_cli(["classify", path, "--format", "json", "--max-candidates", "-3"])
+        assert res.returncode == 2
+        assert "--max-candidates" in res.stderr and res.stdout == ""
         assert "Traceback" not in res.stderr
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,9 @@ from karalcp.errors import (
     ZeroVectorError,
 )
 from karalcp.geninv import group_inverse
-from karalcp.lcp import NO, YES, first_nonzero_solution, is_q_matrix
-from karalcp.matrix import RationalMatrix, dot, rank, vec
+from karalcp.corpus import corpus_entries
+from karalcp.lcp import NO, UNKNOWN, YES, first_nonzero_solution, is_q_matrix
+from karalcp.matrix import RationalMatrix, dot, ones_vec, rank, vec
 from conftest import (
     rand_group_invertible,
     rand_int_matrix,
@@ -37,6 +39,7 @@ from oracles import (
     dual_membership_lp_reference,
     int_dual_membership_lp_reference,
     karamardian_2x2_oracle,
+    retired_karamardian_yes_rule,
 )
 
 TRIDIAGONAL = RationalMatrix.from_rows([[0, -1, 0], [-1, 0, -1], [0, -1, 0]])
@@ -335,7 +338,8 @@ class TestClassify2x2:
 
 class TestKaramardianCascade:
     def test_certificates(self):
-        assert is_karamardian(BLOCK_Z).rule == "STRICT_COPOSITIVE_ON_K"
+        v = is_karamardian(BLOCK_Z)
+        assert v.rule == "CANDIDATE_D" and v.witnesses["d"] == ones_vec(BLOCK_Z.rows)
         trivial = is_karamardian(RationalMatrix.from_rows([[1, -1], [-1, 1]]))
         assert trivial.status == NO and trivial.rule == "K_TRIVIAL"
         eblock = RationalMatrix.from_rows(
@@ -364,40 +368,33 @@ class TestKaramardianCascade:
             is_karamardian(BLOCK_Z, candidate_ds=[vec([1, 1, 1, 1])])
 
     def test_verdict_is_memoized_per_argument_set(self, monkeypatch):
-        """A repeat with the same arguments builds no LP and runs no support
-        scan; other hints are a new argument set, and the argument checks
-        still run first."""
-        from karalcp import conelcp, lp
+        """A repeat with the same arguments runs no support scan; other hints
+        are a new argument set, and the argument checks still run first."""
+        from karalcp import conelcp
 
-        built, scans = [], []
-
-        class CountingSimplex(lp._Simplex):
-            def __init__(self, system):
-                built.append(system)
-                super().__init__(system)
+        scans = []
 
         def counting_scan(*args):
             scans.append(args)
             return first_nonzero_solution(*args)
 
-        monkeypatch.setattr(lp, "_Simplex", CountingSimplex)
         monkeypatch.setattr(conelcp, "first_nonzero_solution", counting_scan)
         a = RationalMatrix.from_rows([[2, 1, 0], [-1, 2, 1], [0, -1, 2]])
         first = is_karamardian(a, force_candidate_search=True)
-        assert built and scans
-        built.clear()
+        assert scans
         scans.clear()
         assert is_karamardian(a, force_candidate_search=True) is first
-        assert not built and not scans
+        assert not scans
         hinted = is_karamardian(a, candidate_ds=[vec([1, 2, 1])], force_candidate_search=True)
         assert hinted.status == YES and hinted.witnesses["d"] == vec([1, 2, 1])
-        assert built and scans
+        assert scans
         with pytest.raises(DimensionMismatchError):
             is_karamardian(a, candidate_ds=[vec([1, 1])], force_candidate_search=True)
 
     def test_never_enumerates_every_support(self, monkeypatch):
-        """Strict copositivity on K is a yes/no question, so the cascade asks
-        it by the early-exit scans and never lists every solution."""
+        """Whether a cone LCP has a nonzero solution is a yes/no question, so
+        the cascade asks it by the early-exit scans and never lists every
+        solution."""
         from karalcp import conelcp, lcp
 
         def refuse(*args, **kwargs):
@@ -414,7 +411,22 @@ class TestKaramardianCascade:
             else:
                 a = rand_int_matrix(rng, n, n)
             rules.add(is_karamardian(a).rule)
-        assert "STRICT_COPOSITIVE_ON_K" in rules
+        assert {"HOMOGENEOUS_NONZERO", "CANDIDATE_D"} <= rules
+
+    def test_hints_then_e_are_tried_whatever_the_budget(self):
+        entry = next(e for e in corpus_entries() if e.id == "tridiagonal_dual_hint")
+        v = is_karamardian(entry.matrix, candidate_ds=entry.hint_d, max_candidates=1)
+        assert v.status == UNKNOWN
+        assert v.evidence["tried"] == (entry.hint_d[0], ones_vec(3))
+
+    def test_d_equals_e_certifies_with_no_candidate_budget(self):
+        # Singular, not rank one, and no exact rule decides it: only the
+        # candidate d = e certifies it.
+        a = RationalMatrix.from_rows([[0, 2, 2], [-3, 1, -2], [0, 0, 0]])
+        for forced in (False, True):
+            v = is_karamardian(a, max_candidates=0, force_candidate_search=forced)
+            assert v.status == YES and v.rule == "CANDIDATE_D"
+            assert v.witnesses["d"] == ones_vec(3)
 
     def test_search_never_returns_no(self):
         rng = random.Random(7)
@@ -482,6 +494,46 @@ class TestKaramardianCascade:
             if va.status in decisive and vp.status in decisive:
                 assert va.status == vp.status
             assert not ({va.status, vp.status} == decisive)
+
+
+# One input on which each retired Yes rule was the first to hold.
+RETIRED_RULE_CASES = {
+    "NONNEG_POS_DIAG": [[1, 1, 0], [1, 1, 2], [0, 0, 2]],
+    "P_MATRIX": [[1, 1, -1], [0, 1, 1], [1, 0, 2]],
+    "STRICT_COPOSITIVE_ON_K": [[2, 0, -1], [-1, 1, 0], [1, -1, 0]],
+    "STRICTLY_SEMIMONOTONE_NONSINGULAR": [[1, 2, 0], [-1, 3, 3], [-3, -2, 1]],
+    "SEMIMONOTONE_NONSINGULAR": [[1, -1, 1], [3, 0, 3], [0, 1, 1]],
+}
+
+
+class TestRetiredYesRules:
+    """The cascade once had five Yes rules of its own; each implies that
+    d = e certifies A whenever K is nontrivial and the homogeneous problem
+    has only zero, and the cascade tries e right after that problem."""
+
+    @staticmethod
+    def _rule_certified_by_e(a):
+        rule = retired_karamardian_yes_rule(a)
+        if rule is None or cone_K(a).trivial or not cone_lcp_only_zero(a, [0] * a.rows):
+            return None
+        v = is_karamardian(a)
+        assert v.status == YES and v.rule == "CANDIDATE_D", (a, rule, v)
+        assert v.witnesses["d"] == ones_vec(a.rows)
+        return rule
+
+    def test_d_equals_e_wherever_a_rule_holds(self):
+        for rule, rows in RETIRED_RULE_CASES.items():
+            assert self._rule_certified_by_e(RationalMatrix.from_rows(rows)) == rule
+        rng = random.Random(12)
+        matrices = [e.matrix for e in corpus_entries() if e.matrix.rows == e.matrix.cols]
+        for trial in range(200):
+            n = rng.randint(3, 5)
+            if trial % 2:
+                matrices.append(rand_int_matrix(rng, n, n - 1, 2) @ rand_int_matrix(rng, n - 1, n, 2))
+            else:
+                matrices.append(rand_int_matrix(rng, n, n))
+        hits = Counter(self._rule_certified_by_e(a) for a in matrices)
+        assert hits["STRICT_COPOSITIVE_ON_K"] and hits["P_MATRIX"] and hits["NONNEG_POS_DIAG"]
 
 
 class TestGroupInverseKaramardian:

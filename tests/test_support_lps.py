@@ -254,7 +254,7 @@ def test_no_lp_for_the_cone_lcp_of_an_invertible_p_matrix(monkeypatch):
     for q in ([1, -2, 1], [0, 0, 0], [-1, -1, -1]):
         assert len(cone_lcp_solutions(a, vec(q)).solutions) == 1
         cone_lcp_only_zero(a, vec([1, 1, 1]))
-    assert is_karamardian(a).rule == "P_MATRIX"
+    assert is_karamardian(a).rule == "CANDIDATE_D"
     assert not built
 
 
