@@ -215,8 +215,7 @@ def classify_2x2(a: RationalMatrix) -> Verdict:
             # the column space meets the nonnegative orthant only at zero
             return Verdict(NO, rule=RULE_K_TRIVIAL,
                            witnesses={"case": "singular_trivial_cone", "u": u, "v": v})
-        cls = rank_one_classification(u, v)
-        return verdict(cls.karamardian, "singular_rank_one", u=u, v=v)
+        return verdict(rank_one_classification(u, v).karamardian, "singular_rank_one", u=u, v=v)
     if e11 == 0 and e22 == 0:
         return verdict(False, "antidiagonal")
     if e11 == 0:
@@ -331,10 +330,10 @@ def _karamardian_cascade(a: RationalMatrix, hints: list[Vector], max_candidates:
 
     if not force_candidate_search:
         if rank(a) == 1:
+            # A = u v^T: K nontrivial makes u unisigned, u^T v = 0 a homogeneous
+            # solution and u^T v > 0 let e certify, so u^T v < 0: not Karamardian
             u, v = _rank_one_factors(a)
-            cls = rank_one_classification(u, v)
-            return Verdict(YES if cls.karamardian else NO, rule=RULE_RANK_ONE,
-                           witnesses={"u": u, "v": v})
+            return Verdict(NO, rule=RULE_RANK_ONE, witnesses={"u": u, "v": v})
         if n == 2:
             return classify_2x2(a)
         if is_almost_semimonotone(a):
@@ -344,13 +343,14 @@ def _karamardian_cascade(a: RationalMatrix, hints: list[Vector], max_candidates:
         if n_first_category_applies(a):
             return Verdict(NO, rule=RULE_N_FIRST_CATEGORY)
 
-    for d in default_candidates(a, cone.nontrivial_witness, seed=seed,
-                                limit=max(2 * max_candidates, 8)):
-        if len(tried) >= max_candidates:
-            break
-        verdict = _try_candidate(a, d, tried)
-        if verdict is not None:
-            return verdict
+    if len(tried) < max_candidates:
+        for d in default_candidates(a, cone.nontrivial_witness, seed=seed,
+                                    limit=max(2 * max_candidates, 8)):
+            if len(tried) >= max_candidates:
+                break
+            verdict = _try_candidate(a, d, tried)
+            if verdict is not None:
+                return verdict
     return Verdict(UNKNOWN, evidence={"tried": tuple(tried), "seed": seed})
 
 

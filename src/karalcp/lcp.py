@@ -29,7 +29,9 @@ none is zero)?
 
 Q-matrix membership is only semi-decidable at desk scale, so the verdict
 type carries its epistemic state: Yes and No come with re-checkable
-certificates, Unknown with the sampling log.
+certificates, Unknown with the sampling log.  Yes: the structural rules,
+first-category N, Karamardian's theorem at d = e, and the Karamardian
+verdict of an invertible R0 A (LCP(A, 0) has only the zero solution).
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import QNotNonnegativeError
-from .lcp_classes import ConeRep, is_strictly_copositive
 from .lp import UNBOUNDED, LinearSystem, lp_feasible, lp_optimize
 from .matrix import (
     RationalMatrix,
@@ -363,9 +364,8 @@ RULE_NONNEG_ZERO_DIAG = "NONNEG_ZERO_DIAGONAL"
 RULE_Z_AND_P = "Z_AND_P"
 RULE_Z_NOT_P = "Z_NOT_P"
 RULE_NONNEG_POS_DIAG = "NONNEG_POS_DIAG"
-RULE_P_MATRIX = "P_MATRIX"
 RULE_N_FIRST_CATEGORY = "N_FIRST_CATEGORY"
-RULE_STRICTLY_COPOSITIVE = "STRICTLY_COPOSITIVE"
+RULE_KARAMARDIAN_THEOREM = "KARAMARDIAN_THEOREM"
 RULE_KARAMARDIAN_INVERTIBLE = "KARAMARDIAN_INVERTIBLE"
 RULE_UNSOLVABLE_Q = "UNSOLVABLE_Q"
 
@@ -374,14 +374,15 @@ def n_first_category_applies(a: RationalMatrix) -> bool:
     """N-matrix of the first category with a positive entry in every column:
     a Q-matrix whose LCP has exactly three solutions for every q > 0, so Yes
     in the Q-matrix cascade and No in the Karamardian one."""
-    if not minor_class(a).n_first_category:
-        return False
-    return all(any(a.data[i][j] > 0 for i in range(a.rows)) for j in range(a.cols))
+    return minor_class(a).n_first_category and all(any(t > 0 for t in col) for col in zip(*a.data))
 
 
 def is_q_matrix(a: RationalMatrix, seed: int = 0) -> Verdict:
     """Exact Yes/No where a sound rule fires, else sampling refutation,
-    else Unknown with the sample log."""
+    else Unknown with the sample log.  Yes by the structural rules, a
+    first-category N, Karamardian's theorem at d = e (Math. Programming 2,
+    1972; it covers every P and strictly copositive A), or the Karamardian
+    verdict of an invertible R0 A."""
     a.require_square("Q-matrix test", scan=True)
     n = a.rows
     flags = structural_flags(a)
@@ -392,26 +393,26 @@ def is_q_matrix(a: RationalMatrix, seed: int = 0) -> Verdict:
     diag_positive = all(a.data[i][i] > 0 for i in range(n))
     if flags.nonnegative and not diag_positive:
         return Verdict(NO, rule=RULE_NONNEG_ZERO_DIAG)
-    minors = minor_class(a)
     if flags.z_matrix:
-        if minors.is_p:
+        if minor_class(a).is_p:
             return Verdict(YES, rule=RULE_Z_AND_P)
         return Verdict(NO, rule=RULE_Z_NOT_P)
     if flags.nonnegative and diag_positive:
         return Verdict(YES, rule=RULE_NONNEG_POS_DIAG)
-    if minors.is_p:
-        return Verdict(YES, rule=RULE_P_MATRIX)
     if n_first_category_applies(a):
         return Verdict(YES, rule=RULE_N_FIRST_CATEGORY)
-    if is_strictly_copositive(a, ConeRep.nonnegative_orthant(n)):
-        return Verdict(YES, rule=RULE_STRICTLY_COPOSITIVE)
-    if rank(a) == n:
-        from .conelcp import is_karamardian
+    # invertible A: K = R^n_+, so a nonzero solution here is a Karamardian No
+    if first_nonzero_solution(a, (_ZERO,) * n, ()) is None:
+        e = (_ONE,) * n
+        if first_nonzero_solution(a, e, ()) is None:
+            return Verdict(YES, rule=RULE_KARAMARDIAN_THEOREM, witnesses={"d": e})
+        if rank(a) == n:
+            from .conelcp import is_karamardian
 
-        kara = is_karamardian(a, seed=seed)
-        if kara.status == YES:
-            return Verdict(YES, rule=RULE_KARAMARDIAN_INVERTIBLE,
-                           witnesses=dict(kara.witnesses, via=kara.rule))
+            kara = is_karamardian(a, seed=seed)
+            if kara.status == YES:
+                return Verdict(YES, rule=RULE_KARAMARDIAN_INVERTIBLE,
+                               witnesses=dict(kara.witnesses, via=kara.rule))
     tried = []
     for q in _sample_qs(n, seed):
         tried.append(q)

@@ -32,6 +32,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import EmptyConeError, TooLargeError
+from .lcp import complementary_solutions, first_nonzero_solution
 from .matrix import (
     ENUMERATION_CAP,
     RationalMatrix,
@@ -198,8 +199,6 @@ def copositivity_on_cone(q: RationalMatrix, cone: ConeRep) -> CopositivityResult
     e^T x (the first of them in sorted order); when it is 0, the base point
     of the first nonzero solution of LCP(G, 0).
     """
-    from .lcp import complementary_solutions, first_nonzero_solution
-
     gram = _gram(q, cone)
     m = gram.rows
     below = [x for x in complementary_solutions(gram, (_ONE,) * m, ()).solutions if any(x)]
@@ -217,8 +216,6 @@ def copositivity_on_cone(q: RationalMatrix, cone: ConeRep) -> CopositivityResult
 def is_strictly_copositive(q: RationalMatrix, cone: ConeRep) -> bool:
     """x^T Q x > 0 for every nonzero x in the cone: LCP(G, e) and LCP(G, 0)
     have only the zero solution."""
-    from .lcp import first_nonzero_solution
-
     gram = _gram(q, cone)
     m = gram.rows
     return all(first_nonzero_solution(gram, rhs, ()) is None

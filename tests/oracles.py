@@ -847,3 +847,24 @@ def retired_karamardian_yes_rule(a: RationalMatrix) -> str | None:
     if invertible and is_semimonotone(a):
         return "SEMIMONOTONE_NONSINGULAR"
     return None
+
+
+# -- the two Q-matrix Yes rules that Karamardian's theorem at d = e replaced:
+# -- the reference for lcp.is_q_matrix, which asks LCP(A, 0) and LCP(A, e)
+# -- instead ------------------------------------------------------------------
+
+
+def retired_q_yes_rule(a: RationalMatrix) -> str | None:
+    """The first of the two Yes rules, in the order the Q-matrix cascade once
+    asked them, that holds for the square A; None when neither does.  Each
+    leaves LCP(A, 0) and LCP(A, e) only the zero solution:
+    - P_MATRIX: LCP(A, q) has exactly one solution for every q, and x = 0
+      solves q = 0 and q = e;
+    - STRICTLY_COPOSITIVE: a nonzero solution x for q in {0, e} would give
+      0 = x^T A x + q^T x > 0.
+    """
+    if minor_class(a).is_p:
+        return "P_MATRIX"
+    if is_strictly_copositive(a, ConeRep.nonnegative_orthant(a.rows)):
+        return "STRICTLY_COPOSITIVE"
+    return None

@@ -304,6 +304,28 @@ class TestRankOne:
         with pytest.raises(ZeroVectorError):
             rank_one_classification(vec([0, 0]), vec([1, 1]))
 
+    def test_cascade_agrees_with_the_classification(self):
+        """A rank-one A = u v^T is certified by d = e exactly when the
+        classification calls it Karamardian; otherwise K is trivial, the
+        homogeneous problem has a nonzero solution, or RANK_ONE says No."""
+        rng = random.Random(13)
+        outcomes = Counter()
+        for trial in range(120):
+            n = rng.randint(2, 6)
+            u = rand_nonzero_vector(rng, n, 3)
+            if trial % 2:
+                u = tuple(map(abs, u))
+            v = rand_nonzero_vector(rng, n, 3)
+            a = RationalMatrix.from_rows([[s * t for t in v] for s in u])
+            verdict = is_karamardian(a)
+            if rank_one_classification(u, v).karamardian:
+                assert verdict.rule == "CANDIDATE_D" and verdict.witnesses["d"] == ones_vec(n)
+            else:
+                assert verdict.status == NO, (u, v, verdict)
+                assert verdict.rule in {"K_TRIVIAL", "HOMOGENEOUS_NONZERO", "RANK_ONE"}
+            outcomes[verdict.rule] += 1
+        assert set(outcomes) == {"CANDIDATE_D", "K_TRIVIAL", "HOMOGENEOUS_NONZERO", "RANK_ONE"}
+
 
 class TestClassify2x2:
     @pytest.mark.parametrize("rows,expected", [
@@ -395,13 +417,14 @@ class TestKaramardianCascade:
         """Whether a cone LCP has a nonzero solution is a yes/no question, so
         the cascade asks it by the early-exit scans and never lists every
         solution."""
-        from karalcp import conelcp, lcp
+        from karalcp import conelcp, lcp, lcp_classes
 
         def refuse(*args, **kwargs):
             raise AssertionError("is_karamardian enumerated every support")
 
         monkeypatch.setattr(lcp, "complementary_solutions", refuse)
         monkeypatch.setattr(conelcp, "complementary_solutions", refuse)
+        monkeypatch.setattr(lcp_classes, "complementary_solutions", refuse)
         rng = random.Random(5)
         rules = set()
         for trial in range(60):
@@ -418,6 +441,22 @@ class TestKaramardianCascade:
         v = is_karamardian(entry.matrix, candidate_ds=entry.hint_d, max_candidates=1)
         assert v.status == UNKNOWN
         assert v.evidence["tried"] == (entry.hint_d[0], ones_vec(3))
+
+    def test_spent_budget_builds_no_candidate_pool(self, monkeypatch):
+        """With the budget spent on the hints and e, the cascade asks the
+        pool's LP for no further candidate."""
+        from karalcp import conelcp
+
+        calls = []
+        real = conelcp.lp_feasible
+        monkeypatch.setattr(conelcp, "lp_feasible", lambda s: calls.append(s) or real(s))
+        entry = next(e for e in corpus_entries() if e.id == "tridiagonal_dual_hint")
+        a = RationalMatrix.from_rows(entry.matrix.data)
+        v = is_karamardian(a, candidate_ds=entry.hint_d, max_candidates=1)
+        assert v.status == UNKNOWN and len(v.evidence["tried"]) == 2
+        assert not calls
+        assert is_karamardian(a, candidate_ds=entry.hint_d, max_candidates=3).status == UNKNOWN
+        assert len(calls) == 1
 
     def test_d_equals_e_certifies_with_no_candidate_budget(self):
         # Singular, not rank one, and no exact rule decides it: only the

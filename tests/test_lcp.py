@@ -1,15 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from karalcp import lcp
+from karalcp import lcp, lcp_classes
 from karalcp.conelcp import (
     cone_lcp_only_zero,
     cone_lcp_solutions,
     dual_membership,
     int_dual_membership,
 )
+from karalcp.corpus import corpus_entries
 from karalcp.errors import (
     DimensionMismatchError,
     NonSquareError,
@@ -27,9 +29,9 @@ from karalcp.lcp import (
     lcp_solutions,
     lcp_unique_zero,
 )
-from karalcp.matrix import RationalMatrix, inverse, vec
+from karalcp.matrix import RationalMatrix, inverse, ones_vec, vec, zeros_vec
 from conftest import rand_int_matrix, rand_p_matrix, rand_vector
-from oracles import lcp_solutions_sympy
+from oracles import lcp_solutions_sympy, retired_q_yes_rule
 
 QNOTKAR = RationalMatrix.from_rows([[-1, -2, 1], [-1, -1, 3], [2, 1, -1]])
 
@@ -172,9 +174,11 @@ class TestQMatrix:
         assert lcp_solutions(a, q).solutions == ()
 
     def test_strictly_copositive_rule(self):
-        a = RationalMatrix.from_rows([[1, 2], [-1, 1]])  # x^T A x = x1^2 + x1 x2 + x2^2
+        # x^T A x = x1^2 + x1 x2 + x2^2 > 0 leaves LCP(A, 0) and LCP(A, e)
+        # only zero, so d = e certifies A by Karamardian's theorem
+        a = RationalMatrix.from_rows([[1, 2], [-1, 1]])
         verdict = is_q_matrix(a)
-        assert verdict.status == YES
+        assert verdict.status == YES and verdict.rule == "KARAMARDIAN_THEOREM"
 
     def test_inverse_of_karamardian_invertible_never_refuted(self):
         rng = random.Random(3)
@@ -186,12 +190,62 @@ class TestQMatrix:
             assert is_q_matrix(inv).status != NO
 
     def test_karamardian_rule_fires_and_inverse_stays_unrefuted(self):
-        # Karamardian + invertible but caught by no cheaper rule: the zero
-        # diagonal entry rules out P / nonneg / strict copositivity
-        a = RationalMatrix.from_rows([[0, 1], [-1, 1]])
+        # Karamardian + invertible but caught by no cheaper rule: LCP(A, 0)
+        # has only zero, LCP(A, e) a nonzero solution, and the 2x2
+        # classification certifies A, whose cone LCP needs a d such as (4, 1)
+        a = RationalMatrix.from_rows([[-2, 3], [-1, 1]])
         verdict = is_q_matrix(a)
         assert verdict.status == YES and verdict.rule == "KARAMARDIAN_INVERTIBLE"
+        assert verdict.witnesses["via"] == "CLASS_2X2"
+        assert lcp_unique_zero(a, zeros_vec(2)) and not lcp_unique_zero(a, ones_vec(2))
+        assert cone_lcp_only_zero(a, vec([4, 1]))
         assert is_q_matrix(inverse(a)).status != NO
+
+    def test_karamardian_theorem_certifies_with_e(self):
+        entry = next(e for e in corpus_entries() if e.id == "bordered_karamardian_3x3")
+        a = RationalMatrix.from_rows(entry.matrix.data)
+        verdict = is_q_matrix(a)
+        assert verdict.status == YES and verdict.rule == "KARAMARDIAN_THEOREM"
+        assert verdict.witnesses == {"d": ones_vec(3)}
+        assert lcp_solutions(a, ones_vec(3)).solutions == (zeros_vec(3),)
+        assert lcp_unique_zero(a, zeros_vec(3))
+
+    def test_karamardian_theorem_covers_the_retired_yes_rules(self):
+        """Wherever A is a P-matrix or strictly copositive and no earlier
+        rule fires, LCP(A, 0) and LCP(A, e) have only zero, so d = e
+        certifies A."""
+        earlier_yes = {"Z_AND_P", "NONNEG_POS_DIAG", "N_FIRST_CATEGORY"}
+        rng = random.Random(6)
+        matrices = [e.matrix for e in corpus_entries() if e.matrix.rows == e.matrix.cols]
+        for trial in range(300):
+            n = rng.randint(2, 5)
+            if trial % 3 == 0:
+                matrices.append(rand_int_matrix(rng, n, n - 1, 2) @ rand_int_matrix(rng, n - 1, n, 2))
+            elif trial % 3 == 1:
+                matrices.append(rand_p_matrix(rng, n))
+            else:
+                matrices.append(rand_int_matrix(rng, n, n))
+        hits = Counter()
+        for a in matrices:
+            rule = retired_q_yes_rule(a)
+            if rule is None:
+                continue
+            verdict = is_q_matrix(a)
+            assert verdict.status == YES, (a, rule, verdict)
+            if verdict.rule not in earlier_yes:
+                assert verdict.rule == "KARAMARDIAN_THEOREM", (a, rule, verdict)
+                assert verdict.witnesses["d"] == ones_vec(a.rows)
+                hits[rule] += 1
+        assert hits["P_MATRIX"] and hits["STRICTLY_COPOSITIVE"]
+
+    def test_nonzero_homogeneous_solution_skips_the_karamardian_cascade(self):
+        """For an invertible A, K = R^n_+, so a nonzero solution of LCP(A, 0)
+        already makes the Karamardian cascade say No: it is never asked."""
+        a = RationalMatrix.from_rows([[-1, 1], [1, 0]])
+        assert not lcp_unique_zero(a, zeros_vec(2))
+        verdict = is_q_matrix(a)
+        assert verdict.status == NO and verdict.rule == "UNSOLVABLE_Q"
+        assert not [k for k in a._cache if isinstance(k, tuple) and k[0] == "karamardian"]
 
     def test_unknown_carries_sample_log(self):
         # competitive sign pattern with no cheap rule; outcome may be
@@ -210,6 +264,7 @@ class TestQMatrix:
         def refuse(*args, **kwargs):
             raise AssertionError("is_q_matrix enumerated every support")
         monkeypatch.setattr(lcp, "complementary_solutions", refuse)
+        monkeypatch.setattr(lcp_classes, "complementary_solutions", refuse)
         rng = random.Random(4)
         sampled = 0
         for _ in range(30):

@@ -21,7 +21,7 @@ from karalcp.lcp_classes import (
     is_strictly_semimonotone,
     is_weakly_semipositive,
 )
-from karalcp.lcp import is_q_matrix
+from karalcp.lcp import YES, is_q_matrix
 from karalcp.lp import LinearSystem, lp_feasible
 from karalcp.matrix import RationalMatrix, determinant, inverse, rank
 from karalcp.minor_classes import has_property_c, is_h_matrix_positive_diag, minor_class
@@ -410,10 +410,10 @@ class TestStrictRangeSemimonotone:
 
 class TestCopositivity:
     def test_strict_copositivity_scans_once_per_generator_set(self, monkeypatch):
-        # Invertible, strictly copositive and not P: the Q-matrix cascade
-        # reaches its strict-copositivity rule on K = R^3_+ with one pair of
-        # Gram-matrix scans, and the Karamardian cascade, certified by d = e,
-        # asks for none.  The generators' order does not change the answer.
+        # Invertible, strictly copositive and not P: one pair of Gram-matrix
+        # scans, LCP(G, e) and LCP(G, 0), decides each generator set, and the
+        # generators' order does not change the answer.  Neither the Q-matrix
+        # nor the Karamardian cascade asks for one: d = e certifies both.
         a = RationalMatrix.from_rows([[3, -2, 3], [-2, 2, 1], [3, 0, 1]])
         scans = []
         real = lcp.first_nonzero_solution
@@ -424,12 +424,15 @@ class TestCopositivity:
             return real(m, q, null)
 
         monkeypatch.setattr(lcp, "first_nonzero_solution", counting)
-        assert is_q_matrix(a).rule == "STRICTLY_COPOSITIVE"
+        monkeypatch.setattr(lcp_classes, "first_nonzero_solution", counting)
+        assert is_q_matrix(a).status == YES
         assert is_karamardian(a).rule == "CANDIDATE_D"
-        assert len(scans) == 2
+        assert not scans
         orthant = ConeRep.nonnegative_orthant(3).generators
-        assert is_strictly_copositive(a, ConeRep(3, orthant[::-1]))
-        assert is_strictly_copositive(a, ConeRep(3, orthant[:2]))
+        for gens in (orthant, orthant[::-1], orthant[:2]):
+            scans.clear()
+            assert is_strictly_copositive(a, ConeRep(3, gens))
+            assert scans == [(1,) * len(gens), (0,) * len(gens)]
 
     def test_strict_on_nontrivial_k(self):
         a = RationalMatrix.from_rows([[1, -1, 0], [-1, 1, 0], [0, 0, 1]])
