@@ -8,9 +8,11 @@ perfbench/inputs.lcp_ops(seed, ops) once, as perfbench/run.py does, and
 prints one JSON object: the blocks bordered from their parent's entry
 (and how many of those came out singular), the blocks eliminated directly
 because their parent is singular (and how many of those are singular), and
-the nonempty supports skipped as singular by shape (0 < |S| < dim N(A^T)).
-The cone LCP's empty support, singular by shape too and the LP that decides
-x = 0, is left out of that count.
+the nonempty supports skipped as singular by shape (0 < |S| < dim N(A^T)),
+and the supports skipped before any block work because R(A) holds no
+nonzero vector supported in them (`range_trivial`, cone LCPs only).  The
+cone LCP's empty support, singular by shape too and the LP that decides
+x = 0, is left out of the shape count.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ def main() -> None:
     parser.add_argument("--ops", type=int, default=1000)
     args = parser.parse_args()
     counts = dict.fromkeys(("bordered", "bordered_singular", "eliminated",
-                            "eliminated_singular", "shape_singular"), 0)
+                            "eliminated_singular", "shape_singular", "range_trivial"), 0)
 
     def counting(name, fn):
         def wrapped(*call):
@@ -57,6 +59,8 @@ def main() -> None:
         a = RationalMatrix.from_json(json.loads(op["matrix"], parse_float=Fraction))
         solve = lcp.lcp_solutions if op["kind"] == "lcp" else conelcp.cone_lcp_solutions
         solve(a, op["q"])
+        counts["range_trivial"] += sum(sum(table.trivial.values()) for table in a._cache.values()
+                                       if isinstance(table, lcp._BlockTable))
     print(json.dumps({"seed": args.seed, "ops": args.ops, **counts}))
 
 

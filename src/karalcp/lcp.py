@@ -18,9 +18,15 @@ whose parent is singular is eliminated directly.  A singular but
 consistent block gives an affine family that is intersected with the
 sign constraints by one LP and classified as empty, a point, or a
 positive-dimensional family in x (flagged degenerate with one
-representative).  x = 0 is the empty support's solution: its block is
-the d x d zero corner, det 1 for N empty (x = 0 solves iff q >= 0) and
-else singular by shape, whose family LP asks for a w with q - Nw >= 0.
+representative); only the x-coordinates some family direction moves
+cost a min and a max LP.  x = 0 is the empty support's solution: its
+block is the d x d zero corner, det 1 for N empty (x = 0 solves iff
+q >= 0) and else singular by shape, whose family LP asks for a w with
+q - Nw >= 0.  So a nonempty S on which R(A) holds no nonzero vector
+(N_S of rank |S|, only possible for |S| <= dim N) is skipped with no
+solve and no LP: its only possible solution is x = 0, and its
+conditions imply the empty support's.  For u > 0, A = u v^T leaves only
+the empty and the full support.
 `complementary_solutions` visits every support, the empty one first;
 `first_nonzero_solution` scans the nonempty ones and stops at the first
 nonzero solution, which answers both yes/no questions asked here: is zero
@@ -149,7 +155,10 @@ def support_solver(a: RationalMatrix, q: Vector, null: Sequence[Vector]):
     v = adj (-sign(det) m_S Q_S) is |det| qden (x_S, w), and for i off S
     the bordered row i times v, plus |det| m_i Q_i, is
     (Ax - Nw + q)_i m_i |det| qden.  A singular block is solved in
-    Fractions and its affine family goes to `_family_solutions`.
+    Fractions and its affine family goes to `_family_solutions`.  S gives
+    None with no solve when R(A) holds no nonzero vector supported in S
+    (`_range_trivial`): its only solution could be x = 0, which the empty
+    support decides.
     """
     table = _block_table(a, null)
     n = a.rows
@@ -158,6 +167,8 @@ def support_solver(a: RationalMatrix, q: Vector, null: Sequence[Vector]):
     folded = ([-t for t in mq], mq)  # -sign(det) m_i Q_i for det > 0, det < 0
 
     def solve(support):
+        if _range_trivial(table, support):
+            return None, False
         entry = _block_entry(table, support)
         if entry is None:
             return _singular_support(a, q, null, support, table)
@@ -186,12 +197,15 @@ class _BlockTable(NamedTuple):
     integer_rows), and each null vector scaled to integers by its
     multiplier in `null_mults` (a positive rescale of w, so x is
     unchanged).  `blocks` maps each support built so far to its block's
-    (det, adj), or None when the block is singular."""
+    (det, adj), or None when the block is singular, and `trivial` maps each
+    support asked so far to whether R(A) holds no nonzero vector
+    supported in it (`_range_trivial`)."""
 
     mults: list
     null_mults: list
     bordered: list
     blocks: dict
+    trivial: dict
 
 
 def _block_table(a: RationalMatrix, null: Sequence[Vector]) -> _BlockTable:
@@ -206,8 +220,29 @@ def _block_table(a: RationalMatrix, null: Sequence[Vector]) -> _BlockTable:
         # the empty support's block is the d x d zero corner, with det 1 at d = 0
         blocks = {(): None if null else (1, [])}
         table = a._cache[key] = _BlockTable([m for _, m in rows], [c for _, c in scaled],
-                                            bordered, blocks)
+                                            bordered, blocks, {})
     return table
+
+
+def _range_trivial(table: _BlockTable, support) -> bool:
+    """Whether S is nonempty and R(A) holds no nonzero vector supported in
+    S, that is N_S^T x_S = 0 forces x_S = 0: N_S has rank |S|, which needs
+    |S| <= dim N.  Then every solution on S is x = 0 with some w giving
+    q - Nw >= 0, which the empty support already decides.
+
+    Depends on N and S alone.  A support's rank is at most its parent's
+    plus one, so S can pass only if its parent did; one elimination of the
+    integer rows N_S^T then settles it."""
+    if support in table.trivial:
+        return table.trivial[support]
+    n, d = len(table.mults), len(table.null_mults)
+    k = len(support)
+    found = 0 < k <= d and (k == 1 or _range_trivial(table, support[:-1]))
+    if found:
+        rows = [[table.bordered[n + j][i] for i in support] for j in range(d)]
+        found = len(_eliminate(rows, k)[1]) == k
+    table.trivial[support] = found
+    return found
 
 
 def _block_entry(table: _BlockTable, support):
@@ -334,8 +369,11 @@ def _family_solutions(n: int, q: Vector, support, sol, comp, off_support):
                for idx in range(k)]
         return _expand(x_s, support, n)
 
-    # the family is a single point in x unless some x_i is nonconstant
+    # the family is a single point in x unless some x_i is nonconstant; an
+    # x_i no null-basis vector moves is constant, so it needs no LP
     for coeffs in coords:
+        if not any(coeffs):
+            continue
         lo = lp_optimize(coeffs, system, "min")
         hi = lp_optimize(coeffs, system, "max")
         if hi.status == UNBOUNDED:
@@ -401,18 +439,21 @@ def is_q_matrix(a: RationalMatrix, seed: int = 0) -> Verdict:
         return Verdict(YES, rule=RULE_NONNEG_POS_DIAG)
     if n_first_category_applies(a):
         return Verdict(YES, rule=RULE_N_FIRST_CATEGORY)
-    # invertible A: K = R^n_+, so a nonzero solution here is a Karamardian No
-    if first_nonzero_solution(a, (_ZERO,) * n, ()) is None:
-        e = (_ONE,) * n
-        if first_nonzero_solution(a, e, ()) is None:
+    # LCP(A, e) first: q = 0 makes every singular block consistent, so
+    # LCP(A, 0) is asked only when its answer can give a Yes.  For an
+    # invertible A, K = R^n_+, so a nonzero solution of LCP(A, 0) is a
+    # Karamardian No
+    e = (_ONE,) * n
+    e_only_zero = first_nonzero_solution(a, e, ()) is None
+    if (e_only_zero or rank(a) == n) and first_nonzero_solution(a, (_ZERO,) * n, ()) is None:
+        if e_only_zero:
             return Verdict(YES, rule=RULE_KARAMARDIAN_THEOREM, witnesses={"d": e})
-        if rank(a) == n:
-            from .conelcp import is_karamardian
+        from .conelcp import is_karamardian
 
-            kara = is_karamardian(a, seed=seed)
-            if kara.status == YES:
-                return Verdict(YES, rule=RULE_KARAMARDIAN_INVERTIBLE,
-                               witnesses=dict(kara.witnesses, via=kara.rule))
+        kara = is_karamardian(a, seed=seed)
+        if kara.status == YES:
+            return Verdict(YES, rule=RULE_KARAMARDIAN_INVERTIBLE,
+                           witnesses=dict(kara.witnesses, via=kara.rule))
     tried = []
     for q in _sample_qs(n, seed):
         tried.append(q)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import sympy
 
 from karalcp.conelcp import cone_K
-from karalcp.lcp import LcpSolutionSet, _family_solutions
+from karalcp.lcp import LcpSolutionSet
 from karalcp.lcp_classes import (
     ConeRep,
     CopositivityResult,
@@ -506,7 +506,9 @@ def lcp_solutions_reference(a: RationalMatrix, q) -> LcpSolutionSet:
                     for i in range(n) if i not in support):
                 solutions.add(x)
             continue
-        found, is_family = _family_solutions_reference(a, qv, support, sol)
+        found, is_family = _family_solutions_reference(
+            n, qv, support, sol,
+            lambda i, v: sum((a.data[i][j] * v[idx] for idx, j in enumerate(support)), Fraction(0)))
         if found is not None:
             solutions.add(found)
             if is_family:
@@ -521,8 +523,12 @@ def _expand(x_s, support, n: int) -> tuple:
     return tuple(x)
 
 
-def _family_solutions_reference(a: RationalMatrix, q, support, sol):
-    n = a.rows
+def _family_solutions_reference(n: int, q, support, sol, off_support):
+    """(representative | None, positive_dimensional) for the affine family
+    of block solutions v = particular + sum t_j basis_j, with a fresh LP
+    for every question and a min and a max for every x-coordinate, moved
+    or not.  off_support(i, v) is the linear part (Ax - Nw)_i of row i off
+    S at the block vector v = (x_S, w)."""
     k = len(support)
     comp = [i for i in range(n) if i not in set(support)]
 
@@ -531,11 +537,8 @@ def _family_solutions_reference(a: RationalMatrix, q, support, sol):
         for idx in range(k):
             system.ge([nb[idx] for nb in sol.null_basis], -sol.particular[idx])
         for i in comp:
-            base = sum((a.data[i][support[idx]] * sol.particular[idx] for idx in range(k)),
-                       Fraction(0))
-            coeffs = [sum((a.data[i][support[idx]] * nb[idx] for idx in range(k)), Fraction(0))
-                      for nb in sol.null_basis]
-            system.ge(coeffs, -q[i] - base)
+            system.ge([off_support(i, nb) for nb in sol.null_basis],
+                      -q[i] - off_support(i, sol.particular))
         return system
 
     out = lp_feasible(build())
@@ -660,7 +663,7 @@ def support_solution_fraction(a: RationalMatrix, q, null, support):
     """(x, is_family) for one support: the block [[A_SS, -N_S], [N_S^T, 0]]
     (x_S, w) = (-q_S, 0) solved afresh in Fractions, the sign checks of a
     unique solution made in Fractions, and an affine family classified by
-    lcp._family_solutions."""
+    _family_solutions_reference.  No support is skipped."""
     zero = Fraction(0)
     k, d = len(support), len(null)
     rows = [[a.data[i][j] for j in support] + [-w[i] for w in null] for i in support]
@@ -675,8 +678,7 @@ def support_solution_fraction(a: RationalMatrix, q, null, support):
                 - sum((w[i] * v[k + m] for m, w in enumerate(null)), zero))
 
     if sol.null_basis:
-        return _family_solutions(a.rows, q, support, sol, comp,
-                                 lambda v: [off_support(i, v) for i in comp])
+        return _family_solutions_reference(a.rows, q, support, sol, off_support)
     v = sol.particular
     if any(t < 0 for t in v[:k]) or any(off_support(i, v) + q[i] < 0 for i in comp):
         return None, False

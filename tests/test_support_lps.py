@@ -451,3 +451,143 @@ def test_singular_parent_and_shape_singular_supports(monkeypatch):
         zero_solves = orthant_plus_span_lp_reference(q, null)
         assert (complementary_solutions(a, q, null)
                 == complementary_solutions_fraction(a, q, null, zero_solves))
+
+
+# -- supports where R(A) holds no nonzero vector, and constant coordinates ----
+
+
+def _rank_one(u, v):
+    return RationalMatrix.from_rows([[ui * vj for vj in v] for ui in u])
+
+
+def _orthogonal(rng, u):
+    """A nonzero integer vector v with v . u = 0 (u nonzero), so A = u v^T
+    has A u = 0."""
+    uu = sum(t * t for t in u)
+    while True:
+        w = [rng.randint(-2, 2) for _ in u]
+        uw = sum(s * t for s, t in zip(u, w))
+        v = [uu * wi - uw * ui for ui, wi in zip(u, w)]
+        if any(v):
+            return v
+
+
+def _rank_deficient_draws(rng):
+    """Per order 2-6: F G products of a random rank below n, and rank-one
+    u v^T (dim N(A^T) = n - 1) with u of any sign, or with u > 0 and
+    v . u = 0."""
+    for n in range(2, 7):
+        for _ in range(3 if n < 6 else 2):
+            r = rng.randint(1, n - 1)
+            f = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+            g = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+            yield RationalMatrix.from_rows([[sum(f[i][k] * g[k][j] for k in range(r))
+                                             for j in range(n)] for i in range(n)])
+            u = [rng.randint(-2, 2) or 1 for _ in range(n)]
+            yield _rank_one(u, [rng.randint(-2, 2) or -1 for _ in range(n)])
+            u = [rng.randint(1, 3) for _ in range(n)]
+            yield _rank_one(u, _orthogonal(rng, u))
+
+
+def test_scans_match_the_unpruned_oracle_on_rank_deficient_matrices():
+    """complementary_solutions and first_nonzero_solution, standard and
+    cone, against the oracle that solves every support afresh and asks a
+    min and a max of every family coordinate, with q = 0, a q >= 0, a q
+    with a negative entry and a q in N(A^T) (for u > 0 and v . u = 0 the
+    last gives the cone LCP the ray x = t u)."""
+    rng = random.Random(18)
+    for a in _rank_deficient_draws(rng):
+        n = a.rows
+        null = subspace_bases(a).left_null.basis
+        combo = [rng.randint(-2, 2) for _ in null]
+        qs = [vec([0] * n), vec([rng.randint(0, 3) for _ in range(n)]),
+              vec([rng.randint(-3, 3) for _ in range(n - 1)] + [rng.randint(-3, -1)]),
+              vec([sum(c * w[i] for c, w in zip(combo, null)) for i in range(n)])]
+        for nb in ((), null):
+            for q in qs:
+                zero_solves = orthant_plus_span_lp_reference(q, nb)
+                assert (complementary_solutions(a, q, nb)
+                        == complementary_solutions_fraction(a, q, nb, zero_solves))
+                assert first_nonzero_solution(a, q, nb) == first_nonzero_solution_fraction(a, q, nb)
+
+
+def test_rank_one_cone_lcp_solves_only_supports_that_r_a_reaches(monkeypatch):
+    """A = u v^T with u > 0 and v . u = 0: R(A) = span(u) holds no nonzero
+    vector supported on a proper subset, so of the 64 supports only the
+    empty one, which decides x = 0, and the full one reach the Fraction
+    solve.  For q in N(A^T) the full support holds the ray x = t u."""
+    u = [1, 2, 1, 3, 1, 2]
+    a = _rank_one(u, _orthogonal(random.Random(6), u))
+    null = subspace_bases(a).left_null.basis
+    assert rank(a) == 1 and len(null) == 5
+    full = tuple(range(6))
+    reached, solves = [], []
+    singular_support, solve_linear = lcp._singular_support, lcp.solve_linear
+
+    def recording(a_, q_, null_, support, table):
+        reached.append(support)
+        return singular_support(a_, q_, null_, support, table)
+
+    def counting_solve(m, b):
+        solves.append(m.rows)
+        return solve_linear(m, b)
+
+    monkeypatch.setattr(lcp, "_singular_support", recording)
+    monkeypatch.setattr(lcp, "solve_linear", counting_solve)
+    ray_q = vec([sum(w[i] for w in null) - 2 * null[0][i] for i in range(6)])
+    for q in (vec([0] * 6), vec([1, -2, 3, 0, -1, 2]), ray_q):
+        zero_solves = orthant_plus_span_lp_reference(q, null)
+        reached.clear()
+        solves.clear()
+        got = complementary_solutions(a, q, null)
+        assert reached == [(), full] and sorted(solves) == [5, 11]
+        assert got == complementary_solutions_fraction(a, q, null, zero_solves)
+        reached.clear()
+        solves.clear()
+        assert first_nonzero_solution(a, q, null) == first_nonzero_solution_fraction(a, q, null)
+        assert reached == [full] and solves == [11]
+    assert complementary_solutions(a, ray_q, null).degenerate_supports == (full,)
+
+
+def test_range_trivial_supports_of_a_hand_made_null_basis(monkeypatch):
+    """N with columns (1, 0, 1, 0) and (0, 0, 1, 1), a basis of N(A^T) for
+    A's columns (1, 0, -1, 1) and (0, 1, 0, 0), each used twice: S passes
+    exactly when N_S has rank |S|, so not when it holds 1 (row 1 of N is
+    zero: (0, 1, 0, 0) lies in R(A)) or has more than d = 2 indices.
+    {0, 2} passes with |S| = d and a nonsingular block (det N_S^2 = 1):
+    the scan skips it, yet its entry is built, by one elimination as its
+    parent {0} is singular by shape, and its child {0, 2, 3} is bordered
+    from it.  No other skipped support gets a table entry."""
+    a = RationalMatrix.from_rows([[1, 0, 1, 0], [0, 1, 0, 1], [-1, 0, -1, 0], [1, 0, 1, 0]])
+    null = (vec([1, 0, 1, 0]), vec([0, 0, 1, 1]))
+    assert all(dot(w, a.col_vec(j)) == 0 for w in null for j in range(4))
+    built = []
+    border, factor = lcp._border, lcp._factor
+    monkeypatch.setattr(lcp, "_border", lambda rows, parent, idx, p: built.append(
+        ("border", tuple(idx[:-2]))) or border(rows, parent, idx, p))
+    monkeypatch.setattr(lcp, "_factor", lambda rows, idx: built.append(
+        ("factor", tuple(idx[:-2]))) or factor(rows, idx))
+    q = vec([-1, 2, 1, -1])
+    assert (complementary_solutions(a, q, null)
+            == complementary_solutions_fraction(a, q, null, orthant_plus_span_lp_reference(q, null)))
+    table = lcp._block_table(a, null)
+    skipped = {s for s, hit in table.trivial.items() if hit}
+    assert skipped == {(0,), (2,), (3,), (0, 2), (0, 3), (2, 3)}
+    assert table.blocks[(0, 2)][0] == 1
+    assert ("factor", (0, 2)) in built and ("border", (0, 2, 3)) in built
+    assert {s for s in skipped if s in table.blocks} == {(0, 2)}
+
+
+def test_no_lp_for_a_family_coordinate_no_null_vector_moves(monkeypatch):
+    """[[1, 0, 0], [0, 1, 1], [0, 1, 1]] with q = (-1, -1, -1): the full
+    support's family is x = (1, s, 1 - s), s in [0, 1].  x_0 is constant,
+    so only x_1 costs its min and max."""
+    optimized = []
+    lp_optimize = lcp.lp_optimize
+    monkeypatch.setattr(lcp, "lp_optimize", lambda c, system, sense: optimized.append(c)
+                        or lp_optimize(c, system, sense))
+    a, q = RationalMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 1, 1]]), vec([-1, -1, -1])
+    got = lcp_solutions(a, q)
+    assert got.degenerate_supports == ((0, 1, 2),)
+    assert len(optimized) == 2 and all(any(c) for c in optimized)
+    assert got == lcp_solutions_reference(a, q)
