@@ -53,7 +53,7 @@ def main() -> None:
 
     real_singular = lcp._singular_support
     lcp._border = counting("bordered", lcp._border)
-    lcp._factor = counting("eliminated", lcp._factor)
+    lcp._det_adj = counting("eliminated", lcp._det_adj)
     lcp._singular_support = singular_support
     for op in inputs.lcp_ops(args.seed, args.ops):
         a = RationalMatrix.from_json(json.loads(op["matrix"], parse_float=Fraction))

@@ -17,6 +17,7 @@ from .matrix import (
     RationalMatrix,
     full_rank_factorization,
     inverse,
+    is_zero_vec,
     subspace_bases,
 )
 
@@ -85,10 +86,11 @@ def index_at_most_one(a: RationalMatrix) -> bool:
 
 
 def is_range_symmetric(a: RationalMatrix) -> bool:
-    """R(A) = R(A^T) as exact subspaces."""
+    """R(A) = R(A^T), that is N(A^T) = N(A), their orthogonal complements:
+    A w = 0 for every w of the stored basis of N(A^T) suffices, as both
+    null spaces have dimension n - rank A."""
     a.require_square("range symmetry")
-    bases = subspace_bases(a)
-    return bases.row.equals(bases.range)
+    return all(is_zero_vec(a.mul_vec(w)) for w in subspace_bases(a).left_null.basis)
 
 
 def generalized_idempotent_scalar(a: RationalMatrix) -> Fraction | None:

@@ -54,6 +54,7 @@ from .lp import UNBOUNDED, LinearSystem, lp_feasible, lp_optimize
 from .matrix import (
     RationalMatrix,
     Vector,
+    _det_adj,
     _eliminate,
     integer_row,
     integer_rows,
@@ -253,7 +254,7 @@ def _block_entry(table: _BlockTable, support):
     its last index, which (size, lex) order visits first (`_border`).  A
     block with fewer indices in S than null vectors is singular by shape:
     its zero corner leaves the border rows rank at most |S|.  A singular
-    parent leaves one direct elimination of the block (`_factor`)."""
+    parent leaves one direct elimination of the block (`matrix._det_adj`)."""
     if support in table.blocks:
         return table.blocks[support]
     d = len(table.null_mults)
@@ -263,7 +264,7 @@ def _block_entry(table: _BlockTable, support):
     n = len(table.mults)
     idx = list(support) + list(range(n, n + d))
     if parent is None:
-        entry = _factor(table.bordered, idx)
+        entry = _det_adj(table.bordered, idx)
     else:
         entry = _border(table.bordered, parent, idx, len(support) - 1)
     table.blocks[support] = entry
@@ -293,18 +294,6 @@ def _border(bordered, parent, idx, p):
     adj.insert(p, [-u for u in cx])
     adj[p].insert(p, d_p)
     return det, adj
-
-
-def _factor(bordered, idx):
-    """(det, adj) of the principal block of `bordered` on idx by one
-    elimination of [B | I], or None when B is singular: the right half
-    ends as den B^-1, and sign den is det."""
-    size = len(idx)
-    aug = [[bordered[r][c] for c in idx] + [int(r == c) for c in idx] for r in idx]
-    den, pivots, sign = _eliminate(aug, size)
-    if len(pivots) < size:
-        return None
-    return sign * den, [[sign * t for t in row[size:]] for row in aug]
 
 
 def _scatter(v, support, n: int) -> list:

@@ -4,7 +4,7 @@ Feasibility and optimization are decided by a two-phase primal simplex
 with Bland's rule (guaranteed termination, no tolerances).  The layer is
 integer from row entry to witness check: each constraint row is scaled
 to integers once, when it is added (`integer_row`; an all-int row is kept
-as given), and the tableau is kept integral via integer pivoting: the
+as given), and the tableau is kept integral by `matrix._pivot`: the
 stored tableau equals the true tableau times the current basis
 determinant `den > 0`, so sign tests and ratio comparisons run on ints
 and every pivot divides exactly.  A basic solution is verified against
@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .matrix import Vector, integer_row, rat
+from .matrix import Vector, _pivot, integer_row, rat
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -197,36 +197,26 @@ class _Simplex:
     # -- pivoting --------------------------------------------------------
 
     def _pivot(self, r: int, p: int) -> None:
-        t = self.tableau
-        den = self.den
-        rowr = t[r]
-        piv = rowr[p]
-        for i in range(len(t)):
-            if i == r:
-                continue
-            rowi = t[i]
-            f = rowi[p]
-            if f == 0:
-                if piv != den:
-                    t[i] = [(x * piv) // den for x in rowi]
-            else:
-                t[i] = [(x * piv - f * y) // den for x, y in zip(rowi, rowr)]
-        self.den = piv
+        self.den = _pivot(self.tableau, r, p, self.den)
         self.basis[r] = p
 
-    def _run(self, cost: list[int], allowed_end: int) -> str:
-        """Bland's-rule simplex on pricing row `cost` (stored, shares den)."""
+    def _run(self, cost: list[int], allowed_end: int) -> tuple[str, list[int]]:
+        """Bland's-rule simplex on pricing row `cost` (stored, shares den),
+        which rides along every pivot as the tableau's last row; returns the
+        status and the final pricing row."""
         t = self.tableau
+        t.append(cost)
         m = self.m
         basis = self.basis
         while True:
+            cost = t[m]
             enter = -1
             for j in range(allowed_end):
                 if cost[j] < 0:
                     enter = j
                     break
             if enter < 0:
-                return "optimal"
+                return "optimal", t.pop()
             leave = -1
             lr_rhs = lr_piv = 0
             for i in range(m):
@@ -241,13 +231,8 @@ class _Simplex:
                             leave, lr_rhs, lr_piv = i, b, a
             if leave < 0:
                 self._unbounded_col = enter
-                return "unbounded"
-            den = self.den
-            rowr = t[leave]
-            piv = rowr[enter]
-            f = cost[enter]
+                return "unbounded", t.pop()
             self._pivot(leave, enter)
-            cost[:] = [(x * piv - f * y) // den for x, y in zip(cost, rowr)]
 
     # -- phase 1 ---------------------------------------------------------
 
@@ -261,7 +246,7 @@ class _Simplex:
             if self.art_start <= j < self.art_start + self.m:
                 continue
             cost[j] = -sum(t[i][j] for i in range(self.m))
-        self._run(cost, self.art_start)
+        _, cost = self._run(cost, self.art_start)
         if cost[self.rhs_col] != 0:
             return False
         self._drive_out_artificials()
@@ -335,7 +320,7 @@ class _Simplex:
             cb = cost_true[self.basis[i]]
             if cb:
                 cost = [x - cb * y for x, y in zip(cost, self.tableau[i])]
-        status = self._run(cost, self.rhs_col)
+        status, cost = self._run(cost, self.rhs_col)
         if status == "unbounded":
             return UNBOUNDED, self._witness(), None, self._ray()
         value = Fraction(-cost[self.rhs_col], self.den) / scale

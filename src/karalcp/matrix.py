@@ -4,11 +4,12 @@ Entries are `fractions.Fraction` at the API, so ranks, determinants, and
 solves are decisions rather than approximations; no tolerances exist
 anywhere in the package.  Elimination itself runs on integers: each row is
 scaled once by the lcm of its denominators (`integer_row`), and one
-fraction-free Gauss-Jordan kernel (`_eliminate`) produces the RREF, the
-determinant, the inverse and the solution set of a linear system, turning
-back into Fractions only at the end.  Matrices are immutable by convention
-(nothing mutates `data` after construction), which makes the per-instance
-caches below safe.
+fraction-free pivot step (`_pivot`) does all of it: the Gauss-Jordan
+kernel (`_eliminate`) behind the RREF, the determinant, the inverse, the
+solution set of a linear system and the LCP blocks' (det, adj) pairs
+(`_det_adj`), and the simplex of `lp.py`.  Fractions are built only at
+the end.  Matrices are immutable by convention (nothing mutates `data`
+after construction), which makes the per-instance caches below safe.
 """
 
 from __future__ import annotations
@@ -280,23 +281,40 @@ def integer_rows(m: RationalMatrix) -> list[tuple[list[int], int]]:
     return cached
 
 
+def _pivot(rows: list[list[int]], r: int, c: int, den: int) -> int:
+    """One fraction-free pivot on rows[r][c], the integer update of Edmonds
+    and Bareiss (Math. Comp. 22, 1968): every other row i becomes
+    (row_i * piv - f * row_r) // den, with f its entry in column c.  Each
+    division is exact when den is the previous pivot, because every stored
+    entry is then a minor of the input.  Rows are rebound, never edited in
+    place.  Returns the new den, the pivot."""
+    rowr = rows[r]
+    piv = rowr[c]
+    for i, rowi in enumerate(rows):
+        if i == r:
+            continue
+        f = rowi[c]
+        if f:
+            rows[i] = [(x * piv - f * y) // den for x, y in zip(rowi, rowr)]
+        elif piv != den:
+            rows[i] = [(x * piv) // den for x in rowi]
+    return piv
+
+
 def _eliminate(a: list[list[int]], ncols: int) -> tuple[int, tuple[int, ...], int]:
     """Fraction-free Gauss-Jordan on the integer rows `a`, in place.
 
-    Pivots on the first nonzero entry of each of the first `ncols` columns
-    (later columns, such as a right-hand side, are carried along).  Each
-    step is the integer update of Edmonds and Bareiss (1968),
-    row_i = (row_i * piv - f * row_r) // den, whose every division is exact
-    because each stored entry is a minor of the input.  Returns
-    (den, pivots, sign): den is the last pivot, every row is the true
-    reduced row times den, and sign is the parity of the row swaps, so for
-    a square nonsingular input sign * den is its determinant.
+    Pivots (`_pivot`) on the first nonzero entry of each of the first
+    `ncols` columns (later columns, such as a right-hand side, are carried
+    along).  Returns (den, pivots, sign): den is the last pivot, every row
+    is the true reduced row times den, and sign is the parity of the row
+    swaps, so for a square nonsingular input sign * den is its determinant.
     """
     rows = len(a)
     den, sign = 1, 1
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         if r == rows:
             break
         pr = next((i for i in range(r, rows) if a[i][c]), None)
@@ -305,21 +323,21 @@ def _eliminate(a: list[list[int]], ncols: int) -> tuple[int, tuple[int, ...], in
         if pr != r:
             a[r], a[pr] = a[pr], a[r]
             sign = -sign
-        rowr = a[r]
-        piv = rowr[c]
-        for i in range(rows):
-            if i == r:
-                continue
-            rowi = a[i]
-            f = rowi[c]
-            if f:
-                a[i] = [(x * piv - f * y) // den for x, y in zip(rowi, rowr)]
-            elif piv != den:
-                a[i] = [(x * piv) // den for x in rowi]
-        den = piv
+        den = _pivot(a, r, c, den)
         pivots.append(c)
-        r += 1
     return den, tuple(pivots), sign
+
+
+def _det_adj(rows: Sequence[Sequence[int]], idx: Sequence[int]) -> tuple[int, list[list[int]]] | None:
+    """(det, adj) of the principal submatrix of the integer rows on idx, or
+    None when it is singular: one elimination of [B | I] leaves den B^-1 in
+    the right half, and sign den is det B, so adj B is sign times it."""
+    size = len(idx)
+    aug = [[rows[r][c] for c in idx] + [int(r == c) for c in idx] for r in idx]
+    den, pivots, sign = _eliminate(aug, size)
+    if len(pivots) < size:
+        return None
+    return sign * den, [[sign * t for t in row[size:]] for row in aug]
 
 
 def _ratio(x: int, den: int) -> Fraction:
@@ -345,23 +363,11 @@ def rank(m: RationalMatrix) -> int:
 
 def determinant(m: RationalMatrix) -> Fraction:
     m.require_square("determinant")
-    cached = m._cache.get("det")
-    if cached is not None:
-        return cached
-    n = m.rows
-    if n == 0:
-        det = _ONE
-    elif n == 1:
-        det = m.data[0][0]
-    elif n == 2:
-        d = m.data
-        det = d[0][0] * d[1][1] - d[0][1] * d[1][0]
-    else:
-        scaled = [integer_row(row) for row in m.data]
-        den, pivots, sign = _eliminate([ints for ints, _ in scaled], n)
-        det = Fraction(sign * den, prod(mult for _, mult in scaled)) if len(pivots) == n else _ZERO
-    m._cache["det"] = det
-    return det
+    rows = integer_rows(m)
+    den, pivots, sign = _eliminate([ints for ints, _ in rows], m.rows)
+    if len(pivots) < m.rows:
+        return _ZERO
+    return Fraction(sign * den, prod(mult for _, mult in rows))
 
 
 def principal_minor(m: RationalMatrix, index_set: Iterable[int]) -> Fraction:
@@ -384,15 +390,15 @@ def inverse(m: RationalMatrix) -> RationalMatrix | None:
     cached = m._cache.get("inv", False)
     if cached is not False:
         return cached
-    n = m.rows
-    a = []
-    for i, row in enumerate(m.data):
-        ints, mult = integer_row(row)
-        a.append(ints + [mult if i == j else 0 for j in range(n)])
-    den, pivots, _ = _eliminate(a, n)
+    # R = D A with D the row multipliers, so A^-1 = R^-1 D = adj(R) D / det R
+    rows = integer_rows(m)
+    entry = _det_adj([ints for ints, _ in rows], range(m.rows))
     result = None
-    if len(pivots) == n:
-        result = RationalMatrix(n, n, [[_ratio(x, den) for x in row[n:]] for row in a])
+    if entry is not None:
+        det, adj = entry
+        mults = [mult for _, mult in rows]
+        result = RationalMatrix(m.rows, m.rows, [[_ratio(t * mult, det) for t, mult in zip(row, mults)]
+                                                 for row in adj])
     m._cache["inv"] = result
     return result
 

@@ -1,8 +1,9 @@
 """Determinant- and structure-based matrix classes.
 
 P / P0 / N (with category) / adequate come from exhaustive principal-minor
-scans (2^n - 1 exact determinants, size-capped).  M-matrices are decided
-by the Fiedler-Ptak characterization Z + P (nonsingular) / Z + P0
+scans (2^n - 1 exact determinant signs, size-capped), each one integer
+elimination of a principal block of the row-scaled matrix.  M-matrices are
+decided by the Fiedler-Ptak characterization Z + P (nonsingular) / Z + P0
 (singular), which sidesteps the spectral radius entirely, and property c
 by "M-matrix and rank A = rank A^2" (zero eigenvalue of index <= 1), and
 the H-matrix test is lcp_classes' one simplex-point LP.
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .geninv import index_at_most_one
-from .matrix import RationalMatrix, determinant, integer_row, nonempty_subsets, rank
+from .matrix import RationalMatrix, _eliminate, integer_row, integer_rows, nonempty_subsets
 
 
 class MClass(Enum):
@@ -96,10 +97,14 @@ def minor_class(a: RationalMatrix) -> MinorClassReport:
     cached = a._cache.get("minors")
     if cached is not None:
         return cached
+    # each row times its positive multiplier: every minor keeps its sign
+    # and every row or column block its rank
+    rows = [ints for ints, _ in integer_rows(a)]
     is_p = is_p0 = is_n = True
     vanished: list[tuple[int, ...]] = []
     for idx in nonempty_subsets(a.rows):
-        d = determinant(a.submatrix(idx, idx))
+        den, pivots, sign = _eliminate([[rows[i][j] for j in idx] for i in idx], len(idx))
+        d = sign * den if len(pivots) == len(idx) else 0
         if d <= 0:
             is_p = False
         if d < 0:
@@ -111,15 +116,15 @@ def minor_class(a: RationalMatrix) -> MinorClassReport:
         if not (is_p or is_p0 or is_n):
             break  # nothing can change anymore: adequacy needs is_p0 too
     first_cat = is_n and any(x > 0 for row in a.data for x in row)
-    adequate = is_p0 and all(_rows_and_cols_dependent(a, idx) for idx in vanished)
+    adequate = is_p0 and all(_rows_and_cols_dependent(rows, idx) for idx in vanished)
     result = a._cache["minors"] = MinorClassReport(is_p, is_p0, is_n, first_cat, adequate)
     return result
 
 
-def _rows_and_cols_dependent(a: RationalMatrix, idx: tuple[int, ...]) -> bool:
-    rows_block = a.submatrix(idx, range(a.cols))
-    cols_block = a.submatrix(range(a.rows), idx)
-    return rank(rows_block) < len(idx) and rank(cols_block) < len(idx)
+def _rows_and_cols_dependent(rows: list[list[int]], idx: tuple[int, ...]) -> bool:
+    k = len(idx)
+    return (len(_eliminate([rows[i] for i in idx], len(rows))[1]) < k
+            and len(_eliminate([[row[j] for j in idx] for row in rows], k)[1]) < k)
 
 
 def is_m_matrix(a: RationalMatrix) -> MClass:

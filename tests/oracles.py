@@ -119,6 +119,23 @@ def det_fraction(m: RationalMatrix) -> Fraction:
     return det
 
 
+def minor_class_fraction(m: RationalMatrix) -> tuple[bool, bool, bool, bool, bool]:
+    """(is_p, is_p0, is_n, n_first_category, is_adequate) from det_fraction
+    of every principal submatrix and Fraction ranks of the row and column
+    blocks of each vanishing one, with no early exit."""
+    n = m.rows
+    minors = {idx: det_fraction(m.submatrix(idx, idx)) for idx in nonempty_subsets(n)}
+    is_p = all(d > 0 for d in minors.values())
+    is_p0 = all(d >= 0 for d in minors.values())
+    is_n = all(d < 0 for d in minors.values())
+    first_cat = is_n and any(x > 0 for row in m.data for x in row)
+    adequate = is_p0 and all(
+        rref_fraction(m.submatrix(idx, range(n))).rank < len(idx)
+        and rref_fraction(m.submatrix(range(n), idx)).rank < len(idx)
+        for idx, d in minors.items() if d == 0)
+    return is_p, is_p0, is_n, first_cat, adequate
+
+
 def inverse_fraction(m: RationalMatrix) -> RationalMatrix | None:
     """Inverse by Fraction Gauss-Jordan on [A | I], or None when singular."""
     n = m.rows

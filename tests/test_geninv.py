@@ -124,6 +124,30 @@ class TestIndexAndRangeSymmetry:
         assert not is_range_symmetric(
             RationalMatrix.from_rows([[1, 1, 1], [0, 1, 1], [0, 0, 0]]))
 
+    def test_range_symmetric_matches_subspace_equality_at_every_rank(self):
+        """Against Subspace.equals' rank tests on the stored bases, at every
+        rank r of orders 1-5: products F G (rarely range-symmetric) and
+        F C F^T, whose range and row space are both R(F) when C is
+        invertible."""
+        rng = random.Random(19)
+
+        def rational(rows, cols):
+            return RationalMatrix(rows, cols, [[Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))
+                                                for _ in range(cols)] for _ in range(rows)])
+
+        answers = {True: set(), False: set()}
+        for n in range(1, 6):
+            for r in range(n + 1):
+                for _ in range(10):
+                    f = rational(n, r)
+                    for a in (f @ rational(r, n), f @ rational(r, r) @ f.transpose()):
+                        bases = subspace_bases(a)
+                        want = bases.row.equals(bases.range)
+                        assert is_range_symmetric(a) == want
+                        answers[want].add((n, rank(a)))
+        assert all((n, r) in answers[True] for n in range(1, 6) for r in range(n + 1))
+        assert all((n, r) in answers[False] for n in range(2, 6) for r in range(1, n))
+
     def test_range_symmetric_group_equals_moore_penrose(self):
         rng = random.Random(6)
         seen = 0

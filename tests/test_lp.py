@@ -5,6 +5,7 @@ from math import lcm
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from karalcp import lp, matrix
 from karalcp.lp import (
     BOUNDED,
     FEASIBLE,
@@ -48,6 +49,43 @@ class TestFeasibility:
         assert lp_feasible(LinearSystem(1).eq([0], 1)).status == INFEASIBLE
         assert lp_feasible(LinearSystem(1).ge([0], 1)).status == INFEASIBLE
         assert lp_feasible(LinearSystem(1).ge([0], -1)).status == FEASIBLE
+
+
+def test_every_simplex_pivot_is_the_shared_elimination_step(monkeypatch):
+    """The simplex pivots, tableau and pricing row alike, only through
+    matrix._pivot: each step receives the den the previous one returned,
+    starting from 1, so a pivot made elsewhere would break the chain, and
+    the last den returned is the tableau's.  Phase 1 of the second system
+    ends with artificials at zero, which are driven out with no pricing
+    row."""
+    assert lp._pivot is matrix._pivot
+    steps = []
+
+    def counting(rows, r, c, den):
+        new = step(rows, r, c, den)
+        steps.append((len(rows), den, new))
+        return new
+
+    step = matrix._pivot
+    monkeypatch.setattr(lp, "_pivot", counting)
+    systems = [
+        lambda: (LinearSystem(3, nonneg=[True, True, False]).eq([2, 3, "1/2"], "5/3")
+                 .ge([1, -1, 1], "1/4").ge(["2/3", 1, -2], -1).le([1, 1, 0], 4)),
+        lambda: LinearSystem(3, nonneg=True).eq([-1, 2, -2]).eq([0, -2, 1]).ge([1, 1, 1], -1),
+    ]
+    for make, sizes in zip(systems, ({5}, {4, 3})):
+        steps.clear()
+        out = lp_feasible(make())
+        assert out.status == FEASIBLE
+        check_witness_fraction(make(), out.witness)
+        assert {size for size, _, _ in steps} == sizes
+        assert [den for _, den, _ in steps] == [1] + [new for _, _, new in steps][:-1]
+
+        steps.clear()
+        simplex = lp._Simplex(make())
+        simplex.optimize([1, -2, 3], 1)
+        assert len(steps) >= 2 and simplex.den == steps[-1][2] != 1
+        assert [den for _, den, _ in steps] == [1] + [new for _, _, new in steps][:-1]
 
 
 class TestOptimize:

@@ -4,11 +4,21 @@ from fractions import Fraction
 
 import pytest
 
+from karalcp import matrix, minor_classes
 from karalcp.errors import TooLargeError
 from karalcp.lcp import YES
 from karalcp.lcp import is_q_matrix
 from karalcp.lp import LinearSystem, lp_feasible
-from karalcp.matrix import RationalMatrix, inverse, rank, vec
+from karalcp.matrix import (
+    RationalMatrix,
+    determinant,
+    integer_row,
+    integer_rows,
+    inverse,
+    nonempty_subsets,
+    rank,
+    vec,
+)
 from karalcp.minor_classes import (
     MClass,
     has_property_c,
@@ -23,6 +33,7 @@ from conftest import (
     rand_singular_irreducible_m,
     rand_z_matrix,
 )
+from oracles import det_cofactor, det_fraction, minor_class_fraction
 
 
 class TestStructuralFlags:
@@ -81,6 +92,99 @@ class TestMinorClass:
     def test_cap(self):
         with pytest.raises(TooLargeError):
             minor_class(RationalMatrix.identity(13))
+
+
+# Positive row scalings with unlike denominators, so the row multipliers
+# of integer_rows differ from 1 and from one another.
+ROW_SCALES = [Fraction(1, 2), Fraction(2, 3), Fraction(5, 4), Fraction(3, 7), Fraction(1), Fraction(7, 5)]
+
+
+def _row_scaled(rng, m):
+    return RationalMatrix(m.rows, m.cols, [[x * s for x in row] for row, s in
+                                           zip(m.data, rng.sample(ROW_SCALES, m.rows))])
+
+
+def _rational(rng, rows, cols):
+    return RationalMatrix(rows, cols, [[Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+                                        for _ in range(cols)] for _ in range(rows)])
+
+
+def _minor_cases(rng, n):
+    """Random p/q matrices, and row-scaled P0 matrices of every rank below
+    n: Gram matrices B B^T (positive semidefinite) plus, for half of them,
+    a skew-symmetric part, which keeps x^T A x >= 0, and, from order 2,
+    u v^T and v u^T with v > 0 and u >= 0 holding a zero and a nonzero:
+    where u_i = 0, the vanishing minor {i} has a zero row and a nonzero
+    column in one of them and the reverse in the other, so that each
+    test alone decides adequacy."""
+    for _ in range(4):
+        yield _row_scaled(rng, _rational(rng, n, n))
+    if n > 1:
+        u = [[Fraction(rng.randint(1, 3), rng.choice([1, 3]))] for _ in range(n)]
+        u[rng.randrange(n)] = [Fraction(0)]
+        v = [[Fraction(rng.randint(1, 3), rng.choice([1, 2]))] for _ in range(n)]
+        uv = RationalMatrix(n, 1, u) @ RationalMatrix(n, 1, v).transpose()
+        yield _row_scaled(rng, uv)
+        yield _row_scaled(rng, uv.transpose())
+    for r in range(n):
+        b = _rational(rng, n, r) if r else RationalMatrix.zeros(n, 1)
+        gram = b @ b.transpose()
+        yield _row_scaled(rng, gram)
+        skew = _rational(rng, n, n)
+        yield _row_scaled(rng, gram + skew - skew.transpose())
+
+
+class TestMinorScanAgainstFractionOracle:
+    def test_flags_and_determinants_match_fraction_oracles(self):
+        """All five flags against Fraction determinants and ranks, and
+        determinant against two Fraction oracles on every principal
+        submatrix, at orders 1-6.  The scan eliminates copies of the cached
+        integer rows, so those are unchanged afterwards."""
+        rng = random.Random(19)
+        p0_with_vanishing = adequate = 0
+        for n in range(1, 7):
+            for a in _minor_cases(rng, n):
+                snapshot = [(list(ints), mult) for ints, mult in integer_rows(a)]
+                got = minor_class(a)
+                want = minor_class_fraction(a)
+                assert (got.is_p, got.is_p0, got.is_n, got.n_first_category,
+                        got.is_adequate) == want
+                assert determinant(a) == det_fraction(a)
+                assert integer_rows(a) == snapshot == [integer_row(row) for row in a.data]
+                for idx in nonempty_subsets(n):
+                    sub = a.submatrix(idx, idx)
+                    assert determinant(sub) == det_fraction(sub) == det_cofactor(sub)
+                if got.is_p0 and not got.is_p:
+                    p0_with_vanishing += 1
+                    adequate += got.is_adequate
+        assert 0 < adequate < p0_with_vanishing
+
+    def test_scan_calls_no_determinant_and_builds_no_matrix(self, monkeypatch):
+        """Order 5, fresh matrices: a row-scaled P-matrix (all 31 minors
+        scanned) and a rank-3 Gram matrix (P0, so the adequacy ranks run)."""
+        rng = random.Random(5)
+        p = rand_p_matrix(rng, 5)
+        cases = [_row_scaled(rng, RationalMatrix.from_rows(p.data))]
+        b = _rational(rng, 5, 3)
+        cases.append(_row_scaled(rng, b @ b.transpose()))
+        built, dets = [], []
+        init, det = RationalMatrix.__init__, matrix.determinant
+
+        def counting_init(self, *args):
+            built.append(args[:2])
+            init(self, *args)
+
+        def counting_det(m):
+            dets.append(m.rows)
+            return det(m)
+
+        monkeypatch.setattr(RationalMatrix, "__init__", counting_init)
+        monkeypatch.setattr(matrix, "determinant", counting_det)
+        monkeypatch.setattr(minor_classes, "determinant", counting_det, raising=False)
+        reports = [minor_class(a) for a in cases]
+        assert not built and not dets
+        assert reports[0].is_p
+        assert reports[1].is_p0 and not reports[1].is_p and reports[1].is_adequate
 
 
 class TestAdequate:

@@ -338,7 +338,7 @@ def test_second_scan_factors_nothing_and_solves_only_singular_blocks(monkeypatch
         return solve_linear(m, b)
 
     monkeypatch.setattr(lcp, "_border", building(lcp._border))
-    monkeypatch.setattr(lcp, "_factor", building(lcp._factor))
+    monkeypatch.setattr(lcp, "_det_adj", building(lcp._det_adj))
     monkeypatch.setattr(matrix, "_eliminate", kernel)
     monkeypatch.setattr(lcp, "solve_linear", counting_solve)
     for nb in ((), null):
@@ -424,9 +424,9 @@ def test_singular_parent_and_shape_singular_supports(monkeypatch):
     singular by shape and built with no elimination, and each pair's
     block, whose parent is a singleton, is eliminated directly."""
     eliminated = []
-    eliminate = lcp._eliminate
-    monkeypatch.setattr(lcp, "_eliminate", lambda rows, ncols: eliminated.append(ncols)
-                        or eliminate(rows, ncols))
+    det_adj = lcp._det_adj
+    monkeypatch.setattr(lcp, "_det_adj", lambda rows, idx: eliminated.append(len(idx))
+                        or det_adj(rows, idx))
     swap = RationalMatrix.from_rows([[0, 1], [1, 0]])
     table = lcp._block_table(swap, ())
     assert lcp._block_entry(table, (0,)) is None and lcp._block_entry(table, (1,)) is None
@@ -562,11 +562,11 @@ def test_range_trivial_supports_of_a_hand_made_null_basis(monkeypatch):
     null = (vec([1, 0, 1, 0]), vec([0, 0, 1, 1]))
     assert all(dot(w, a.col_vec(j)) == 0 for w in null for j in range(4))
     built = []
-    border, factor = lcp._border, lcp._factor
+    border, det_adj = lcp._border, lcp._det_adj
     monkeypatch.setattr(lcp, "_border", lambda rows, parent, idx, p: built.append(
         ("border", tuple(idx[:-2]))) or border(rows, parent, idx, p))
-    monkeypatch.setattr(lcp, "_factor", lambda rows, idx: built.append(
-        ("factor", tuple(idx[:-2]))) or factor(rows, idx))
+    monkeypatch.setattr(lcp, "_det_adj", lambda rows, idx: built.append(
+        ("factor", tuple(idx[:-2]))) or det_adj(rows, idx))
     q = vec([-1, 2, 1, -1])
     assert (complementary_solutions(a, q, null)
             == complementary_solutions_fraction(a, q, null, orthant_plus_span_lp_reference(q, null)))
