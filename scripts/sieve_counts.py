@@ -6,8 +6,10 @@ benchmark's search workload, and a digest of its hit log.
 Run it from the root of a checkout.  It runs every op of
 perfbench/inputs.search_ops(seed, ops) once, as perfbench/run.py does, and
 prints one JSON object: the calls of lcp_classes.is_p_hash, the trials
-whose matrix is singular and those that are P#, and the LPs that
-lcp_classes solves.  With --digest-ops it then runs the first that many
+whose matrix is singular and those that are P#, the LPs that lcp_classes
+solves, the rows scaled to integers (calls of matrix.integer_row, as
+integer_rows, rref, solve_linear and matmul make them) and the integer
+eliminations that minor_classes runs (its calls of matrix._eliminate).  With --digest-ops it then runs the first that many
 ops again, uncounted, and adds the sha256 of their hit lines
 (search.hit_to_json_line, one per hit, in op order).
 """
@@ -24,7 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import inputs  # noqa: E402
-from karalcp import lcp_classes, search  # noqa: E402
+from karalcp import lcp_classes, matrix, minor_classes, search  # noqa: E402
 from karalcp.matrix import determinant  # noqa: E402
 
 TARGET = "phash-not-karamardian"
@@ -43,8 +45,9 @@ def main() -> None:
     parser.add_argument("--digest-ops", type=int, default=0)
     args = parser.parse_args()
     counts = dict.fromkeys(("is_p_hash_calls", "singular_trials", "p_hash_trials",
-                            "lcp_classes_lps"), 0)
+                            "lcp_classes_lps", "row_scalings", "minor_eliminations"), 0)
     real_p_hash, real_lp = lcp_classes.is_p_hash, lcp_classes.lp_feasible
+    real_row, real_eliminate = matrix.integer_row, minor_classes._eliminate
     real_random_matrix = search.random_integer_matrix
     drawn = []
 
@@ -65,12 +68,22 @@ def main() -> None:
         counts["lcp_classes_lps"] += 1
         return real_lp(system)
 
+    def row(values):
+        counts["row_scalings"] += 1
+        return real_row(values)
+
+    def eliminate(rows, ncols):
+        counts["minor_eliminations"] += 1
+        return real_eliminate(rows, ncols)
+
     search.random_integer_matrix, search.is_p_hash, lcp_classes.lp_feasible = \
         random_matrix, sieve, lp
+    matrix.integer_row, minor_classes._eliminate = row, eliminate
     for _ in _run(inputs.search_ops(args.seed, args.ops)):
         pass
     search.random_integer_matrix, search.is_p_hash, lcp_classes.lp_feasible = \
         real_random_matrix, real_p_hash, real_lp
+    matrix.integer_row, minor_classes._eliminate = real_row, real_eliminate
     result = {"seed": args.seed, "ops": args.ops, **counts}
     if args.digest_ops:
         digest = hashlib.sha256()

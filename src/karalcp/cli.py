@@ -21,7 +21,7 @@ from .corpus import corpus_entries, corpus_to_json, verify_entry
 from .errors import KaralcpError, TooLargeError
 from .lcp import lcp_solutions
 from .conelcp import CANDIDATE_BUDGET, cone_lcp_solutions
-from .matrix import ENUMERATION_CAP, RationalMatrix, Vector, bounded_rat
+from .matrix import ENUMERATION_CAP, MAX_ENTRY_BITS, RationalMatrix, Vector, bounded_rat
 from .predicates import PREDICATE_ORDER, PredicateConfig, evaluate_predicate
 from .search import TARGETS, hit_to_json_line, run_search
 
@@ -182,6 +182,8 @@ def cmd_search(args) -> int:
         raise TooLargeError(f"--n {args.n} exceeds cap {ENUMERATION_CAP}")
     if args.n < 1 or args.trials < 0 or args.entry_bound < 0:
         return _fail(EXIT_PARSE, "--n must be positive, --trials and --entry-bound nonnegative")
+    if args.entry_bound.bit_length() > MAX_ENTRY_BITS:
+        raise TooLargeError(f"--entry-bound exceeds {MAX_ENTRY_BITS} bits")
     try:
         density = bounded_rat(args.density)
         if not 0 < density <= 1:

@@ -3,7 +3,8 @@
 Entries are `fractions.Fraction` at the API, so ranks, determinants, and
 solves are decisions rather than approximations; no tolerances exist
 anywhere in the package.  Elimination itself runs on integers: each row is
-scaled once by the lcm of its denominators (`integer_row`), and one
+scaled once by the lcm of its denominators (`integer_row`; a matrix built
+by `RationalMatrix.from_ints` carries its rows of ints instead), and one
 fraction-free pivot step (`_pivot`) does all of it: the Gauss-Jordan
 kernel (`_eliminate`) behind the RREF, the determinant, the inverse, the
 solution set of a linear system and the LCP blocks' (det, adj) pairs
@@ -33,6 +34,8 @@ MAX_ENTRY_BITS = 256
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# One shared Fraction per small integer, for matrices built from ints.
+_SMALL = {v: Fraction(v) for v in range(-64, 65)}
 
 
 def rat(x) -> Fraction:
@@ -119,6 +122,19 @@ class RationalMatrix:
         n = len(data)
         m = len(data[0]) if data else 0
         return cls(n, m, data)
+
+    @classmethod
+    def from_ints(cls, rows: Iterable[Iterable[int]]) -> "RationalMatrix":
+        """The matrix of these rows of ints, with the rows themselves cached
+        as its `integer_rows` (multiplier 1), so it is never rescaled.  Each
+        distinct value becomes one Fraction shared by all its entries."""
+        ints = [list(row) for row in rows]
+        extra: dict[int, Fraction] = {}
+        data = [[_SMALL[x] if x in _SMALL else extra[x] if x in extra
+                 else extra.setdefault(x, Fraction(x)) for x in row] for row in ints]
+        m = cls(len(ints), len(ints[0]) if ints else 0, data)
+        m._cache["int_rows"] = [(row, 1) for row in ints]
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -274,7 +290,8 @@ def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def integer_rows(m: RationalMatrix) -> list[tuple[list[int], int]]:
-    """integer_row of every row of m, computed once per matrix."""
+    """integer_row of every row of m, computed once per matrix (a matrix
+    built by `RationalMatrix.from_ints` has its own rows here already)."""
     cached = m._cache.get("int_rows")
     if cached is None:
         cached = m._cache["int_rows"] = [integer_row(row) for row in m.data]

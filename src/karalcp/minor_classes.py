@@ -1,8 +1,9 @@
 """Determinant- and structure-based matrix classes.
 
 P / P0 / N (with category) / adequate come from exhaustive principal-minor
-scans (2^n - 1 exact determinant signs, size-capped), each one integer
-elimination of a principal block of the row-scaled matrix.  M-matrices are
+scans (2^n - 1 exact determinant signs, size-capped) of the row-scaled
+matrix: a 1x1 minor's sign is its diagonal entry's, and each larger one is
+one integer elimination of its principal block.  M-matrices are
 decided by the Fiedler-Ptak characterization Z + P (nonsingular) / Z + P0
 (singular), which sidesteps the spectral radius entirely, and property c
 by "M-matrix and rank A = rank A^2" (zero eigenvalue of index <= 1), and
@@ -103,8 +104,11 @@ def minor_class(a: RationalMatrix) -> MinorClassReport:
     is_p = is_p0 = is_n = True
     vanished: list[tuple[int, ...]] = []
     for idx in nonempty_subsets(a.rows):
-        den, pivots, sign = _eliminate([[rows[i][j] for j in idx] for i in idx], len(idx))
-        d = sign * den if len(pivots) == len(idx) else 0
+        if len(idx) == 1:
+            d = rows[idx[0]][idx[0]]
+        else:
+            den, pivots, sign = _eliminate([[rows[i][j] for j in idx] for i in idx], len(idx))
+            d = sign * den if len(pivots) == len(idx) else 0
         if d <= 0:
             is_p = False
         if d < 0:

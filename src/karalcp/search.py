@@ -40,18 +40,21 @@ def random_integer_matrix(rng: random.Random, n: int, entry_bound: int,
                           density: Fraction) -> RationalMatrix:
     """Integer entries in [-entry_bound, entry_bound]; each entry is zeroed
     with probability 1 - density.  Draw order is fixed row-major for
-    reproducibility; the draw r = p/q is compared with density exactly, in
-    integers."""
-    data = []
+    reproducibility, one randint and one random() per entry at every
+    density; the draw r = p/q is compared with density exactly, in
+    integers.  The matrix carries its rows of ints (`from_ints`), so the
+    sieve's eliminations never rescale them."""
+    num, den = density.numerator, density.denominator
+    randint, draw = rng.randint, rng.random
+    rows = []
     for _ in range(n):
         row = []
         for _ in range(n):
-            v = rng.randint(-entry_bound, entry_bound)
-            p, q = rng.random().as_integer_ratio()
-            keep = p * density.denominator < density.numerator * q
-            row.append(Fraction(v if keep else 0))
-        data.append(row)
-    return RationalMatrix(n, n, data)
+            v = randint(-entry_bound, entry_bound)
+            p, q = draw().as_integer_ratio()
+            row.append(v if p * den < num * q else 0)
+        rows.append(row)
+    return RationalMatrix.from_ints(rows)
 
 
 def run_search(target: str, n: int, trials: int, seed: int = 0,

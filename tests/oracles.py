@@ -119,6 +119,22 @@ def det_fraction(m: RationalMatrix) -> Fraction:
     return det
 
 
+def random_integer_matrix_fraction(rng, n: int, entry_bound: int, density: Fraction) -> RationalMatrix:
+    """search.random_integer_matrix as one Fraction per entry, built in the
+    draw loop, with no cached integer rows: the same RNG calls in the same
+    order (randint, then random(), per entry, row-major)."""
+    data = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            v = rng.randint(-entry_bound, entry_bound)
+            p, q = rng.random().as_integer_ratio()
+            keep = p * density.denominator < density.numerator * q
+            row.append(Fraction(v if keep else 0))
+        data.append(row)
+    return RationalMatrix(n, n, data)
+
+
 def minor_class_fraction(m: RationalMatrix) -> tuple[bool, bool, bool, bool, bool]:
     """(is_p, is_p0, is_n, n_first_category, is_adequate) from det_fraction
     of every principal submatrix and Fraction ranks of the row and column

@@ -230,6 +230,19 @@ class TestSearchCommand:
                        "--trials", "1", "--density", "0"])
         assert res.returncode == 2
 
+    def test_entry_bound_beyond_bit_cap_exits_3(self, tmp_path):
+        """--entry-bound is held to the 256-bit contract like --density: a
+        bound one bit longer exits 3 and writes no hit file, while a 256-bit
+        bound runs."""
+        args = ["search", "--target", "propc-not-phash", "--n", "3", "--trials", "2"]
+        out = tmp_path / "hits.jsonl"
+        res = run_cli(args + ["--entry-bound", str(2 ** 256), "--out", str(out)])
+        assert res.returncode == 3
+        assert "Traceback" not in res.stderr and not out.exists()
+        res = run_cli(args + ["--entry-bound", str(2 ** 256 - 1), "--out", str(out)])
+        assert res.returncode == 0
+        assert out.exists()
+
     def test_bad_target_exits_2(self):
         res = run_cli(["search", "--target", "bogus", "--n", "3", "--trials", "1"])
         assert res.returncode == 2

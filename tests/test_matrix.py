@@ -9,6 +9,8 @@ from karalcp.matrix import (
     RationalMatrix,
     determinant,
     full_rank_factorization,
+    integer_row,
+    integer_rows,
     inverse,
     principal_minor,
     rank,
@@ -302,6 +304,51 @@ class TestBasisIndependence:
             if space.basis:
                 stacked = RationalMatrix.from_rows(space.basis)
                 assert rank(stacked) == len(space.basis)
+
+
+class TestFromInts:
+    """from_ints against from_rows: the same entries, all Fractions, and the
+    same integer rows, which from_ints caches from its input."""
+
+    CASES = [
+        [[0]],
+        [[3, -2, 0], [0, 0, 7]],
+        [[64, -64, 65], [-65, 10 ** 30, -(2 ** 255)], [0, 1, -1]],
+        [[5], [-1000], [10 ** 30]],
+        [],
+    ]
+
+    @pytest.mark.parametrize("rows", CASES)
+    def test_matches_from_rows(self, rows):
+        got, want = RationalMatrix.from_ints(rows), RationalMatrix.from_rows(rows)
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert got.data == want.data
+        assert all(type(x) is Fraction for row in got.data for x in row)
+        assert "int_rows" in got._cache
+        assert integer_rows(got) == integer_rows(want) == [integer_row(r) for r in want.data]
+
+    def test_random_rows_match_from_rows(self):
+        rng = random.Random(20)
+        for _ in range(200):
+            r, c = rng.randint(1, 5), rng.randint(1, 5)
+            bound = rng.choice([1, 3, 100, 2 ** 70])
+            rows = [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)]
+            got = RationalMatrix.from_ints(rows)
+            assert got == RationalMatrix.from_rows(rows)
+            assert integer_rows(got) == [(row, 1) for row in rows]
+            if r == c:
+                assert determinant(got) == det_fraction(RationalMatrix.from_rows(rows))
+
+    def test_equal_values_share_one_fraction(self):
+        """Also for values outside the shared small-int table; tuple rows
+        are cached as lists, like integer_row's."""
+        rows = [(2, 10 ** 30, 2, 0), (10 ** 30, 2, 0, -7)]
+        m = RationalMatrix.from_ints(rows)
+        assert m.data[0][0] is m.data[0][2] is m.data[1][1]
+        assert m.data[0][1] is m.data[1][0]
+        assert m.data[0][3] is m.data[1][2]
+        assert integer_rows(m) == [([2, 10 ** 30, 2, 0], 1), ([10 ** 30, 2, 0, -7], 1)]
+        assert all(type(ints) is list for ints, _ in integer_rows(m))
 
 
 class TestExactCoercion:

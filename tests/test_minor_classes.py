@@ -8,6 +8,7 @@ from karalcp import matrix, minor_classes
 from karalcp.errors import TooLargeError
 from karalcp.lcp import YES
 from karalcp.lcp import is_q_matrix
+from karalcp.lcp_classes import is_p_hash
 from karalcp.lp import LinearSystem, lp_feasible
 from karalcp.matrix import (
     RationalMatrix,
@@ -138,18 +139,24 @@ class TestMinorScanAgainstFractionOracle:
     def test_flags_and_determinants_match_fraction_oracles(self):
         """All five flags against Fraction determinants and ranks, and
         determinant against two Fraction oracles on every principal
-        submatrix, at orders 1-6.  The scan eliminates copies of the cached
-        integer rows, so those are unchanged afterwards."""
+        submatrix, at orders 1-6, for Fraction-built matrices and for
+        matrices built from ints (which carry their integer rows from
+        construction).  The scans eliminate copies of the cached integer
+        rows, so those are unchanged after determinant, minor_class and
+        is_p_hash."""
         rng = random.Random(19)
         p0_with_vanishing = adequate = 0
         for n in range(1, 7):
-            for a in _minor_cases(rng, n):
+            int_built = [RationalMatrix.from_ints([[rng.randint(-3, 3) for _ in range(n)]
+                                                   for _ in range(n)]) for _ in range(3)]
+            for a in [*_minor_cases(rng, n), *int_built]:
                 snapshot = [(list(ints), mult) for ints, mult in integer_rows(a)]
                 got = minor_class(a)
                 want = minor_class_fraction(a)
                 assert (got.is_p, got.is_p0, got.is_n, got.n_first_category,
                         got.is_adequate) == want
                 assert determinant(a) == det_fraction(a)
+                is_p_hash(a)
                 assert integer_rows(a) == snapshot == [integer_row(row) for row in a.data]
                 for idx in nonempty_subsets(n):
                     sub = a.submatrix(idx, idx)
@@ -185,6 +192,65 @@ class TestMinorScanAgainstFractionOracle:
         assert not built and not dets
         assert reports[0].is_p
         assert reports[1].is_p0 and not reports[1].is_p and reports[1].is_adequate
+
+
+class TestDiagonalMinors:
+    """minor_class reads each 1x1 minor's sign off the diagonal of the
+    row-scaled integer rows and eliminates only blocks of order 2 or more."""
+
+    DIAGONAL = [Fraction(0), Fraction(-2), Fraction(-1, 3), Fraction(1, 2), Fraction(5, 7), Fraction(3)]
+
+    def _cases(self, rng, n):
+        for _ in range(12):
+            m = _rational(rng, n, n)
+            for i in range(n):
+                m.data[i][i] = rng.choice(self.DIAGONAL)
+            yield _row_scaled(rng, m)
+        # strictly diagonally dominant with a fractional diagonal of either
+        # sign: P when it is positive, and every 1x1 minor negative otherwise
+        for sign in (1, -1):
+            m = _rational(rng, n, n)
+            for i in range(n):
+                m.data[i][i] = sign * (n + Fraction(rng.randint(1, 5), 7))
+            yield _row_scaled(rng, m)
+
+    def test_matches_fraction_oracle(self):
+        rng = random.Random(20)
+        seen = dict.fromkeys(("p", "p0_not_p", "n", "zero_diagonal", "scaled"), 0)
+        for n in range(1, 6):
+            for a in self._cases(rng, n):
+                got = minor_class(a)
+                want = minor_class_fraction(a)
+                assert (got.is_p, got.is_p0, got.is_n, got.n_first_category,
+                        got.is_adequate) == want
+                seen["p"] += got.is_p
+                seen["p0_not_p"] += got.is_p0 and not got.is_p
+                seen["n"] += got.is_n
+                seen["zero_diagonal"] += any(a.data[i][i] == 0 for i in range(n))
+                seen["scaled"] += any(mult != 1 for _, mult in integer_rows(a))
+        assert all(seen.values()), seen
+
+    def test_no_1x1_block_is_eliminated(self, monkeypatch):
+        """Fresh order-4 matrices: a P-matrix, whose scan visits all 15
+        minors, and a P0 matrix with a zero diagonal entry, whose adequacy
+        test eliminates its row and column blocks."""
+        shapes = []
+        eliminate = minor_classes._eliminate
+
+        def counting_eliminate(rows, ncols):
+            shapes.append((len(rows), ncols))
+            return eliminate(rows, ncols)
+
+        monkeypatch.setattr(minor_classes, "_eliminate", counting_eliminate)
+        p = RationalMatrix.from_rows([[4, 1, -1, 0], [1, "9/2", 0, 2], [0, -1, 5, 1],
+                                      [1, 0, "1/3", 3]])
+        assert minor_class(p).is_p
+        assert sorted(shapes) == sorted([(k, k) for k in (2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 4)])
+        shapes.clear()
+        p0 = RationalMatrix.from_ints([[0, 0, 0, 0], [0, 2, 1, 0], [0, 1, 2, 0], [0, 0, 0, 1]])
+        report = minor_class(p0)
+        assert report.is_p0 and not report.is_p and report.is_adequate
+        assert shapes and (1, 1) not in shapes
 
 
 class TestAdequate:

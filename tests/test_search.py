@@ -1,11 +1,14 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from karalcp.conelcp import classify_2x2, cone_K
 from karalcp.lcp_classes import is_p_hash
-from karalcp.search import hit_to_json_line, run_search
+from karalcp.matrix import integer_rows
+from karalcp.search import hit_to_json_line, random_integer_matrix, run_search
+from oracles import random_integer_matrix_fraction
 
 
 class TestReproducibility:
@@ -35,8 +38,6 @@ class TestOrderTwoIsFullyClassified:
         assert hits == []
 
     def test_p_hash_with_cone_classifies(self):
-        import random
-
         from conftest import rand_int_matrix
 
         rng = random.Random(3)
@@ -53,9 +54,6 @@ class TestDensity:
     def test_sparser_draws_have_more_zeros(self):
         dense = run_search("propc-not-phash", n=3, trials=0, seed=0)
         assert dense == []  # zero trials, zero hits: smoke only
-        from karalcp.search import random_integer_matrix
-        import random
-
         rng = random.Random(0)
         sparse = [random_integer_matrix(rng, 4, 3, Fraction(1, 4)) for _ in range(50)]
         rng = random.Random(0)
@@ -63,3 +61,19 @@ class TestDensity:
         count0 = sum(1 for m in sparse for row in m.data for x in row if x == 0)
         count1 = sum(1 for m in full for row in m.data for x in row if x == 0)
         assert count0 > count1
+
+
+class TestDrawAgainstFractionOracle:
+    @pytest.mark.parametrize("density", [Fraction(1), Fraction(1, 4), Fraction(2, 3)])
+    @pytest.mark.parametrize("entry_bound", [0, 1, 3, 7])
+    def test_same_matrices_and_rng_state(self, density, entry_bound):
+        """The int draw gives the oracle's matrices, with its rows of ints
+        cached, and leaves the RNG where the Fraction draw leaves it."""
+        for seed in range(5):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for n in (1, 2, 3, 4, 4, 5):
+                got = random_integer_matrix(rng, n, entry_bound, density)
+                want = random_integer_matrix_fraction(ref, n, entry_bound, density)
+                assert got == want
+                assert integer_rows(got) == [([int(x) for x in row], 1) for row in want.data]
+                assert rng.getstate() == ref.getstate()
