@@ -14,14 +14,13 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .corpus import corpus_entries, corpus_to_json, verify_entry
 from .errors import KaralcpError, TooLargeError
 from .lcp import lcp_solutions
 from .conelcp import CANDIDATE_BUDGET, cone_lcp_solutions
-from .matrix import ENUMERATION_CAP, MAX_ENTRY_BITS, RationalMatrix, Vector, bounded_rat
+from .matrix import ENUMERATION_CAP, MAX_ENTRY_BITS, RationalMatrix, Vector, bounded_rat, jsonable
 from .predicates import PREDICATE_ORDER, PredicateConfig, evaluate_predicate
 from .search import TARGETS, hit_to_json_line, run_search
 
@@ -55,22 +54,6 @@ def _parse_vector(text: str) -> Vector:
     if not isinstance(obj, list):
         raise ValueError("a vector must be a JSON list")
     return tuple(bounded_rat(x) for x in obj)
-
-
-def _fraction_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return _fraction_str(value)
-    if isinstance(value, tuple) and all(isinstance(t, Fraction) for t in value):
-        return [_fraction_str(t) for t in value]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
 
 
 def _require_order(matrix: RationalMatrix, args) -> None:
@@ -116,12 +99,12 @@ def cmd_classify(args) -> int:
             "config": {
                 "cap": args.cap,
                 "max_candidates": args.max_candidates,
-                "hint_d": [_jsonable(h) for h in hints],
+                "hint_d": [jsonable(h) for h in hints],
                 "skip": sorted(skip),
             },
             "matrix": matrix.to_json(),
             "predicates": [
-                {"name": name, "status": out.status, "certificate": _jsonable(out.certificate)}
+                {"name": name, "status": out.status, "certificate": jsonable(out.certificate)}
                 for name, out, _ in rows
             ],
         }
@@ -129,7 +112,7 @@ def cmd_classify(args) -> int:
     else:
         print(f"karalcp {__version__}  seed={args.seed}  matrix {matrix.rows}x{matrix.cols}")
         for name, out, dt in rows:
-            cert = "" if out.certificate is None else f"  {_jsonable(out.certificate)}"
+            cert = "" if out.certificate is None else f"  {jsonable(out.certificate)}"
             print(f"  {name:30s} {out.status:13s} {dt * 1000:8.1f} ms{cert}")
     return EXIT_OK
 
@@ -148,7 +131,7 @@ def cmd_lcp(args) -> int:
     print(f"{kind} solutions: {len(result.solutions)}"
           f"  degenerate supports: {len(result.degenerate_supports)}")
     for x in result.solutions:
-        print("  [" + ", ".join(_fraction_str(t) for t in x) + "]")
+        print("  [" + ", ".join(map(str, x)) + "]")
     for support in result.degenerate_supports:
         print(f"  degenerate family on support {list(support)}")
     return EXIT_OK

@@ -9,11 +9,13 @@ solved by the standard LCP's support scans, whose standard case is N
 empty: `lcp.complementary_solutions` for every solution, x = 0 among them
 from the empty support, and `lcp.first_nonzero_solution` for whether only
 zero solves.  K lies in R^n_+, so it is pointed, and K* and int K* are
-read on the generators of K.  Each generator sums to 1, so e lies in
-int K*.  The Karamardian decision is a cascade of sound exact rules; the
-existential d of the definition is only semi-decided, by verified
-candidate vectors, e always among them, so No is never emitted from a
-failed search.
+read on the generators of K, found by an integer double description.
+Each generator sums to 1, so e lies in int K*.  With the generators as
+the columns of V, the cone LCP is also the standard LCP of M = V^T A V
+(`generator_lcp`).  The Karamardian decision is a cascade of sound exact
+rules, the LCP degree of M among them; the existential d of the
+definition is only semi-decided, by verified candidate vectors, e always
+among them, so No is never emitted from a failed search.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -41,27 +45,28 @@ from .lcp import (
     Verdict,
     complementary_solutions,
     first_nonzero_solution,
+    lcp_degree,
     n_first_category_applies,
 )
 from .lp import LinearSystem, lp_feasible
 from .matrix import (
+    ENUMERATION_CAP,
     RationalMatrix,
     Vector,
     dot,
     full_rank_factorization,
+    integer_row,
     integer_rows,
     is_unisigned,
     is_zero_vec,
     ones_vec,
     rank,
-    solve_linear,
     subspace_bases,
     vec,
     zeros_vec,
 )
 from .minor_classes import minor_class, structural_flags
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 RULE_K_TRIVIAL = "K_TRIVIAL"
@@ -70,6 +75,7 @@ RULE_RANK_ONE = "RANK_ONE"
 RULE_CLASS_2X2 = "CLASS_2X2"
 RULE_ALMOST_SEMIMONOTONE = "ALMOST_SEMIMONOTONE"
 RULE_Z_NOT_P = "Z_NOT_P_NONSINGULAR"
+RULE_DEGREE_NOT_ONE = "DEGREE_NOT_ONE"
 RULE_CANDIDATE_D = "CANDIDATE_D"
 RULE_RANGE_MONOTONE_Z = "RANGE_MONOTONE_Z_GROUP_INVERSE"
 RULE_PERMUTATION_REDUCT = "PERMUTATION_REDUCT"
@@ -84,11 +90,14 @@ CANDIDATE_BUDGET = 16
 @dataclass(frozen=True)
 class ConeData:
     """K = R^n_+ intersect R(A) by its generators, with the basis of N(A^T)
-    in the dual decomposition K* = R^n_+ + N(A^T)."""
+    in the dual decomposition K* = R^n_+ + N(A^T).  `rays` holds each
+    generator as a primitive integer vector, in the order the double
+    description found them."""
 
     cone: ConeRep
     dual_null_basis: tuple[Vector, ...]
     nontrivial_witness: Vector | None
+    rays: tuple[tuple[int, ...], ...]
 
     @property
     def trivial(self) -> bool:
@@ -96,47 +105,67 @@ class ConeData:
 
 
 def cone_K(a: RationalMatrix) -> ConeData:
-    """Generators are the vertices of {x in R(A), x >= 0, sum x = 1}."""
+    """Generators are the extreme rays of K = {x >= 0 : W^T x = 0}, W the
+    basis of N(A^T), scaled to sum 1 and sorted."""
     a.require_square("cone K", scan=True)
     cached = a._cache.get("coneK")
     if cached is not None:
         return cached
-    bases = subspace_bases(a)
-    vertices = _base_polytope_vertices(a, bases)
+    null = subspace_bases(a).left_null.basis
+    rays = _double_description(a.rows, null)
+    vertices = sorted(tuple(Fraction(t, sum(ray)) for t in ray) for ray in rays)
     result = ConeData(
         cone=ConeRep(a.rows, tuple(vertices)),
-        dual_null_basis=bases.left_null.basis,
+        dual_null_basis=null,
         nontrivial_witness=vertices[0] if vertices else None,
+        rays=tuple(map(tuple, rays)),
     )
     a._cache["coneK"] = result
     return result
 
 
-def _base_polytope_vertices(a: RationalMatrix, bases) -> list[Vector]:
-    """Vertex enumeration of {x = Bc >= 0, e^T x = 1} in range coordinates.
+def _double_description(n: int, null: Sequence[Vector]) -> list[list[int]]:
+    """Extreme rays of {x >= 0 : w^T x = 0 for w in null}, in integers.
 
-    At a vertex the active inequality rows have rank r-1 and the
-    normalization row completes a basis, so solving every (r-1)-subset of
-    rows against the normalization finds every vertex exactly.
-    """
-    n = a.rows
-    basis = bases.range.basis
-    r = len(basis)
-    if r == 0:
-        return []
-    rows_b = [[basis[k][i] for k in range(r)] for i in range(n)]  # (Bc)_i coefficients
-    norm = [sum(rows_b[i][k] for i in range(n)) for k in range(r)]
-    seen: set[Vector] = set()
-    for subset in itertools.combinations(range(n), r - 1):
-        mat = RationalMatrix.from_rows([rows_b[i] for i in subset] + [norm])
-        sol = solve_linear(mat, [_ZERO] * (r - 1) + [_ONE])
-        if sol is None or sol.null_basis:
-            continue
-        c = sol.particular
-        x = tuple(sum((rows_b[i][k] * c[k] for k in range(r)), _ZERO) for i in range(n))
-        if all(t >= 0 for t in x):
-            seen.add(x)
-    return sorted(seen)
+    From the unit vectors, each hyperplane w^T x = 0 keeps the rays on it
+    and joins each adjacent pair p, r with w^T p > 0 > w^T r into
+    (w^T p) r - (w^T r) p, over its gcd.  Two rays are adjacent when no
+    third ray's zero set contains the meet of theirs (Motzkin, Raiffa,
+    Thompson & Thrall, 1953; Fukuda & Prodon, 1996)."""
+    rays = [[int(i == j) for j in range(n)] for i in range(n)]
+    for w in null:
+        ints = integer_row(w)[0]
+        dots = [sum(map(mul, ints, ray)) for ray in rays]
+        zeros = [sum(1 << i for i, t in enumerate(ray) if not t) for ray in rays]
+        kept = [ray for ray, s in zip(rays, dots) if not s]
+        for i, j in itertools.product(range(len(rays)), repeat=2):
+            if dots[i] <= 0 or dots[j] >= 0:
+                continue
+            meet = zeros[i] & zeros[j]
+            if any(z & meet == meet for k, z in enumerate(zeros) if k != i and k != j):
+                continue
+            ray = [dots[i] * t - dots[j] * u for t, u in zip(rays[j], rays[i])]
+            g = gcd(*ray)
+            kept.append([t // g for t in ray])
+        rays = kept
+    return rays
+
+
+def generator_lcp(a: RationalMatrix) -> tuple[RationalMatrix, tuple[tuple[int, ...], ...]]:
+    """(M, V): the cone LCP in generator form, with the integer rays of K
+    as the columns of V and M = V^T A V.  x = V lam solves the cone LCP
+    (A, q) iff lam solves LCP(M, V^T q), and only zero solves one iff only
+    zero solves the other.  An invertible A has V = I and M = A itself,
+    which shares A's support tables.  Cached in a._cache."""
+    cached = a._cache.get("generator_lcp")
+    if cached is None:
+        cone = cone_K(a)
+        m = a
+        if cone.dual_null_basis:
+            vt = RationalMatrix.from_ints(cone.rays)
+            m = vt @ a @ vt.transpose()
+        cached = a._cache["generator_lcp"] = (m, cone.rays)
+    return cached
 
 
 def dual_membership(a: RationalMatrix, y: Sequence) -> bool:
@@ -286,13 +315,14 @@ def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = 
                    force_candidate_search: bool = False) -> Verdict:
     """Decision cascade; the first firing rule wins.
 
-    After the trivial-K and homogeneous rules come the hints and then e,
-    which lies in int K* (every generator of K sums to 1), whatever
-    `max_candidates` is.  No is emitted only from sound rules (trivial K,
-    nonzero homogeneous solution, the exact rank-one / 2x2 /
-    almost-semimonotone / Z-not-P / first-category-N rules); an exhausted
-    candidate search yields Unknown, never No.  `force_candidate_search`
-    skips the exact shortcut rules (used by the cross-validation tests).
+    After the trivial-K and homogeneous rules, and the rank-one and 2x2
+    Nos, come the hints and then e, which lies in int K* (every generator
+    of K sums to 1), whatever `max_candidates` is.  No is emitted only from
+    sound rules (trivial K, nonzero homogeneous solution, the exact
+    rank-one / 2x2 / almost-semimonotone / Z-not-P / first-category-N
+    rules, and deg M != 1 for M = V^T A V); an exhausted candidate search
+    yields Unknown, never No.  `force_candidate_search` skips the exact
+    shortcut rules (used by the cross-validation tests).
     The verdict is memoized in `a._cache` per argument set.
     """
     a.require_square("Karamardian test", scan=True)
@@ -321,6 +351,18 @@ def _karamardian_cascade(a: RationalMatrix, hints: list[Vector], max_candidates:
     if nonzero is not None:
         return Verdict(NO, rule=RULE_HOMOGENEOUS_NONZERO, witnesses={"solution": nonzero})
 
+    two = None if force_candidate_search or n != 2 else classify_2x2(a)
+    if not force_candidate_search:
+        # Nos no candidate can beat, asked before the scans of the hints and e
+        if rank(a) == 1:
+            # A = u v^T: K nontrivial makes u unisigned, u^T v = 0 a homogeneous
+            # solution and u^T v > 0 lets e certify
+            u, v = _rank_one_factors(a)
+            if dot(u, v) < 0:
+                return Verdict(NO, rule=RULE_RANK_ONE, witnesses={"u": u, "v": v})
+        if two is not None and two.status == NO:
+            return two
+
     # The hints, then e, whatever max_candidates is.
     tried: list[Vector] = []
     for d in hints + [ones_vec(n)]:
@@ -329,19 +371,21 @@ def _karamardian_cascade(a: RationalMatrix, hints: list[Vector], max_candidates:
             return verdict
 
     if not force_candidate_search:
-        if rank(a) == 1:
-            # A = u v^T: K nontrivial makes u unisigned, u^T v = 0 a homogeneous
-            # solution and u^T v > 0 let e certify, so u^T v < 0: not Karamardian
-            u, v = _rank_one_factors(a)
-            return Verdict(NO, rule=RULE_RANK_ONE, witnesses={"u": u, "v": v})
-        if n == 2:
-            return classify_2x2(a)
+        if two is not None:
+            return two
         if is_almost_semimonotone(a):
             return Verdict(NO, rule=RULE_ALMOST_SEMIMONOTONE)
         if rank(a) == n and structural_flags(a).z_matrix and not minor_class(a).is_p:
             return Verdict(NO, rule=RULE_Z_NOT_P)
         if n_first_category_applies(a):
             return Verdict(NO, rule=RULE_N_FIRST_CATEGORY)
+        # M = V^T A V is R0, as the homogeneous problem has only zero.  A d in
+        # int K* leaving only zero would make p = V^T d > 0 a regular q whose
+        # one solution, zero, has index 1, so deg M != 1 rules every d out
+        m, rays = generator_lcp(a)
+        walk = lcp_degree(m) if m.rows <= ENUMERATION_CAP else None
+        if walk is not None and walk["degree"] != 1:
+            return Verdict(NO, rule=RULE_DEGREE_NOT_ONE, witnesses={"V": rays, **walk})
 
     if len(tried) < max_candidates:
         for d in default_candidates(a, cone.nontrivial_witness, seed=seed,

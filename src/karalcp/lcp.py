@@ -36,8 +36,9 @@ none is zero)?
 Q-matrix membership is only semi-decidable at desk scale, so the verdict
 type carries its epistemic state: Yes and No come with re-checkable
 certificates, Unknown with the sampling log.  Yes: the structural rules,
-first-category N, Karamardian's theorem at d = e, and the Karamardian
-verdict of an invertible R0 A (LCP(A, 0) has only the zero solution).
+first-category N, Karamardian's theorem at d = e, the Karamardian
+verdict of an invertible R0 A (LCP(A, 0) has only the zero solution),
+and, after the sampler, an R0 A of nonzero degree (`lcp_degree`).
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ UNKNOWN = "Unknown"
 
 Q_SAMPLES = 64
 Q_SAMPLE_BOUND = 10
+# Seeded q that the degree walk tries after e.
+DEGREE_QS = 10
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -376,6 +379,45 @@ def _family_solutions(n: int, q: Vector, support, sol, comp, off_support):
     return to_x(out.witness), False
 
 
+def lcp_degree(a: RationalMatrix) -> dict | None:
+    """deg A of an R0 matrix A (LCP(A, 0) has only the zero solution, which
+    the caller establishes), as {"q", "degree", "solutions"} at the first
+    regular q among e and DEGREE_QS seeded integer q in [-9, 9]; None when
+    none is regular.  q is regular when every solution of LCP(A, q) lies
+    on a nonsingular block and is strictly complementary (x_i + y_i > 0).
+    The degree is then the sum over the solutions of the index sign det
+    A_SS, read off the block table, with det 1 for the empty support
+    (Howe & Stone, 1983; Cottle, Pang & Stone, 1992, section 6.1); each
+    solution is listed with its index.  Memoized in a._cache."""
+    if "degree" in a._cache:
+        return a._cache["degree"]
+    n = a.rows
+    table = _block_table(a, ())
+    rng = random.Random(0)
+    qs = [(_ONE,) * n] + [tuple(Fraction(rng.randint(-9, 9)) for _ in range(n))
+                          for _ in range(DEGREE_QS)]
+    walk = None
+    for q in qs:
+        solve = support_solver(a, q, ())
+        solutions = []
+        for support in itertools.chain([()], nonempty_subsets(n)):
+            x, _ = solve(support)
+            if x is None:
+                continue
+            entry = _block_entry(table, support)
+            y = a.mul_vec(x)
+            if entry is None or any((x[i] if i in support else y[i] + q[i]) <= 0
+                                    for i in range(n)):
+                break
+            solutions.append((x, 1 if entry[0] > 0 else -1))
+        else:
+            walk = {"q": q, "degree": sum(s for _, s in solutions),
+                    "solutions": tuple(solutions)}
+            break
+    a._cache["degree"] = walk
+    return walk
+
+
 def lcp_unique_zero(a: RationalMatrix, q: Sequence) -> bool:
     """True iff zero is the only solution (q >= 0 so that zero solves)."""
     qv = a.square_and_vector(q, "LCP uniqueness", scan=True)
@@ -395,6 +437,7 @@ RULE_N_FIRST_CATEGORY = "N_FIRST_CATEGORY"
 RULE_KARAMARDIAN_THEOREM = "KARAMARDIAN_THEOREM"
 RULE_KARAMARDIAN_INVERTIBLE = "KARAMARDIAN_INVERTIBLE"
 RULE_UNSOLVABLE_Q = "UNSOLVABLE_Q"
+RULE_DEGREE_NONZERO = "DEGREE_NONZERO"
 
 
 def n_first_category_applies(a: RationalMatrix) -> bool:
@@ -408,8 +451,8 @@ def is_q_matrix(a: RationalMatrix, seed: int = 0) -> Verdict:
     """Exact Yes/No where a sound rule fires, else sampling refutation,
     else Unknown with the sample log.  Yes by the structural rules, a
     first-category N, Karamardian's theorem at d = e (Math. Programming 2,
-    1972; it covers every P and strictly copositive A), or the Karamardian
-    verdict of an invertible R0 A."""
+    1972; it covers every P and strictly copositive A), the Karamardian
+    verdict of an invertible R0 A, or an R0 A of nonzero degree."""
     a.require_square("Q-matrix test", scan=True)
     n = a.rows
     flags = structural_flags(a)
@@ -434,7 +477,10 @@ def is_q_matrix(a: RationalMatrix, seed: int = 0) -> Verdict:
     # Karamardian No
     e = (_ONE,) * n
     e_only_zero = first_nonzero_solution(a, e, ()) is None
-    if (e_only_zero or rank(a) == n) and first_nonzero_solution(a, (_ZERO,) * n, ()) is None:
+    r0 = None
+    if e_only_zero or rank(a) == n:
+        r0 = first_nonzero_solution(a, (_ZERO,) * n, ()) is None
+    if r0:
         if e_only_zero:
             return Verdict(YES, rule=RULE_KARAMARDIAN_THEOREM, witnesses={"d": e})
         from .conelcp import is_karamardian
@@ -449,6 +495,13 @@ def is_q_matrix(a: RationalMatrix, seed: int = 0) -> Verdict:
         # q has a negative entry, so every solution is nonzero
         if first_nonzero_solution(a, q, ()) is None:
             return Verdict(NO, rule=RULE_UNSOLVABLE_Q, witnesses={"q": q})
+    # An R0 A of nonzero degree: LCP(A, q) has a solution for every q.  For
+    # an invertible A the Karamardian cascade may have walked it already
+    if r0 is None:
+        r0 = first_nonzero_solution(a, (_ZERO,) * n, ()) is None
+    walk = lcp_degree(a) if r0 else None
+    if walk is not None and walk["degree"] != 0:
+        return Verdict(YES, rule=RULE_DEGREE_NONZERO, witnesses=walk)
     return Verdict(UNKNOWN, evidence={"tried": tuple(tried), "seed": seed, "bound": Q_SAMPLE_BOUND})
 
 

@@ -270,6 +270,18 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}: [{body}])"
 
 
+def jsonable(value):
+    """value with every Fraction as its 'p/q' (or 'p') string, and tuples
+    and lists as lists, for json.dumps."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    return value
+
+
 # -- elimination -------------------------------------------------------
 
 

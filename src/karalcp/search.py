@@ -1,10 +1,12 @@
 """Seeded random search for counterexamples to the open questions.
 
 Targets:
-  phash-not-karamardian : P# matrices with nontrivial K whose Karamardian
-                          status the exact cascade cannot settle (the open
+  phash-not-karamardian : P# matrices with nontrivial K that the exact
+                          cascade does not certify Karamardian (the open
                           question is whether such matrices are always
-                          Karamardian; a hit is a concrete candidate).
+                          Karamardian): a certified No is a counterexample
+                          hit, with its rule and certificate, and an
+                          Unknown an open hit.
   propc-not-phash       : Z-matrices with property c that are not P#
                           (open for n >= 4; settled affirmatively for
                           n <= 3, so order-3 runs must come up empty).
@@ -21,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .conelcp import cone_K, is_karamardian
-from .lcp import UNKNOWN
+from .lcp import NO, YES
 from .lcp_classes import is_p_hash
-from .matrix import RationalMatrix
+from .matrix import RationalMatrix, jsonable
 from .minor_classes import has_property_c, structural_flags
 
 TARGETS = ("phash-not-karamardian", "propc-not-phash")
@@ -99,17 +101,21 @@ def _check_phash_not_karamardian(a: RationalMatrix, seed: int) -> dict | None:
     if cone.trivial:
         return None
     verdict = is_karamardian(a, seed=seed)
-    if verdict.status != UNKNOWN:
+    if verdict.status == YES:
         return None
     fresh = RationalMatrix.from_rows(a.data)
     if not (is_p_hash(fresh) and not cone_K(fresh).trivial):
         raise ArithmeticError("search hit failed re-verification")
-    return {
+    evidence = {
         "p_hash": True,
-        "cone_nontrivial_witness": [str(x) for x in cone.nontrivial_witness],
-        "karamardian": UNKNOWN,
-        "tried_candidates": [[str(x) for x in d] for d in verdict.evidence["tried"]],
+        "cone_nontrivial_witness": jsonable(cone.nontrivial_witness),
+        "karamardian": verdict.status,
     }
+    if verdict.status == NO:
+        evidence.update(rule=verdict.rule, certificate=jsonable(verdict.witnesses))
+    else:
+        evidence["tried_candidates"] = jsonable(verdict.evidence["tried"])
+    return evidence
 
 
 def hit_to_json_line(hit: SearchHit, target: str, seed: int) -> str:

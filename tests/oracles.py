@@ -25,6 +25,7 @@ from karalcp.matrix import (
     RationalMatrix,
     RrefResult,
     _eliminate,
+    determinant,
     dot,
     is_zero_vec,
     nonempty_subsets,
@@ -903,3 +904,55 @@ def retired_q_yes_rule(a: RationalMatrix) -> str | None:
     if is_strictly_copositive(a, ConeRep.nonnegative_orthant(a.rows)):
         return "STRICTLY_COPOSITIVE"
     return None
+
+
+# -- the vertex enumeration that conelcp.cone_K's double description replaced
+# ------------------------------------------------------------------------------
+
+
+def cone_generators_reference(a: RationalMatrix) -> list[tuple]:
+    """Generators of K = R^n_+ intersect R(A) as the vertices of
+    {x = Bc >= 0, e^T x = 1}, B a basis of R(A), in range coordinates,
+    sorted.  At a vertex the active inequality rows have rank r - 1 and
+    the normalisation row completes a basis, so solving every (r-1)-subset
+    of rows against the normalisation finds every vertex exactly."""
+    n = a.rows
+    basis = subspace_bases(a).range.basis
+    r = len(basis)
+    if r == 0:
+        return []
+    rows_b = [[basis[k][i] for k in range(r)] for i in range(n)]  # (Bc)_i coefficients
+    norm = [sum(rows_b[i][k] for i in range(n)) for k in range(r)]
+    seen: set[tuple] = set()
+    for subset in itertools.combinations(range(n), r - 1):
+        mat = RationalMatrix.from_rows([rows_b[i] for i in subset] + [norm])
+        sol = solve_linear(mat, [Fraction(0)] * (r - 1) + [Fraction(1)])
+        if sol is None or sol.null_basis:
+            continue
+        c = sol.particular
+        x = tuple(sum((rows_b[i][k] * c[k] for k in range(r)), Fraction(0)) for i in range(n))
+        if all(t >= 0 for t in x):
+            seen.add(x)
+    return sorted(seen)
+
+
+# -- re-enumeration check of an LCP degree certificate -----------------------
+
+
+def check_degree_certificate(m: RationalMatrix, walk: dict) -> None:
+    """Re-derive a degree certificate by enumerating LCP(M, q) with the
+    reference enumeration: the solutions are the listed ones, each strictly complementary on a
+    nonsingular block of the listed sign, and they sum to the degree."""
+    q = walk["q"]
+    listed = dict(walk["solutions"])
+    fresh = RationalMatrix.from_rows(m.data)
+    result = lcp_solutions_reference(fresh, q)
+    assert not result.has_degenerate
+    assert set(result.solutions) == set(listed)
+    for x in result.solutions:
+        y = tuple(t + qi for t, qi in zip(fresh.mul_vec(x), q))
+        assert all(xi > 0 or yi > 0 for xi, yi in zip(x, y))
+        support = [i for i in range(m.rows) if x[i] > 0]
+        det = determinant(fresh.submatrix(support, support)) if support else 1
+        assert det != 0 and (det > 0) == (listed[x] > 0)
+    assert walk["degree"] == sum(listed.values())

@@ -7,12 +7,12 @@ claim: the symmetric tridiagonal Z-matrix is claimed Karamardian in the
 literature with the dual vector d = (3,1,-1), but that verification
 silently strengthens y in K* to y >= 0.  Under the K*-based definition
 every interior dual vector admits the nonzero solution
-(d2/2, (d1+d3)/2, d2/2), so the true verdict is No.  None of the sound No
-rules of `is_karamardian` applies to this matrix and an exhausted candidate
-search yields Unknown, never No, so the sub-case asserts Unknown, that the
-published hint and then e were tried first, and the refutation at the hint
-by substitution.  See tests/test_conelcp.py for the frozen counterexample
-family.
+(d2/2, (d1+d3)/2, d2/2), so the true verdict is No.  `is_karamardian`
+certifies it: in generator form M = [[0,-2],[-2,0]] has LCP degree 0, not
+1 (rule DEGREE_NOT_ONE).  The sub-case asserts that No and checks the
+refutation at the hint by substitution; a degree-one matrix no rule
+decides asserts Unknown, and that e was tried first.  See
+tests/test_conelcp.py for the frozen counterexample family.
 """
 
 import random
@@ -113,10 +113,10 @@ def test_criterion_3_karamardian_corpus():
         ("first-category N", [[-1, -2, 1], [-1, -1, 3], [2, 1, -1]], (), NO),
         ("strictly copositive block", [[1, -1, 0], [-1, 1, 0], [0, 0, 1]], (), YES),
         # published Yes, refuted under the K*-based definition (module
-        # docstring); no sound No rule applies, so the contract gives
-        # Unknown.  Becomes NO once a complete small-order decision
-        # certifies it (ROADMAP item 5).
-        ("tridiagonal", TRIDIAGONAL, (TRIDIAGONAL_HINT,), UNKNOWN),
+        # docstring) and certified No by the LCP degree of its generator form
+        ("tridiagonal", TRIDIAGONAL, (TRIDIAGONAL_HINT,), NO),
+        # R0 of degree 1 in generator form, so no sound rule decides it
+        ("degree-one remainder", [[-1, 1, 1], [-1, 1, -1], [-1, 0, 1]], (), UNKNOWN),
         ("symmetric block Z", [[1, -1, 0], [-1, 1, 0], [0, 0, 3]], (), YES),
         ("symmetric block Z group inverse",
          [["1/4", "-1/4", 0], ["-1/4", "1/4", 0], [0, 0, "1/3"]], (), YES),
@@ -340,10 +340,14 @@ def test_criterion_10_search_soundness():
     hits = run_search("propc-not-phash", n=3, trials=100_000, seed=0)
     if hits:
         failures.append(("order-3 hits should be impossible", hits[0].matrix))
-    open_hits = run_search("phash-not-karamardian", n=4, trials=2000, seed=0)
-    for hit in open_hits:
+    # a hit is a certified No (a counterexample) or an Unknown (open)
+    hits = run_search("phash-not-karamardian", n=4, trials=2000, seed=0)
+    for hit in hits:
         if not is_p_hash(hit.matrix) or cone_K(hit.matrix).trivial:
             failures.append(("unsound hit", hit.matrix))
-        if is_karamardian(hit.matrix).status != UNKNOWN:
-            failures.append(("hit was decidable", hit.matrix))
+        verdict = is_karamardian(hit.matrix)
+        if verdict.status not in (NO, UNKNOWN) or verdict.status != hit.evidence["karamardian"]:
+            failures.append(("hit status", hit.matrix, verdict.status, hit.evidence))
+        if verdict.status == NO and hit.evidence["rule"] != verdict.rule:
+            failures.append(("counterexample rule", hit.matrix, hit.evidence))
     _finish("criterion 10 (search soundness)", failures, started, 600.0)

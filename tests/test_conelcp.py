@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -10,6 +11,7 @@ from karalcp.conelcp import (
     cone_lcp_only_zero,
     cone_lcp_solutions,
     dual_membership,
+    generator_lcp,
     int_dual_membership,
     is_karamardian,
     karamardian_of_group_inverse,
@@ -24,8 +26,16 @@ from karalcp.errors import (
 )
 from karalcp.geninv import group_inverse
 from karalcp.corpus import corpus_entries
-from karalcp.lcp import NO, UNKNOWN, YES, first_nonzero_solution, is_q_matrix
-from karalcp.matrix import RationalMatrix, dot, ones_vec, rank, vec
+from karalcp.lcp import (
+    NO,
+    UNKNOWN,
+    YES,
+    first_nonzero_solution,
+    is_q_matrix,
+    lcp_degree,
+    lcp_solutions,
+)
+from karalcp.matrix import RationalMatrix, determinant, dot, ones_vec, rank, vec
 from conftest import (
     rand_group_invertible,
     rand_int_matrix,
@@ -36,6 +46,8 @@ from conftest import (
     rand_vector,
 )
 from oracles import (
+    check_degree_certificate,
+    cone_generators_reference,
     dual_membership_lp_reference,
     int_dual_membership_lp_reference,
     karamardian_2x2_oracle,
@@ -44,6 +56,10 @@ from oracles import (
 
 TRIDIAGONAL = RationalMatrix.from_rows([[0, -1, 0], [-1, 0, -1], [0, -1, 0]])
 BLOCK_Z = RationalMatrix.from_rows([[1, -1, 0], [-1, 1, 0], [0, 0, 1]])
+# Invertible and R0 of degree 1, so no exact rule decides it; the hint
+# does not certify it (d = (2, 1, 1) would)
+DEGREE_ONE = RationalMatrix.from_rows([[-1, 1, 1], [-1, 1, -1], [-1, 0, 1]])
+DEGREE_ONE_HINT = vec([1, 2, 1])
 
 
 class TestConeK:
@@ -86,8 +102,7 @@ class TestConeK:
             assert gens == {vec([1, 0, 0]), vec([0, 1, 0]), vec([0, 0, 1])}
 
     def test_cap(self):
-        """The vertex scan visits C(n, r - 1) row subsets, so it refuses an
-        order past the cap before it starts."""
+        """cone_K refuses an order past the cap before it starts."""
         with pytest.raises(TooLargeError, match="order 13 exceeds cap 12"):
             cone_K(RationalMatrix.identity(13))
 
@@ -437,10 +452,9 @@ class TestKaramardianCascade:
         assert {"HOMOGENEOUS_NONZERO", "CANDIDATE_D"} <= rules
 
     def test_hints_then_e_are_tried_whatever_the_budget(self):
-        entry = next(e for e in corpus_entries() if e.id == "tridiagonal_dual_hint")
-        v = is_karamardian(entry.matrix, candidate_ds=entry.hint_d, max_candidates=1)
+        v = is_karamardian(DEGREE_ONE, candidate_ds=[DEGREE_ONE_HINT], max_candidates=1)
         assert v.status == UNKNOWN
-        assert v.evidence["tried"] == (entry.hint_d[0], ones_vec(3))
+        assert v.evidence["tried"] == (DEGREE_ONE_HINT, ones_vec(3))
 
     def test_spent_budget_builds_no_candidate_pool(self, monkeypatch):
         """With the budget spent on the hints and e, the cascade asks the
@@ -450,12 +464,11 @@ class TestKaramardianCascade:
         calls = []
         real = conelcp.lp_feasible
         monkeypatch.setattr(conelcp, "lp_feasible", lambda s: calls.append(s) or real(s))
-        entry = next(e for e in corpus_entries() if e.id == "tridiagonal_dual_hint")
-        a = RationalMatrix.from_rows(entry.matrix.data)
-        v = is_karamardian(a, candidate_ds=entry.hint_d, max_candidates=1)
+        a = RationalMatrix.from_rows(DEGREE_ONE.data)
+        v = is_karamardian(a, candidate_ds=[DEGREE_ONE_HINT], max_candidates=1)
         assert v.status == UNKNOWN and len(v.evidence["tried"]) == 2
         assert not calls
-        assert is_karamardian(a, candidate_ds=entry.hint_d, max_candidates=3).status == UNKNOWN
+        assert is_karamardian(a, candidate_ds=[DEGREE_ONE_HINT], max_candidates=3).status == UNKNOWN
         assert len(calls) == 1
 
     def test_d_equals_e_certifies_with_no_candidate_budget(self):
@@ -604,3 +617,156 @@ class TestGroupInverseKaramardian:
     def test_no_group_inverse_rejected(self):
         with pytest.raises(NoGroupInverseError):
             karamardian_of_group_inverse(RationalMatrix.from_rows([[0, 1], [0, 0]]))
+
+
+class TestDoubleDescription:
+    def test_generators_match_the_vertex_oracle(self):
+        """F G products of orders 1-7 at every rank 0..n, with entries of
+        several sizes, the zero matrix of each order and rational
+        matrices, against the (r-1)-subset vertex enumeration."""
+        rng = random.Random(21)
+        matrices = [RationalMatrix.zeros(n, n) for n in range(1, 8)]
+        for n in range(1, 8):
+            for r in range(1, n + 1):
+                for bound in (1, 2, 3):
+                    matrices.append(rand_int_matrix(rng, n, r, bound) @ rand_int_matrix(rng, r, n, bound))
+        matrices += [rand_matrix(rng, rng.randint(2, 4)) for _ in range(20)]
+        kinds = Counter()
+        for a in matrices:
+            cone = cone_K(a)
+            assert list(cone.cone.generators) == cone_generators_reference(
+                RationalMatrix.from_rows(a.data)), a.data
+            assert all(min(ray) >= 0 and math.gcd(*ray) == 1 for ray in cone.rays)
+            assert sorted(tuple(Fraction(t, sum(ray)) for t in ray)
+                          for ray in cone.rays) == list(cone.cone.generators)
+            kinds["trivial" if cone.trivial else
+                  "non-simplicial" if len(cone.rays) > rank(a) else "simplicial"] += 1
+        assert set(kinds) == {"trivial", "simplicial", "non-simplicial"}
+
+    def test_invertible_rays_are_the_unit_vectors_in_order(self):
+        a = RationalMatrix.from_rows([[2, 1, 0], [-1, 2, 1], [0, -1, 2]])
+        assert cone_K(a).rays == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+class TestGeneratorForm:
+    def test_invertible_matrix_is_its_own_generator_form(self):
+        a = RationalMatrix.from_rows([[2, 1, 0], [-1, 2, 1], [0, -1, 2]])
+        m, rays = generator_lcp(a)
+        assert m is a and rays == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def test_only_zero_agrees_with_the_cone_lcp(self):
+        """cone_lcp_only_zero(A, q) iff LCP(V^T A V, V^T q) has only zero,
+        over ranks 1..n and q of both signs."""
+        rng = random.Random(22)
+        for trial in range(80):
+            n = rng.randint(2, 4)
+            r = rng.randint(1, n)
+            a = rand_int_matrix(rng, n, r, 2) @ rand_int_matrix(rng, r, n, 2)
+            if cone_K(a).trivial:
+                continue
+            m, rays = generator_lcp(a)
+            assert m == RationalMatrix.from_rows(
+                [[sum(u[i] * a.data[i][j] * v[j] for i in range(n) for j in range(n))
+                  for v in rays] for u in rays])
+            for q in [vec([0] * n), vec([1] * n), rand_vector(rng, n, 3), rand_vector(rng, n, 3)]:
+                p = tuple(sum(t * qi for t, qi in zip(ray, q)) for ray in rays)
+                assert cone_lcp_only_zero(a, q) == (first_nonzero_solution(m, p, ()) is None)
+
+
+def _degree_rule_cases(seed: int, count: int):
+    """Seeded invertible and rank-deficient matrices of orders 3 to 5."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        n = rng.randint(3, 5)
+        if trial % 2:
+            yield rand_int_matrix(rng, n, n - 1, 2) @ rand_int_matrix(rng, n - 1, n, 2)
+        else:
+            yield rand_int_matrix(rng, n, n)
+
+
+class TestDegreeNotOne:
+    def test_tridiagonal_has_degree_zero(self):
+        v = is_karamardian(TRIDIAGONAL, candidate_ds=[vec([3, 1, -1])])
+        assert v.status == NO and v.rule == "DEGREE_NOT_ONE"
+        assert v.witnesses["V"] == ((0, 1, 0), (1, 0, 1)) and v.witnesses["degree"] == 0
+        check_degree_certificate(RationalMatrix.from_rows([[0, -2], [-2, 0]]), v.witnesses)
+
+    def test_certificates_recheck_and_refute_sampled_d(self):
+        """Every DEGREE_NOT_ONE No of a seeded set rechecks by
+        re-enumeration at its q, and no sampled d in int K* leaves the cone
+        LCP only the zero solution."""
+        rng = random.Random(23)
+        fired = 0
+        for a in _degree_rule_cases(24, 120):
+            v = is_karamardian(a)
+            if v.rule != "DEGREE_NOT_ONE":
+                continue
+            fired += 1
+            n = a.rows
+            rays = v.witnesses["V"]
+            assert rays == cone_K(a).rays
+            m = RationalMatrix.from_rows(
+                [[sum(u[i] * a.data[i][j] * w[j] for i in range(n) for j in range(n))
+                  for w in rays] for u in rays])
+            check_degree_certificate(m, v.witnesses)
+            assert v.witnesses["degree"] != 1
+            null = cone_K(a).dual_null_basis
+            for _ in range(6):
+                d = tuple(Fraction(rng.randint(1, 5)) + sum(rng.randint(-2, 2) * w[i] for w in null)
+                          for i in range(n))
+                if int_dual_membership(a, d):
+                    assert not cone_lcp_only_zero(a, d), (a.data, d)
+        assert fired >= 20
+
+    def test_regular_qs_give_one_degree(self):
+        """At every regular q of an R0 M the indices sum to the same degree."""
+        rng = random.Random(25)
+        compared = 0
+        for a in _degree_rule_cases(26, 80):
+            if cone_K(a).trivial or not cone_lcp_only_zero(a, [0] * a.rows):
+                continue
+            m, _ = generator_lcp(a)
+            walk = lcp_degree(m)
+            if walk is None:
+                continue
+            for _ in range(4):
+                q = rand_vector(rng, m.rows, 7)
+                result = lcp_solutions(m, q)
+                indices = []
+                for x in result.solutions:
+                    y = tuple(t + qi for t, qi in zip(m.mul_vec(x), q))
+                    support = [i for i in range(m.rows) if x[i] > 0]
+                    det = determinant(m.submatrix(support, support)) if support else 1
+                    if det == 0 or any(xi == 0 and yi == 0 for xi, yi in zip(x, y)):
+                        break
+                    indices.append(1 if det > 0 else -1)
+                else:
+                    if not result.has_degenerate:
+                        compared += 1
+                        assert sum(indices) == walk["degree"], (m.data, q)
+        assert compared >= 40
+
+    def test_never_fires_under_forced_candidate_search(self):
+        for a in _degree_rule_cases(24, 120):
+            assert is_karamardian(a, force_candidate_search=True).rule != "DEGREE_NOT_ONE"
+
+
+class TestNosBeforeTheScan:
+    def test_rank_one_and_2x2_nos_scan_no_candidate(self, monkeypatch):
+        """RANK_ONE (u^T v < 0) and a 2x2 No fire before the hints and e are
+        scanned; a 2x2 Yes still comes from the scan of e."""
+        from karalcp import conelcp
+
+        def refuse(*args):
+            raise AssertionError("a candidate was scanned")
+
+        monkeypatch.setattr(conelcp, "cone_lcp_only_zero", refuse)
+        a = RationalMatrix.from_rows([[-1, 1, -2], [0, 0, 0], [-2, 2, -4]])
+        v = is_karamardian(a)
+        assert v.status == NO and v.rule == "RANK_ONE"
+        assert dot(v.witnesses["u"], v.witnesses["v"]) < 0
+        v = is_karamardian(RationalMatrix.from_rows([[-1, 2], [1, -1]]))
+        assert v.status == NO and v.rule == "CLASS_2X2"
+        monkeypatch.undo()
+        v = is_karamardian(RationalMatrix.from_rows([[1, 2], [1, 1]]))
+        assert v.status == YES and v.rule == "CANDIDATE_D" and v.witnesses["d"] == ones_vec(2)

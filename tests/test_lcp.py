@@ -25,13 +25,14 @@ from karalcp.lcp import (
     Q_SAMPLE_BOUND,
     Q_SAMPLES,
     _sample_qs,
+    first_nonzero_solution,
     is_q_matrix,
     lcp_solutions,
     lcp_unique_zero,
 )
 from karalcp.matrix import RationalMatrix, inverse, ones_vec, vec, zeros_vec
 from conftest import rand_int_matrix, rand_p_matrix, rand_vector
-from oracles import lcp_solutions_sympy, retired_q_yes_rule
+from oracles import check_degree_certificate, lcp_solutions_sympy, retired_q_yes_rule
 
 QNOTKAR = RationalMatrix.from_rows([[-1, -2, 1], [-1, -1, 3], [2, 1, -1]])
 
@@ -271,6 +272,37 @@ class TestQMatrix:
             verdict = is_q_matrix(rand_int_matrix(rng, 3, 3))
             sampled += verdict.status == UNKNOWN or verdict.rule == "UNSOLVABLE_Q"
         assert sampled
+
+    def test_degree_nonzero_certifies_an_r0_matrix(self):
+        """An invertible R0 A of degree 1 that no earlier rule decides: the
+        degree walk of its Karamardian cascade is reused, the certificate
+        rechecks by re-enumeration at its q, and every sampled q has a
+        solution."""
+        a = RationalMatrix.from_rows([[-1, 1, 1], [-1, 1, -1], [-1, 0, 1]])
+        v = is_q_matrix(a)
+        assert v.status == YES and v.rule == "DEGREE_NONZERO"
+        assert v.witnesses is a._cache["degree"] and v.witnesses["degree"] == 1
+        check_degree_certificate(a, v.witnesses)
+        rng = random.Random(27)
+        for _ in range(200):
+            assert lcp_solutions(a, rand_vector(rng, 3, 9)).solutions
+
+    def test_degree_nonzero_moves_only_unknowns(self):
+        """Each seeded DEGREE_NONZERO Yes has R0 A, a q the sampler did not
+        refute and a certificate that rechecks."""
+        rng = random.Random(28)
+        fired = 0
+        for trial in range(300):
+            n = rng.randint(3, 4)
+            a = rand_int_matrix(rng, n, n)
+            v = is_q_matrix(a)
+            if v.rule != "DEGREE_NONZERO":
+                continue
+            fired += 1
+            assert first_nonzero_solution(a, zeros_vec(n), ()) is None
+            assert all(lcp_solutions(a, q).solutions for q in _sample_qs(n, 0))
+            check_degree_certificate(RationalMatrix.from_rows(a.data), v.witnesses)
+        assert fired
 
     def test_sampled_qs_have_a_negative_entry(self):
         """-e first, then the -e_i, then the seeded draws with a negative

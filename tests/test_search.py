@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from karalcp.conelcp import classify_2x2, cone_K
+from pathlib import Path
+
+from karalcp.conelcp import classify_2x2, cone_K, is_karamardian
 from karalcp.lcp_classes import is_p_hash
-from karalcp.matrix import integer_rows
+from karalcp.matrix import RationalMatrix, integer_rows, jsonable, subspace_bases
 from karalcp.search import hit_to_json_line, random_integer_matrix, run_search
 from oracles import random_integer_matrix_fraction
 
@@ -32,8 +34,9 @@ class TestReproducibility:
 class TestOrderTwoIsFullyClassified:
     def test_ten_thousand_trials_no_unknowns(self):
         """Every P# 2x2 with nontrivial K classifies decisively, so the
-        open-question target can never fire at order 2; as a cross-check,
-        each P# sample with nontrivial K must classify Yes or No exactly."""
+        open-question target logs no open hit at order 2 (and these trials
+        give no counterexample either); as a cross-check, each P# sample
+        with nontrivial K must classify Yes or No exactly."""
         hits = run_search("phash-not-karamardian", n=2, trials=10_000, seed=0)
         assert hits == []
 
@@ -77,3 +80,37 @@ class TestDrawAgainstFractionOracle:
                 assert got == want
                 assert integer_rows(got) == [([int(x) for x in row], 1) for row in want.data]
                 assert rng.getstate() == ref.getstate()
+
+
+class TestCounterexampleHits:
+    def test_certified_no_is_logged_with_its_certificate(self):
+        """A P# matrix with nontrivial K and a certified No is a
+        counterexample hit carrying the rule, its certificate and the cone
+        witness; an Unknown stays an open hit with its candidate log."""
+        hits = run_search("phash-not-karamardian", n=4, trials=60, seed=3241744617)
+        assert hits
+        for hit in hits:
+            payload = json.loads(hit_to_json_line(hit, "phash-not-karamardian", 0))
+            evidence = payload["evidence"]
+            verdict = is_karamardian(RationalMatrix.from_rows(hit.matrix.data))
+            assert evidence["p_hash"] and evidence["karamardian"] == verdict.status
+            witness = [Fraction(x) for x in evidence["cone_nontrivial_witness"]]
+            assert min(witness) >= 0 and subspace_bases(hit.matrix).range.contains(witness)
+            if verdict.status == "No":
+                assert evidence["rule"] == verdict.rule
+                assert evidence["certificate"] == jsonable(verdict.witnesses)
+            else:
+                assert verdict.status == "Unknown" and evidence["tried_candidates"]
+        assert any(hit.evidence["karamardian"] == "No" for hit in hits)
+
+    def test_committed_hit_log_is_reproduced(self):
+        """scripts/hits_phash-not-karamardian_n4_seed0.jsonl is the 20,000
+        order-4 trials at seed 0: its three hits are certified
+        counterexamples, the two earlier open hits among them."""
+        path = Path(__file__).resolve().parent.parent / "scripts" / \
+            "hits_phash-not-karamardian_n4_seed0.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        hits = run_search("phash-not-karamardian", n=4, trials=20_000, seed=0)
+        assert [hit_to_json_line(h, "phash-not-karamardian", 0) for h in hits] == lines
+        assert len(lines) == 3
+        assert all(json.loads(line)["evidence"]["karamardian"] == "No" for line in lines)
