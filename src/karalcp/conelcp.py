@@ -13,7 +13,7 @@ read on the generators of K, found by an integer double description.
 Each generator sums to 1, so e lies in int K*.  With the generators as
 the columns of V, the cone LCP is also the standard LCP of M = V^T A V
 (`generator_lcp`).  The Karamardian decision is a cascade of sound exact
-rules, the LCP degree of M among them; the existential d of the
+rules that ends in the LCP degree of M; the existential d of the
 definition is only semi-decided, by verified candidate vectors, e always
 among them, so No is never emitted from a failed search.
 """
@@ -35,10 +35,9 @@ from .errors import (
     ZeroVectorError,
 )
 from .geninv import group_inverse
-from .lcp_classes import ConeRep, is_almost_semimonotone
+from .lcp_classes import ConeRep
 from .lcp import (
     NO,
-    RULE_N_FIRST_CATEGORY,
     UNKNOWN,
     YES,
     LcpSolutionSet,
@@ -46,7 +45,6 @@ from .lcp import (
     complementary_solutions,
     first_nonzero_solution,
     lcp_degree,
-    n_first_category_applies,
 )
 from .lp import LinearSystem, lp_feasible
 from .matrix import (
@@ -60,21 +58,17 @@ from .matrix import (
     is_unisigned,
     is_zero_vec,
     ones_vec,
-    rank,
     subspace_bases,
     vec,
     zeros_vec,
 )
-from .minor_classes import minor_class, structural_flags
+from .minor_classes import structural_flags
 
 _ONE = Fraction(1)
 
 RULE_K_TRIVIAL = "K_TRIVIAL"
 RULE_HOMOGENEOUS_NONZERO = "HOMOGENEOUS_NONZERO"
-RULE_RANK_ONE = "RANK_ONE"
 RULE_CLASS_2X2 = "CLASS_2X2"
-RULE_ALMOST_SEMIMONOTONE = "ALMOST_SEMIMONOTONE"
-RULE_Z_NOT_P = "Z_NOT_P_NONSINGULAR"
 RULE_DEGREE_NOT_ONE = "DEGREE_NOT_ONE"
 RULE_CANDIDATE_D = "CANDIDATE_D"
 RULE_RANGE_MONOTONE_Z = "RANGE_MONOTONE_Z_GROUP_INVERSE"
@@ -315,14 +309,13 @@ def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = 
                    force_candidate_search: bool = False) -> Verdict:
     """Decision cascade; the first firing rule wins.
 
-    After the trivial-K and homogeneous rules, and the rank-one and 2x2
-    Nos, come the hints and then e, which lies in int K* (every generator
-    of K sums to 1), whatever `max_candidates` is.  No is emitted only from
-    sound rules (trivial K, nonzero homogeneous solution, the exact
-    rank-one / 2x2 / almost-semimonotone / Z-not-P / first-category-N
-    rules, and deg M != 1 for M = V^T A V); an exhausted candidate search
-    yields Unknown, never No.  `force_candidate_search` skips the exact
-    shortcut rules (used by the cross-validation tests).
+    After the trivial-K and homogeneous rules come the hints and then e,
+    which lies in int K* (every generator of K sums to 1), whatever
+    `max_candidates` is.  Then the LCP degree of M = V^T A V ends the exact
+    rules: deg M != 1 is a No, and `classify_2x2` decides what remains at
+    order 2.  No is emitted only from those sound rules; an exhausted
+    candidate search yields Unknown, never No.  `force_candidate_search`
+    skips the degree and 2x2 rules (used by the cross-validation tests).
     The verdict is memoized in `a._cache` per argument set.
     """
     a.require_square("Karamardian test", scan=True)
@@ -351,18 +344,6 @@ def _karamardian_cascade(a: RationalMatrix, hints: list[Vector], max_candidates:
     if nonzero is not None:
         return Verdict(NO, rule=RULE_HOMOGENEOUS_NONZERO, witnesses={"solution": nonzero})
 
-    two = None if force_candidate_search or n != 2 else classify_2x2(a)
-    if not force_candidate_search:
-        # Nos no candidate can beat, asked before the scans of the hints and e
-        if rank(a) == 1:
-            # A = u v^T: K nontrivial makes u unisigned, u^T v = 0 a homogeneous
-            # solution and u^T v > 0 lets e certify
-            u, v = _rank_one_factors(a)
-            if dot(u, v) < 0:
-                return Verdict(NO, rule=RULE_RANK_ONE, witnesses={"u": u, "v": v})
-        if two is not None and two.status == NO:
-            return two
-
     # The hints, then e, whatever max_candidates is.
     tried: list[Vector] = []
     for d in hints + [ones_vec(n)]:
@@ -371,14 +352,6 @@ def _karamardian_cascade(a: RationalMatrix, hints: list[Vector], max_candidates:
             return verdict
 
     if not force_candidate_search:
-        if two is not None:
-            return two
-        if is_almost_semimonotone(a):
-            return Verdict(NO, rule=RULE_ALMOST_SEMIMONOTONE)
-        if rank(a) == n and structural_flags(a).z_matrix and not minor_class(a).is_p:
-            return Verdict(NO, rule=RULE_Z_NOT_P)
-        if n_first_category_applies(a):
-            return Verdict(NO, rule=RULE_N_FIRST_CATEGORY)
         # M = V^T A V is R0, as the homogeneous problem has only zero.  A d in
         # int K* leaving only zero would make p = V^T d > 0 a regular q whose
         # one solution, zero, has index 1, so deg M != 1 rules every d out
@@ -386,6 +359,8 @@ def _karamardian_cascade(a: RationalMatrix, hints: list[Vector], max_candidates:
         walk = lcp_degree(m) if m.rows <= ENUMERATION_CAP else None
         if walk is not None and walk["degree"] != 1:
             return Verdict(NO, rule=RULE_DEGREE_NOT_ONE, witnesses={"V": rays, **walk})
+        if n == 2:
+            return classify_2x2(a)
 
     if len(tried) < max_candidates:
         for d in default_candidates(a, cone.nontrivial_witness, seed=seed,

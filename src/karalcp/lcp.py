@@ -36,9 +36,9 @@ none is zero)?
 Q-matrix membership is only semi-decidable at desk scale, so the verdict
 type carries its epistemic state: Yes and No come with re-checkable
 certificates, Unknown with the sampling log.  Yes: the structural rules,
-first-category N, Karamardian's theorem at d = e, the Karamardian
-verdict of an invertible R0 A (LCP(A, 0) has only the zero solution),
-and, after the sampler, an R0 A of nonzero degree (`lcp_degree`).
+first-category N, and an R0 A (LCP(A, 0) has only the zero solution) of
+nonzero degree (`lcp_degree`), which covers Karamardian's theorem at
+d = e.  No: the structural rules, and a sampled q with no solution.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from .matrix import (
     integer_rows,
     is_zero_vec,
     nonempty_subsets,
-    rank,
     solve_linear,
 )
 from .minor_classes import minor_class, structural_flags
@@ -434,25 +433,27 @@ RULE_Z_AND_P = "Z_AND_P"
 RULE_Z_NOT_P = "Z_NOT_P"
 RULE_NONNEG_POS_DIAG = "NONNEG_POS_DIAG"
 RULE_N_FIRST_CATEGORY = "N_FIRST_CATEGORY"
-RULE_KARAMARDIAN_THEOREM = "KARAMARDIAN_THEOREM"
-RULE_KARAMARDIAN_INVERTIBLE = "KARAMARDIAN_INVERTIBLE"
 RULE_UNSOLVABLE_Q = "UNSOLVABLE_Q"
 RULE_DEGREE_NONZERO = "DEGREE_NONZERO"
 
 
 def n_first_category_applies(a: RationalMatrix) -> bool:
     """N-matrix of the first category with a positive entry in every column:
-    a Q-matrix whose LCP has exactly three solutions for every q > 0, so Yes
-    in the Q-matrix cascade and No in the Karamardian one."""
+    a Q-matrix whose LCP has exactly three solutions for every q > 0, so a
+    Yes of the Q-matrix cascade.  Every principal minor is negative, so the
+    two nonzero solutions have index -1, deg A = -1, and the Karamardian
+    cascade's degree rule says No."""
     return minor_class(a).n_first_category and all(any(t > 0 for t in col) for col in zip(*a.data))
 
 
 def is_q_matrix(a: RationalMatrix, seed: int = 0) -> Verdict:
     """Exact Yes/No where a sound rule fires, else sampling refutation,
     else Unknown with the sample log.  Yes by the structural rules, a
-    first-category N, Karamardian's theorem at d = e (Math. Programming 2,
-    1972; it covers every P and strictly copositive A), the Karamardian
-    verdict of an invertible R0 A, or an R0 A of nonzero degree."""
+    first-category N, or an R0 A (LCP(A, 0) has only the zero solution) of
+    nonzero degree (`lcp_degree`).  The degree covers Karamardian's theorem
+    (Math. Programming 2, 1972), and with it every P and strictly
+    copositive A: when LCP(A, e) too has only zero, e is regular with the
+    one solution 0 of index +1, and the degree walk tries e first."""
     a.require_square("Q-matrix test", scan=True)
     n = a.rows
     flags = structural_flags(a)
@@ -471,37 +472,17 @@ def is_q_matrix(a: RationalMatrix, seed: int = 0) -> Verdict:
         return Verdict(YES, rule=RULE_NONNEG_POS_DIAG)
     if n_first_category_applies(a):
         return Verdict(YES, rule=RULE_N_FIRST_CATEGORY)
-    # LCP(A, e) first: q = 0 makes every singular block consistent, so
-    # LCP(A, 0) is asked only when its answer can give a Yes.  For an
-    # invertible A, K = R^n_+, so a nonzero solution of LCP(A, 0) is a
-    # Karamardian No
-    e = (_ONE,) * n
-    e_only_zero = first_nonzero_solution(a, e, ()) is None
-    r0 = None
-    if e_only_zero or rank(a) == n:
-        r0 = first_nonzero_solution(a, (_ZERO,) * n, ()) is None
-    if r0:
-        if e_only_zero:
-            return Verdict(YES, rule=RULE_KARAMARDIAN_THEOREM, witnesses={"d": e})
-        from .conelcp import is_karamardian
-
-        kara = is_karamardian(a, seed=seed)
-        if kara.status == YES:
-            return Verdict(YES, rule=RULE_KARAMARDIAN_INVERTIBLE,
-                           witnesses=dict(kara.witnesses, via=kara.rule))
+    # An R0 A of nonzero degree: LCP(A, q) has a solution for every q
+    r0 = first_nonzero_solution(a, (_ZERO,) * n, ()) is None
+    walk = lcp_degree(a) if r0 else None
+    if walk is not None and walk["degree"] != 0:
+        return Verdict(YES, rule=RULE_DEGREE_NONZERO, witnesses=walk)
     tried = []
     for q in _sample_qs(n, seed):
         tried.append(q)
         # q has a negative entry, so every solution is nonzero
         if first_nonzero_solution(a, q, ()) is None:
             return Verdict(NO, rule=RULE_UNSOLVABLE_Q, witnesses={"q": q})
-    # An R0 A of nonzero degree: LCP(A, q) has a solution for every q.  For
-    # an invertible A the Karamardian cascade may have walked it already
-    if r0 is None:
-        r0 = first_nonzero_solution(a, (_ZERO,) * n, ()) is None
-    walk = lcp_degree(a) if r0 else None
-    if walk is not None and walk["degree"] != 0:
-        return Verdict(YES, rule=RULE_DEGREE_NONZERO, witnesses=walk)
     return Verdict(UNKNOWN, evidence={"tried": tuple(tried), "seed": seed, "bound": Q_SAMPLE_BOUND})
 
 

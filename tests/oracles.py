@@ -8,12 +8,24 @@ from fractions import Fraction
 
 import sympy
 
-from karalcp.conelcp import cone_K
-from karalcp.lcp import LcpSolutionSet
+from karalcp.conelcp import (
+    classify_2x2,
+    cone_K,
+    cone_lcp_only_zero,
+    is_karamardian,
+)
+from karalcp.lcp import (
+    NO,
+    YES,
+    LcpSolutionSet,
+    first_nonzero_solution,
+    n_first_category_applies,
+)
 from karalcp.lcp_classes import (
     ConeRep,
     CopositivityResult,
     CopositivityStatus,
+    is_almost_semimonotone,
     is_semimonotone,
     is_strictly_copositive,
     is_strictly_semimonotone,
@@ -27,6 +39,7 @@ from karalcp.matrix import (
     _eliminate,
     determinant,
     dot,
+    full_rank_factorization,
     is_zero_vec,
     nonempty_subsets,
     rank,
@@ -36,7 +49,7 @@ from karalcp.matrix import (
     vec,
     zeros_vec,
 )
-from karalcp.minor_classes import minor_class
+from karalcp.minor_classes import minor_class, structural_flags
 
 
 def det2(m) -> Fraction:
@@ -903,6 +916,68 @@ def retired_q_yes_rule(a: RationalMatrix) -> str | None:
         return "P_MATRIX"
     if is_strictly_copositive(a, ConeRep.nonnegative_orthant(a.rows)):
         return "STRICTLY_COPOSITIVE"
+    return None
+
+
+# -- the five Karamardian No rules that deg M != 1 replaced: the reference
+# -- for conelcp._karamardian_cascade, which asks the degree of M = V^T A V
+# -- after e instead -----------------------------------------------------------
+
+
+def retired_karamardian_no_rule(a: RationalMatrix) -> str | None:
+    """The retired No rule, of the five and in the order the cascade once
+    asked them, that fired for the square A with the default arguments;
+    None when none did.  Each asked only once K is nontrivial and the
+    homogeneous cone LCP has only zero:
+    - RANK_ONE: A = u v^T with u^T v < 0;
+    - CLASS_2X2: a 2x2 No of `classify_2x2`.
+    The other three asked only once d = e had failed too:
+    - ALMOST_SEMIMONOTONE: A is almost semimonotone;
+    - Z_NOT_P_NONSINGULAR: an invertible Z-matrix that is not P;
+    - N_FIRST_CATEGORY: a first-category N with a positive entry in every
+      column.
+    """
+    n = a.rows
+    if cone_K(a).trivial or not cone_lcp_only_zero(a, [0] * n):
+        return None
+    if rank(a) == 1:
+        f, g = full_rank_factorization(a)
+        if dot(f.col_vec(0), g.row_vec(0)) < 0:
+            return "RANK_ONE"
+    if n == 2:
+        return "CLASS_2X2" if classify_2x2(a).status == NO else None
+    if cone_lcp_only_zero(a, [1] * n):
+        return None
+    if is_almost_semimonotone(a):
+        return "ALMOST_SEMIMONOTONE"
+    if rank(a) == n and structural_flags(a).z_matrix and not minor_class(a).is_p:
+        return "Z_NOT_P_NONSINGULAR"
+    if n_first_category_applies(a):
+        return "N_FIRST_CATEGORY"
+    return None
+
+
+# -- the two Karamardian Yes rules of the Q-matrix cascade that deg A != 0
+# -- replaced: the reference for lcp.is_q_matrix, which asks LCP(A, 0) and
+# -- the degree of A instead ---------------------------------------------------
+
+
+def retired_q_karamardian_rule(a: RationalMatrix) -> str | None:
+    """The first of the two Yes rules, in the order the Q-matrix cascade
+    once asked them, that holds for the square R0 A (LCP(A, 0) has only
+    zero); None when neither does or A is not R0:
+    - KARAMARDIAN_THEOREM: LCP(A, e) has only zero too, so d = e makes A
+      Karamardian, and Karamardian's theorem makes it Q;
+    - KARAMARDIAN_INVERTIBLE: A is invertible, so K = R^n_+, and the
+      Karamardian cascade says Yes.
+    """
+    n = a.rows
+    if first_nonzero_solution(a, zeros_vec(n), ()) is not None:
+        return None
+    if first_nonzero_solution(a, (Fraction(1),) * n, ()) is None:
+        return "KARAMARDIAN_THEOREM"
+    if rank(a) == n and is_karamardian(a).status == YES:
+        return "KARAMARDIAN_INVERTIBLE"
     return None
 
 

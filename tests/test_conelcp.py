@@ -51,7 +51,9 @@ from oracles import (
     dual_membership_lp_reference,
     int_dual_membership_lp_reference,
     karamardian_2x2_oracle,
+    retired_karamardian_no_rule,
     retired_karamardian_yes_rule,
+    retired_q_karamardian_rule,
 )
 
 TRIDIAGONAL = RationalMatrix.from_rows([[0, -1, 0], [-1, 0, -1], [0, -1, 0]])
@@ -322,7 +324,8 @@ class TestRankOne:
     def test_cascade_agrees_with_the_classification(self):
         """A rank-one A = u v^T is certified by d = e exactly when the
         classification calls it Karamardian; otherwise K is trivial, the
-        homogeneous problem has a nonzero solution, or RANK_ONE says No."""
+        homogeneous problem has a nonzero solution, or u^T v < 0 leaves the
+        1x1 M = V^T A V negative, of degree 0 (the retired RANK_ONE No)."""
         rng = random.Random(13)
         outcomes = Counter()
         for trial in range(120):
@@ -337,9 +340,12 @@ class TestRankOne:
                 assert verdict.rule == "CANDIDATE_D" and verdict.witnesses["d"] == ones_vec(n)
             else:
                 assert verdict.status == NO, (u, v, verdict)
-                assert verdict.rule in {"K_TRIVIAL", "HOMOGENEOUS_NONZERO", "RANK_ONE"}
+                assert verdict.rule in {"K_TRIVIAL", "HOMOGENEOUS_NONZERO", "DEGREE_NOT_ONE"}
+            if verdict.rule == "DEGREE_NOT_ONE":
+                assert dot(u, v) < 0 and verdict.witnesses["degree"] == 0
+                check_degree_certificate(generator_lcp(a)[0], verdict.witnesses)
             outcomes[verdict.rule] += 1
-        assert set(outcomes) == {"CANDIDATE_D", "K_TRIVIAL", "HOMOGENEOUS_NONZERO", "RANK_ONE"}
+        assert set(outcomes) == {"CANDIDATE_D", "K_TRIVIAL", "HOMOGENEOUS_NONZERO", "DEGREE_NOT_ONE"}
 
 
 class TestClassify2x2:
@@ -377,6 +383,9 @@ class TestKaramardianCascade:
     def test_certificates(self):
         v = is_karamardian(BLOCK_Z)
         assert v.rule == "CANDIDATE_D" and v.witnesses["d"] == ones_vec(BLOCK_Z.rows)
+        # a 2x2 Yes comes from the scan of e, not from classify_2x2
+        v = is_karamardian(RationalMatrix.from_rows([[1, 2], [1, 1]]))
+        assert v.status == YES and v.rule == "CANDIDATE_D" and v.witnesses["d"] == ones_vec(2)
         trivial = is_karamardian(RationalMatrix.from_rows([[1, -1], [-1, 1]]))
         assert trivial.status == NO and trivial.rule == "K_TRIVIAL"
         eblock = RationalMatrix.from_rows(
@@ -387,9 +396,15 @@ class TestKaramardianCascade:
         assert all(t >= 0 for t in x) and any(t > 0 for t in x)
 
     def test_n_matrix_rule(self):
+        """A first-category N with a positive entry in every column has
+        three solutions for every q > 0: zero, of index +1, and two of index
+        -1, as every principal minor is negative.  So its degree is -1 (the
+        retired N_FIRST_CATEGORY No)."""
         qnotkar = RationalMatrix.from_rows([[-1, -2, 1], [-1, -1, 3], [2, 1, -1]])
         v = is_karamardian(qnotkar)
-        assert v.status == NO and v.rule == "N_FIRST_CATEGORY"
+        assert v.status == NO and v.rule == "DEGREE_NOT_ONE"
+        assert v.witnesses["degree"] == -1
+        check_degree_certificate(qnotkar, v.witnesses)
 
     def test_candidate_rule_on_bordered_example(self):
         b = RationalMatrix.from_rows([[0, 1, 1], [-1, 1, 2], [1, 2, 1]])
@@ -588,6 +603,60 @@ class TestRetiredYesRules:
         assert hits["STRICT_COPOSITIVE_ON_K"] and hits["P_MATRIX"] and hits["NONNEG_POS_DIAG"]
 
 
+# One input on which each retired No rule of the Karamardian cascade, and
+# each retired Karamardian Yes rule of the Q-matrix cascade, fired.
+RETIRED_DEGREE_CASES = {
+    "RANK_ONE": [[-1, 1, -2], [0, 0, 0], [-2, 2, -4]],
+    "CLASS_2X2": [[-1, 2], [1, -1]],
+    "ALMOST_SEMIMONOTONE": [[1, 1, -3], [-2, 2, 0], [1, -2, 1]],
+    "Z_NOT_P_NONSINGULAR": [[-1, -2, -1], [-1, 3, -1], [-2, -1, 0]],
+    "N_FIRST_CATEGORY": [[-1, -2, 1], [-1, -1, 3], [2, 1, -1]],
+    "KARAMARDIAN_THEOREM": [[1, 2], [-1, 1]],
+    "KARAMARDIAN_INVERTIBLE": [[-2, 3], [-1, 1]],
+}
+
+
+class TestRetiredDegreeRules:
+    """The Karamardian cascade once had five No rules in front of deg M != 1,
+    and the Q-matrix cascade two Karamardian Yes rules in front of
+    deg A != 0.  Wherever one of them fired, the cascade now gives the same
+    status, and a degree certificate rechecks by re-enumeration."""
+
+    def test_degree_rules_agree_with_the_retired_rules(self):
+        rng = random.Random(29)
+        matrices = [RationalMatrix.from_rows(rows) for rows in RETIRED_DEGREE_CASES.values()]
+        matrices += [e.matrix for e in corpus_entries() if e.matrix.rows == e.matrix.cols]
+        for trial in range(450):
+            n = rng.randint(2, 5)
+            if trial % 3 == 2:
+                u, v = rand_nonzero_vector(rng, n, 3), rand_nonzero_vector(rng, n, 3)
+                matrices.append(RationalMatrix.from_rows([[s * t for t in v] for s in u]))
+            elif trial % 3 == 1:
+                r = rng.randint(1, n - 1)
+                matrices.append(rand_int_matrix(rng, n, r, 2) @ rand_int_matrix(rng, r, n, 2))
+            else:
+                matrices.append(rand_int_matrix(rng, n, n))
+        hits = Counter()
+        for a in matrices:
+            rule = retired_karamardian_no_rule(RationalMatrix.from_rows(a.data))
+            if rule is not None:
+                hits[rule] += 1
+                v = is_karamardian(a)
+                assert v.status == NO, (a.data, rule, v)
+                if v.rule == "DEGREE_NOT_ONE":
+                    check_degree_certificate(generator_lcp(a)[0], v.witnesses)
+            rule = retired_q_karamardian_rule(RationalMatrix.from_rows(a.data))
+            if rule is not None:
+                hits[rule] += 1
+                v = is_q_matrix(a)
+                assert v.status == YES, (a.data, rule, v)
+                if v.rule == "DEGREE_NONZERO":
+                    check_degree_certificate(a, v.witnesses)
+        assert set(hits) == set(RETIRED_DEGREE_CASES)
+        assert hits["RANK_ONE"] >= 20 and hits["CLASS_2X2"] >= 20
+        assert hits["KARAMARDIAN_THEOREM"] >= 20
+
+
 class TestGroupInverseKaramardian:
     def test_range_monotone_z_rule(self):
         a = RationalMatrix.from_rows([[1, -1, 0], [0, 1, -1], [0, 0, 0]])
@@ -749,24 +818,3 @@ class TestDegreeNotOne:
     def test_never_fires_under_forced_candidate_search(self):
         for a in _degree_rule_cases(24, 120):
             assert is_karamardian(a, force_candidate_search=True).rule != "DEGREE_NOT_ONE"
-
-
-class TestNosBeforeTheScan:
-    def test_rank_one_and_2x2_nos_scan_no_candidate(self, monkeypatch):
-        """RANK_ONE (u^T v < 0) and a 2x2 No fire before the hints and e are
-        scanned; a 2x2 Yes still comes from the scan of e."""
-        from karalcp import conelcp
-
-        def refuse(*args):
-            raise AssertionError("a candidate was scanned")
-
-        monkeypatch.setattr(conelcp, "cone_lcp_only_zero", refuse)
-        a = RationalMatrix.from_rows([[-1, 1, -2], [0, 0, 0], [-2, 2, -4]])
-        v = is_karamardian(a)
-        assert v.status == NO and v.rule == "RANK_ONE"
-        assert dot(v.witnesses["u"], v.witnesses["v"]) < 0
-        v = is_karamardian(RationalMatrix.from_rows([[-1, 2], [1, -1]]))
-        assert v.status == NO and v.rule == "CLASS_2X2"
-        monkeypatch.undo()
-        v = is_karamardian(RationalMatrix.from_rows([[1, 2], [1, 1]]))
-        assert v.status == YES and v.rule == "CANDIDATE_D" and v.witnesses["d"] == ones_vec(2)

@@ -10,6 +10,7 @@ from karalcp.conelcp import (
     cone_lcp_solutions,
     dual_membership,
     int_dual_membership,
+    is_karamardian,
 )
 from karalcp.corpus import corpus_entries
 from karalcp.errors import (
@@ -176,10 +177,14 @@ class TestQMatrix:
 
     def test_strictly_copositive_rule(self):
         # x^T A x = x1^2 + x1 x2 + x2^2 > 0 leaves LCP(A, 0) and LCP(A, e)
-        # only zero, so d = e certifies A by Karamardian's theorem
+        # only zero, so e is regular with the one solution 0 of index +1
+        # and deg A = 1 (Karamardian's theorem at d = e)
         a = RationalMatrix.from_rows([[1, 2], [-1, 1]])
         verdict = is_q_matrix(a)
-        assert verdict.status == YES and verdict.rule == "KARAMARDIAN_THEOREM"
+        assert verdict.status == YES and verdict.rule == "DEGREE_NONZERO"
+        assert verdict.witnesses["q"] == ones_vec(2)
+        assert verdict.witnesses["solutions"] == ((zeros_vec(2), 1),)
+        check_degree_certificate(a, verdict.witnesses)
 
     def test_inverse_of_karamardian_invertible_never_refuted(self):
         rng = random.Random(3)
@@ -193,11 +198,15 @@ class TestQMatrix:
     def test_karamardian_rule_fires_and_inverse_stays_unrefuted(self):
         # Karamardian + invertible but caught by no cheaper rule: LCP(A, 0)
         # has only zero, LCP(A, e) a nonzero solution, and the 2x2
-        # classification certifies A, whose cone LCP needs a d such as (4, 1)
+        # classification certifies A, whose cone LCP needs a d such as
+        # (4, 1).  The degree, 1 at the regular q = e, certifies Q
         a = RationalMatrix.from_rows([[-2, 3], [-1, 1]])
         verdict = is_q_matrix(a)
-        assert verdict.status == YES and verdict.rule == "KARAMARDIAN_INVERTIBLE"
-        assert verdict.witnesses["via"] == "CLASS_2X2"
+        assert verdict.status == YES and verdict.rule == "DEGREE_NONZERO"
+        assert verdict.witnesses["q"] == ones_vec(2) and verdict.witnesses["degree"] == 1
+        check_degree_certificate(RationalMatrix.from_rows(a.data), verdict.witnesses)
+        kara = is_karamardian(a)
+        assert kara.status == YES and kara.rule == "CLASS_2X2"
         assert lcp_unique_zero(a, zeros_vec(2)) and not lcp_unique_zero(a, ones_vec(2))
         assert cone_lcp_only_zero(a, vec([4, 1]))
         assert is_q_matrix(inverse(a)).status != NO
@@ -206,14 +215,17 @@ class TestQMatrix:
         entry = next(e for e in corpus_entries() if e.id == "bordered_karamardian_3x3")
         a = RationalMatrix.from_rows(entry.matrix.data)
         verdict = is_q_matrix(a)
-        assert verdict.status == YES and verdict.rule == "KARAMARDIAN_THEOREM"
-        assert verdict.witnesses == {"d": ones_vec(3)}
+        assert verdict.status == YES and verdict.rule == "DEGREE_NONZERO"
+        assert verdict.witnesses == {"q": ones_vec(3), "degree": 1,
+                                     "solutions": ((zeros_vec(3), 1),)}
+        check_degree_certificate(a, verdict.witnesses)
         assert lcp_solutions(a, ones_vec(3)).solutions == (zeros_vec(3),)
         assert lcp_unique_zero(a, zeros_vec(3))
 
     def test_karamardian_theorem_covers_the_retired_yes_rules(self):
         """Wherever A is a P-matrix or strictly copositive and no earlier
-        rule fires, LCP(A, 0) and LCP(A, e) have only zero, so d = e
+        rule fires, LCP(A, 0) and LCP(A, e) have only zero, so the degree
+        walk's first q, e, is regular with the one solution 0, and deg A = 1
         certifies A."""
         earlier_yes = {"Z_AND_P", "NONNEG_POS_DIAG", "N_FIRST_CATEGORY"}
         rng = random.Random(6)
@@ -234,14 +246,16 @@ class TestQMatrix:
             verdict = is_q_matrix(a)
             assert verdict.status == YES, (a, rule, verdict)
             if verdict.rule not in earlier_yes:
-                assert verdict.rule == "KARAMARDIAN_THEOREM", (a, rule, verdict)
-                assert verdict.witnesses["d"] == ones_vec(a.rows)
+                assert verdict.rule == "DEGREE_NONZERO", (a, rule, verdict)
+                assert verdict.witnesses["q"] == ones_vec(a.rows)
+                assert verdict.witnesses["solutions"] == ((zeros_vec(a.rows), 1),)
+                check_degree_certificate(RationalMatrix.from_rows(a.data), verdict.witnesses)
                 hits[rule] += 1
         assert hits["P_MATRIX"] and hits["STRICTLY_COPOSITIVE"]
 
     def test_nonzero_homogeneous_solution_skips_the_karamardian_cascade(self):
-        """For an invertible A, K = R^n_+, so a nonzero solution of LCP(A, 0)
-        already makes the Karamardian cascade say No: it is never asked."""
+        """A nonzero solution of LCP(A, 0) leaves the degree undefined, and
+        the Q-matrix cascade never asks the Karamardian one."""
         a = RationalMatrix.from_rows([[-1, 1], [1, 0]])
         assert not lcp_unique_zero(a, zeros_vec(2))
         verdict = is_q_matrix(a)
@@ -275,9 +289,8 @@ class TestQMatrix:
 
     def test_degree_nonzero_certifies_an_r0_matrix(self):
         """An invertible R0 A of degree 1 that no earlier rule decides: the
-        degree walk of its Karamardian cascade is reused, the certificate
-        rechecks by re-enumeration at its q, and every sampled q has a
-        solution."""
+        degree walk is memoized on A, the certificate rechecks by
+        re-enumeration at its q, and every sampled q has a solution."""
         a = RationalMatrix.from_rows([[-1, 1, 1], [-1, 1, -1], [-1, 0, 1]])
         v = is_q_matrix(a)
         assert v.status == YES and v.rule == "DEGREE_NONZERO"
@@ -288,7 +301,7 @@ class TestQMatrix:
             assert lcp_solutions(a, rand_vector(rng, 3, 9)).solutions
 
     def test_degree_nonzero_moves_only_unknowns(self):
-        """Each seeded DEGREE_NONZERO Yes has R0 A, a q the sampler did not
+        """Each seeded DEGREE_NONZERO Yes has R0 A, no q the sampler would
         refute and a certificate that rechecks."""
         rng = random.Random(28)
         fired = 0
