@@ -118,6 +118,15 @@ def cone_K(a: RationalMatrix) -> ConeData:
     return result
 
 
+def maps_K_nonneg(a: RationalMatrix, x: RationalMatrix) -> bool:
+    """X g >= 0 for every generator g of K, so X maps K into R^n_+.  An
+    invertible A has K = R^n_+, so this is X >= 0, read with no double
+    description and at any order."""
+    if not subspace_bases(a).left_null.basis:
+        return all(t >= 0 for row in x.data for t in row)
+    return all(t >= 0 for ray in cone_K(a).rays for t in x.mul_vec(ray))
+
+
 def _double_description(n: int, null: Sequence[Vector]) -> list[list[int]]:
     """Extreme rays of {x >= 0 : w^T x = 0 for w in null}, in integers.
 
@@ -385,15 +394,13 @@ def _try_candidate(a: RationalMatrix, d: Vector, tried: list[Vector]) -> Verdict
 
 
 def karamardian_of_group_inverse(a: RationalMatrix) -> Verdict:
-    """Verdict for A#: a range monotone Z-matrix with nontrivial K certifies
-    Yes outright; otherwise the cascade runs on the computed A#."""
-    from .monotone import is_range_monotone
-
+    """Verdict for A#: a range monotone Z-matrix (A# maps K into R^n_+) with
+    nontrivial K certifies Yes outright; otherwise the cascade runs on A#."""
     a.require_square("group-inverse Karamardian test")
     gi = group_inverse(a)
     if not gi.exists:
         raise NoGroupInverseError("matrix has no group inverse (rank A != rank A^2)")
     flags = structural_flags(a)
-    if flags.z_matrix and not cone_K(a).trivial and is_range_monotone(a):
+    if flags.z_matrix and not cone_K(a).trivial and maps_K_nonneg(a, gi.inverse):
         return Verdict(YES, rule=RULE_RANGE_MONOTONE_Z)
     return is_karamardian(gi.inverse)

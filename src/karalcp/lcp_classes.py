@@ -7,8 +7,7 @@ absence for G = -A^T (Ville's theorem), strict (range) semimonotonicity
 its absence for G = -A_SS (and E = W_S^T, W a basis of N(A^T)) on every
 support S, and P# of a singular A its absence for G = -D_s A D_s and
 E = (D_s W)^T on every sign orthant s.  For invertible A, R(A) = R^n, so
-P# is the P-matrix minor test (Fiedler & Ptak, 1966).  The H-matrix test
-of minor_classes and almost monotonicity in monotone ask the same LP.
+P# is the P-matrix minor test (Fiedler & Ptak, 1966).
 
 Copositivity over a polyhedral cone with generators V is the sign of the
 minimum of lambda^T G lambda over the standard simplex, for the symmetric

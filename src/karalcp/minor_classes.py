@@ -7,7 +7,7 @@ one integer elimination of its principal block.  M-matrices are
 decided by the Fiedler-Ptak characterization Z + P (nonsingular) / Z + P0
 (singular), which sidesteps the spectral radius entirely, and property c
 by "M-matrix and rank A = rank A^2" (zero eigenvalue of index <= 1), and
-the H-matrix test is lcp_classes' one simplex-point LP.
+the H-matrix test by the inverse signs of the comparison matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .geninv import index_at_most_one
-from .matrix import RationalMatrix, _eliminate, integer_row, integer_rows, nonempty_subsets
+from .matrix import RationalMatrix, _eliminate, integer_rows, inverse, nonempty_subsets
 
 
 class MClass(Enum):
@@ -153,16 +153,14 @@ def has_property_c(a: RationalMatrix) -> bool:
 
 
 def is_h_matrix_positive_diag(a: RationalMatrix) -> bool:
-    """Positive diagonal and some d > 0 making |a_ii| d_i strictly dominate
-    the scaled off-diagonal row sums: the comparison matrix C is semipositive,
-    so no nonzero y >= 0 has C^T y <= 0 (Ville's theorem)."""
-    from .lcp_classes import _simplex_point
-
+    """Positive diagonal and the comparison matrix C (|a_ii| on the
+    diagonal, -|a_ij| off it) a nonsingular M-matrix.  C is a Z-matrix, and
+    a Z-matrix is one iff its inverse exists and is nonnegative (Berman &
+    Plemmons, Nonnegative Matrices in the Mathematical Sciences, Thm 6.2.3)."""
     a.require_square("H-matrix test")
     n = a.rows
     if any(a.data[i][i] <= 0 for i in range(n)):
         return False
-    # row j of -C^T: -|a_jj| at j, |a_ij| elsewhere (-A^T for a Z-matrix)
-    return not _simplex_point(a, n, (), tuple(
-        tuple(-t if i == j else abs(t) for i, t in enumerate(integer_row(col)[0]))
-        for j, col in enumerate(zip(*a.data))))
+    inv = inverse(RationalMatrix(n, n, [[t if i == j else -abs(t) for j, t in enumerate(row)]
+                                        for i, row in enumerate(a.data)]))
+    return inv is not None and all(t >= 0 for row in inv.data for t in row)

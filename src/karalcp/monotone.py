@@ -1,17 +1,18 @@
 """The monotonicity family.
 
-Each predicate is a closed-form inverse-sign check or LP infeasibility
-(the defining implications are homogeneous, so "x_i < 0 somewhere"
-scales to "x_i <= -1" exactly); almost monotonicity is lcp_classes' one
-simplex-point LP.
+Each predicate is an exact sign test.  Monotonicity and the group and
+Moore-Penrose tests read the signs of an inverse; range and row
+monotonicity read the signs of A# and A+ on the generators of the cone
+K = R^n_+ intersect R(A) (conelcp.maps_K_nonneg), and almost monotonicity
+asks whether K = {0}.  For invertible A, K = R^n_+ and A# = A+ = A^-1, so
+none of them needs the generators of K.
 """
 
 from __future__ import annotations
 
+from .conelcp import cone_K, maps_K_nonneg
 from .geninv import group_inverse, moore_penrose
-from .lcp_classes import _left_null, _simplex_point
-from .lp import LinearSystem, lp_feasible
-from .matrix import RationalMatrix, integer_row, integer_rows, inverse, subspace_bases
+from .matrix import RationalMatrix, inverse, subspace_bases
 
 
 def _matrix_nonneg(a: RationalMatrix) -> bool:
@@ -25,39 +26,20 @@ def is_monotone(a: RationalMatrix) -> bool:
     return inv is not None and _matrix_nonneg(inv)
 
 
-def _cone_implies_nonneg(a: RationalMatrix, complement) -> bool:
-    """Ax >= 0 and w . x = 0 for every w in `complement` imply x >= 0
-    (exact, per coordinate); `complement` spans the orthogonal complement
-    of the subspace x is confined to.  An empty complement means A is
-    nonsingular and x ranges over R^n, which is plain monotonicity."""
-    if not complement:
-        return is_monotone(a)
-    n = a.rows
-    complement = [integer_row(w)[0] for w in complement]
-    for i in range(n):
-        system = LinearSystem(n)
-        for w in complement:
-            system.eq(w, 0)
-        for row, _ in integer_rows(a):
-            system.ge(row, 0)
-        system.le([int(j == i) for j in range(n)], -1)
-        if lp_feasible(system).is_feasible:
-            return False
-    return True
-
-
 def is_range_monotone(a: RationalMatrix) -> bool:
-    """Ax >= 0 with x in R(A) implies x >= 0 (R(A) is the orthogonal
-    complement of N(A^T))."""
+    """Ax >= 0 with x in R(A) implies x >= 0.  Index above 1 puts some
+    z != 0 in N(A) intersect R(A), and +z, -z both break it.  Otherwise A
+    maps R(A) onto itself with inverse A#, so {x in R(A) : Ax >= 0} = A# K."""
     a.require_square("range monotonicity")
-    return _cone_implies_nonneg(a, subspace_bases(a).left_null.basis)
+    gi = group_inverse(a)
+    return gi.exists and maps_K_nonneg(a, gi.inverse)
 
 
 def is_row_monotone(a: RationalMatrix) -> bool:
-    """Ax >= 0 with x in R(A^T) implies x >= 0 (R(A^T) is the orthogonal
-    complement of N(A))."""
+    """Ax >= 0 with x in R(A^T) implies x >= 0.  A maps R(A^T) onto R(A)
+    with inverse A+, so {x in R(A^T) : Ax >= 0} = A+ K."""
     a.require_square("row monotonicity")
-    return _cone_implies_nonneg(a, subspace_bases(a).null.basis)
+    return maps_K_nonneg(a, moore_penrose(a))
 
 
 def is_group_monotone(a: RationalMatrix) -> bool:
@@ -75,7 +57,7 @@ def is_gi_semimonotone(a: RationalMatrix) -> bool:
 
 
 def is_almost_monotone(a: RationalMatrix) -> bool:
-    """Ax >= 0 implies Ax = 0: R(A) meets R^n_+ only at 0, so no y >= 0
-    with e^T y = 1 has W^T y = 0 for the basis W of N(A^T)."""
+    """Ax >= 0 implies Ax = 0: R(A) meets R^n_+ only at 0, so K = {0}.  An
+    invertible A has K = R^n_+."""
     a.require_square("almost monotonicity")
-    return not _simplex_point(a, a.rows, _left_null(a), ())
+    return bool(subspace_bases(a).left_null.basis) and cone_K(a).trivial

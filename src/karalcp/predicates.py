@@ -103,7 +103,7 @@ PREDICATES: dict[str, Callable[[RationalMatrix, PredicateConfig], PredicateOutco
     "adequate": _minor("is_adequate"),
     "m_matrix": _m_matrix,
     "property_c": _bool_pred(minor_classes.has_property_c, "minor-scan + rank"),
-    "h_matrix_positive_diag": _bool_pred(minor_classes.is_h_matrix_positive_diag, "lp"),
+    "h_matrix_positive_diag": _bool_pred(minor_classes.is_h_matrix_positive_diag, "comparison inverse sign"),
     "semipositive": _bool_pred(lcp_classes.is_semipositive, "lp"),
     "weakly_semipositive": _bool_pred(lcp_classes.is_weakly_semipositive, "lp"),
     "semimonotone": _bool_pred(lcp_classes.is_semimonotone, "submatrix lp"),
@@ -112,11 +112,11 @@ PREDICATES: dict[str, Callable[[RationalMatrix, PredicateConfig], PredicateOutco
     "p_hash": _bool_pred(lcp_classes.is_p_hash, "orthant lp"),
     "strictly_range_semimonotone": _bool_pred(lcp_classes.is_strictly_range_semimonotone, "support lp"),
     "monotone": _bool_pred(monotone.is_monotone, "inverse sign"),
-    "range_monotone": _bool_pred(monotone.is_range_monotone, "lp"),
-    "row_monotone": _bool_pred(monotone.is_row_monotone, "lp"),
+    "range_monotone": _bool_pred(monotone.is_range_monotone, "group inverse on K"),
+    "row_monotone": _bool_pred(monotone.is_row_monotone, "Moore-Penrose on K"),
     "group_monotone": _bool_pred(monotone.is_group_monotone, "inverse sign"),
     "gi_semimonotone": _bool_pred(monotone.is_gi_semimonotone, "inverse sign"),
-    "almost_monotone": _bool_pred(monotone.is_almost_monotone, "lp"),
+    "almost_monotone": _bool_pred(monotone.is_almost_monotone, "K = {0}"),
     "group_inverse_exists": _group_inverse_exists,
     "range_symmetric": _bool_pred(geninv.is_range_symmetric, "basis compare"),
     "q_matrix": _q_matrix,

@@ -384,8 +384,8 @@ def group_equations_hold(a: RationalMatrix, x: RationalMatrix) -> bool:
     return a @ x @ a == a and x @ a @ x == x and a @ x == x @ a
 
 
-# -- almost monotonicity, one LP per coordinate: the reference for the one
-# -- simplex-point LP of monotone.is_almost_monotone ---------------------------
+# -- almost monotonicity, one LP per coordinate: the reference for
+# -- monotone.is_almost_monotone, which asks whether K = {0} instead -----------
 
 
 def is_almost_monotone_reference(a: RationalMatrix) -> bool:
@@ -401,9 +401,9 @@ def is_almost_monotone_reference(a: RationalMatrix) -> bool:
     return True
 
 
-# -- semipositivity as x >= e, Ax >= e, its principal scans, and the H-matrix
-# -- scaling LP: the references for the one simplex-point LP of lcp_classes,
-# -- which asks the alternative of Ville's theorem instead --------------------
+# -- semipositivity as x >= e, Ax >= e, and its principal scans: the
+# -- references for the one simplex-point LP of lcp_classes, which asks the
+# -- alternative of Ville's theorem instead -----------------------------------
 
 
 def semipositive_reference(a: RationalMatrix) -> bool:
@@ -419,6 +419,11 @@ def semipositive_reference(a: RationalMatrix) -> bool:
 def strictly_semimonotone_reference(a: RationalMatrix) -> bool:
     """Every principal submatrix is semipositive."""
     return all(semipositive_reference(a.submatrix(idx, idx)) for idx in nonempty_subsets(a.rows))
+
+
+# -- the H-matrix scaling LP: the reference for
+# -- minor_classes.is_h_matrix_positive_diag, which reads the inverse signs of
+# -- the comparison matrix instead --------------------------------------------
 
 
 def h_matrix_positive_diag_reference(a: RationalMatrix) -> bool:
@@ -475,8 +480,7 @@ def strictly_range_semimonotone_reference(a: RationalMatrix) -> bool:
 
 
 # -- range and row monotonicity, one LP per coordinate: the reference for
-# -- the inverse-sign test monotone._cone_implies_nonneg uses when A is
-# -- nonsingular ----------------------------------------------------------------
+# -- monotone's sign tests of A# and A+ on the generators of K, at every rank --
 
 
 def cone_implies_nonneg_reference(a: RationalMatrix, complement) -> bool:

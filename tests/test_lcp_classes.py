@@ -25,11 +25,9 @@ from karalcp.lcp import YES, is_q_matrix
 from karalcp.lp import LinearSystem, lp_feasible
 from karalcp.matrix import RationalMatrix, determinant, inverse, rank
 from karalcp.minor_classes import has_property_c, is_h_matrix_positive_diag, minor_class
-from karalcp.monotone import is_almost_monotone, is_range_monotone
+from karalcp.monotone import is_range_monotone
 from oracles import (
     copositivity_kkt_reference,
-    h_matrix_positive_diag_reference,
-    is_almost_monotone_reference,
     p_hash_orthant_reference,
     semipositive_reference,
     strictly_range_semimonotone_reference,
@@ -318,8 +316,6 @@ class TestSimplexPoint:
         checks = {
             "semipositive": (is_semipositive, semipositive_reference),
             "strictly_semimonotone": (is_strictly_semimonotone, strictly_semimonotone_reference),
-            "h_matrix_positive_diag": (is_h_matrix_positive_diag, h_matrix_positive_diag_reference),
-            "almost_monotone": (is_almost_monotone, is_almost_monotone_reference),
         }
         seen = {name: set() for name in checks}
         for a in inputs + rectangular:
@@ -355,16 +351,17 @@ class TestSimplexPoint:
         assert not is_strictly_semimonotone(a) and is_strictly_range_semimonotone(a)
         assert is_strictly_range_semimonotone(b) and not is_strictly_semimonotone(b)
 
-    def test_h_matrix_of_a_z_matrix_reuses_the_semipositivity_lp(self, monkeypatch):
-        # For a Z-matrix with positive diagonal the comparison matrix is A.
+    def test_h_matrix_of_a_z_matrix_asks_no_lp(self, monkeypatch):
+        # For a Z-matrix with positive diagonal the comparison matrix is A:
+        # the H test reads the signs of A^-1 and agrees with semipositivity.
         calls = _counted_lps(monkeypatch)
         for rows, expected in (([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], True),
                                ([[1, -2], [-2, 1]], False)):
             a = RationalMatrix.from_rows(rows)
             before = len(calls)
-            assert is_semipositive(a) is expected
-            assert len(calls) == before + 1
             assert is_h_matrix_positive_diag(a) is expected
+            assert len(calls) == before
+            assert is_semipositive(a) is expected
             assert len(calls) == before + 1
 
 

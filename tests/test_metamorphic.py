@@ -1,6 +1,7 @@
 """Metamorphic soundness gate: each class is a property of the matrix, not
-of its labelling or its positive scaling, so a decided verdict must survive
-every transformation that provably preserves the class.
+of its labelling, its positive scaling or, for some, its transposition, so a
+decided verdict must survive every transformation that provably preserves
+the class.
 
 On seeded matrices of orders 2 to 5, half of them rank-deficient products
 F G, every predicate named below is evaluated on A and on its transform.
@@ -41,6 +42,7 @@ SCALING_PROOFS = {
     "semimonotone": "x_k > 0 iff (E^-1 x)_k > 0, and (DAE E^-1 x)_k = d_k (Ax)_k",
     "strictly_semimonotone": "x_k > 0 iff (E^-1 x)_k > 0, and (DAE E^-1 x)_k = d_k (Ax)_k",
     "monotone": "DAE y >= 0 iff A (Ey) >= 0, and Ey >= 0 iff y >= 0",
+    "almost_monotone": "R(DAE) = D R(A), and D maps R^n_+ onto itself",
     "q_matrix": "x solves LCP(DAE, q) iff u = Ex solves LCP(A, D^-1 q)",
 }
 # For invertible A, K = K* = R^n_+, so these two are preserved as well.
@@ -49,9 +51,22 @@ INVERTIBLE_SCALING_PROOFS = {
     "p_hash": "for invertible A, P# is P (Fiedler & Ptak, 1966), whose minors keep their signs",
 }
 
+# One line of proof for each predicate that A^T shares with A.
+TRANSPOSE_PROOFS = {
+    "symmetric": "A = A^T iff A^T = (A^T)^T",
+    "p": "det (A^T)_SS = det (A_SS)^T = det A_SS",
+    "p0": "det (A^T)_SS = det (A_SS)^T = det A_SS",
+    "n_matrix": "det (A^T)_SS = det (A_SS)^T = det A_SS",
+    "adequate": "minors keep, and (A^T)_SS swaps the rows and columns of A_SS",
+    "m_matrix": "Z keeps, and principal minors keep",
+    "monotone": "(A^T)^-1 = (A^-1)^T",
+    "h_matrix_positive_diag": "C(A^T) = C(A)^T, with the same diagonal, and (C^T)^-1 = (C^-1)^T",
+}
+
 CFG = PredicateConfig()
 PERMUTED = 360
 SCALED = 480
+TRANSPOSED = 480
 
 
 def _cases(seed: int, count: int):
@@ -113,3 +128,14 @@ def test_positive_diagonal_scaling_preserves_the_scaling_invariant_predicates():
         conflicts += _compare(a, b, names, tally)
     assert not conflicts, "\n".join(conflicts + [str(tally)])
     assert tally["compared"] >= SCALED * len(SCALING_PROOFS)
+
+
+def test_transposition_preserves_the_transpose_invariant_predicates():
+    """Each predicate compared holds for A^T exactly when it holds for A,
+    by the one-line proof in TRANSPOSE_PROOFS."""
+    tally = Counter()
+    conflicts = []
+    for _, a in _cases(47, TRANSPOSED):
+        conflicts += _compare(a, a.transpose(), TRANSPOSE_PROOFS, tally)
+    assert not conflicts, "\n".join(conflicts + [str(tally)])
+    assert tally["compared"] == TRANSPOSED * len(TRANSPOSE_PROOFS)

@@ -5,7 +5,8 @@ from karalcp.conelcp import is_karamardian
 from karalcp import lp
 from karalcp.geninv import group_inverse, moore_penrose
 from karalcp.lcp import YES
-from karalcp.matrix import RationalMatrix, inverse
+from karalcp.matrix import RationalMatrix, inverse, rank, subspace_bases
+from karalcp.minor_classes import is_h_matrix_positive_diag
 from karalcp.monotone import (
     is_almost_monotone,
     is_gi_semimonotone,
@@ -15,7 +16,11 @@ from karalcp.monotone import (
     is_row_monotone,
 )
 from conftest import rand_int_matrix, rand_nonzero_vector
-from oracles import cone_implies_nonneg_reference, is_almost_monotone_reference
+from oracles import (
+    cone_implies_nonneg_reference,
+    h_matrix_positive_diag_reference,
+    is_almost_monotone_reference,
+)
 
 
 def ones(n):
@@ -83,10 +88,61 @@ class TestRowMonotone:
                 assert is_row_monotone(a)
 
 
-def test_nonsingular_range_and_row_monotonicity_match_per_coordinate_lps(monkeypatch):
-    """For a nonsingular A both properties are monotonicity, decided from the
-    inverse without an LP; the per-coordinate LPs agree on seeded matrices
-    of order 1-5, half of them inverses of nonnegative matrices (so Yes)."""
+def _laplacian(rng, n):
+    """diag(W e) - W for a random W >= 0 with zero diagonal: a singular Z-matrix."""
+    w = [[rng.randint(0, 2) if i != j else 0 for j in range(n)] for i in range(n)]
+    return RationalMatrix.from_rows([[sum(w[i]) if i == j else -w[i][j] for j in range(n)]
+                                     for i in range(n)])
+
+
+def _index_two(rng, n):
+    """S J S^-1 with J = [[0, 1], [0, 0]] (+) B and S unimodular, so rank A^2
+    < rank A and A has no group inverse."""
+    lower = [[int(i == j) if i <= j else rng.randint(-1, 1) for j in range(n)] for i in range(n)]
+    upper = [[int(i == j) if i >= j else rng.randint(-1, 1) for j in range(n)] for i in range(n)]
+    s = RationalMatrix.from_rows(lower) @ RationalMatrix.from_rows(upper)
+    b = rand_int_matrix(rng, n - 2, n - 2, 2).data
+    j = [[int((i, k) == (0, 1)) if i < 2 or k < 2 else b[i - 2][k - 2] for k in range(n)]
+         for i in range(n)]
+    return s @ RationalMatrix.from_rows(j) @ inverse(s)
+
+
+def _every_rank_cases():
+    """Seeded matrices of orders 1-6: invertible ones (random, inverses of
+    nonnegative matrices, and shifted Laplacians with random off-diagonal
+    signs, which are H-matrices), F G products of each rank below n, index-2
+    matrices and singular Z-Laplacians."""
+    rng = random.Random(12)
+    cases = []
+    for n in range(1, 7):
+        for k in range(9):
+            if k % 3 == 0:
+                a = rand_int_matrix(rng, n, n, 2)
+            elif k % 3 == 1:
+                a = inverse(RationalMatrix.from_rows(
+                    [[abs(x) for x in row] for row in rand_int_matrix(rng, n, n, 2).data]))
+            else:
+                lap = _laplacian(rng, n).data
+                a = RationalMatrix.from_rows(
+                    [[x + rng.randint(1, 2) if i == j else x * rng.choice((1, -1))
+                      for j, x in enumerate(row)] for i, row in enumerate(lap)])
+            if a is not None and inverse(a) is not None:
+                cases.append(a)
+        for r in range(n):
+            for _ in range(4):
+                cases.append(rand_int_matrix(rng, n, r, 2) @ rand_int_matrix(rng, r, n, 2))
+        for _ in range(4):
+            cases.append(_laplacian(rng, n))
+            if n >= 2:
+                cases.append(_index_two(rng, n))
+    return cases
+
+
+def test_sign_tests_match_the_lp_references_at_every_rank(monkeypatch):
+    """Range and row monotonicity, almost monotonicity and the H-matrix
+    test read inverse signs on the generators of K and build no LP; the
+    per-coordinate LPs on x in R(A) (complement N(A^T)) and x in R(A^T)
+    (complement N(A)), and the LP references of the other two, agree."""
     built = []
 
     class CountingSimplex(lp._Simplex):
@@ -94,24 +150,21 @@ def test_nonsingular_range_and_row_monotonicity_match_per_coordinate_lps(monkeyp
             built.append(system)
             super().__init__(system)
 
-    rng = random.Random(12)
-    cases = []
-    while len(cases) < 200:
-        n = rng.randint(1, 5)
-        a = rand_int_matrix(rng, n, n, 2)
-        if len(cases) % 2:
-            a = inverse(RationalMatrix.from_rows([[abs(x) for x in row] for row in a.data]))
-        if a is not None and inverse(a) is not None:
-            cases.append(a)
+    cases = _every_rank_cases()
+    assert any(not group_inverse(a).exists for a in cases)
+    assert {rank(a) for a in cases if a.rows == 6} == set(range(7))
     monkeypatch.setattr(lp, "_Simplex", CountingSimplex)
-    verdicts = []
-    for a in cases:
-        verdicts.append(is_range_monotone(a))
-        assert is_row_monotone(a) == verdicts[-1]
+    predicates = (is_range_monotone, is_row_monotone, is_almost_monotone, is_h_matrix_positive_diag)
+    verdicts = [tuple(predicate(a) for predicate in predicates) for a in cases]
     assert not built
     monkeypatch.undo()
-    assert verdicts == [cone_implies_nonneg_reference(a, ()) for a in cases]
-    assert any(verdicts) and not all(verdicts)
+    for a, got in zip(cases, verdicts):
+        bases = subspace_bases(a)
+        assert got == (cone_implies_nonneg_reference(a, bases.left_null.basis),
+                       cone_implies_nonneg_reference(a, bases.null.basis),
+                       is_almost_monotone_reference(a),
+                       h_matrix_positive_diag_reference(a)), a.data
+    assert all({got[k] for got in verdicts} == {True, False} for k in range(len(predicates)))
 
 
 class TestGroupAndGiMonotone:
@@ -138,22 +191,6 @@ class TestAlmostMonotone:
 
     def test_zero_matrix(self):
         assert is_almost_monotone(RationalMatrix.zeros(2, 2))
-
-    def test_one_lp_matches_per_coordinate_reference(self):
-        """The single LP agrees with one LP per coordinate on seeded random
-        matrices of order 1-5, half of them rank-deficient products F G."""
-        rng = random.Random(11)
-        verdicts = []
-        for trial in range(300):
-            n = rng.randint(1, 5)
-            if trial % 2:
-                r = rng.randint(1, n)
-                a = rand_int_matrix(rng, n, r, 2) @ rand_int_matrix(rng, r, n, 2)
-            else:
-                a = rand_int_matrix(rng, n, n, 2)
-            verdicts.append(is_almost_monotone(a))
-            assert verdicts[-1] == is_almost_monotone_reference(a), a
-        assert any(verdicts) and not all(verdicts)
 
 
 class TestRankOneMonotonicity:
