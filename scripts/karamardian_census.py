@@ -11,7 +11,9 @@ in [-2, 2], so their rank is below n.  On each it runs
 conelcp.is_karamardian and lcp.is_q_matrix with their default arguments
 and prints one JSON object: the count of each certificate rule
 ("Unknown" for Unknown) and the sha256 of the status lines, one
-"<karamardian> <q_matrix>" line per matrix in draw order.
+"<karamardian> <q_matrix>" line per matrix in draw order, and
+`unknown_candidates_tried`, the number of candidate vectors d the
+Karamardian Unknowns tried between them.
 
 A change that only renames or retires a rule leaves the digest as it is;
 a verdict that moves between Yes, No and Unknown changes it.
@@ -56,17 +58,21 @@ def main() -> None:
     rng = random.Random(args.seed)
     rules = {"karamardian": Counter(), "q_matrix": Counter()}
     lines = []
+    unknown_tried = 0
     for index in range(args.count):
         a = draw(rng, index)
         kara, q = is_karamardian(a), is_q_matrix(a)
         rules["karamardian"][kara.rule or "Unknown"] += 1
         rules["q_matrix"][q.rule or "Unknown"] += 1
+        if kara.status == "Unknown":
+            unknown_tried += len(kara.evidence["tried"])
         lines.append(f"{kara.status} {q.status}\n")
     print(json.dumps({
         "seed": args.seed,
         "count": args.count,
         "rules": {name: dict(sorted(c.items())) for name, c in rules.items()},
         "status_sha256": hashlib.sha256("".join(lines).encode()).hexdigest(),
+        "unknown_candidates_tried": unknown_tried,
     }, indent=2))
 
 

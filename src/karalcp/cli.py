@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 corpus mismatch, 2 parse/flag error, 3 size cap
 exceeded, 141 stdout closed early (128 + SIGPIPE).  The JSON report
-(schema "2") is the stable contract and is byte-identical for identical
+(schema "3") is the stable contract and is byte-identical for identical
 seed+flags; the text format is for humans and carries per-predicate wall
 times.
 """
@@ -19,7 +19,7 @@ from . import __version__
 from .corpus import corpus_entries, corpus_to_json, verify_entry
 from .errors import KaralcpError, TooLargeError
 from .lcp import lcp_solutions
-from .conelcp import CANDIDATE_BUDGET, cone_lcp_solutions
+from .conelcp import cone_lcp_solutions
 from .matrix import ENUMERATION_CAP, MAX_ENTRY_BITS, RationalMatrix, Vector, bounded_rat, jsonable
 from .predicates import PREDICATE_ORDER, PredicateConfig, evaluate_predicate
 from .search import TARGETS, hit_to_json_line, run_search
@@ -63,8 +63,6 @@ def _require_order(matrix: RationalMatrix, args) -> None:
 
 
 def cmd_classify(args) -> int:
-    if args.max_candidates < 0:
-        return _fail(EXIT_PARSE, "--max-candidates must be nonnegative")
     try:
         matrix = _load_matrix(args.matrix)
     except ValueError as exc:
@@ -82,8 +80,7 @@ def cmd_classify(args) -> int:
     unknown = skip.difference(PREDICATE_ORDER)
     if unknown:
         return _fail(EXIT_PARSE, f"--skip names unknown predicates: {sorted(unknown)}")
-    cfg = PredicateConfig(seed=args.seed, max_candidates=args.max_candidates,
-                          hint_d=tuple(hints))
+    cfg = PredicateConfig(seed=args.seed, hint_d=tuple(hints))
     rows = []
     for name in PREDICATE_ORDER:
         if name in skip:
@@ -93,12 +90,11 @@ def cmd_classify(args) -> int:
         rows.append((name, outcome, time.perf_counter() - t0))
     if args.format == "json":
         report = {
-            "schema": "2",
+            "schema": "3",
             "tool": f"karalcp {__version__}",
             "seed": args.seed,
             "config": {
                 "cap": args.cap,
-                "max_candidates": args.max_candidates,
                 "hint_d": [jsonable(h) for h in hints],
                 "skip": sorted(skip),
             },
@@ -198,9 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="path to a matrix JSON file")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-candidates", type=int, default=CANDIDATE_BUDGET,
-                   help="most candidate vectors d the Karamardian search verifies"
-                        " (default %(default)s); the --hint-d vectors and e always are")
     p.add_argument("--hint-d", action="append", metavar="VECTOR_JSON")
     p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     p.add_argument("--skip", action="append", metavar="PRED[,PRED...]")

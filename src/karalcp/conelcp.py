@@ -15,13 +15,14 @@ the columns of V, the cone LCP is also the standard LCP of M = V^T A V
 (`generator_lcp`).  The Karamardian decision is a cascade of sound exact
 rules that ends in the LCP degree of M; the existential d of the
 definition is only semi-decided, by verified candidate vectors, e always
-among them, so No is never emitted from a failed search.
+among them, so No is never emitted from a failed search.  A candidate
+counts only modulo N(A^T): x^T w = 0 and g^T w = 0 for x in K and w in
+N(A^T), so d and d + w have the same cone LCP and lie in int K* together.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -73,9 +74,6 @@ RULE_DEGREE_NOT_ONE = "DEGREE_NOT_ONE"
 RULE_CANDIDATE_D = "CANDIDATE_D"
 RULE_RANGE_MONOTONE_Z = "RANGE_MONOTONE_Z_GROUP_INVERSE"
 RULE_PERMUTATION_REDUCT = "PERMUTATION_REDUCT"
-
-# How many candidate vectors d the Karamardian search verifies by default.
-CANDIDATE_BUDGET = 16
 
 
 # -- the cone K and its dual ---------------------------------------------
@@ -276,14 +274,14 @@ def classify_2x2(a: RationalMatrix) -> Verdict:
 # -- the Karamardian cascade ------------------------------------------------
 
 
-def default_candidates(a: RationalMatrix, witness: Vector | None,
-                       seed: int = 0, limit: int = 32) -> list[Vector]:
-    """Deterministic candidate-d pool for the existential part of the
-    Karamardian definition.  All candidates are later verified to lie in
-    int(K*) before they count, so this list may overshoot freely, and it
-    may repeat a candidate: the cascade skips repeats."""
+def default_candidates(a: RationalMatrix, witness: Vector | None) -> list[Vector]:
+    """The candidates d tried after e: the cone witness with its zero
+    entries raised to 1 and to 1/2, a positive x with Ax >= 0 (one LP), and
+    Ax when nonzero.  Each is verified to lie in int(K*) before it counts,
+    and the cascade skips repeats.  No shift of a candidate along N(A^T) is
+    added: the cone LCP (A, d + w) is the cone LCP (A, d) for w in N(A^T)."""
     n = a.rows
-    out: list[Vector] = [ones_vec(n)]
+    out: list[Vector] = []
     if witness is not None:
         for eps in (_ONE, Fraction(1, 2)):
             out.append(tuple(w if w > 0 else eps for w in witness))
@@ -299,33 +297,19 @@ def default_candidates(a: RationalMatrix, witness: Vector | None,
         ax = a.mul_vec(feas.witness)
         if not is_zero_vec(ax):
             out.append(ax)
-    null = subspace_bases(a).left_null.basis
-    e = ones_vec(n)
-    for w in null:
-        for kcoef in (1, -1, 2, -2, 3, -3):
-            out.append(tuple(e[i] + kcoef * w[i] for i in range(n)))
-    if null:
-        rng = random.Random(seed)
-        while len(out) < limit:
-            coeffs = [rng.randint(-3, 3) for _ in null]
-            out.append(tuple(e[i] + sum(c * w[i] for c, w in zip(coeffs, null))
-                             for i in range(n)))
     return out
 
 
-def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = None,
-                   max_candidates: int = CANDIDATE_BUDGET, seed: int = 0,
-                   force_candidate_search: bool = False) -> Verdict:
+def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = None) -> Verdict:
     """Decision cascade; the first firing rule wins.
 
     After the trivial-K and homogeneous rules come the hints and then e,
-    which lies in int K* (every generator of K sums to 1), whatever
-    `max_candidates` is.  Then the LCP degree of M = V^T A V ends the exact
-    rules: deg M != 1 is a No, and `classify_2x2` decides what remains at
-    order 2.  No is emitted only from those sound rules; an exhausted
-    candidate search yields Unknown, never No.  `force_candidate_search`
-    skips the degree and 2x2 rules (used by the cross-validation tests).
-    The verdict is memoized in `a._cache` per argument set.
+    which lies in int K* (every generator of K sums to 1).  Then the LCP
+    degree of M = V^T A V ends the exact rules: deg M != 1 is a No, and
+    `classify_2x2` decides what remains at order 2.  Last come the
+    `default_candidates`.  No is emitted only from those sound rules; an
+    exhausted candidate search yields Unknown, never No, with every d it
+    tried.  The verdict is memoized in `a._cache` per set of hints.
     """
     a.require_square("Karamardian test", scan=True)
     n = a.rows
@@ -335,16 +319,14 @@ def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = 
             raise DimensionMismatchError(
                 f"candidate d [{', '.join(map(str, d))}] has length {len(d)},"
                 f" but the matrix has order {n}")
-    key = ("karamardian", tuple(hints), max_candidates, seed, force_candidate_search)
+    key = ("karamardian", tuple(hints))
     cached = a._cache.get(key)
     if cached is None:
-        cached = a._cache[key] = _karamardian_cascade(a, hints, max_candidates, seed,
-                                                      force_candidate_search)
+        cached = a._cache[key] = _karamardian_cascade(a, hints)
     return cached
 
 
-def _karamardian_cascade(a: RationalMatrix, hints: list[Vector], max_candidates: int,
-                         seed: int, force_candidate_search: bool) -> Verdict:
+def _karamardian_cascade(a: RationalMatrix, hints: list[Vector]) -> Verdict:
     n = a.rows
     cone = cone_K(a)
     if cone.trivial:
@@ -353,33 +335,27 @@ def _karamardian_cascade(a: RationalMatrix, hints: list[Vector], max_candidates:
     if nonzero is not None:
         return Verdict(NO, rule=RULE_HOMOGENEOUS_NONZERO, witnesses={"solution": nonzero})
 
-    # The hints, then e, whatever max_candidates is.
     tried: list[Vector] = []
     for d in hints + [ones_vec(n)]:
         verdict = _try_candidate(a, d, tried)
         if verdict is not None:
             return verdict
 
-    if not force_candidate_search:
-        # M = V^T A V is R0, as the homogeneous problem has only zero.  A d in
-        # int K* leaving only zero would make p = V^T d > 0 a regular q whose
-        # one solution, zero, has index 1, so deg M != 1 rules every d out
-        m, rays = generator_lcp(a)
-        walk = lcp_degree(m) if m.rows <= ENUMERATION_CAP else None
-        if walk is not None and walk["degree"] != 1:
-            return Verdict(NO, rule=RULE_DEGREE_NOT_ONE, witnesses={"V": rays, **walk})
-        if n == 2:
-            return classify_2x2(a)
+    # M = V^T A V is R0, as the homogeneous problem has only zero.  A d in
+    # int K* leaving only zero would make p = V^T d > 0 a regular q whose
+    # one solution, zero, has index 1, so deg M != 1 rules every d out
+    m, rays = generator_lcp(a)
+    walk = lcp_degree(m) if m.rows <= ENUMERATION_CAP else None
+    if walk is not None and walk["degree"] != 1:
+        return Verdict(NO, rule=RULE_DEGREE_NOT_ONE, witnesses={"V": rays, **walk})
+    if n == 2:
+        return classify_2x2(a)
 
-    if len(tried) < max_candidates:
-        for d in default_candidates(a, cone.nontrivial_witness, seed=seed,
-                                    limit=max(2 * max_candidates, 8)):
-            if len(tried) >= max_candidates:
-                break
-            verdict = _try_candidate(a, d, tried)
-            if verdict is not None:
-                return verdict
-    return Verdict(UNKNOWN, evidence={"tried": tuple(tried), "seed": seed})
+    for d in default_candidates(a, cone.nontrivial_witness):
+        verdict = _try_candidate(a, d, tried)
+        if verdict is not None:
+            return verdict
+    return Verdict(UNKNOWN, evidence={"tried": tuple(tried)})
 
 
 def _try_candidate(a: RationalMatrix, d: Vector, tried: list[Vector]) -> Verdict | None:

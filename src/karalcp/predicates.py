@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import geninv, lcp_classes, minor_classes, monotone
-from .conelcp import CANDIDATE_BUDGET, is_karamardian
+from .conelcp import is_karamardian
 from .lcp import NO, UNKNOWN, YES, Verdict, is_q_matrix
-from .matrix import RationalMatrix, Vector
+from .matrix import RationalMatrix, Vector, subspace_bases
 from .minor_classes import MClass
 
 NOT_APPLICABLE = "NotApplicable"
@@ -22,7 +22,6 @@ NOT_APPLICABLE = "NotApplicable"
 @dataclass(frozen=True)
 class PredicateConfig:
     seed: int = 0
-    max_candidates: int = CANDIDATE_BUDGET
     hint_d: tuple[Vector, ...] = ()
 
 
@@ -67,9 +66,7 @@ def _m_matrix(a: RationalMatrix, cfg: PredicateConfig) -> PredicateOutcome:
 
 
 def _karamardian(a: RationalMatrix, cfg: PredicateConfig) -> PredicateOutcome:
-    verdict = is_karamardian(a, candidate_ds=cfg.hint_d or None,
-                             max_candidates=cfg.max_candidates, seed=cfg.seed)
-    return _from_verdict(verdict)
+    return _from_verdict(is_karamardian(a, candidate_ds=cfg.hint_d or None))
 
 
 def _q_matrix(a: RationalMatrix, cfg: PredicateConfig) -> PredicateOutcome:
@@ -80,6 +77,12 @@ def _bool_pred(fn: Callable[[RationalMatrix], bool], method: str):
     def run(a: RationalMatrix, cfg: PredicateConfig) -> PredicateOutcome:
         return _from_bool(fn(a), method)
     return run
+
+
+def _p_hash(a: RationalMatrix, cfg: PredicateConfig) -> PredicateOutcome:
+    # An invertible A is P# iff it is P, decided by its principal minors.
+    value = lcp_classes.is_p_hash(a)
+    return _from_bool(value, "orthant lp" if subspace_bases(a).left_null.basis else "minor-scan")
 
 
 def _group_inverse_exists(a: RationalMatrix, cfg: PredicateConfig) -> PredicateOutcome:
@@ -109,7 +112,7 @@ PREDICATES: dict[str, Callable[[RationalMatrix, PredicateConfig], PredicateOutco
     "semimonotone": _bool_pred(lcp_classes.is_semimonotone, "submatrix lp"),
     "strictly_semimonotone": _bool_pred(lcp_classes.is_strictly_semimonotone, "submatrix lp"),
     "almost_semimonotone": _bool_pred(lcp_classes.is_almost_semimonotone, "submatrix lp"),
-    "p_hash": _bool_pred(lcp_classes.is_p_hash, "orthant lp"),
+    "p_hash": _p_hash,
     "strictly_range_semimonotone": _bool_pred(lcp_classes.is_strictly_range_semimonotone, "support lp"),
     "monotone": _bool_pred(monotone.is_monotone, "inverse sign"),
     "range_monotone": _bool_pred(monotone.is_range_monotone, "group inverse on K"),

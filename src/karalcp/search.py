@@ -71,7 +71,7 @@ def run_search(target: str, n: int, trials: int, seed: int = 0,
         if target == "propc-not-phash":
             hit = _check_propc_not_phash(a)
         else:
-            hit = _check_phash_not_karamardian(a, seed)
+            hit = _check_phash_not_karamardian(a)
         if hit is not None:
             record = SearchHit(trial, a, hit)
             hits.append(record)
@@ -94,13 +94,13 @@ def _check_propc_not_phash(a: RationalMatrix) -> dict | None:
     return {"z_matrix": True, "property_c": True, "p_hash": False}
 
 
-def _check_phash_not_karamardian(a: RationalMatrix, seed: int) -> dict | None:
+def _check_phash_not_karamardian(a: RationalMatrix) -> dict | None:
     if not is_p_hash(a):
         return None
     cone = cone_K(a)
     if cone.trivial:
         return None
-    verdict = is_karamardian(a, seed=seed)
+    verdict = is_karamardian(a)
     if verdict.status == YES:
         return None
     fresh = RationalMatrix.from_rows(a.data)

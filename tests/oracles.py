@@ -9,15 +9,22 @@ from fractions import Fraction
 import sympy
 
 from karalcp.conelcp import (
+    RULE_CANDIDATE_D,
+    RULE_HOMOGENEOUS_NONZERO,
+    RULE_K_TRIVIAL,
     classify_2x2,
     cone_K,
     cone_lcp_only_zero,
+    default_candidates,
+    int_dual_membership,
     is_karamardian,
 )
 from karalcp.lcp import (
     NO,
+    UNKNOWN,
     YES,
     LcpSolutionSet,
+    Verdict,
     first_nonzero_solution,
     n_first_category_applies,
 )
@@ -42,6 +49,7 @@ from karalcp.matrix import (
     full_rank_factorization,
     is_zero_vec,
     nonempty_subsets,
+    ones_vec,
     rank,
     rat,
     solve_linear,
@@ -959,6 +967,32 @@ def retired_karamardian_no_rule(a: RationalMatrix) -> str | None:
     if n_first_category_applies(a):
         return "N_FIRST_CATEGORY"
     return None
+
+
+# -- the Karamardian candidate search with no degree or 2x2 rule: the
+# -- cross-check of every No that conelcp._karamardian_cascade derives from
+# -- the degree of M = V^T A V or from classify_2x2 ------------------------------
+
+
+def karamardian_candidate_search_reference(a: RationalMatrix, hints=()) -> Verdict:
+    """The cascade's trivial-K and homogeneous Nos, then the hints, e and
+    `default_candidates` in turn: Yes with the first d in int K* that leaves
+    the cone LCP (A, d) only the zero solution, else Unknown with every d
+    tried.  A Yes here contradicts any No of the degree or 2x2 rules."""
+    n = a.rows
+    cone = cone_K(a)
+    if cone.trivial:
+        return Verdict(NO, rule=RULE_K_TRIVIAL)
+    if not cone_lcp_only_zero(a, [0] * n):
+        return Verdict(NO, rule=RULE_HOMOGENEOUS_NONZERO)
+    tried = []
+    for d in [vec(h) for h in hints] + [ones_vec(n)] + default_candidates(a, cone.nontrivial_witness):
+        if d in tried:
+            continue
+        tried.append(d)
+        if int_dual_membership(a, d) and cone_lcp_only_zero(a, d):
+            return Verdict(YES, rule=RULE_CANDIDATE_D, witnesses={"d": d})
+    return Verdict(UNKNOWN, evidence={"tried": tuple(tried)})
 
 
 # -- the two Karamardian Yes rules of the Q-matrix cascade that deg A != 0

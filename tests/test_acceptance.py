@@ -40,7 +40,12 @@ from conftest import (
     rand_symmetric_z_matrix,
     rand_z_matrix,
 )
-from oracles import group_equations_hold, karamardian_2x2_oracle, penrose_holds
+from oracles import (
+    group_equations_hold,
+    karamardian_2x2_oracle,
+    karamardian_candidate_search_reference,
+    penrose_holds,
+)
 
 
 def _finish(name: str, failures: list, started: float, budget: float) -> None:
@@ -162,9 +167,9 @@ def test_criterion_4_two_by_two_oracle_equivalence():
     for _ in range(10_000):
         a = rand_matrix(rng, 2, num_bound=6, den_bound=3)
         classified = classify_2x2(a).status
-        forced = is_karamardian(a, force_candidate_search=True).status
-        if forced != UNKNOWN and forced != classified:
-            failures.append((a, classified, forced))
+        searched = karamardian_candidate_search_reference(a).status
+        if searched != UNKNOWN and searched != classified:
+            failures.append((a, classified, searched))
     # presummary-style two-negative families on a 10^4 grid, against the
     # exhaustive candidate-d oracle
     grid = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1),

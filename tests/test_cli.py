@@ -50,7 +50,8 @@ class TestClassify:
         res = run_cli(["classify", path, "--format", "json"])
         assert res.returncode == 0
         report = json.loads(res.stdout)
-        assert report["schema"] == "2"
+        assert report["schema"] == "3"
+        assert sorted(report["config"]) == ["cap", "hint_d", "skip"]
         by_name = {p["name"]: p for p in report["predicates"]}
         assert by_name["karamardian"]["status"] == "Yes"
         assert by_name["karamardian"]["certificate"] == {
@@ -148,11 +149,21 @@ class TestClassify:
         assert "candidate d [3, 1]" in res.stderr
         assert "Traceback" not in res.stderr
 
-    def test_negative_max_candidates_exits_2(self, tmp_path):
+    def test_p_hash_label_names_the_method(self):
+        """An invertible matrix is P# iff it is P, read off its principal
+        minors; a singular one asks one LP per sign orthant."""
+        from karalcp.matrix import RationalMatrix
+        from karalcp.predicates import PredicateConfig, evaluate_predicate
+
+        for rows, method in ((QNOTKAR, "minor-scan"), (STCOPEX, "orthant lp")):
+            out = evaluate_predicate("p_hash", RationalMatrix.from_rows(rows), PredicateConfig())
+            assert out.certificate == {"by": method}
+
+    def test_max_candidates_is_an_unrecognized_flag(self, tmp_path):
         path = write_matrix(tmp_path, "m.json", STCOPEX)
-        res = run_cli(["classify", path, "--format", "json", "--max-candidates", "-3"])
+        res = run_cli(["classify", path, "--format", "json", "--max-candidates", "3"])
         assert res.returncode == 2
-        assert "--max-candidates" in res.stderr and res.stdout == ""
+        assert "unrecognized arguments: --max-candidates" in res.stderr and res.stdout == ""
         assert "Traceback" not in res.stderr
 
 

@@ -10,6 +10,7 @@ from karalcp.conelcp import (
     cone_K,
     cone_lcp_only_zero,
     cone_lcp_solutions,
+    default_candidates,
     dual_membership,
     generator_lcp,
     int_dual_membership,
@@ -51,6 +52,7 @@ from oracles import (
     dual_membership_lp_reference,
     int_dual_membership_lp_reference,
     karamardian_2x2_oracle,
+    karamardian_candidate_search_reference,
     retired_karamardian_no_rule,
     retired_karamardian_yes_rule,
     retired_q_karamardian_rule,
@@ -304,6 +306,74 @@ class TestConeLcp:
                 assert dot(x, y) == 0
 
 
+class TestNullShifts:
+    """The cone LCP (A, q) cannot tell q from q + w for w in N(A^T): x^T w = 0
+    for every x in K and g^T w = 0 for every generator g of K.  So a
+    Karamardian candidate counts only modulo N(A^T)."""
+
+    @staticmethod
+    def _cases(per_rank: int):
+        """Seeded F G products of every rank 1..n-1 at orders 2 to 6, each
+        with a null vector w != 0 of A^T."""
+        from karalcp.matrix import subspace_bases
+
+        rng = random.Random(41)
+        for n in range(2, 7):
+            for r in range(1, n):
+                for _ in range(per_rank):
+                    a = rand_int_matrix(rng, n, r, 2) @ rand_int_matrix(rng, r, n, 2)
+                    null = subspace_bases(a).left_null.basis
+                    while True:
+                        coeffs = [rng.randint(-3, 3) for _ in null]
+                        w = tuple(sum(c * v[i] for c, v in zip(coeffs, null)) for i in range(n))
+                        if any(w):
+                            break
+                    yield rng, a, w
+
+    def test_cone_lcp_and_dual_membership_ignore_null_shifts(self):
+        nontrivial = mixed = 0
+        for rng, a, w in self._cases(4):
+            n = a.rows
+            d = vec([rng.randint(1, 4) for _ in range(n)])
+            q = [rng.randint(-3, 3) for _ in range(n - 1)] + [-1]
+            rng.shuffle(q)
+            for v in (d, vec(q)):
+                shifted = tuple(s + t for s, t in zip(v, w))
+                want, got = cone_lcp_solutions(a, v), cone_lcp_solutions(a, shifted)
+                assert got.solutions == want.solutions, (a.data, v, w)
+                assert got.degenerate_supports == want.degenerate_supports, (a.data, v, w)
+                assert cone_lcp_only_zero(a, shifted) == cone_lcp_only_zero(a, v)
+                assert dual_membership(a, shifted) == dual_membership(a, v)
+                assert int_dual_membership(a, shifted) == int_dual_membership(a, v)
+                mixed += not dual_membership(a, v)
+            nontrivial += not cone_K(a).trivial
+        assert nontrivial >= 30 and mixed >= 5
+
+    def test_the_cascade_scans_no_null_shift_of_e(self, monkeypatch):
+        """The pool is the two witness shifts, x and Ax, and no candidate the
+        cascade scans after e is e + w for a w != 0 in N(A^T).  A witness
+        shift can land on one by itself (for a rank-one A with K = cone(e_1)
+        the shift by 1/2 does), but there e or the degree rule decides A."""
+        from karalcp import conelcp
+
+        scanned = []
+        real = conelcp.int_dual_membership
+        monkeypatch.setattr(conelcp, "int_dual_membership",
+                            lambda a, d: scanned.append(d) or real(a, d))
+        pools = 0
+        for _, a, _ in self._cases(24):
+            scanned.clear()
+            is_karamardian(a)
+            e = ones_vec(a.rows)
+            for d in scanned[1:]:
+                diff = tuple(s - t for s, t in zip(d, e))
+                assert any(a.transpose().mul_vec(diff)), (a.data, d)
+            if len(scanned) > 1:
+                pools += 1
+                assert len(default_candidates(a, cone_K(a).nontrivial_witness)) <= 4
+        assert pools >= 2
+
+
 class TestRankOne:
     def test_sign_flip(self):
         cls = rank_one_classification(vec([1, -1]), vec([2, 1]))
@@ -420,8 +490,8 @@ class TestKaramardianCascade:
             is_karamardian(BLOCK_Z, candidate_ds=[vec([1, 1, 1, 1])])
 
     def test_verdict_is_memoized_per_argument_set(self, monkeypatch):
-        """A repeat with the same arguments runs no support scan; other hints
-        are a new argument set, and the argument checks still run first."""
+        """A repeat with the same hints runs no support scan; other hints are
+        a new argument set, and the argument checks still run first."""
         from karalcp import conelcp
 
         scans = []
@@ -432,16 +502,20 @@ class TestKaramardianCascade:
 
         monkeypatch.setattr(conelcp, "first_nonzero_solution", counting_scan)
         a = RationalMatrix.from_rows([[2, 1, 0], [-1, 2, 1], [0, -1, 2]])
-        first = is_karamardian(a, force_candidate_search=True)
+        first = is_karamardian(a)
         assert scans
         scans.clear()
-        assert is_karamardian(a, force_candidate_search=True) is first
+        assert is_karamardian(a) is first
         assert not scans
-        hinted = is_karamardian(a, candidate_ds=[vec([1, 2, 1])], force_candidate_search=True)
+        hinted = is_karamardian(a, candidate_ds=[vec([1, 2, 1])])
         assert hinted.status == YES and hinted.witnesses["d"] == vec([1, 2, 1])
         assert scans
         with pytest.raises(DimensionMismatchError):
-            is_karamardian(a, candidate_ds=[vec([1, 1])], force_candidate_search=True)
+            is_karamardian(a, candidate_ds=[vec([1, 1])])
+        monkeypatch.undo()
+        fresh = RationalMatrix.from_rows(a.data)
+        assert karamardian_candidate_search_reference(fresh) == first
+        assert karamardian_candidate_search_reference(fresh, [vec([1, 2, 1])]) == hinted
 
     def test_never_enumerates_every_support(self, monkeypatch):
         """Whether a cone LCP has a nonzero solution is a yes/no question, so
@@ -466,43 +540,42 @@ class TestKaramardianCascade:
             rules.add(is_karamardian(a).rule)
         assert {"HOMOGENEOUS_NONZERO", "CANDIDATE_D"} <= rules
 
-    def test_hints_then_e_are_tried_whatever_the_budget(self):
-        v = is_karamardian(DEGREE_ONE, candidate_ds=[DEGREE_ONE_HINT], max_candidates=1)
+    def test_an_unknown_tried_the_hints_then_e_then_the_pool(self):
+        """An Unknown lists every d it tried: the hints, e, then the pool,
+        each once.  DEGREE_ONE's pool repeats e and the hint."""
+        v = is_karamardian(DEGREE_ONE, candidate_ds=[DEGREE_ONE_HINT])
         assert v.status == UNKNOWN
-        assert v.evidence["tried"] == (DEGREE_ONE_HINT, ones_vec(3))
+        pool = default_candidates(DEGREE_ONE, cone_K(DEGREE_ONE).nontrivial_witness)
+        assert ones_vec(3) in pool and DEGREE_ONE_HINT in pool
+        expected = [DEGREE_ONE_HINT, ones_vec(3)]
+        expected += [d for d in pool if d not in expected]
+        assert v.evidence == {"tried": tuple(expected)}
+        assert v.evidence["tried"][2:] == (vec(["1/2", "1/2", 1]), vec([2, 0, 0]))
 
-    def test_spent_budget_builds_no_candidate_pool(self, monkeypatch):
-        """With the budget spent on the hints and e, the cascade asks the
-        pool's LP for no further candidate."""
+    def test_d_equals_e_certifies_before_the_pool(self, monkeypatch):
+        """Singular and not rank one: d = e certifies it, and the pool's LP
+        is never built."""
         from karalcp import conelcp
 
         calls = []
         real = conelcp.lp_feasible
         monkeypatch.setattr(conelcp, "lp_feasible", lambda s: calls.append(s) or real(s))
-        a = RationalMatrix.from_rows(DEGREE_ONE.data)
-        v = is_karamardian(a, candidate_ds=[DEGREE_ONE_HINT], max_candidates=1)
-        assert v.status == UNKNOWN and len(v.evidence["tried"]) == 2
-        assert not calls
-        assert is_karamardian(a, candidate_ds=[DEGREE_ONE_HINT], max_candidates=3).status == UNKNOWN
-        assert len(calls) == 1
-
-    def test_d_equals_e_certifies_with_no_candidate_budget(self):
-        # Singular, not rank one, and no exact rule decides it: only the
-        # candidate d = e certifies it.
         a = RationalMatrix.from_rows([[0, 2, 2], [-3, 1, -2], [0, 0, 0]])
-        for forced in (False, True):
-            v = is_karamardian(a, max_candidates=0, force_candidate_search=forced)
-            assert v.status == YES and v.rule == "CANDIDATE_D"
-            assert v.witnesses["d"] == ones_vec(3)
+        v = is_karamardian(a)
+        assert v.status == YES and v.rule == "CANDIDATE_D"
+        assert v.witnesses["d"] == ones_vec(3)
+        assert not calls
+        assert karamardian_candidate_search_reference(a) == v
 
     def test_search_never_returns_no(self):
         rng = random.Random(7)
         for _ in range(60):
             a = rand_int_matrix(rng, 3, 3)
-            forced = is_karamardian(a, force_candidate_search=True, max_candidates=4)
+            searched = karamardian_candidate_search_reference(a)
             full = is_karamardian(a)
-            assert not (forced.status == YES and full.status == NO)
-            assert not (forced.status == NO and full.status == YES)
+            if searched.status == NO:
+                assert full.status == NO and full.rule == searched.rule
+            assert not (searched.status == YES and full.status == NO)
 
     def test_generalized_idempotent_with_cone(self):
         rng = random.Random(8)
@@ -815,6 +888,12 @@ class TestDegreeNotOne:
                         assert sum(indices) == walk["degree"], (m.data, q)
         assert compared >= 40
 
-    def test_never_fires_under_forced_candidate_search(self):
+    def test_no_candidate_certifies_a_degree_no(self):
+        """The candidate search with no degree rule never certifies a matrix
+        the degree rule calls No."""
+        fired = 0
         for a in _degree_rule_cases(24, 120):
-            assert is_karamardian(a, force_candidate_search=True).rule != "DEGREE_NOT_ONE"
+            if is_karamardian(a).rule == "DEGREE_NOT_ONE":
+                fired += 1
+                assert karamardian_candidate_search_reference(a).status == UNKNOWN, a.data
+        assert fired >= 20
