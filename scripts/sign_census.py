@@ -11,7 +11,9 @@ P; the classes are visited in the order of their canonical forms.  Every
 predicate runs with the default PredicateConfig.  It prints one line per
 class, "<nine entries> <31 statuses in PREDICATE_ORDER>", and then, as
 its last line, one JSON object: the class count, the Unknown count of
-each predicate and the sha256 of the class lines.
+each predicate, the sha256 of the class lines and `q_unwitnessed`, the
+number of decided q_matrix outcomes whose certificate carries no
+witnesses.
 
 A change that only renames or retires a rule leaves the digest as it is;
 a status that moves between Yes, No and Unknown changes it.
@@ -52,17 +54,21 @@ def main() -> None:
     cfg = PredicateConfig()
     unknown = dict.fromkeys(PREDICATE_ORDER, 0)
     digest = hashlib.sha256()
+    q_unwitnessed = 0
     forms = canonical_forms()
     for flat in forms:
         a = RationalMatrix.from_rows([flat[i * ORDER:(i + 1) * ORDER] for i in range(ORDER)])
-        statuses = [evaluate_predicate(name, a, cfg).status for name in PREDICATE_ORDER]
+        outcomes = {name: evaluate_predicate(name, a, cfg) for name in PREDICATE_ORDER}
+        q = outcomes["q_matrix"]
+        q_unwitnessed += q.status != UNKNOWN and "witnesses" not in q.certificate
+        statuses = [outcome.status for outcome in outcomes.values()]
         for name, status in zip(PREDICATE_ORDER, statuses):
             unknown[name] += status == UNKNOWN
         line = " ".join(map(str, flat)) + " " + " ".join(statuses) + "\n"
         digest.update(line.encode())
         sys.stdout.write(line)
     print(json.dumps({"classes": len(forms), "unknown": unknown,
-                      "status_sha256": digest.hexdigest()}))
+                      "status_sha256": digest.hexdigest(), "q_unwitnessed": q_unwitnessed}))
 
 
 if __name__ == "__main__":

@@ -35,10 +35,11 @@ none is zero)?
 
 Q-matrix membership is only semi-decidable at desk scale, so the verdict
 type carries its epistemic state: Yes and No come with re-checkable
-certificates, Unknown with the sampling log.  Yes: the structural rules,
-first-category N, and an R0 A (LCP(A, 0) has only the zero solution) of
-nonzero degree (`lcp_degree`), which covers Karamardian's theorem at
-d = e.  No: the structural rules, and a sampled q with no solution.
+certificates, Unknown with the sampling log.  No: a q with no solution,
+read off a nonpositive row or a zero diagonal entry of a nonnegative A,
+or sampled (-e and the -e_i first).  Yes: an R0 A (LCP(A, 0) has only the
+zero solution) of nonzero degree (`lcp_degree`), which covers
+Karamardian's theorem at d = e.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .matrix import (
     nonempty_subsets,
     solve_linear,
 )
-from .minor_classes import minor_class, structural_flags
+from .minor_classes import structural_flags
 
 YES = "Yes"
 NO = "No"
@@ -429,31 +430,21 @@ def lcp_unique_zero(a: RationalMatrix, q: Sequence) -> bool:
 
 RULE_NONPOSITIVE_ROW = "NONPOSITIVE_ROW"
 RULE_NONNEG_ZERO_DIAG = "NONNEG_ZERO_DIAGONAL"
-RULE_Z_AND_P = "Z_AND_P"
-RULE_Z_NOT_P = "Z_NOT_P"
-RULE_NONNEG_POS_DIAG = "NONNEG_POS_DIAG"
-RULE_N_FIRST_CATEGORY = "N_FIRST_CATEGORY"
 RULE_UNSOLVABLE_Q = "UNSOLVABLE_Q"
 RULE_DEGREE_NONZERO = "DEGREE_NONZERO"
 
 
-def n_first_category_applies(a: RationalMatrix) -> bool:
-    """N-matrix of the first category with a positive entry in every column:
-    a Q-matrix whose LCP has exactly three solutions for every q > 0, so a
-    Yes of the Q-matrix cascade.  Every principal minor is negative, so the
-    two nonzero solutions have index -1, deg A = -1, and the Karamardian
-    cascade's degree rule says No."""
-    return minor_class(a).n_first_category and all(any(t > 0 for t in col) for col in zip(*a.data))
-
-
 def is_q_matrix(a: RationalMatrix, seed: int = 0) -> Verdict:
-    """Exact Yes/No where a sound rule fires, else sampling refutation,
-    else Unknown with the sample log.  Yes by the structural rules, a
-    first-category N, or an R0 A (LCP(A, 0) has only the zero solution) of
-    nonzero degree (`lcp_degree`).  The degree covers Karamardian's theorem
-    (Math. Programming 2, 1972), and with it every P and strictly
-    copositive A: when LCP(A, e) too has only zero, e is regular with the
-    one solution 0 of index +1, and the degree walk tries e first."""
+    """Yes or No with its certificate where a sound rule fires, else
+    Unknown with the sample log.  No: a nonpositive row, a zero diagonal
+    entry of a nonnegative A, or a sampled q with no solution, each with
+    that q.  Yes: an R0 A (LCP(A, 0) has only zero) of nonzero degree
+    (`lcp_degree`), asked once -e and the -e_i are solved.  The degree
+    covers Karamardian's theorem (Math. Programming 2, 1972), and with it
+    every P, strictly copositive or nonnegative A with a positive diagonal:
+    LCP(A, e) too has only zero, so e is regular with the one solution 0 of
+    index +1.  A Z-matrix that is not P has no x >= 0 with Ax >= e (Berman
+    & Plemmons, Thm 6.2.3), so -e refutes it."""
     a.require_square("Q-matrix test", scan=True)
     n = a.rows
     flags = structural_flags(a)
@@ -461,28 +452,24 @@ def is_q_matrix(a: RationalMatrix, seed: int = 0) -> Verdict:
         row = next(i for i in range(n) if all(x <= 0 for x in a.data[i]))
         q = tuple(-_ONE if j == row else _ZERO for j in range(n))
         return Verdict(NO, rule=RULE_NONPOSITIVE_ROW, witnesses={"q": q, "row": row})
-    diag_positive = all(a.data[i][i] > 0 for i in range(n))
-    if flags.nonnegative and not diag_positive:
-        return Verdict(NO, rule=RULE_NONNEG_ZERO_DIAG)
-    if flags.z_matrix:
-        if minor_class(a).is_p:
-            return Verdict(YES, rule=RULE_Z_AND_P)
-        return Verdict(NO, rule=RULE_Z_NOT_P)
-    if flags.nonnegative and diag_positive:
-        return Verdict(YES, rule=RULE_NONNEG_POS_DIAG)
-    if n_first_category_applies(a):
-        return Verdict(YES, rule=RULE_N_FIRST_CATEGORY)
-    # An R0 A of nonzero degree: LCP(A, q) has a solution for every q
-    r0 = first_nonzero_solution(a, (_ZERO,) * n, ()) is None
-    walk = lcp_degree(a) if r0 else None
-    if walk is not None and walk["degree"] != 0:
-        return Verdict(YES, rule=RULE_DEGREE_NONZERO, witnesses=walk)
+    if flags.nonnegative and not all(a.data[i][i] for i in range(n)):
+        # q = e - 2e_i: y_j = (Ax)_j + 1 > 0 forces x_j = 0 for j != i,
+        # which leaves y_i = a_ii x_i - 1 = -1
+        index = next(i for i in range(n) if not a.data[i][i])
+        q = tuple(-_ONE if j == index else _ONE for j in range(n))
+        return Verdict(NO, rule=RULE_NONNEG_ZERO_DIAG, witnesses={"q": q, "index": index})
     tried = []
     for q in _sample_qs(n, seed):
         tried.append(q)
         # q has a negative entry, so every solution is nonzero
         if first_nonzero_solution(a, q, ()) is None:
             return Verdict(NO, rule=RULE_UNSOLVABLE_Q, witnesses={"q": q})
+        # -e and the -e_i all have a solution: an R0 A of nonzero degree
+        # has one for every q
+        if len(tried) == n + 1 and first_nonzero_solution(a, (_ZERO,) * n, ()) is None:
+            walk = lcp_degree(a)
+            if walk is not None and walk["degree"] != 0:
+                return Verdict(YES, rule=RULE_DEGREE_NONZERO, witnesses=walk)
     return Verdict(UNKNOWN, evidence={"tried": tuple(tried), "seed": seed, "bound": Q_SAMPLE_BOUND})
 
 

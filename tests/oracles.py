@@ -26,7 +26,6 @@ from karalcp.lcp import (
     LcpSolutionSet,
     Verdict,
     first_nonzero_solution,
-    n_first_category_applies,
 )
 from karalcp.lcp_classes import (
     ConeRep,
@@ -1016,6 +1015,40 @@ def retired_q_karamardian_rule(a: RationalMatrix) -> str | None:
         return "KARAMARDIAN_THEOREM"
     if rank(a) == n and is_karamardian(a).status == YES:
         return "KARAMARDIAN_INVERTIBLE"
+    return None
+
+
+# -- the four sign-pattern rules of the Q-matrix cascade that the degree
+# -- and q = -e replaced: the reference for lcp.is_q_matrix, which asks the
+# -- sampler's head q and the degree of A instead --------------------------------
+
+
+def n_first_category_applies(a: RationalMatrix) -> bool:
+    """N-matrix of the first category with a positive entry in every column:
+    a Q-matrix whose LCP has exactly three solutions for every q > 0."""
+    return minor_class(a).n_first_category and all(any(t > 0 for t in col) for col in zip(*a.data))
+
+
+def retired_q_structural_rule(a: RationalMatrix) -> str | None:
+    """The retired rule, of the four and in the order the Q-matrix cascade
+    once asked them, that fired for the square A; None when none did or a
+    kept rule (a nonpositive row, a zero diagonal entry of a nonnegative
+    A) fires first:
+    - Z_AND_P: a Z-matrix and a P-matrix, a Yes;
+    - Z_NOT_P: a Z-matrix that is not P, a No;
+    - NONNEG_POS_DIAG: a nonnegative A with a positive diagonal, a Yes;
+    - N_FIRST_CATEGORY: `n_first_category_applies`, a Yes.
+    """
+    flags = structural_flags(a)
+    diag_positive = all(a.data[i][i] > 0 for i in range(a.rows))
+    if flags.has_nonpositive_row or (flags.nonnegative and not diag_positive):
+        return None
+    if flags.z_matrix:
+        return "Z_AND_P" if minor_class(a).is_p else "Z_NOT_P"
+    if flags.nonnegative:
+        return "NONNEG_POS_DIAG"
+    if n_first_category_applies(a):
+        return "N_FIRST_CATEGORY"
     return None
 
 

@@ -32,8 +32,14 @@ from karalcp.lcp import (
     lcp_unique_zero,
 )
 from karalcp.matrix import RationalMatrix, inverse, ones_vec, vec, zeros_vec
-from conftest import rand_int_matrix, rand_p_matrix, rand_vector
-from oracles import check_degree_certificate, lcp_solutions_sympy, retired_q_yes_rule
+from conftest import rand_int_matrix, rand_p_matrix, rand_vector, rand_z_matrix
+from oracles import (
+    check_degree_certificate,
+    lcp_solutions_sympy,
+    n_first_category_applies,
+    retired_q_structural_rule,
+    retired_q_yes_rule,
+)
 
 QNOTKAR = RationalMatrix.from_rows([[-1, -2, 1], [-1, -1, 3], [2, 1, -1]])
 
@@ -158,15 +164,24 @@ class TestQMatrix:
             assert is_q_matrix(a).status == YES
 
     def test_n_first_category(self):
+        # every principal minor is negative, so A is R0, and its degree is -1
         verdict = is_q_matrix(QNOTKAR)
-        assert verdict.status == YES and verdict.rule == "N_FIRST_CATEGORY"
+        assert verdict.status == YES and verdict.rule == "DEGREE_NONZERO"
+        assert verdict.witnesses["degree"] == -1
+        check_degree_certificate(RationalMatrix.from_rows(QNOTKAR.data), verdict.witnesses)
 
     def test_z_singular(self):
         a = RationalMatrix.from_rows([[1, -1, 0], [0, 1, -1], [0, 0, 0]])
         assert is_q_matrix(a).status == NO
 
     def test_nonneg_zero_diag(self):
-        assert is_q_matrix(RationalMatrix.from_rows([[0, 2], [3, 1]])).status == NO
+        # q = e - 2e_0: y_1 = 3 x_0 + x_1 + 1 > 0 forces x_1 = 0, and then
+        # y_0 = -1
+        a = RationalMatrix.from_rows([[0, 2], [3, 1]])
+        verdict = is_q_matrix(a)
+        assert verdict.status == NO and verdict.rule == "NONNEG_ZERO_DIAGONAL"
+        assert verdict.witnesses == {"q": vec([-1, 1]), "index": 0}
+        assert lcp_solutions(a, verdict.witnesses["q"]).solutions == ()
 
     def test_nonpositive_row_certificate_reverifies(self):
         a = RationalMatrix.from_rows([[0, -1], [1, 1]])
@@ -223,11 +238,9 @@ class TestQMatrix:
         assert lcp_unique_zero(a, zeros_vec(3))
 
     def test_karamardian_theorem_covers_the_retired_yes_rules(self):
-        """Wherever A is a P-matrix or strictly copositive and no earlier
-        rule fires, LCP(A, 0) and LCP(A, e) have only zero, so the degree
-        walk's first q, e, is regular with the one solution 0, and deg A = 1
-        certifies A."""
-        earlier_yes = {"Z_AND_P", "NONNEG_POS_DIAG", "N_FIRST_CATEGORY"}
+        """Wherever A is a P-matrix or strictly copositive, LCP(A, 0) and
+        LCP(A, e) have only zero, so the degree walk's first q, e, is
+        regular with the one solution 0, and deg A = 1 certifies A."""
         rng = random.Random(6)
         matrices = [e.matrix for e in corpus_entries() if e.matrix.rows == e.matrix.cols]
         for trial in range(300):
@@ -244,14 +257,110 @@ class TestQMatrix:
             if rule is None:
                 continue
             verdict = is_q_matrix(a)
-            assert verdict.status == YES, (a, rule, verdict)
-            if verdict.rule not in earlier_yes:
-                assert verdict.rule == "DEGREE_NONZERO", (a, rule, verdict)
-                assert verdict.witnesses["q"] == ones_vec(a.rows)
-                assert verdict.witnesses["solutions"] == ((zeros_vec(a.rows), 1),)
-                check_degree_certificate(RationalMatrix.from_rows(a.data), verdict.witnesses)
-                hits[rule] += 1
+            assert verdict.status == YES and verdict.rule == "DEGREE_NONZERO", (a, rule, verdict)
+            assert verdict.witnesses["q"] == ones_vec(a.rows)
+            assert verdict.witnesses["solutions"] == ((zeros_vec(a.rows), 1),)
+            check_degree_certificate(RationalMatrix.from_rows(a.data), verdict.witnesses)
+            hits[rule] += 1
         assert hits["P_MATRIX"] and hits["STRICTLY_COPOSITIVE"]
+
+    def test_the_degree_and_minus_e_decide_the_retired_structural_rules(self):
+        """Z and P, or nonnegative with a positive diagonal: LCP(A, 0) and
+        LCP(A, e) have only zero, so deg A = 1 at q = e.  Z and not P: no
+        x >= 0 has Ax >= e (Berman & Plemmons, Thm 6.2.3), so -e has no
+        solution.  First-category N with a positive entry in every column:
+        every principal minor is nonzero, so A is R0, and its degree was
+        -1 on every seeded case."""
+        rng = random.Random(29)
+        matrices = [e.matrix for e in corpus_entries() if e.matrix.rows == e.matrix.cols]
+        for trial in range(400):
+            n = rng.randint(2, 4)
+            if trial % 4 == 0:
+                matrices.append(rand_int_matrix(rng, n, n))
+            elif trial % 4 == 1:
+                matrices.append(rand_int_matrix(rng, n, n - 1, 2) @ rand_int_matrix(rng, n - 1, n, 2))
+            elif trial % 4 == 2:
+                matrices.append(rand_z_matrix(rng, n))
+            else:
+                matrices.append(RationalMatrix.from_rows(
+                    [[rng.randint(0 if i != j else 1, 3) for j in range(n)] for i in range(n)]))
+        for n, wanted in ((2, 20), (3, 4)):
+            found = 0
+            while found < wanted:
+                rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+                if all(rows[i][i] < 0 for i in range(n)):
+                    a = RationalMatrix.from_rows(rows)
+                    if n_first_category_applies(a):
+                        matrices.append(a)
+                        found += 1
+        hits = Counter()
+        for a in matrices:
+            rule = retired_q_structural_rule(a)
+            if rule is None:
+                continue
+            hits[rule] += 1
+            n = a.rows
+            verdict = is_q_matrix(RationalMatrix.from_rows(a.data))
+            if rule == "Z_NOT_P":
+                assert verdict.status == NO and verdict.rule == "UNSOLVABLE_Q", (a, verdict)
+                assert verdict.witnesses["q"] == vec([-1] * n)
+                assert lcp_solutions(a, verdict.witnesses["q"]).solutions == ()
+                continue
+            assert verdict.status == YES and verdict.rule == "DEGREE_NONZERO", (a, rule, verdict)
+            check_degree_certificate(RationalMatrix.from_rows(a.data), verdict.witnesses)
+            if rule == "N_FIRST_CATEGORY":
+                assert verdict.witnesses["degree"] == -1
+            else:
+                assert verdict.witnesses["q"] == ones_vec(n)
+                assert verdict.witnesses["solutions"] == ((zeros_vec(n), 1),)
+        assert set(hits) == {"Z_AND_P", "Z_NOT_P", "NONNEG_POS_DIAG", "N_FIRST_CATEGORY"}, hits
+
+    def test_every_decided_verdict_rechecks(self):
+        """Every Yes and No carries its certificate: a Yes rechecks as a
+        degree walk, and a No names a q whose LCP has no solution."""
+        rng = random.Random(30)
+        matrices = [e.matrix for e in corpus_entries() if e.matrix.rows == e.matrix.cols]
+        for trial in range(240):
+            n = rng.randint(2, 4)
+            if trial % 3 == 0:
+                matrices.append(rand_int_matrix(rng, n, n))
+            elif trial % 3 == 1:
+                matrices.append(rand_int_matrix(rng, n, n - 1, 2) @ rand_int_matrix(rng, n - 1, n, 2))
+            else:
+                matrices.append(RationalMatrix.from_rows(
+                    [[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]))
+        decided = Counter()
+        for a in matrices:
+            verdict = is_q_matrix(RationalMatrix.from_rows(a.data))
+            if verdict.status == UNKNOWN:
+                continue
+            decided[verdict.rule] += 1
+            fresh = RationalMatrix.from_rows(a.data)
+            if verdict.status == YES:
+                check_degree_certificate(fresh, verdict.witnesses)
+            else:
+                assert lcp_solutions(fresh, verdict.witnesses["q"]).solutions == (), (a, verdict)
+        assert set(decided) == {"NONPOSITIVE_ROW", "NONNEG_ZERO_DIAGONAL", "UNSOLVABLE_Q",
+                                "DEGREE_NONZERO"}, decided
+
+    def test_a_head_q_refutes_before_the_degree_walk(self):
+        """-e and the -e_i run before the R0 test and the degree walk, so a
+        matrix they refute never computes its degree."""
+        a = RationalMatrix.from_rows([[1, -2], [-2, 1]])
+        verdict = is_q_matrix(a)
+        assert verdict.status == NO and verdict.rule == "UNSOLVABLE_Q"
+        assert verdict.witnesses["q"] == vec([-1, -1])
+        assert "degree" not in a._cache
+        rng = random.Random(31)
+        refuted = 0
+        for _ in range(200):
+            n = rng.randint(2, 4)
+            a = rand_int_matrix(rng, n, n)
+            verdict = is_q_matrix(a)
+            if verdict.rule == "UNSOLVABLE_Q" and verdict.witnesses["q"] in list(_sample_qs(n, 0))[:n + 1]:
+                refuted += 1
+                assert "degree" not in a._cache
+        assert refuted
 
     def test_nonzero_homogeneous_solution_skips_the_karamardian_cascade(self):
         """A nonzero solution of LCP(A, 0) leaves the degree undefined, and
