@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 corpus mismatch, 2 parse/flag error, 3 size cap
 exceeded, 141 stdout closed early (128 + SIGPIPE).  The JSON report
-(schema "3") is the stable contract and is byte-identical for identical
-seed+flags; the text format is for humans and carries per-predicate wall
-times.
+(schema "4") is the stable contract and depends only on the matrix and
+the flags, byte for byte; the text format is for humans and carries
+per-predicate wall times.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def cmd_classify(args) -> int:
     unknown = skip.difference(PREDICATE_ORDER)
     if unknown:
         return _fail(EXIT_PARSE, f"--skip names unknown predicates: {sorted(unknown)}")
-    cfg = PredicateConfig(seed=args.seed, hint_d=tuple(hints))
+    cfg = PredicateConfig(hint_d=tuple(hints))
     rows = []
     for name in PREDICATE_ORDER:
         if name in skip:
@@ -90,9 +90,8 @@ def cmd_classify(args) -> int:
         rows.append((name, outcome, time.perf_counter() - t0))
     if args.format == "json":
         report = {
-            "schema": "3",
+            "schema": "4",
             "tool": f"karalcp {__version__}",
-            "seed": args.seed,
             "config": {
                 "cap": args.cap,
                 "hint_d": [jsonable(h) for h in hints],
@@ -106,7 +105,7 @@ def cmd_classify(args) -> int:
         }
         print(json.dumps(report, indent=2, sort_keys=False))
     else:
-        print(f"karalcp {__version__}  seed={args.seed}  matrix {matrix.rows}x{matrix.cols}")
+        print(f"karalcp {__version__}  matrix {matrix.rows}x{matrix.cols}")
         for name, out, dt in rows:
             cert = "" if out.certificate is None else f"  {jsonable(out.certificate)}"
             print(f"  {name:30s} {out.status:13s} {dt * 1000:8.1f} ms{cert}")
@@ -145,7 +144,7 @@ def cmd_verify_corpus(args) -> int:
     failures = 0
     for entry in entries:
         _require_order(entry.matrix, args)
-        report = verify_entry(entry, seed=args.seed)
+        report = verify_entry(entry)
         status = "pass" if report.ok else "FAIL"
         detail = ""
         if not report.ok:
@@ -193,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="run every class predicate on a matrix")
     p.add_argument("matrix", help="path to a matrix JSON file")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hint-d", action="append", metavar="VECTOR_JSON")
     p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     p.add_argument("--skip", action="append", metavar="PRED[,PRED...]")
@@ -209,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-corpus", help="re-derive every corpus verdict")
     p.add_argument("--filter", metavar="TAG")
     p.add_argument("--dump", action="store_true", help="print the corpus as JSON and exit")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     p.set_defaults(func=cmd_verify_corpus)
 

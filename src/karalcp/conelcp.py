@@ -63,7 +63,6 @@ from .matrix import (
     vec,
     zeros_vec,
 )
-from .minor_classes import structural_flags
 
 _ONE = Fraction(1)
 
@@ -72,7 +71,6 @@ RULE_HOMOGENEOUS_NONZERO = "HOMOGENEOUS_NONZERO"
 RULE_CLASS_2X2 = "CLASS_2X2"
 RULE_DEGREE_NOT_ONE = "DEGREE_NOT_ONE"
 RULE_CANDIDATE_D = "CANDIDATE_D"
-RULE_RANGE_MONOTONE_Z = "RANGE_MONOTONE_Z_GROUP_INVERSE"
 RULE_PERMUTATION_REDUCT = "PERMUTATION_REDUCT"
 
 
@@ -157,14 +155,15 @@ def generator_lcp(a: RationalMatrix) -> tuple[RationalMatrix, tuple[tuple[int, .
     as the columns of V and M = V^T A V.  x = V lam solves the cone LCP
     (A, q) iff lam solves LCP(M, V^T q), and only zero solves one iff only
     zero solves the other.  An invertible A has V = I and M = A itself,
-    which shares A's support tables.  Cached in a._cache."""
+    which shares A's support tables; K = {0} has V = () and the 0 x 0 M,
+    whose LCP, like the cone LCP, has only zero.  Cached in a._cache."""
     cached = a._cache.get("generator_lcp")
     if cached is None:
         cone = cone_K(a)
         m = a
         if cone.dual_null_basis:
             vt = RationalMatrix.from_ints(cone.rays)
-            m = vt @ a @ vt.transpose()
+            m = vt @ a @ vt.transpose() if cone.rays else vt
         cached = a._cache["generator_lcp"] = (m, cone.rays)
     return cached
 
@@ -370,13 +369,12 @@ def _try_candidate(a: RationalMatrix, d: Vector, tried: list[Vector]) -> Verdict
 
 
 def karamardian_of_group_inverse(a: RationalMatrix) -> Verdict:
-    """Verdict for A#: a range monotone Z-matrix (A# maps K into R^n_+) with
-    nontrivial K certifies Yes outright; otherwise the cascade runs on A#."""
+    """The Karamardian cascade on A#, which says Yes at d = e for a range
+    monotone Z-matrix A with K != {0}: A# shares K and K*, x^T (A# x + e)
+    >= e^T x > 0 for nonzero x in K, and x = A u with u = A# x >= 0 and
+    x_i u_i = 0 vanishes on supp u and, A being Z, is <= 0 off it."""
     a.require_square("group-inverse Karamardian test")
     gi = group_inverse(a)
     if not gi.exists:
         raise NoGroupInverseError("matrix has no group inverse (rank A != rank A^2)")
-    flags = structural_flags(a)
-    if flags.z_matrix and not cone_K(a).trivial and maps_K_nonneg(a, gi.inverse):
-        return Verdict(YES, rule=RULE_RANGE_MONOTONE_Z)
     return is_karamardian(gi.inverse)

@@ -201,8 +201,8 @@ class EntryReport:
         return not self.mismatches
 
 
-def verify_entry(entry: CorpusEntry, seed: int = 0) -> EntryReport:
-    cfg = PredicateConfig(seed=seed, hint_d=entry.hint_d)
+def verify_entry(entry: CorpusEntry) -> EntryReport:
+    cfg = PredicateConfig(hint_d=entry.hint_d)
     mismatches = []
     for name in sorted(entry.expected):
         actual = evaluate_predicate(name, entry.matrix, cfg).status

@@ -37,7 +37,8 @@ Q-matrix membership is only semi-decidable at desk scale, so the verdict
 type carries its epistemic state: Yes and No come with re-checkable
 certificates, Unknown with the sampling log.  No: a q with no solution,
 read off a nonpositive row or a zero diagonal entry of a nonnegative A,
-or sampled (-e and the -e_i first).  Yes: an R0 A (LCP(A, 0) has only the
+or sampled (-e and the -e_i first, then draws from one fixed stream, so
+a verdict depends on A alone).  Yes: an R0 A (LCP(A, 0) has only the
 zero solution) of nonzero degree (`lcp_degree`), which covers
 Karamardian's theorem at d = e.
 """
@@ -72,7 +73,7 @@ UNKNOWN = "Unknown"
 
 Q_SAMPLES = 64
 Q_SAMPLE_BOUND = 10
-# Seeded q that the degree walk tries after e.
+# Drawn q that the degree walk tries after e.
 DEGREE_QS = 10
 
 _ZERO = Fraction(0)
@@ -85,7 +86,7 @@ class Verdict:
 
     Yes/No carry a rule identifier and witness vectors that re-verify
     against the rule's defining conditions; Unknown carries the sample or
-    candidate log plus the seed that produced it.
+    candidate log, which depends on the matrix (and any hints) alone.
     """
 
     status: str
@@ -382,7 +383,7 @@ def _family_solutions(n: int, q: Vector, support, sol, comp, off_support):
 def lcp_degree(a: RationalMatrix) -> dict | None:
     """deg A of an R0 matrix A (LCP(A, 0) has only the zero solution, which
     the caller establishes), as {"q", "degree", "solutions"} at the first
-    regular q among e and DEGREE_QS seeded integer q in [-9, 9]; None when
+    regular q among e and DEGREE_QS drawn integer q in [-9, 9]; None when
     none is regular.  q is regular when every solution of LCP(A, q) lies
     on a nonsingular block and is strictly complementary (x_i + y_i > 0).
     The degree is then the sum over the solutions of the index sign det
@@ -393,11 +394,8 @@ def lcp_degree(a: RationalMatrix) -> dict | None:
         return a._cache["degree"]
     n = a.rows
     table = _block_table(a, ())
-    rng = random.Random(0)
-    qs = [(_ONE,) * n] + [tuple(Fraction(rng.randint(-9, 9)) for _ in range(n))
-                          for _ in range(DEGREE_QS)]
     walk = None
-    for q in qs:
+    for q in itertools.chain([(_ONE,) * n], _draws(n, DEGREE_QS, 9)):
         solve = support_solver(a, q, ())
         solutions = []
         for support in itertools.chain([()], nonempty_subsets(n)):
@@ -434,7 +432,7 @@ RULE_UNSOLVABLE_Q = "UNSOLVABLE_Q"
 RULE_DEGREE_NONZERO = "DEGREE_NONZERO"
 
 
-def is_q_matrix(a: RationalMatrix, seed: int = 0) -> Verdict:
+def is_q_matrix(a: RationalMatrix) -> Verdict:
     """Yes or No with its certificate where a sound rule fires, else
     Unknown with the sample log.  No: a nonpositive row, a zero diagonal
     entry of a nonnegative A, or a sampled q with no solution, each with
@@ -459,7 +457,7 @@ def is_q_matrix(a: RationalMatrix, seed: int = 0) -> Verdict:
         q = tuple(-_ONE if j == index else _ONE for j in range(n))
         return Verdict(NO, rule=RULE_NONNEG_ZERO_DIAG, witnesses={"q": q, "index": index})
     tried = []
-    for q in _sample_qs(n, seed):
+    for q in _sample_qs(n):
         tried.append(q)
         # q has a negative entry, so every solution is nonzero
         if first_nonzero_solution(a, q, ()) is None:
@@ -470,17 +468,22 @@ def is_q_matrix(a: RationalMatrix, seed: int = 0) -> Verdict:
             walk = lcp_degree(a)
             if walk is not None and walk["degree"] != 0:
                 return Verdict(YES, rule=RULE_DEGREE_NONZERO, witnesses=walk)
-    return Verdict(UNKNOWN, evidence={"tried": tuple(tried), "seed": seed, "bound": Q_SAMPLE_BOUND})
+    return Verdict(UNKNOWN, evidence={"tried": tuple(tried), "bound": Q_SAMPLE_BOUND})
 
 
-def _sample_qs(n: int, seed: int):
-    """-e, the -e_i, then seeded random draws, keeping only q with a
-    negative entry: x = 0 solves every q >= 0, which cannot refute Q."""
+def _sample_qs(n: int):
+    """-e, the -e_i, then Q_SAMPLES draws, keeping only q with a negative
+    entry: x = 0 solves every q >= 0, which cannot refute Q."""
     yield tuple(-_ONE for _ in range(n))
     for i in range(n):
         yield tuple(-_ONE if j == i else _ZERO for j in range(n))
-    rng = random.Random(seed)
-    for _ in range(Q_SAMPLES):
-        q = tuple(Fraction(rng.randint(-Q_SAMPLE_BOUND, Q_SAMPLE_BOUND)) for _ in range(n))
-        if min(q) < 0:
-            yield q
+    yield from (q for q in _draws(n, Q_SAMPLES, Q_SAMPLE_BOUND) if min(q) < 0)
+
+
+def _draws(n: int, count: int, bound: int):
+    """`count` integer q of order n with entries in [-bound, bound], from
+    one fixed pseudo-random stream, restarted at each call, so the q's
+    tried depend on n alone."""
+    rng = random.Random(0)
+    for _ in range(count):
+        yield tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))

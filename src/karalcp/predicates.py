@@ -21,7 +21,6 @@ NOT_APPLICABLE = "NotApplicable"
 
 @dataclass(frozen=True)
 class PredicateConfig:
-    seed: int = 0
     hint_d: tuple[Vector, ...] = ()
 
 
@@ -70,7 +69,7 @@ def _karamardian(a: RationalMatrix, cfg: PredicateConfig) -> PredicateOutcome:
 
 
 def _q_matrix(a: RationalMatrix, cfg: PredicateConfig) -> PredicateOutcome:
-    return _from_verdict(is_q_matrix(a, seed=cfg.seed))
+    return _from_verdict(is_q_matrix(a))
 
 
 def _bool_pred(fn: Callable[[RationalMatrix], bool], method: str):

@@ -1102,3 +1102,16 @@ def check_degree_certificate(m: RationalMatrix, walk: dict) -> None:
         det = determinant(fresh.submatrix(support, support)) if support else 1
         assert det != 0 and (det > 0) == (listed[x] > 0)
     assert walk["degree"] == sum(listed.values())
+
+
+# -- the witness-free Yes that d = e replaced: the reference for
+# -- conelcp.karamardian_of_group_inverse, which runs the cascade on A# --------
+
+
+def retired_range_monotone_z_rule(a: RationalMatrix) -> bool:
+    """Whether RANGE_MONOTONE_Z_GROUP_INVERSE, a Yes with no witness, fired
+    for the square A that has a group inverse: A is a Z-matrix, K is not
+    {0}, and A is range monotone (Ax >= 0 with x in R(A) implies x >= 0,
+    one LP per coordinate)."""
+    return (structural_flags(a).z_matrix and not cone_K(a).trivial
+            and cone_implies_nonneg_reference(a, subspace_bases(a).left_null.basis))

@@ -50,7 +50,8 @@ class TestClassify:
         res = run_cli(["classify", path, "--format", "json"])
         assert res.returncode == 0
         report = json.loads(res.stdout)
-        assert report["schema"] == "3"
+        assert report["schema"] == "4"
+        assert sorted(report) == ["config", "matrix", "predicates", "schema", "tool"]
         assert sorted(report["config"]) == ["cap", "hint_d", "skip"]
         by_name = {p["name"]: p for p in report["predicates"]}
         assert by_name["karamardian"]["status"] == "Yes"
@@ -62,10 +63,21 @@ class TestClassify:
                 assert "certificate" in entry
 
     def test_json_output_is_deterministic(self, tmp_path):
+        """The report depends only on the matrix and the flags: two runs
+        give the same bytes."""
         path = write_matrix(tmp_path, "m.json", QNOTKAR)
-        first = run_cli(["classify", path, "--format", "json", "--seed", "7"])
-        second = run_cli(["classify", path, "--format", "json", "--seed", "7"])
+        first = run_cli(["classify", path, "--format", "json"])
+        second = run_cli(["classify", path, "--format", "json"])
         assert first.stdout == second.stdout and first.returncode == 0
+
+    @pytest.mark.parametrize("command", ["classify", "verify-corpus"])
+    def test_seed_flag_exits_2(self, tmp_path, capsys, command):
+        """Only `search` takes a seed."""
+        args = [command]
+        if command == "classify":
+            args.append(write_matrix(tmp_path, "m.json", QNOTKAR))
+        assert cli.main(args + ["--seed", "1"]) == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_p_hash_not_p0(self, tmp_path):
         path = write_matrix(tmp_path, "m.json", [[0, -1, -2], [0, 1, 2], [1, 1, 1]])
@@ -228,13 +240,17 @@ class TestVerifyCorpus:
 
 class TestSearchCommand:
     def test_seeded_runs_are_identical(self, tmp_path):
-        out1, out2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-        args = ["search", "--target", "propc-not-phash", "--n", "3",
-                "--trials", "400", "--seed", "5"]
-        res1 = run_cli(args + ["--out", out1])
-        res2 = run_cli(args + ["--out", out2])
-        assert res1.returncode == res2.returncode == 0
-        assert Path(out1).read_text() == Path(out2).read_text()
+        """--seed picks the trial stream: the same seed writes the same hit
+        log, each hit naming the seed, and another seed another log."""
+        out1, out2, out3 = (str(tmp_path / f"{name}.jsonl") for name in "abc")
+        args = ["search", "--target", "phash-not-karamardian", "--n", "4", "--trials", "60"]
+        res1 = run_cli(args + ["--seed", "3241744617", "--out", out1])
+        res2 = run_cli(args + ["--seed", "3241744617", "--out", out2])
+        res3 = run_cli(args + ["--seed", "0", "--out", out3])
+        assert res1.returncode == res2.returncode == res3.returncode == 0
+        log = Path(out1).read_text()
+        assert log and log == Path(out2).read_text() != Path(out3).read_text()
+        assert all(json.loads(line)["seed"] == 3241744617 for line in log.splitlines())
 
     def test_bad_density_exits_2(self, tmp_path):
         res = run_cli(["search", "--target", "propc-not-phash", "--n", "3",

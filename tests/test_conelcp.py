@@ -45,6 +45,7 @@ from conftest import (
     rand_permutation,
     rand_symmetric_z_matrix,
     rand_vector,
+    rand_z_matrix,
 )
 from oracles import (
     check_degree_certificate,
@@ -56,6 +57,7 @@ from oracles import (
     retired_karamardian_no_rule,
     retired_karamardian_yes_rule,
     retired_q_karamardian_rule,
+    retired_range_monotone_z_rule,
 )
 
 TRIDIAGONAL = RationalMatrix.from_rows([[0, -1, 0], [-1, 0, -1], [0, -1, 0]])
@@ -732,9 +734,12 @@ class TestRetiredDegreeRules:
 
 class TestGroupInverseKaramardian:
     def test_range_monotone_z_rule(self):
+        """A range monotone Z-matrix, which the retired witness-free rule
+        decided: the cascade on A# certifies d = e."""
         a = RationalMatrix.from_rows([[1, -1, 0], [0, 1, -1], [0, 0, 0]])
+        assert retired_range_monotone_z_rule(a)
         v = karamardian_of_group_inverse(a)
-        assert v.status == YES and v.rule == "RANGE_MONOTONE_Z_GROUP_INVERSE"
+        assert v.status == YES and v.rule == "CANDIDATE_D" and v.witnesses == {"d": ones_vec(3)}
         # the computed group inverse independently classifies Yes
         gi = group_inverse(a).inverse
         assert gi == RationalMatrix.from_rows([[1, 1, -2], [0, 1, -1], [0, 0, 0]])
@@ -749,6 +754,31 @@ class TestGroupInverseKaramardian:
         assert gi == RationalMatrix.from_rows(
             [[0, -1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]])
         assert is_karamardian(gi).status == YES
+
+    def test_retired_range_monotone_z_rule_is_a_yes_at_e(self):
+        """Wherever the retired rule fires, the cascade on A# says Yes at
+        d = e: A# has A's K and K*, x^T (A# x + e) >= e^T x > 0 for nonzero
+        x in K, and the homogeneous problem has only zero.  Seeded
+        Z-matrices of orders 2 to 6, a third as drawn and the rest with
+        Ae >= 0, singular when the diagonal has no slack."""
+        rng = random.Random(61)
+        fired = Counter()
+        for trial in range(300):
+            n = rng.randint(2, 6)
+            a = rand_z_matrix(rng, n)
+            if trial % 3:
+                rows = [[t if i != j else Fraction(0) for j, t in enumerate(row)]
+                        for i, row in enumerate(a.data)]
+                for i, row in enumerate(rows):
+                    row[i] = -sum(row) + (trial % 3 - 1) * rng.randint(0, 2)
+                a = RationalMatrix(n, n, rows)
+            if not group_inverse(a).exists or not retired_range_monotone_z_rule(a):
+                continue
+            fired[rank(a) == n] += 1
+            v = karamardian_of_group_inverse(a)
+            assert v.status == YES and v.rule == "CANDIDATE_D", a.data
+            assert v.witnesses == {"d": ones_vec(n)}, a.data
+        assert fired[True] >= 50 and fired[False] >= 50, fired
 
     def test_trivial_cone_direct_sum(self):
         a = RationalMatrix.from_rows(
@@ -798,14 +828,16 @@ class TestGeneratorForm:
 
     def test_only_zero_agrees_with_the_cone_lcp(self):
         """cone_lcp_only_zero(A, q) iff LCP(V^T A V, V^T q) has only zero,
-        over ranks 1..n and q of both signs."""
+        over ranks 0..n and q of both signs.  K = {0} gives V = () and the
+        0 x 0 M, whose LCP has only zero, as the cone LCP has."""
         rng = random.Random(22)
+        matrices = [RationalMatrix.from_rows([[1, -1], [-1, 1]]), RationalMatrix.zeros(2, 2)]
         for trial in range(80):
             n = rng.randint(2, 4)
             r = rng.randint(1, n)
-            a = rand_int_matrix(rng, n, r, 2) @ rand_int_matrix(rng, r, n, 2)
-            if cone_K(a).trivial:
-                continue
+            matrices.append(rand_int_matrix(rng, n, r, 2) @ rand_int_matrix(rng, r, n, 2))
+        for a in matrices:
+            n = a.rows
             m, rays = generator_lcp(a)
             assert m == RationalMatrix.from_rows(
                 [[sum(u[i] * a.data[i][j] * v[j] for i in range(n) for j in range(n))

@@ -1,10 +1,10 @@
 """Golden digests of the CLI's outputs on the whole corpus.
 
 For every corpus entry `tests/golden_seed0.json` holds the sha256 of
-`classify --format json` at seeds 0 and 3 (with the entry's `--hint-d`)
-and of `lcp` and `lcp --cone` stdout for q = 0, q = 1 and two fixed
-mixed-sign q.  Any change to a verdict, certificate, solution, family
-representative or degenerate support changes a digest.
+`classify --format json` (with the entry's `--hint-d`) and of `lcp` and
+`lcp --cone` stdout for q = 0, q = 1 and two fixed mixed-sign q.  Any
+change to a verdict, certificate, solution, family representative or
+degenerate support changes a digest.
 
 Regenerate only when an output is meant to change:
     PYTHONPATH=src python tests/test_golden.py --record
@@ -51,10 +51,7 @@ def entry_digests(entry, workdir: Path) -> dict[str, str]:
     hints = []
     for d in entry.hint_d:
         hints += ["--hint-d", json.dumps([str(x) for x in d])]
-    outputs = {}
-    for seed in (0, 3):
-        outputs[f"classify_seed{seed}"] = _run_in_process(
-            ["classify", str(mpath), "--format", "json", "--seed", str(seed), *hints])
+    outputs = {"classify": _run_in_process(["classify", str(mpath), "--format", "json", *hints])}
     qpath = workdir / "q.json"
     for name, q in _q_vectors(entry.matrix.rows).items():
         qpath.write_text(json.dumps(q))

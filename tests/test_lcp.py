@@ -20,11 +20,13 @@ from karalcp.errors import (
     TooLargeError,
 )
 from karalcp.lcp import (
+    DEGREE_QS,
     NO,
     UNKNOWN,
     YES,
     Q_SAMPLE_BOUND,
     Q_SAMPLES,
+    _draws,
     _sample_qs,
     first_nonzero_solution,
     is_q_matrix,
@@ -357,7 +359,7 @@ class TestQMatrix:
             n = rng.randint(2, 4)
             a = rand_int_matrix(rng, n, n)
             verdict = is_q_matrix(a)
-            if verdict.rule == "UNSOLVABLE_Q" and verdict.witnesses["q"] in list(_sample_qs(n, 0))[:n + 1]:
+            if verdict.rule == "UNSOLVABLE_Q" and verdict.witnesses["q"] in list(_sample_qs(n))[:n + 1]:
                 refuted += 1
                 assert "degree" not in a._cache
         assert refuted
@@ -372,15 +374,20 @@ class TestQMatrix:
         assert not [k for k in a._cache if isinstance(k, tuple) and k[0] == "karamardian"]
 
     def test_unknown_carries_sample_log(self):
-        # competitive sign pattern with no cheap rule; outcome may be
-        # Yes (via deeper rules) or Unknown, but never an unsound No
-        rng = random.Random(4)
-        for _ in range(30):
-            a = rand_int_matrix(rng, 3, 3)
+        """The two Q Unknowns of the seed-1 Karamardian census: the
+        evidence is the q's tried and their entry bound, with no seed, and
+        every q tried has a solution."""
+        for rows in ([[2, 1, 1, -2, 3], [0, -1, 3, 2, 0], [0, -1, 0, -3, 2], [3, 3, -2, -2, 1],
+                      [-3, 0, 3, -3, 0]],
+                     [[3, 1, 0, -7, 0], [2, 0, 3, 0, 3], [2, 4, -2, -8, 4], [4, 0, 2, -2, 2],
+                      [4, 4, -10, 0, 2]]):
+            a = RationalMatrix.from_rows(rows)
             verdict = is_q_matrix(a)
-            if verdict.status == UNKNOWN:
-                assert verdict.evidence["seed"] == 0
-                assert len(verdict.evidence["tried"]) > 0
+            assert verdict.status == UNKNOWN and verdict.rule is None
+            assert set(verdict.evidence) == {"tried", "bound"}
+            assert verdict.evidence["tried"] == tuple(_sample_qs(5))
+            assert verdict.evidence["bound"] == Q_SAMPLE_BOUND
+            assert all(lcp_solutions(a, q).solutions for q in verdict.evidence["tried"])
 
     def test_never_enumerates_every_support(self, monkeypatch):
         """The sampler asks only whether some solution exists, so it stops
@@ -422,24 +429,30 @@ class TestQMatrix:
                 continue
             fired += 1
             assert first_nonzero_solution(a, zeros_vec(n), ()) is None
-            assert all(lcp_solutions(a, q).solutions for q in _sample_qs(n, 0))
+            assert all(lcp_solutions(a, q).solutions for q in _sample_qs(n))
             check_degree_certificate(RationalMatrix.from_rows(a.data), v.witnesses)
         assert fired
 
     def test_sampled_qs_have_a_negative_entry(self):
-        """-e first, then the -e_i, then the seeded draws with a negative
-        entry, in the order the seeded stream produces them."""
+        """-e first, then the -e_i, then the draws with a negative entry, in
+        the order of the one fixed stream, random.Random(0)."""
         for n in range(1, 6):
-            for seed in (0, 3):
-                qs = list(_sample_qs(n, seed))
-                assert qs[0] == vec([-1] * n)
-                assert qs[1:n + 1] == [vec([-1 if j == i else 0 for j in range(n)])
-                                       for i in range(n)]
-                rng = random.Random(seed)
-                draws = [vec([rng.randint(-Q_SAMPLE_BOUND, Q_SAMPLE_BOUND) for _ in range(n)])
-                         for _ in range(Q_SAMPLES)]
-                assert qs[n + 1:] == [q for q in draws if min(q) < 0]
-                assert all(min(q) < 0 for q in qs)
+            qs = list(_sample_qs(n))
+            assert qs[0] == vec([-1] * n)
+            assert qs[1:n + 1] == [vec([-1 if j == i else 0 for j in range(n)]) for i in range(n)]
+            rng = random.Random(0)
+            draws = [vec([rng.randint(-Q_SAMPLE_BOUND, Q_SAMPLE_BOUND) for _ in range(n)])
+                     for _ in range(Q_SAMPLES)]
+            assert qs[n + 1:] == [q for q in draws if min(q) < 0]
+            assert all(min(q) < 0 for q in qs)
+
+    def test_degree_walk_draws_from_the_same_stream(self):
+        """After e, the degree walk tries DEGREE_QS draws in [-9, 9] from
+        random.Random(0), restarted for each matrix."""
+        for n in range(1, 6):
+            rng = random.Random(0)
+            assert list(_draws(n, DEGREE_QS, 9)) == [
+                vec([rng.randint(-9, 9) for _ in range(n)]) for _ in range(DEGREE_QS)]
 
     def test_p_matrix_unique_solution_for_many_q(self):
         rng = random.Random(5)

@@ -7,7 +7,9 @@ On seeded matrices of orders 2 to 5, half of them rank-deficient products
 F G, every predicate named below is evaluated on A and on its transform.
 A Yes on one side and a No on the other fails the test.  A shift between
 Unknown and a decided status is only counted: the candidate search and
-the Q sampler are seeded in the labelling, so a few shifts are expected.
+the Q sampler's fixed draws depend on the labelling, so a few shifts are
+expected.  scripts/sign_census.py runs the transposition and scaling
+checks below over every order-3 sign class, from these same tables.
 References: Cottle, Pang & Stone, The Linear Complementarity Problem
 (1992), section 3.1; Chen, Cheung & Yiu, "Metamorphic testing" (1998).
 """

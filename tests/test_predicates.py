@@ -45,7 +45,7 @@ MATRICES = {
 
 CONFIGS = [
     PredicateConfig(),
-    PredicateConfig(seed=7, hint_d=((1,) * ORDER,)),
+    PredicateConfig(hint_d=((1,) * ORDER,)),
 ]
 
 
