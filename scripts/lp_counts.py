@@ -7,7 +7,8 @@ Run it from the root of a checkout.  It builds the op list with
 perfbench/run.build (which imports the library afresh from src/), runs
 the first --ops ops once, as perfbench/run.py does, and prints one JSON
 object with the number of simplex tableaux built (constructions of
-lp._Simplex, one per LP feasibility or optimization solve).
+lp._Simplex, one per LP feasibility or optimization solve) and the number
+of Fraction matrix products (calls of RationalMatrix.__matmul__).
 """
 
 from __future__ import annotations
@@ -30,18 +31,27 @@ def main() -> None:
     args = parser.parse_args()
     lib, ops = run.build("classify", args.seed)
     lp = sys.modules["karalcp.lp"]
-    built = [0]
+    matrix_class = sys.modules["karalcp.matrix"].RationalMatrix
+    built, products = [0], [0]
 
     class CountingSimplex(lp._Simplex):
         def __init__(self, system):
             built[0] += 1
             super().__init__(system)
 
+    real_matmul = matrix_class.__matmul__
+
+    def counting_matmul(self, other):
+        products[0] += 1
+        return real_matmul(self, other)
+
     lp._Simplex = CountingSimplex
+    matrix_class.__matmul__ = counting_matmul
     ops = ops[:args.ops]
     for op in ops:
         run.execute(lib, op)
-    print(json.dumps({"seed": args.seed, "ops": len(ops), "simplex_builds": built[0]}))
+    print(json.dumps({"seed": args.seed, "ops": len(ops), "simplex_builds": built[0],
+                      "matrix_products": products[0]}))
 
 
 if __name__ == "__main__":

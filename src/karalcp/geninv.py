@@ -1,23 +1,38 @@
 """Exact generalized inverses: Moore-Penrose and group inverse.
 
-Both come from a full-rank factorization A = F G, which keeps everything
-rational: the Moore-Penrose inverse is G^T (F^T A G^T)^-1 F^T (as
-F^T A G^T = (F^T F)(G G^T)), and the group inverse exists iff G F is
-invertible, in which case it equals F (G F)^-2 G.  Every computed inverse is re-verified against its defining
-equations by exact multiplication before being returned.
+An invertible A has A+ = A# = A^-1, read from `matrix.inverse` and checked
+by AX = I (so XA = I), which implies every Penrose and group equation.  Otherwise
+both come from one full-rank factorization A = F R in integers: with
+alpha the lcm of A's row multipliers, B = alpha A, F_i the pivot columns
+of B and G_i the nonzero rows of rref(A) scaled by the lcm gamma of their
+denominators, B = F_i G_i / gamma, and
+
+    A+ = alpha G_i^T adj(P) F_i^T / det P,          P = F_i^T B G_i^T,
+    A# = alpha gamma F_i adj(Q)^2 G_i / (det Q)^2,  Q = G_i F_i,
+
+where A# exists iff Q is invertible (the rational forms G^T (F^T A G^T)^-1
+F^T and F (G F)^-2 G).  Each (det, adj) is one `matrix._det_adj`
+elimination.  Every result is checked against its defining equations by
+integer products before its Fractions are built (`_checked`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import ZeroMatrixError
 from .matrix import (
     RationalMatrix,
-    full_rank_factorization,
+    RrefResult,
+    _det_adj,
+    _ratio,
+    integer_rows,
     inverse,
     is_zero_vec,
+    rref,
     subspace_bases,
 )
 
@@ -33,22 +48,22 @@ def moore_penrose(a: RationalMatrix) -> RationalMatrix:
     cached = a._cache.get("mp")
     if cached is not None:
         return cached
-    f, g = full_rank_factorization(a)
-    if f.cols == 0:
+    rr = rref(a)
+    r = rr.rank
+    if r == 0:
         x = RationalMatrix.zeros(a.cols, a.rows)
+    elif a.is_square and r == a.rows:
+        x = _checked_inverse(a)
     else:
-        ft, gt = f.transpose(), g.transpose()
-        x = gt @ inverse(ft @ a @ gt) @ ft
-    _verify_penrose(a, x)
+        alpha, b, f, _, g = _factors(a, rr)
+        gt, ft = _transpose(g), _transpose(f)
+        entry = _det_adj(_mul(_mul(ft, b), gt), range(r))
+        if entry is None:  # P = (F_i^T F_i)(G_i G_i^T) / gamma is invertible
+            raise ArithmeticError("Moore-Penrose self-check failed")
+        det, adj = entry
+        x = _checked(b, _mul(_mul(gt, adj), ft), alpha, det, "Moore-Penrose", commute=False)
     a._cache["mp"] = x
     return x
-
-
-def _verify_penrose(a: RationalMatrix, x: RationalMatrix) -> None:
-    ax = a @ x
-    xa = x @ a
-    if ax @ a != a or xa @ x != x or ax.transpose() != ax or xa.transpose() != xa:
-        raise ArithmeticError("Moore-Penrose self-check failed")
 
 
 def group_inverse(a: RationalMatrix) -> GroupInverseResult:
@@ -57,26 +72,85 @@ def group_inverse(a: RationalMatrix) -> GroupInverseResult:
     cached = a._cache.get("gi")
     if cached is not None:
         return cached
-    f, g = full_rank_factorization(a)
-    if f.cols == 0:
+    rr = rref(a)
+    r = rr.rank
+    if r == 0:
         result = GroupInverseResult(True, RationalMatrix.zeros(a.rows, a.cols))
+    elif r == a.rows:
+        result = GroupInverseResult(True, _checked_inverse(a))
     else:
-        gf_inv = inverse(g @ f)
-        if gf_inv is None:
+        alpha, b, f, gamma, g = _factors(a, rr)
+        entry = _det_adj(_mul(g, f), range(r))
+        if entry is None:
             result = GroupInverseResult(False, None)
         else:
-            x = f @ gf_inv @ gf_inv @ g
-            _verify_group(a, x)
-            result = GroupInverseResult(True, x)
+            det, adj = entry
+            xi = _times(gamma, _mul(_mul(f, _mul(adj, adj)), g))
+            result = GroupInverseResult(True, _checked(b, xi, alpha, det * det, "group inverse",
+                                                       commute=True))
     a._cache["gi"] = result
     return result
 
 
-def _verify_group(a: RationalMatrix, x: RationalMatrix) -> None:
-    ax = a @ x
-    xa = x @ a
-    if ax @ a != a or xa @ x != x or ax != xa:
-        raise ArithmeticError("group inverse self-check failed")
+def _scaled(a: RationalMatrix) -> tuple[int, list[list[int]]]:
+    """(alpha, alpha A): the lcm alpha of A's row multipliers, which makes
+    every row an integer one."""
+    rows = integer_rows(a)
+    alpha = lcm(*(m for _, m in rows))
+    return alpha, [ints if m == alpha else [t * (alpha // m) for t in ints] for ints, m in rows]
+
+
+def _common_scale(data) -> tuple[int, list[list[int]]]:
+    """(lcm of every denominator, the rows scaled by it to integers)."""
+    c = lcm(*(t.denominator for row in data for t in row))
+    return c, [[t.numerator * (c // t.denominator) for t in row] for row in data]
+
+
+def _factors(a: RationalMatrix, rr: RrefResult) -> tuple:
+    """(alpha, B, F_i, gamma, G_i) of the module docstring, for rr = rref(A)."""
+    alpha, b = _scaled(a)
+    gamma, g = _common_scale(rr.matrix.data[:rr.rank])
+    return alpha, b, [[row[p] for p in rr.pivots] for row in b], gamma, g
+
+
+def _mul(x: list, y: list) -> list[list[int]]:
+    """The product of two integer matrices given as lists of rows."""
+    cols = list(zip(*y))
+    return [[sum(map(mul, row, col)) for col in cols] for row in x]
+
+
+def _transpose(x: list) -> list[list[int]]:
+    return [list(col) for col in zip(*x)]
+
+
+def _times(c: int, x: list) -> list[list[int]]:
+    return [[c * t for t in row] for row in x]
+
+
+def _checked(b: list[list[int]], xi: list[list[int]], alpha: int, delta: int, what: str,
+             commute: bool) -> RationalMatrix:
+    """X = alpha xi / delta, checked for A = B / alpha: AXA = A iff
+    B xi B = delta B, XAX = X iff xi B xi = delta xi, and AX, XA are
+    B xi / delta and xi B / delta, which must commute (group) or be
+    symmetric (Moore-Penrose)."""
+    bx, xb = _mul(b, xi), _mul(xi, b)
+    if (_mul(bx, b) != _times(delta, b) or _mul(xb, xi) != _times(delta, xi)
+            or (bx != xb if commute else (bx != _transpose(bx) or xb != _transpose(xb)))):
+        raise ArithmeticError(f"{what} self-check failed")
+    return RationalMatrix(len(xi), len(b), [[_ratio(alpha * t, delta) for t in row] for row in xi])
+
+
+def _checked_inverse(a: RationalMatrix) -> RationalMatrix:
+    """A^-1, checked in integers: with B = alpha A and Y = xi A^-1 integer,
+    AX = I iff BY = alpha xi I, and for square A and X, AX = I implies
+    XA = I."""
+    x = inverse(a)
+    alpha, b = _scaled(a)
+    xi, y = _common_scale(x.data)
+    c = alpha * xi
+    if _mul(b, y) != [[c if i == j else 0 for j in range(a.rows)] for i in range(a.rows)]:
+        raise ArithmeticError("inverse self-check failed")
+    return x
 
 
 def index_at_most_one(a: RationalMatrix) -> bool:

@@ -36,7 +36,7 @@ from .matrix import (
     ENUMERATION_CAP,
     RationalMatrix,
     Vector,
-    determinant,
+    _eliminate,
     dot,
     integer_row,
     integer_rows,
@@ -138,14 +138,15 @@ def is_p_hash(a: RationalMatrix) -> bool:
 
     For invertible A, R(A) = R^n and this says A is a P-matrix (Fiedler &
     Ptak; Cottle, Pang & Stone, Thm 3.3.4), decided by the principal
-    minors.  For singular A, one LP per sign orthant s: x = D_s z with z on
-    the simplex, W^T D_s z = 0 and -D_s A D_s z >= 0.  The pair (s, -s)
-    describes the same problem, so only orthants with s_1 = +1 run.
+    minors; invertibility is the pivot count of one integer elimination of
+    the row-scaled A.  For singular A, one LP per sign orthant s: x = D_s z
+    with z on the simplex, W^T D_s z = 0 and -D_s A D_s z >= 0.  The pair
+    (s, -s) describes the same problem, so only orthants with s_1 = +1 run.
     """
     a.require_square("P# test", scan=True)
-    if determinant(a) != 0:
-        return minor_class(a).is_p
     n = a.rows
+    if len(_eliminate([ints for ints, _ in integer_rows(a)], n)[1]) == n:
+        return minor_class(a).is_p
     null, minus_a = _left_null(a), _block(a, tuple(range(n)), -1)
     return not any(
         _simplex_point(a, n, tuple(tuple(w[j] * s[j] for j in range(n)) for w in null),

@@ -7,10 +7,11 @@ scaled once by the lcm of its denominators (`integer_row`; a matrix built
 by `RationalMatrix.from_ints` carries its rows of ints instead), and one
 fraction-free pivot step (`_pivot`) does all of it: the Gauss-Jordan
 kernel (`_eliminate`) behind the RREF, the determinant, the inverse, the
-solution set of a linear system and the LCP blocks' (det, adj) pairs
-(`_det_adj`), and the simplex of `lp.py`.  Fractions are built only at
-the end.  Matrices are immutable by convention (nothing mutates `data`
-after construction), which makes the per-instance caches below safe.
+solution set of a linear system, the (det, adj) pairs (`_det_adj`) of
+the LCP blocks and of the generalized inverses' factor products, and the
+simplex of `lp.py`.  Fractions are built only at the end.  Matrices are
+immutable by convention (nothing mutates `data` after construction),
+which makes the per-instance caches below safe.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from karalcp.conelcp import (
     int_dual_membership,
     is_karamardian,
 )
+from karalcp.geninv import GroupInverseResult
 from karalcp.lcp import (
     NO,
     UNKNOWN,
@@ -46,6 +47,7 @@ from karalcp.matrix import (
     determinant,
     dot,
     full_rank_factorization,
+    inverse,
     is_zero_vec,
     nonempty_subsets,
     ones_vec,
@@ -389,6 +391,38 @@ def penrose_holds(a: RationalMatrix, x: RationalMatrix) -> bool:
 
 def group_equations_hold(a: RationalMatrix, x: RationalMatrix) -> bool:
     return a @ x @ a == a and x @ a @ x == x and a @ x == x @ a
+
+
+# -- generalized inverses by Fraction products: the reference for
+# -- geninv.moore_penrose and geninv.group_inverse, which run in integers ------
+
+
+def moore_penrose_reference(a: RationalMatrix) -> RationalMatrix:
+    """G^T (F^T A G^T)^-1 F^T for A = F G, self-checked in Fractions."""
+    f, g = full_rank_factorization(a)
+    if f.cols == 0:
+        x = RationalMatrix.zeros(a.cols, a.rows)
+    else:
+        ft, gt = f.transpose(), g.transpose()
+        x = gt @ inverse(ft @ a @ gt) @ ft
+    if not penrose_holds(a, x):
+        raise ArithmeticError("Moore-Penrose self-check failed")
+    return x
+
+
+def group_inverse_reference(a: RationalMatrix) -> GroupInverseResult:
+    """F (G F)^-2 G for A = F G, when G F is invertible, self-checked in
+    Fractions."""
+    f, g = full_rank_factorization(a)
+    if f.cols == 0:
+        return GroupInverseResult(True, RationalMatrix.zeros(a.rows, a.cols))
+    gf_inv = inverse(g @ f)
+    if gf_inv is None:
+        return GroupInverseResult(False, None)
+    x = f @ gf_inv @ gf_inv @ g
+    if not group_equations_hold(a, x):
+        raise ArithmeticError("group inverse self-check failed")
+    return GroupInverseResult(True, x)
 
 
 # -- almost monotonicity, one LP per coordinate: the reference for
