@@ -58,6 +58,7 @@ from .matrix import (
     integer_rows,
     is_unisigned,
     is_zero_vec,
+    memoized,
     ones_vec,
     subspace_bases,
     vec,
@@ -94,24 +95,20 @@ class ConeData:
         return self.nontrivial_witness is None
 
 
+@memoized("coneK")
 def cone_K(a: RationalMatrix) -> ConeData:
     """Generators are the extreme rays of K = {x >= 0 : W^T x = 0}, W the
     basis of N(A^T), scaled to sum 1 and sorted."""
     a.require_square("cone K", scan=True)
-    cached = a._cache.get("coneK")
-    if cached is not None:
-        return cached
     null = subspace_bases(a).left_null.basis
     rays = _double_description(a.rows, null)
     vertices = sorted(tuple(Fraction(t, sum(ray)) for t in ray) for ray in rays)
-    result = ConeData(
+    return ConeData(
         cone=ConeRep(a.rows, tuple(vertices)),
         dual_null_basis=null,
         nontrivial_witness=vertices[0] if vertices else None,
         rays=tuple(map(tuple, rays)),
     )
-    a._cache["coneK"] = result
-    return result
 
 
 def maps_K_nonneg(a: RationalMatrix, x: RationalMatrix) -> bool:
@@ -150,22 +147,19 @@ def _double_description(n: int, null: Sequence[Vector]) -> list[list[int]]:
     return rays
 
 
+@memoized("generator_lcp")
 def generator_lcp(a: RationalMatrix) -> tuple[RationalMatrix, tuple[tuple[int, ...], ...]]:
     """(M, V): the cone LCP in generator form, with the integer rays of K
     as the columns of V and M = V^T A V.  x = V lam solves the cone LCP
     (A, q) iff lam solves LCP(M, V^T q), and only zero solves one iff only
     zero solves the other.  An invertible A has V = I and M = A itself,
     which shares A's support tables; K = {0} has V = () and the 0 x 0 M,
-    whose LCP, like the cone LCP, has only zero.  Cached in a._cache."""
-    cached = a._cache.get("generator_lcp")
-    if cached is None:
-        cone = cone_K(a)
-        m = a
-        if cone.dual_null_basis:
-            vt = RationalMatrix.from_ints(cone.rays)
-            m = vt @ a @ vt.transpose() if cone.rays else vt
-        cached = a._cache["generator_lcp"] = (m, cone.rays)
-    return cached
+    whose LCP, like the cone LCP, has only zero."""
+    cone = cone_K(a)
+    if not cone.dual_null_basis:
+        return a, cone.rays
+    vt = RationalMatrix.from_ints(cone.rays)
+    return (vt @ a @ vt.transpose() if cone.rays else vt), cone.rays
 
 
 def dual_membership(a: RationalMatrix, y: Sequence) -> bool:
@@ -308,24 +302,21 @@ def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = 
     `classify_2x2` decides what remains at order 2.  Last come the
     `default_candidates`.  No is emitted only from those sound rules; an
     exhausted candidate search yields Unknown, never No, with every d it
-    tried.  The verdict is memoized in `a._cache` per set of hints.
+    tried.  The verdict is memoized per matrix and set of hints.
     """
     a.require_square("Karamardian test", scan=True)
     n = a.rows
-    hints = [vec(d) for d in candidate_ds or ()]
+    hints = tuple(vec(d) for d in candidate_ds or ())
     for d in hints:
         if len(d) != n:
             raise DimensionMismatchError(
                 f"candidate d [{', '.join(map(str, d))}] has length {len(d)},"
                 f" but the matrix has order {n}")
-    key = ("karamardian", tuple(hints))
-    cached = a._cache.get(key)
-    if cached is None:
-        cached = a._cache[key] = _karamardian_cascade(a, hints)
-    return cached
+    return _karamardian_cascade(a, hints)
 
 
-def _karamardian_cascade(a: RationalMatrix, hints: list[Vector]) -> Verdict:
+@memoized("karamardian")
+def _karamardian_cascade(a: RationalMatrix, hints: tuple[Vector, ...]) -> Verdict:
     n = a.rows
     cone = cone_K(a)
     if cone.trivial:
@@ -335,7 +326,7 @@ def _karamardian_cascade(a: RationalMatrix, hints: list[Vector]) -> Verdict:
         return Verdict(NO, rule=RULE_HOMOGENEOUS_NONZERO, witnesses={"solution": nonzero})
 
     tried: list[Vector] = []
-    for d in hints + [ones_vec(n)]:
+    for d in (*hints, ones_vec(n)):
         verdict = _try_candidate(a, d, tried)
         if verdict is not None:
             return verdict

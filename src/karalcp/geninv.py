@@ -32,6 +32,7 @@ from .matrix import (
     integer_rows,
     inverse,
     is_zero_vec,
+    memoized,
     rref,
     subspace_bases,
 )
@@ -43,53 +44,42 @@ class GroupInverseResult:
     inverse: RationalMatrix | None = None
 
 
+@memoized("mp")
 def moore_penrose(a: RationalMatrix) -> RationalMatrix:
     """The unique X with AXA=A, XAX=X, (AX)^T=AX, (XA)^T=XA; 0 for A=0."""
-    cached = a._cache.get("mp")
-    if cached is not None:
-        return cached
     rr = rref(a)
     r = rr.rank
     if r == 0:
-        x = RationalMatrix.zeros(a.cols, a.rows)
-    elif a.is_square and r == a.rows:
-        x = _checked_inverse(a)
-    else:
-        alpha, b, f, _, g = _factors(a, rr)
-        gt, ft = _transpose(g), _transpose(f)
-        entry = _det_adj(_mul(_mul(ft, b), gt), range(r))
-        if entry is None:  # P = (F_i^T F_i)(G_i G_i^T) / gamma is invertible
-            raise ArithmeticError("Moore-Penrose self-check failed")
-        det, adj = entry
-        x = _checked(b, _mul(_mul(gt, adj), ft), alpha, det, "Moore-Penrose", commute=False)
-    a._cache["mp"] = x
-    return x
+        return RationalMatrix.zeros(a.cols, a.rows)
+    if a.is_square and r == a.rows:
+        return _checked_inverse(a)
+    alpha, b, f, _, g = _factors(a, rr)
+    gt, ft = _transpose(g), _transpose(f)
+    entry = _det_adj(_mul(_mul(ft, b), gt), range(r))
+    if entry is None:  # P = (F_i^T F_i)(G_i G_i^T) / gamma is invertible
+        raise ArithmeticError("Moore-Penrose self-check failed")
+    det, adj = entry
+    return _checked(b, _mul(_mul(gt, adj), ft), alpha, det, "Moore-Penrose", commute=False)
 
 
+@memoized("gi")
 def group_inverse(a: RationalMatrix) -> GroupInverseResult:
     """The unique X with AXA=A, XAX=X, AX=XA, when rank A = rank A^2."""
     a.require_square("group inverse")
-    cached = a._cache.get("gi")
-    if cached is not None:
-        return cached
     rr = rref(a)
     r = rr.rank
     if r == 0:
-        result = GroupInverseResult(True, RationalMatrix.zeros(a.rows, a.cols))
-    elif r == a.rows:
-        result = GroupInverseResult(True, _checked_inverse(a))
-    else:
-        alpha, b, f, gamma, g = _factors(a, rr)
-        entry = _det_adj(_mul(g, f), range(r))
-        if entry is None:
-            result = GroupInverseResult(False, None)
-        else:
-            det, adj = entry
-            xi = _times(gamma, _mul(_mul(f, _mul(adj, adj)), g))
-            result = GroupInverseResult(True, _checked(b, xi, alpha, det * det, "group inverse",
-                                                       commute=True))
-    a._cache["gi"] = result
-    return result
+        return GroupInverseResult(True, RationalMatrix.zeros(a.rows, a.cols))
+    if r == a.rows:
+        return GroupInverseResult(True, _checked_inverse(a))
+    alpha, b, f, gamma, g = _factors(a, rr)
+    entry = _det_adj(_mul(g, f), range(r))
+    if entry is None:
+        return GroupInverseResult(False, None)
+    det, adj = entry
+    xi = _times(gamma, _mul(_mul(f, _mul(adj, adj)), g))
+    return GroupInverseResult(True, _checked(b, xi, alpha, det * det, "group inverse",
+                                             commute=True))
 
 
 def _scaled(a: RationalMatrix) -> tuple[int, list[list[int]]]:

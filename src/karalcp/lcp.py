@@ -62,6 +62,7 @@ from .matrix import (
     integer_row,
     integer_rows,
     is_zero_vec,
+    memoized,
     nonempty_subsets,
     solve_linear,
 )
@@ -165,7 +166,7 @@ def support_solver(a: RationalMatrix, q: Vector, null: Sequence[Vector]):
     (`_range_trivial`): its only solution could be x = 0, which the empty
     support decides.
     """
-    table = _block_table(a, null)
+    table = _block_table(a, tuple(null))
     n = a.rows
     qn, qden = integer_row(q)
     mq = [mult * t for mult, t in zip(table.mults, qn)]
@@ -213,20 +214,16 @@ class _BlockTable(NamedTuple):
     trivial: dict
 
 
-def _block_table(a: RationalMatrix, null: Sequence[Vector]) -> _BlockTable:
-    """The block table of a and null, cached in a._cache."""
-    key = ("supports", tuple(null))
-    table = a._cache.get(key)
-    if table is None:
-        rows = integer_rows(a)
-        scaled = [integer_row(w) for w in null]
-        bordered = [ints + [-mult * w[i] for w, _ in scaled] for i, (ints, mult) in enumerate(rows)]
-        bordered += [w + [0] * len(null) for w, _ in scaled]
-        # the empty support's block is the d x d zero corner, with det 1 at d = 0
-        blocks = {(): None if null else (1, [])}
-        table = a._cache[key] = _BlockTable([m for _, m in rows], [c for _, c in scaled],
-                                            bordered, blocks, {})
-    return table
+@memoized("supports")
+def _block_table(a: RationalMatrix, null: tuple[Vector, ...]) -> _BlockTable:
+    """The block table of a and null, one per matrix and null basis."""
+    rows = integer_rows(a)
+    scaled = [integer_row(w) for w in null]
+    bordered = [ints + [-mult * w[i] for w, _ in scaled] for i, (ints, mult) in enumerate(rows)]
+    bordered += [w + [0] * len(null) for w, _ in scaled]
+    # the empty support's block is the d x d zero corner, with det 1 at d = 0
+    blocks = {(): None if null else (1, [])}
+    return _BlockTable([m for _, m in rows], [c for _, c in scaled], bordered, blocks, {})
 
 
 def _range_trivial(table: _BlockTable, support) -> bool:
@@ -380,6 +377,7 @@ def _family_solutions(n: int, q: Vector, support, sol, comp, off_support):
     return to_x(out.witness), False
 
 
+@memoized("degree")
 def lcp_degree(a: RationalMatrix) -> dict | None:
     """deg A of an R0 matrix A (LCP(A, 0) has only the zero solution, which
     the caller establishes), as {"q", "degree", "solutions"} at the first
@@ -389,12 +387,9 @@ def lcp_degree(a: RationalMatrix) -> dict | None:
     The degree is then the sum over the solutions of the index sign det
     A_SS, read off the block table, with det 1 for the empty support
     (Howe & Stone, 1983; Cottle, Pang & Stone, 1992, section 6.1); each
-    solution is listed with its index.  Memoized in a._cache."""
-    if "degree" in a._cache:
-        return a._cache["degree"]
+    solution is listed with its index.  Memoized per matrix."""
     n = a.rows
     table = _block_table(a, ())
-    walk = None
     for q in itertools.chain([(_ONE,) * n], _draws(n, DEGREE_QS, 9)):
         solve = support_solver(a, q, ())
         solutions = []
@@ -409,11 +404,8 @@ def lcp_degree(a: RationalMatrix) -> dict | None:
                 break
             solutions.append((x, 1 if entry[0] > 0 else -1))
         else:
-            walk = {"q": q, "degree": sum(s for _, s in solutions),
-                    "solutions": tuple(solutions)}
-            break
-    a._cache["degree"] = walk
-    return walk
+            return {"q": q, "degree": sum(s for _, s in solutions), "solutions": tuple(solutions)}
+    return None
 
 
 def lcp_unique_zero(a: RationalMatrix, q: Sequence) -> bool:

@@ -41,6 +41,7 @@ from .matrix import (
     integer_row,
     integer_rows,
     is_zero_vec,
+    memoized,
     nonempty_subsets,
     subspace_bases,
 )
@@ -54,22 +55,19 @@ _ONE = Fraction(1)
 # -- semipositivity ----------------------------------------------------
 
 
+@memoized("simplex_point")
 def _simplex_point(a: RationalMatrix, k: int, eqs: tuple, ges: tuple) -> bool:
     """Some x >= 0 in R^k with e^T x = 1 has Ex = 0 and Gx >= 0, for the
-    integer rows `eqs` of E and `ges` of G.  One LP per (k, E, G), memoized
-    in a._cache: the scans revisit systems, and tests meet in one (P#'s
+    integer rows `eqs` of E and `ges` of G.  One LP per (k, E, G) and
+    matrix: the scans revisit systems, and tests meet in one (P#'s
     all-plus orthant is strict range semimonotonicity's full support)."""
-    memo = a._cache.setdefault("simplex_point", {})
-    key = (k, eqs, ges)
-    if key not in memo:
-        system = LinearSystem(k, nonneg=True)
-        for row in eqs:
-            system.eq(row, 0)
-        system.eq([1] * k, 1)
-        for row in ges:
-            system.ge(row, 0)
-        memo[key] = lp_feasible(system).is_feasible
-    return memo[key]
+    system = LinearSystem(k, nonneg=True)
+    for row in eqs:
+        system.eq(row, 0)
+    system.eq([1] * k, 1)
+    for row in ges:
+        system.ge(row, 0)
+    return lp_feasible(system).is_feasible
 
 
 def _block(a: RationalMatrix, idx: tuple[int, ...], sign: int = 1) -> tuple:

@@ -11,7 +11,8 @@ solution set of a linear system, the (det, adj) pairs (`_det_adj`) of
 the LCP blocks and of the generalized inverses' factor products, and the
 simplex of `lp.py`.  Fractions are built only at the end.  Matrices are
 immutable by convention (nothing mutates `data` after construction),
-which makes the per-instance caches below safe.
+which makes the per-matrix memo safe: every cached result in the package
+goes through `memoized`, and no other module touches `_cache`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from math import lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -283,6 +285,25 @@ def jsonable(value):
     return value
 
 
+_MISSING = object()
+
+
+def memoized(key: str):
+    """Cache fn(m, *args) in m._cache: under `key` when fn takes the
+    matrix alone, else under (key, *args), which must be hashable.  None is
+    cached like any result; a call that raises caches nothing."""
+    def decorate(fn):
+        @wraps(fn)
+        def cached(m, *args):
+            k = (key, *args) if args else key
+            result = m._cache.get(k, _MISSING)
+            if result is _MISSING:
+                result = m._cache[k] = fn(m, *args)
+            return result
+        return cached
+    return decorate
+
+
 # -- elimination -------------------------------------------------------
 
 
@@ -302,13 +323,11 @@ def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (mult // x.denominator) for x in row], mult
 
 
+@memoized("int_rows")
 def integer_rows(m: RationalMatrix) -> list[tuple[list[int], int]]:
     """integer_row of every row of m, computed once per matrix (a matrix
     built by `RationalMatrix.from_ints` has its own rows here already)."""
-    cached = m._cache.get("int_rows")
-    if cached is None:
-        cached = m._cache["int_rows"] = [integer_row(row) for row in m.data]
-    return cached
+    return [integer_row(row) for row in m.data]
 
 
 def _pivot(rows: list[list[int]], r: int, c: int, den: int) -> int:
@@ -374,17 +393,13 @@ def _ratio(x: int, den: int) -> Fraction:
     return _ZERO if x == 0 else Fraction(x, den)
 
 
+@memoized("rref")
 def rref(m: RationalMatrix) -> RrefResult:
     """Reduced row echelon form; pivoting on first nonzero entry per column."""
-    cached = m._cache.get("rref")
-    if cached is not None:
-        return cached
-    a = [integer_row(row)[0] for row in m.data]
+    a = [ints for ints, _ in integer_rows(m)]
     den, pivots, _ = _eliminate(a, m.cols)
     data = [[_ratio(x, den) for x in row] for row in a]
-    result = RrefResult(RationalMatrix(m.rows, m.cols, data), len(pivots), pivots)
-    m._cache["rref"] = result
-    return result
+    return RrefResult(RationalMatrix(m.rows, m.cols, data), len(pivots), pivots)
 
 
 def rank(m: RationalMatrix) -> int:
@@ -414,23 +429,19 @@ def nonempty_subsets(n: int) -> Iterator[tuple[int, ...]]:
                                          for k in range(1, n + 1))
 
 
+@memoized("inv")
 def inverse(m: RationalMatrix) -> RationalMatrix | None:
     """Exact inverse, or None when singular."""
     m.require_square("inverse")
-    cached = m._cache.get("inv", False)
-    if cached is not False:
-        return cached
     # R = D A with D the row multipliers, so A^-1 = R^-1 D = adj(R) D / det R
     rows = integer_rows(m)
     entry = _det_adj([ints for ints, _ in rows], range(m.rows))
-    result = None
-    if entry is not None:
-        det, adj = entry
-        mults = [mult for _, mult in rows]
-        result = RationalMatrix(m.rows, m.rows, [[_ratio(t * mult, det) for t, mult in zip(row, mults)]
-                                                 for row in adj])
-    m._cache["inv"] = result
-    return result
+    if entry is None:
+        return None
+    det, adj = entry
+    mults = [mult for _, mult in rows]
+    return RationalMatrix(m.rows, m.rows, [[_ratio(t * mult, det) for t, mult in zip(row, mults)]
+                                           for row in adj])
 
 
 # -- subspaces ---------------------------------------------------------
@@ -492,20 +503,16 @@ def _null_basis(n: int, pivots: Sequence[int], entry) -> list[Vector]:
     return basis
 
 
+@memoized("bases")
 def subspace_bases(m: RationalMatrix) -> SubspaceBases:
     """Exact bases for R(A), N(A), R(A^T), N(A^T)."""
-    cached = m._cache.get("bases")
-    if cached is not None:
-        return cached
     rr = rref(m)
     rng = Subspace(m.rows, tuple(m.col_vec(j) for j in rr.pivots))
     row_basis = tuple(tuple(rr.matrix.data[i]) for i in range(rr.rank))
     nul = Subspace(m.cols, tuple(null_space_basis(m)))
     mt = m.transpose()
     left = Subspace(m.rows, tuple(null_space_basis(mt)))
-    result = SubspaceBases(range=rng, null=nul, row=Subspace(m.cols, row_basis), left_null=left)
-    m._cache["bases"] = result
-    return result
+    return SubspaceBases(range=rng, null=nul, row=Subspace(m.cols, row_basis), left_null=left)
 
 
 def full_rank_factorization(m: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .geninv import index_at_most_one
-from .matrix import RationalMatrix, _eliminate, integer_rows, inverse, nonempty_subsets
+from .matrix import RationalMatrix, _eliminate, integer_rows, inverse, memoized, nonempty_subsets
 
 
 class MClass(Enum):
@@ -44,24 +44,19 @@ class MinorClassReport:
     is_adequate: bool
 
 
+@memoized("flags")
 def structural_flags(a: RationalMatrix) -> StructuralFlags:
     a.require_square("structural flags")
-    cached = a._cache.get("flags")
-    if cached is not None:
-        return cached
     d = a.data
     n = a.rows
-    nonneg = all(x >= 0 for row in d for x in row)
-    result = StructuralFlags(
-        nonnegative=nonneg,
+    return StructuralFlags(
+        nonnegative=all(x >= 0 for row in d for x in row),
         positive=all(x > 0 for row in d for x in row),
         z_matrix=all(d[i][j] <= 0 for i in range(n) for j in range(n) if i != j),
         symmetric=all(d[i][j] == d[j][i] for i in range(n) for j in range(i + 1, n)),
         irreducible=is_irreducible(a),
         has_nonpositive_row=any(all(x <= 0 for x in row) for row in d),
     )
-    a._cache["flags"] = result
-    return result
 
 
 def is_irreducible(a: RationalMatrix) -> bool:
@@ -93,11 +88,9 @@ def is_irreducible(a: RationalMatrix) -> bool:
     return reaches_all(adj) and reaches_all(radj)
 
 
+@memoized("minors")
 def minor_class(a: RationalMatrix) -> MinorClassReport:
     a.require_square("minor classes", scan=True)
-    cached = a._cache.get("minors")
-    if cached is not None:
-        return cached
     # each row times its positive multiplier: every minor keeps its sign
     # and every row or column block its rank
     rows = [ints for ints, _ in integer_rows(a)]
@@ -121,8 +114,7 @@ def minor_class(a: RationalMatrix) -> MinorClassReport:
             break  # nothing can change anymore: adequacy needs is_p0 too
     first_cat = is_n and any(x > 0 for row in a.data for x in row)
     adequate = is_p0 and all(_rows_and_cols_dependent(rows, idx) for idx in vanished)
-    result = a._cache["minors"] = MinorClassReport(is_p, is_p0, is_n, first_cat, adequate)
-    return result
+    return MinorClassReport(is_p, is_p0, is_n, first_cat, adequate)
 
 
 def _rows_and_cols_dependent(rows: list[list[int]], idx: tuple[int, ...]) -> bool:

@@ -1,17 +1,22 @@
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from karalcp.errors import BadIndexSetError, DimensionMismatchError, NonSquareError
+from karalcp import matrix
+from karalcp.conelcp import cone_K
+from karalcp.errors import BadIndexSetError, DimensionMismatchError, NonSquareError, TooLargeError
 from karalcp.matrix import (
+    ENUMERATION_CAP,
     RationalMatrix,
     determinant,
     full_rank_factorization,
     integer_row,
     integer_rows,
     inverse,
+    memoized,
     principal_minor,
     rank,
     rref,
@@ -241,6 +246,45 @@ class TestInverse:
         else:
             eye = RationalMatrix.identity(m.rows)
             assert m @ inv == eye and inv @ m == eye
+
+
+class TestMemoized:
+    """The one per-matrix memo: a result, None included, is computed once
+    per key, and a call that raises leaves no entry, so it raises again."""
+
+    def test_keys_and_signature(self):
+        calls = []
+
+        @memoized("toy")
+        def toy(m, *args):
+            """A toy."""
+            calls.append(args)
+            return len(calls)
+
+        a = RationalMatrix.identity(2)
+        assert toy(a) == toy(a) == 1 and a._cache["toy"] == 1
+        assert toy(a, 3, (4,)) == toy(a, 3, (4,)) == 2 and a._cache[("toy", 3, (4,))] == 2
+        assert calls == [(), (3, (4,))]
+        assert toy.__name__ == "toy" and toy.__doc__ == "A toy."
+        assert str(inspect.signature(toy)) == "(m, *args)"
+
+    def test_none_is_computed_once(self, monkeypatch):
+        factored = []
+        det_adj = matrix._det_adj
+        monkeypatch.setattr(matrix, "_det_adj", lambda rows, idx: factored.append(idx)
+                            or det_adj(rows, idx))
+        a = RationalMatrix.from_rows([[1, 2], [2, 4]])
+        assert inverse(a) is None and inverse(a) is None
+        assert len(factored) == 1 and a._cache["inv"] is None
+
+    @pytest.mark.parametrize("a, error", [(RationalMatrix.zeros(2, 3), NonSquareError),
+                                          (RationalMatrix.identity(ENUMERATION_CAP + 1),
+                                           TooLargeError)])
+    def test_a_raising_call_caches_nothing(self, a, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                cone_K(a)
+        assert "coneK" not in a._cache
 
 
 class TestKernelAgainstFractionOracle:
