@@ -6,8 +6,11 @@ semimonotonicity ask it for G = A and G = A_SS; semipositivity is its
 absence for G = -A^T (Ville's theorem), strict (range) semimonotonicity
 its absence for G = -A_SS (and E = W_S^T, W a basis of N(A^T)) on every
 support S, and P# of a singular A its absence for G = -D_s A D_s and
-E = (D_s W)^T on every sign orthant s.  For invertible A, R(A) = R^n, so
-P# is the P-matrix minor test (Fiedler & Ptak, 1966).
+E = (D_s W)^T on every sign orthant s.  Those orthant LPs run only when no
+column of A refutes P#: each column lies in R(A), and one that reverses
+the sign of A on every coordinate is a feasible point of its orthant's LP.
+For invertible A, R(A) = R^n, so P# is the P-matrix minor test (Fiedler &
+Ptak, 1966), which a nonpositive diagonal entry fails at once.
 
 Copositivity over a polyhedral cone with generators V is the sign of the
 minimum of lambda^T G lambda over the standard simplex, for the symmetric
@@ -29,6 +32,8 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import EmptyConeError, TooLargeError
 from .lcp import complementary_solutions, first_nonzero_solution
@@ -135,22 +140,46 @@ def is_p_hash(a: RationalMatrix) -> bool:
     """No nonzero x in R(A) with x_i (Ax)_i <= 0 for every i.
 
     For invertible A, R(A) = R^n and this says A is a P-matrix (Fiedler &
-    Ptak; Cottle, Pang & Stone, Thm 3.3.4), decided by the principal
-    minors; invertibility is the pivot count of one integer elimination of
-    the row-scaled A.  For singular A, one LP per sign orthant s: x = D_s z
-    with z on the simplex, W^T D_s z = 0 and -D_s A D_s z >= 0.  The pair
-    (s, -s) describes the same problem, so only orthants with s_1 = +1 run.
+    Ptak; Cottle, Pang & Stone, Thm 3.3.4): invertibility is the pivot
+    count of one integer elimination of the row-scaled A, a nonpositive
+    diagonal entry (a 1x1 minor) refutes it, and otherwise the principal
+    minors decide.  For singular A, each column A e_j lies in R(A), and a
+    nonzero one that reverses the sign of A on every coordinate refutes A
+    with no LP (it is a point of its own sign orthant's LP below).  Only
+    then one LP per sign orthant s: x = D_s z with z on the simplex,
+    W^T D_s z = 0 and -D_s A D_s z >= 0.  The pair (s, -s) describes the
+    same problem, so only orthants with s_1 = +1 run.
     """
     a.require_square("P# test", scan=True)
     n = a.rows
-    if len(_eliminate([ints for ints, _ in integer_rows(a)], n)[1]) == n:
-        return minor_class(a).is_p
+    scaled = integer_rows(a)
+    rows = [ints for ints, _ in scaled]
+    if len(_eliminate(rows[:], n)[1]) == n:
+        return all(rows[i][i] > 0 for i in range(n)) and minor_class(a).is_p
+    if _column_refutes(scaled):
+        return False
     null, minus_a = _left_null(a), _block(a, tuple(range(n)), -1)
     return not any(
         _simplex_point(a, n, tuple(tuple(w[j] * s[j] for j in range(n)) for w in null),
                        tuple(tuple(s[i] * g[j] * s[j] for j in range(n))
                              for i, g in enumerate(minus_a)))
         for s in ((1,) + signs for signs in itertools.product((1, -1), repeat=n - 1)))
+
+
+def _column_refutes(scaled: list[tuple[list[int], int]]) -> bool:
+    """Some nonzero column x = A e_j has x_i (Ax)_i <= 0 for every i.  In
+    integers: with R = D A the rows of `integer_rows` (D = diag(m_i), m_i >
+    0) and L the lcm of the m_i, y = L x has entries (L / m_i) R_ij, and
+    y_i (Ry)_i has the sign of x_i (Ax)_i.  A column of R itself, D A e_j,
+    need not lie in R(A)."""
+    rows = [ints for ints, _ in scaled]
+    lcm_m = lcm(*(m for _, m in scaled))
+    factors = [lcm_m // m for _, m in scaled]
+    for j in range(len(rows)):
+        y = [f * row[j] for f, row in zip(factors, rows)]
+        if any(y) and all(yi * sum(map(mul, row, y)) <= 0 for yi, row in zip(y, rows)):
+            return True
+    return False
 
 
 def is_strictly_range_semimonotone(a: RationalMatrix) -> bool:

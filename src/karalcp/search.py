@@ -42,19 +42,27 @@ def random_integer_matrix(rng: random.Random, n: int, entry_bound: int,
                           density: Fraction) -> RationalMatrix:
     """Integer entries in [-entry_bound, entry_bound]; each entry is zeroed
     with probability 1 - density.  Draw order is fixed row-major for
-    reproducibility, one randint and one random() per entry at every
-    density; the draw r = p/q is compared with density exactly, in
-    integers.  The matrix carries its rows of ints (`from_ints`), so the
-    sieve's eliminations never rescale them."""
+    reproducibility, one value and one random() per entry at every density.
+    The value is randint's own draw, made without its call layers:
+    getrandbits(k) for k the bit length of the 2 * entry_bound + 1 values,
+    redrawn while out of range.  The draw r = p/q is compared with density
+    exactly, in integers.  The matrix carries its rows of ints
+    (`from_ints`), so the sieve's eliminations never rescale them."""
+    if entry_bound < 0:
+        raise ValueError(f"entry_bound {entry_bound} is negative")
     num, den = density.numerator, density.denominator
-    randint, draw = rng.randint, rng.random
+    bits, draw = rng.getrandbits, rng.random
+    width = 2 * entry_bound + 1
+    k = width.bit_length()
     rows = []
     for _ in range(n):
         row = []
         for _ in range(n):
-            v = randint(-entry_bound, entry_bound)
+            v = bits(k)
+            while v >= width:
+                v = bits(k)
             p, q = draw().as_integer_ratio()
-            row.append(v if p * den < num * q else 0)
+            row.append(v - entry_bound if p * den < num * q else 0)
         rows.append(row)
     return RationalMatrix.from_ints(rows)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from karalcp import lcp, lcp_classes
+from karalcp import lcp, lcp_classes, minor_classes
 from karalcp.conelcp import cone_K, is_karamardian
 from karalcp.corpus import corpus_entries
 from karalcp.errors import EmptyConeError, TooLargeError
@@ -155,6 +155,12 @@ class TestPHash:
         ([[1, -1, -1], [-1, 2, -1], [-1, -1, 5]], True),
         ([[1, -1, -1], [-2, 3, -1], [-1, -1, 7]], True),
         ([["2/3", "-1/3", "-1/3"], ["-1/3", "2/3", "-1/3"], ["-1/3", "-1/3", "2/3"]], True),
+        # u v^T with u = (1, 1/2), v = (2, -3): v^T u = 1/2 > 0.  Row 2 has
+        # multiplier 2, and the column (-3, -3) of the row-scaled A, which is
+        # not in R(A), would reverse A's signs.
+        ([[2, -3], [1, "-3/2"]], True),
+        ([[2, -1], [2, -1]], True),  # singular P# with a negative diagonal entry
+        ([[1, -2], [1, -2]], False),  # column (1, 1) maps to (-1, -1)
     ])
     def test_known_values(self, rows, expected):
         assert is_p_hash(RationalMatrix.from_rows(rows)) is expected
@@ -290,8 +296,46 @@ class TestLpReferences:
         before = len(calls)
         assert is_p_hash(a) and is_strictly_range_semimonotone(a)
         assert len(calls) == before
-        assert determinant(M1) == 0 and not is_p_hash(M1)  # decided by orthant LPs
+        assert determinant(M1) == 0 and not is_p_hash(M1)  # no column refutes M1
         assert len(calls) > before
+
+    def test_shortcuts_skip_the_minor_scan_and_the_lps(self, monkeypatch):
+        # An invertible A with a nonpositive diagonal entry is not P: no
+        # minor scan.  A singular A that one of its columns refutes runs no
+        # orthant LP; the singular P# u v^T, u = (1, 1), v = (2, -1), stays
+        # P# despite its negative diagonal entry.
+        calls = _counted_lps(monkeypatch)
+        eliminations = []
+        real = minor_classes._eliminate
+        monkeypatch.setattr(minor_classes, "_eliminate",
+                            lambda *args: eliminations.append(args) or real(*args))
+        for rows in ([[0, 1], [-1, 0]], [[3, 1, 0], [1, -1, 2], [0, 2, 5]]):
+            a = RationalMatrix.from_rows(rows)
+            assert determinant(a) != 0 and not is_p_hash(a)
+        assert not eliminations and not calls
+        for rows in ([[1, -2], [1, -2]], [[0, -1], [0, 0]], [["1/2", 1, 0], [1, -3, 1], [0, 0, 0]]):
+            a = RationalMatrix.from_rows(rows)
+            assert determinant(a) == 0 and not is_p_hash(a)
+        assert not calls
+        a = RationalMatrix.from_rows([[2, -1], [2, -1]])
+        assert is_p_hash(a) and len(calls) == 2  # both orthants of order 2 with s_1 = +1
+
+    def test_p_hash_of_fractional_products_matches_orthant_reference(self):
+        # Rank-deficient B C with entries p/q: rows get unlike multipliers, so
+        # a column of the row-scaled A is not a column of A.
+        rng = random.Random(23)
+        seen = {True: 0, False: 0}
+        for _ in range(3000):
+            n = rng.randint(2, 4)
+            r = rng.randint(1, n - 1)
+            b, c = (RationalMatrix(k, m, [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                           for _ in range(m)] for _ in range(k)])
+                    for k, m in ((n, r), (r, n)))
+            a = b @ c
+            expected = p_hash_orthant_reference(a)
+            assert is_p_hash(a) is expected, a.data
+            seen[expected] += 1
+        assert min(seen.values()) > 900
 
 
 def _counted_lps(monkeypatch) -> list:

@@ -81,6 +81,12 @@ class TestDrawAgainstFractionOracle:
                 assert integer_rows(got) == [([int(x) for x in row], 1) for row in want.data]
                 assert rng.getstate() == ref.getstate()
 
+    def test_negative_entry_bound_raises_like_randint(self):
+        with pytest.raises(ValueError):
+            random_integer_matrix(random.Random(0), 2, -1, Fraction(1))
+        with pytest.raises(ValueError):
+            random_integer_matrix_fraction(random.Random(0), 2, -1, Fraction(1))
+
 
 class TestCounterexampleHits:
     def test_certified_no_is_logged_with_its_certificate(self):
