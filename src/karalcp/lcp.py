@@ -19,14 +19,16 @@ consistent block gives an affine family that is intersected with the
 sign constraints by one LP and classified as empty, a point, or a
 positive-dimensional family in x (flagged degenerate with one
 representative); only the x-coordinates some family direction moves
-cost a min and a max LP.  x = 0 is the empty support's solution: its
-block is the d x d zero corner, det 1 for N empty (x = 0 solves iff
-q >= 0) and else singular by shape, whose family LP asks for a w with
-q - Nw >= 0.  So a nonempty S on which R(A) holds no nonzero vector
-(N_S of rank |S|, only possible for |S| <= dim N) is skipped with no
-solve and no LP: its only possible solution is x = 0, and its
-conditions imply the empty support's.  For u > 0, A = u v^T leaves only
-the empty and the full support.
+cost a min and a max LP.  At q = 0 the family is a cone through x = 0,
+so it needs no feasibility LP, and each moved x_i costs only the pinned
+LP x_i = 1, up to the first that is feasible.  x = 0 is the empty
+support's solution: its block is the d x d zero corner, det 1 for N
+empty (x = 0 solves iff q >= 0) and else singular by shape, whose family
+LP asks for a w with q - Nw >= 0 (none at q = 0).  So a nonempty S on
+which R(A) holds no nonzero vector (N_S of rank |S|, only possible for
+|S| <= dim N) is skipped with no solve and no LP: its only possible
+solution is x = 0, and its conditions imply the empty support's.  For
+u > 0, A = u v^T leaves only the empty and the full support.
 `complementary_solutions` visits every support, the empty one first;
 `first_nonzero_solution` scans the nonempty ones and stops at the first
 nonzero solution, which answers both yes/no questions asked here: is zero
@@ -341,7 +343,12 @@ def _family_solutions(n: int, q: Vector, support, sol, comp, off_support):
     """Classify an affine family of block solutions, v = particular + sum
     t_j basis_j, against the sign constraints: returns (representative |
     None, positive_dimensional), where only x_S counts towards dimension.
-    off_support(v) gives (Ax - Nw)_i for each i in comp."""
+    off_support(v) gives (Ax - Nw)_i for each i in comp.
+
+    At q = 0 the particular solution and every right-hand side are 0, so
+    the family is a cone through x = 0: min x_i is 0 and max x_i is 0 or
+    unbounded.  Each moved x_i then costs only the LP x_i = 1, and the
+    family is the point x = 0 when no x_i can be pinned."""
     k = len(support)
     coords = [[nb[idx] for nb in sol.null_basis] for idx in range(k)]
     system = LinearSystem(len(sol.null_basis))
@@ -350,31 +357,43 @@ def _family_solutions(n: int, q: Vector, support, sol, comp, off_support):
     columns = [off_support(nb) for nb in sol.null_basis]
     for idx, (i, fixed) in enumerate(zip(comp, off_support(sol.particular))):
         system.ge([col[idx] for col in columns], -q[i] - fixed)
-    out = lp_feasible(system)
-    if not out.is_feasible:
-        return None, False
+    homogeneous = not any(q)
+    if not homogeneous:
+        out = lp_feasible(system)
+        if not out.is_feasible:
+            return None, False
 
     def to_x(t) -> Vector:
         x_s = [sol.particular[idx] + sum(nb[idx] * t[j] for j, nb in enumerate(sol.null_basis))
                for idx in range(k)]
         return _expand(x_s, support, n)
 
+    def pinned(coeffs, value):
+        """The family's LP with x_i = value as its one equality row."""
+        pin = LinearSystem(system.n_vars)
+        pin.inequalities_ge = system.inequalities_ge
+        return lp_feasible(pin.eq(coeffs, value))
+
     # the family is a single point in x unless some x_i is nonconstant; an
     # x_i no null-basis vector moves is constant, so it needs no LP
     for coeffs in coords:
         if not any(coeffs):
             continue
+        if homogeneous:
+            ray = pinned(coeffs, _ONE)
+            if ray.is_feasible:
+                return to_x(ray.witness), True
+            continue
         lo = lp_optimize(coeffs, system, "min")
         hi = lp_optimize(coeffs, system, "max")
         if hi.status == UNBOUNDED:
-            # x_i is unbounded above: pin it one unit past the minimum (the
-            # last use of the system, as eq appends in place) to produce a
-            # representative with x_i > 0
-            return to_x(lp_feasible(system.eq(coeffs, lo.value + 1)).witness), True
+            # x_i is unbounded above: pin it one unit past the minimum to
+            # produce a representative with x_i > 0
+            return to_x(pinned(coeffs, lo.value + 1).witness), True
         if lo.value != hi.value:
             # hi > lo >= 0, so the max witness is nonzero
             return to_x(hi.witness), True
-    return to_x(out.witness), False
+    return (_ZERO,) * n if homogeneous else to_x(out.witness), False
 
 
 @memoized("degree")

@@ -1,14 +1,17 @@
 """LCP matrix classes decided by exact feasibility search.
 
-Every semipositivity-type test asks one memoized LP, _simplex_point: is
-there x >= 0 with e^T x = 1, Ex = 0 and Gx >= 0?  Weak semipositivity and
-semimonotonicity ask it for G = A and G = A_SS; semipositivity is its
-absence for G = -A^T (Ville's theorem), strict (range) semimonotonicity
-its absence for G = -A_SS (and E = W_S^T, W a basis of N(A^T)) on every
-support S, and P# of a singular A its absence for G = -D_s A D_s and
-E = (D_s W)^T on every sign orthant s.  Those orthant LPs run only when no
-column of A refutes P#: each column lies in R(A), and one that reverses
-the sign of A on every coordinate is a feasible point of its orthant's LP.
+Every semipositivity-type test asks one memoized question, _simplex_point:
+is there x >= 0 with e^T x = 1, Ex = 0 and Gx >= 0?  A vertex e_j of the
+simplex that solves it, a one-point simplex (k = 1) or a row of G negative
+in every entry answers it with no LP, and one LP answers the rest.  Weak
+semipositivity and semimonotonicity ask it for G = A and G = A_SS;
+semipositivity is its absence for G = -A^T (Ville's theorem), strict
+(range) semimonotonicity its absence for G = -A_SS (and E = W_S^T, W a
+basis of N(A^T)) on every support S, and P# of a singular A its absence
+for G = -D_s A D_s and E = (D_s W)^T on every sign orthant s.  Those
+orthant questions are asked only when no column of A refutes P#: each
+column lies in R(A), and one that reverses the sign of A on every
+coordinate is a feasible point of its orthant's system.
 For invertible A, R(A) = R^n, so P# is the P-matrix minor test (Fiedler &
 Ptak, 1966), which a nonpositive diagonal entry fails at once.
 
@@ -63,9 +66,19 @@ _ONE = Fraction(1)
 @memoized("simplex_point")
 def _simplex_point(a: RationalMatrix, k: int, eqs: tuple, ges: tuple) -> bool:
     """Some x >= 0 in R^k with e^T x = 1 has Ex = 0 and Gx >= 0, for the
-    integer rows `eqs` of E and `ges` of G.  One LP per (k, E, G) and
+    integer rows `eqs` of E and `ges` of G.  Memoized per (k, E, G) and
     matrix: the scans revisit systems, and tests meet in one (P#'s
-    all-plus orthant is strict range semimonotonicity's full support)."""
+    all-plus orthant is strict range semimonotonicity's full support).
+
+    Three certificates decide without an LP: a vertex e_j with E e_j = 0
+    and G e_j >= 0 is a solution; for k = 1 that vertex is the whole
+    simplex; and a row of G negative in every entry is negative at every
+    simplex point (Cottle, Pang & Stone, section 3.1).  Otherwise one LP."""
+    for j in range(k):
+        if all(row[j] == 0 for row in eqs) and all(row[j] >= 0 for row in ges):
+            return True
+    if k == 1 or any(max(row) < 0 for row in ges):
+        return False
     system = LinearSystem(k, nonneg=True)
     for row in eqs:
         system.eq(row, 0)
@@ -127,7 +140,7 @@ def is_almost_semimonotone(a: RationalMatrix) -> bool:
 def _sign_reversed(a: RationalMatrix, null: tuple) -> bool:
     """Some nonzero x >= 0 with W^T x = 0 has x * Ax <= 0, for the integer
     rows `null` of W^T: on the support S of x, x_S is a simplex point with
-    W_S^T x_S = 0 and -A_SS x_S >= 0, one LP per S."""
+    W_S^T x_S = 0 and -A_SS x_S >= 0, one question per S."""
     return any(_simplex_point(a, len(s), tuple(tuple(w[j] for j in s) for w in null),
                               _block(a, s, -1))
                for s in nonempty_subsets(a.rows))
@@ -145,10 +158,11 @@ def is_p_hash(a: RationalMatrix) -> bool:
     diagonal entry (a 1x1 minor) refutes it, and otherwise the principal
     minors decide.  For singular A, each column A e_j lies in R(A), and a
     nonzero one that reverses the sign of A on every coordinate refutes A
-    with no LP (it is a point of its own sign orthant's LP below).  Only
-    then one LP per sign orthant s: x = D_s z with z on the simplex,
-    W^T D_s z = 0 and -D_s A D_s z >= 0.  The pair (s, -s) describes the
-    same problem, so only orthants with s_1 = +1 run.
+    with no LP (it is a point of its own sign orthant's system below).
+    Only then one question per sign orthant s: x = D_s z with z on the
+    simplex, W^T D_s z = 0 and -D_s A D_s z >= 0, each at most one LP.
+    The pair (s, -s) describes the same problem, so only orthants with
+    s_1 = +1 run.
     """
     a.require_square("P# test", scan=True)
     n = a.rows
@@ -184,7 +198,7 @@ def _column_refutes(scaled: list[tuple[list[int], int]]) -> bool:
 
 def is_strictly_range_semimonotone(a: RationalMatrix) -> bool:
     """No nonzero x >= 0 in R(A) with x * Ax <= 0; for invertible A, R(A) =
-    R^n and the LPs are those of strict semimonotonicity."""
+    R^n and the questions are those of strict semimonotonicity."""
     a.require_square("strict range semimonotonicity", scan=True)
     return not _sign_reversed(a, _left_null(a))
 

@@ -462,6 +462,23 @@ def strictly_semimonotone_reference(a: RationalMatrix) -> bool:
     return all(semipositive_reference(a.submatrix(idx, idx)) for idx in nonempty_subsets(a.rows))
 
 
+# -- the simplex-point LP on every system: the reference for
+# -- lcp_classes._simplex_point, which a vertex of the simplex, a one-point
+# -- simplex or an all-negative row of G answers first -------------------------
+
+
+def simplex_point_reference(k: int, eqs, ges) -> bool:
+    """Some x >= 0 in R^k with e^T x = 1 has Ex = 0 and Gx >= 0, for the
+    rows `eqs` of E and `ges` of G: one LP."""
+    system = LinearSystem(k, nonneg=True)
+    for row in eqs:
+        system.eq(row, 0)
+    system.eq([1] * k, 1)
+    for row in ges:
+        system.ge(row, 0)
+    return lp_feasible(system).is_feasible
+
+
 # -- the H-matrix scaling LP: the reference for
 # -- minor_classes.is_h_matrix_positive_diag, which reads the inverse signs of
 # -- the comparison matrix instead --------------------------------------------

@@ -175,8 +175,10 @@ class TestDualMembership:
 
     def test_membership_builds_no_lp(self, monkeypatch):
         """On a rank-2 order-3 matrix both predicates read the generators of
-        K and build no LP, while the cone LCP at q = 0 builds five, one of
-        them the empty support's, which decides x = 0."""
+        K and build no LP, while the cone LCP at q = 0 builds one: its
+        families are cones through x = 0, so the empty support's is the
+        point x = 0 with no LP, and the ray on support {1, 2} costs the
+        pinned LP x_1 = 1 alone."""
         from karalcp import lp
 
         built = []
@@ -195,7 +197,7 @@ class TestDualMembership:
         assert int_dual_membership(a, vec([1, 1, 1]))
         assert not built
         assert cone_lcp_solutions(a, zero).solutions == (zero, vec([0, 1, 1]))
-        assert len(built) == 5
+        assert len(built) == 1
 
 
 class TestConeLcp:

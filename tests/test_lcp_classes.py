@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,13 +25,22 @@ from karalcp.lcp_classes import (
 )
 from karalcp.lcp import YES, is_q_matrix
 from karalcp.lp import LinearSystem, lp_feasible
-from karalcp.matrix import RationalMatrix, determinant, inverse, rank
+from karalcp.matrix import (
+    RationalMatrix,
+    determinant,
+    integer_rows,
+    inverse,
+    memoized,
+    nonempty_subsets,
+    rank,
+)
 from karalcp.minor_classes import has_property_c, is_h_matrix_positive_diag, minor_class
 from karalcp.monotone import is_range_monotone
 from oracles import (
     copositivity_kkt_reference,
     p_hash_orthant_reference,
     semipositive_reference,
+    simplex_point_reference,
     strictly_range_semimonotone_reference,
     strictly_semimonotone_reference,
 )
@@ -88,21 +99,21 @@ class TestSemimonotone:
 
     def test_each_principal_lp_runs_once_per_matrix(self, monkeypatch):
         # A positive 4x4 passes every test, so each scan visits all 15
-        # supports.  Supports that restrict to the same system share one LP:
-        # {0} and {1} (equal diagonals), {2} and {3}, and {0, 2} and {1, 3}.
-        # That leaves 12 weak and 12 strict LPs, and a repeat is free.
-        calls = []
-        real = lcp_classes.lp_feasible
-        monkeypatch.setattr(lcp_classes, "lp_feasible", lambda s: calls.append(s) or real(s))
+        # supports.  Supports that restrict to the same system share one
+        # question: {0} and {1} (equal diagonals), {2} and {3}, and {0, 2}
+        # and {1, 3}.  That leaves 12 weak and 12 strict questions, and a
+        # repeat is free.  None needs an LP: each vertex e_j is a weak
+        # solution, and each row of -A_SS is negative.
+        asked, calls = _counted_questions(monkeypatch), _counted_lps(monkeypatch)
         a = RationalMatrix.from_rows([[1, 2, 1, 3], [2, 1, 1, 1], [1, 3, 2, 1], [1, 1, 1, 2]])
         for _ in range(2):
             assert is_semimonotone(a) and not is_almost_semimonotone(a)
             assert is_strictly_semimonotone(a)
-            assert len(calls) == 24
-        # the memo lives on the matrix: a fresh copy solves them again
+            assert len(asked) == 24
+        # the memo lives on the matrix: a fresh copy asks them again
         fresh = RationalMatrix.from_rows(a.data)
         assert is_semimonotone(fresh) and is_strictly_semimonotone(fresh)
-        assert len(calls) == 48
+        assert len(asked) == 48 and not calls
 
     def test_p_matrices_are_strictly_semimonotone(self):
         rng = random.Random(1)
@@ -240,10 +251,33 @@ def _rank_one(rng: random.Random, n: int) -> RationalMatrix:
     return RationalMatrix(n, n, [[ui * vj for vj in v] for ui in u])
 
 
+def _fractional_entries(rng: random.Random, rows: int, cols: int) -> RationalMatrix:
+    return RationalMatrix(rows, cols, [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                        for _ in range(cols)] for _ in range(rows)])
+
+
+def _fractional_product(rng: random.Random, n: int) -> RationalMatrix:
+    """B C with B n x r and C r x n, r < n, entries p/q, p in [-3, 3] and q
+    in [1, 4]: its rows get unlike multipliers in integer_rows, so the
+    row-scaled A is not a multiple of A, and a column of it is not a column
+    of A."""
+    r = rng.randint(1, n - 1)
+    return _fractional_entries(rng, n, r) @ _fractional_entries(rng, r, n)
+
+
+def _fractional(rng: random.Random, n: int) -> RationalMatrix:
+    """An order-n matrix with entries p/q, or half the time (n > 1) a
+    _fractional_product."""
+    if n == 1 or rng.random() < 0.5:
+        return _fractional_entries(rng, n, n)
+    return _fractional_product(rng, n)
+
+
 def _differential_inputs(seed: int):
     """Random integer, P- and positive (strictly semimonotone, rarely P)
     matrices of orders 1 to 5, rank-deficient products F G and rank-one
-    u v^T of orders 2 to 5, then the corpus P# entries."""
+    u v^T of orders 2 to 5, fractional matrices of orders 1 to 4 whose rows
+    have unlike denominators, then the corpus P# entries."""
     rng = random.Random(seed)
     for _ in range(150):
         yield rand_int_matrix(rng, *(rng.randint(1, 5),) * 2)
@@ -256,6 +290,8 @@ def _differential_inputs(seed: int):
         yield _rank_deficient(rng, rng.randint(2, 5))
     for _ in range(60):
         yield _rank_one(rng, rng.randint(2, 5))
+    for _ in range(80):
+        yield _fractional(rng, rng.randint(1, 4))
     for entry in corpus_entries():
         if "phash" in entry.tags:
             yield entry.matrix
@@ -278,33 +314,36 @@ class TestLpReferences:
 
     def test_strict_range_semimonotone_matches_support_reference(self):
         seen = {True: 0, False: 0}
+        unlike = 0
         for a in _differential_inputs(22):
             expected = strictly_range_semimonotone_reference(a)
             assert is_strictly_range_semimonotone(a) is expected, a.data
             seen[expected] += 1
-        assert min(seen.values()) > 30
+            unlike += len({m for _, m in integer_rows(a)}) > 1
+        assert min(seen.values()) > 30 and unlike > 40
 
     def test_invertible_matrix_runs_no_lp(self, monkeypatch):
         # P# of an invertible matrix is read from its minor scan; strict range
-        # semimonotonicity has an empty left-null basis, so its support LPs
-        # are strict semimonotonicity's, already memoized
-        calls = []
-        real = lcp_classes.lp_feasible
-        monkeypatch.setattr(lcp_classes, "lp_feasible", lambda s: calls.append(s) or real(s))
+        # semimonotonicity has an empty left-null basis, so its support
+        # questions are strict semimonotonicity's, already memoized
+        asked, calls = _counted_questions(monkeypatch), _counted_lps(monkeypatch)
         a = RationalMatrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
         assert minor_class(a).is_p and is_strictly_semimonotone(a)
-        before = len(calls)
+        before, lps = len(asked), len(calls)
         assert is_p_hash(a) and is_strictly_range_semimonotone(a)
-        assert len(calls) == before
-        assert determinant(M1) == 0 and not is_p_hash(M1)  # no column refutes M1
-        assert len(calls) > before
+        assert (len(asked), len(calls)) == (before, lps)
+        # No column of M1 refutes it, so it reaches the orthant questions.
+        # The first, the all-plus orthant, holds the vertex e_3: it lies in
+        # R(A) (the second column minus the first) and A e_3 = 0, so no LP.
+        assert determinant(M1) == 0 and not is_p_hash(M1)
+        assert (len(asked), len(calls)) == (before + 1, lps)
 
     def test_shortcuts_skip_the_minor_scan_and_the_lps(self, monkeypatch):
         # An invertible A with a nonpositive diagonal entry is not P: no
         # minor scan.  A singular A that one of its columns refutes runs no
         # orthant LP; the singular P# u v^T, u = (1, 1), v = (2, -1), stays
         # P# despite its negative diagonal entry.
-        calls = _counted_lps(monkeypatch)
+        asked, calls = _counted_questions(monkeypatch), _counted_lps(monkeypatch)
         eliminations = []
         real = minor_classes._eliminate
         monkeypatch.setattr(minor_classes, "_eliminate",
@@ -312,28 +351,36 @@ class TestLpReferences:
         for rows in ([[0, 1], [-1, 0]], [[3, 1, 0], [1, -1, 2], [0, 2, 5]]):
             a = RationalMatrix.from_rows(rows)
             assert determinant(a) != 0 and not is_p_hash(a)
-        assert not eliminations and not calls
+        assert not eliminations and not asked and not calls
         for rows in ([[1, -2], [1, -2]], [[0, -1], [0, 0]], [["1/2", 1, 0], [1, -3, 1], [0, 0, 0]]):
             a = RationalMatrix.from_rows(rows)
             assert determinant(a) == 0 and not is_p_hash(a)
-        assert not calls
+        assert not asked and not calls
+        # both orthants of order 2 with s_1 = +1 are asked, and only s = (1, 1)
+        # needs its LP: s = (1, -1) gives -D_s A D_s the negative row (-2, -1)
         a = RationalMatrix.from_rows([[2, -1], [2, -1]])
-        assert is_p_hash(a) and len(calls) == 2  # both orthants of order 2 with s_1 = +1
+        assert is_p_hash(a) and len(asked) == 2 and len(calls) == 1
 
     def test_p_hash_of_fractional_products_matches_orthant_reference(self):
-        # Rank-deficient B C with entries p/q: rows get unlike multipliers, so
-        # a column of the row-scaled A is not a column of A.
         rng = random.Random(23)
         seen = {True: 0, False: 0}
         for _ in range(3000):
-            n = rng.randint(2, 4)
-            r = rng.randint(1, n - 1)
-            b, c = (RationalMatrix(k, m, [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-                                           for _ in range(m)] for _ in range(k)])
-                    for k, m in ((n, r), (r, n)))
-            a = b @ c
+            a = _fractional_product(rng, rng.randint(2, 4))
             expected = p_hash_orthant_reference(a)
             assert is_p_hash(a) is expected, a.data
+            seen[expected] += 1
+        assert min(seen.values()) > 900
+
+    def test_strict_range_semimonotone_of_fractional_products_matches_support_reference(self):
+        # W must span N(A^T), not N((DA)^T) = D^-1 N(A^T) of the row-scaled
+        # DA: with unlike multipliers D, W^T x = 0 would then ask for x in
+        # R(DA), not in R(A).
+        rng = random.Random(24)
+        seen = {True: 0, False: 0}
+        for _ in range(3000):
+            a = _fractional_product(rng, rng.randint(2, 4))
+            expected = strictly_range_semimonotone_reference(a)
+            assert is_strictly_range_semimonotone(a) is expected, a.data
             seen[expected] += 1
         assert min(seen.values()) > 900
 
@@ -343,6 +390,16 @@ def _counted_lps(monkeypatch) -> list:
     real = lcp_classes.lp_feasible
     monkeypatch.setattr(lcp_classes, "lp_feasible", lambda s: calls.append(s) or real(s))
     return calls
+
+
+def _counted_questions(monkeypatch) -> list:
+    """The (k, E, G) systems that miss _simplex_point's per-matrix memo,
+    whether a certificate or an LP then answers them."""
+    asked = []
+    real = lcp_classes._simplex_point.__wrapped__
+    monkeypatch.setattr(lcp_classes, "_simplex_point", memoized("simplex_point")(
+        lambda a, *system: asked.append(system) or real(a, *system)))
+    return asked
 
 
 class TestSimplexPoint:
@@ -374,18 +431,47 @@ class TestSimplexPoint:
         assert any(is_semipositive(a) for a in rectangular)
 
     def test_p_hash_and_strict_range_semimonotone_share_the_full_support(self, monkeypatch):
-        # Singular, so P# runs its orthant LPs; the all-plus orthant (W^T x = 0,
-        # -Ax >= 0) is strict range semimonotonicity's full support.
+        # Singular, so P# asks its orthant questions; the all-plus orthant
+        # (W^T x = 0, -Ax >= 0) is strict range semimonotonicity's full
+        # support, asked once when one matrix runs both tests.
         rows = [[1, 2, 1, 3], [2, 1, 1, 1], [1, 3, 2, 1], [3, 3, 2, 4]]
-        calls = _counted_lps(monkeypatch)
+        asked = _counted_questions(monkeypatch)
         a = RationalMatrix.from_rows(rows)
         assert determinant(a) == 0 and is_strictly_range_semimonotone(a)
-        srsm = len(calls)
-        p_hash = is_p_hash(RationalMatrix.from_rows(rows))
-        alone = len(calls) - srsm
+        srsm = len(asked)
+        assert not is_p_hash(RationalMatrix.from_rows(rows))
+        alone = len(asked) - srsm
+        assert (srsm, alone) == (14, 5)  # P# is refuted at its fifth question
         both = RationalMatrix.from_rows(rows)
-        assert is_p_hash(both) is p_hash and is_strictly_range_semimonotone(both)
-        assert len(calls) - srsm - alone == srsm + alone - 1
+        assert not is_p_hash(both) and is_strictly_range_semimonotone(both)
+        assert len(asked) - srsm - alone == srsm + alone - 1
+
+    def test_certificates_match_the_lp_reference(self, monkeypatch):
+        # The systems the scans ask of fractional matrices whose rows have
+        # unlike multipliers: G = +-A_SS of the row-scaled A on every
+        # support S, with E empty and, for singular A, E = W_S^T, and P#'s
+        # sign orthants.  Each answer is the LP's, an LP runs exactly when
+        # no certificate applies, and each certificate answers some system.
+        calls = _counted_lps(monkeypatch)
+        rng = random.Random(32)
+        seen = Counter()
+        unlike = 0
+        for _ in range(150):
+            a = _fractional(rng, rng.randint(1, 4))
+            unlike += len({m for _, m in integer_rows(a)}) > 1
+            for k, eqs, ges in _simplex_point_systems(a):
+                before = len(calls)
+                got = lcp_classes._simplex_point.__wrapped__(a, k, eqs, ges)
+                assert got is simplex_point_reference(k, eqs, ges), (a.data, eqs, ges)
+                answer = _certificate(k, eqs, ges)
+                assert len(calls) - before == (answer is None)
+                seen[answer, bool(eqs), got] += 1
+        assert unlike > 60
+        for key in (("vertex", False, True), ("vertex", True, True), ("point", False, False),
+                    ("point", True, False), ("row", False, False), ("row", True, False),
+                    (None, False, True), (None, False, False), (None, True, True),
+                    (None, True, False)):
+            assert seen[key] > 5, (key, seen)
 
     def test_tests_on_one_matrix_keep_their_own_systems(self):
         # Strict semimonotonicity and strict range semimonotonicity ask the
@@ -407,6 +493,37 @@ class TestSimplexPoint:
             assert len(calls) == before
             assert is_semipositive(a) is expected
             assert len(calls) == before + 1
+
+
+def _simplex_point_systems(a: RationalMatrix):
+    """(k, E, G) as the semimonotonicity, strict range semimonotonicity and
+    P# scans build them for A."""
+    n = a.rows
+    null = lcp_classes._left_null(a)
+    for s in nonempty_subsets(n):
+        for eqs in [()] + [tuple(tuple(w[j] for j in s) for w in null)] * bool(null):
+            for sign in (1, -1):
+                yield len(s), eqs, lcp_classes._block(a, s, sign)
+    if null:
+        minus_a = lcp_classes._block(a, tuple(range(n)), -1)
+        for signs in itertools.product((1, -1), repeat=n - 1):
+            s = (1,) + signs
+            yield (n, tuple(tuple(w[j] * s[j] for j in range(n)) for w in null),
+                   tuple(tuple(s[i] * g[j] * s[j] for j in range(n)) for i, g in enumerate(minus_a)))
+
+
+def _certificate(k: int, eqs, ges) -> str | None:
+    """The LP-free answer that decides the system, if any: a vertex e_j of
+    the simplex that solves it, a one-point simplex (k = 1) that does not,
+    or a row of G negative in every entry."""
+    if any(all(row[j] == 0 for row in eqs) and all(row[j] >= 0 for row in ges)
+           for j in range(k)):
+        return "vertex"
+    if k == 1:
+        return "point"
+    if any(all(t < 0 for t in row) for row in ges):
+        return "row"
+    return None
 
 
 class TestStrictRangeSemimonotone:
@@ -434,19 +551,18 @@ class TestStrictRangeSemimonotone:
         # A positive singular 4x4 (row 4 is rows 1 plus 2) is strictly range
         # semimonotone, so the scan visits all 15 supports.  With the
         # left-null vector (-1, -1, 0, 1), supports {0} and {1} restrict to
-        # the same system and share one LP.  That leaves 14 LPs, and a
-        # repeat is free.
-        calls = []
-        real = lcp_classes.lp_feasible
-        monkeypatch.setattr(lcp_classes, "lp_feasible", lambda s: calls.append(s) or real(s))
+        # the same system and share one question.  That leaves 14
+        # questions, and a repeat is free.  Every row of -A_SS is negative,
+        # so none needs an LP.
+        asked, calls = _counted_questions(monkeypatch), _counted_lps(monkeypatch)
         a = RationalMatrix.from_rows([[1, 2, 1, 3], [2, 1, 1, 1], [1, 3, 2, 1], [3, 3, 2, 4]])
         assert rank(a) == 3
         for _ in range(2):
             assert is_strictly_range_semimonotone(a)
-            assert len(calls) == 14
-        # the memo lives on the matrix: a fresh copy solves them again
+            assert len(asked) == 14
+        # the memo lives on the matrix: a fresh copy asks them again
         assert is_strictly_range_semimonotone(RationalMatrix.from_rows(a.data))
-        assert len(calls) == 28
+        assert len(asked) == 28 and not calls
 
 
 class TestCopositivity:

@@ -591,3 +591,62 @@ def test_no_lp_for_a_family_coordinate_no_null_vector_moves(monkeypatch):
     assert got.degenerate_supports == ((0, 1, 2),)
     assert len(optimized) == 2 and all(any(c) for c in optimized)
     assert got == lcp_solutions_reference(a, q)
+
+
+# -- homogeneous families: one pinned LP per moved coordinate ---------------
+
+
+def test_homogeneous_scans_match_the_min_max_reference(monkeypatch):
+    """At q = 0 every family is a cone through x = 0, so each moved
+    coordinate x_i is asked only the pinned LP x_i = 1.  On integer and
+    fractional F G products and on u v^T, standard and cone, the scans
+    equal the oracle that asks a feasibility LP and a min and a max of
+    every coordinate: the same solutions, representatives and degenerate
+    supports.  A family builds one tableau per moved coordinate up to the
+    first that can be pinned, where the representative is 1, or all m of
+    them when none can and the family is the point x = 0."""
+    built, seen = [], {}
+    problem = [None]
+
+    class CountingSimplex(lp._Simplex):
+        def __init__(self, system):
+            built.append(system)
+            super().__init__(system)
+
+    real = lcp._family_solutions
+
+    def recording(n, q, support, sol, comp, off_support):
+        assert not any(q) and not any(sol.particular)
+        before = len(built)
+        x, is_family = real(n, q, support, sol, comp, off_support)
+        moved = [support[idx] for idx in range(len(support))
+                 if any(nb[idx] for nb in sol.null_basis)]
+        if is_family:
+            first = next(p for p, i in enumerate(moved) if x[i])
+            assert x[moved[first]] == 1
+            assert len(built) - before == first + 1
+        else:
+            assert is_zero_vec(x) and len(built) - before == len(moved)
+        key = (problem[0], is_family, bool(moved))
+        seen[key] = seen.get(key, 0) + 1
+        return x, is_family
+
+    monkeypatch.setattr(lp, "_Simplex", CountingSimplex)
+    monkeypatch.setattr(lcp, "_family_solutions", recording)
+    rng = random.Random(41)
+    matrices = list(_rank_deficient_draws(rng))
+    matrices += [_rational_matrix_of_rank(rng, n, rng.randint(1, n - 1))
+                 for n in (2, 3, 4, 5) for _ in range(4)]
+    for a in matrices:
+        zero = vec([0] * a.rows)
+        null = subspace_bases(a).left_null.basis
+        for nb in ((), null):
+            problem[0] = "cone" if nb else "standard"
+            assert (complementary_solutions(a, zero, nb)
+                    == complementary_solutions_fraction(a, zero, nb, True))
+            assert first_nonzero_solution(a, zero, nb) == first_nonzero_solution_fraction(a, zero, nb)
+        problem[0] = "standard"
+        assert lcp_solutions(a, zero) == lcp_solutions_reference(a, zero)
+    # rays and points with moved coordinates, in both problems
+    assert all(seen.get((p, f, True), 0) >= 10
+               for p in ("standard", "cone") for f in (True, False)), seen
