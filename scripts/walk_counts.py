@@ -47,9 +47,10 @@ def main() -> None:
             return entry
         return wrapped
 
-    def singular_support(a, q, null, support, table):
-        counts["shape_singular"] += 0 < len(support) < len(null)
-        return real_singular(a, q, null, support, table)
+    def singular_support(q, support, table):
+        d = len(table.bordered) - len(table.mults)
+        counts["shape_singular"] += 0 < len(support) < d
+        return real_singular(q, support, table)
 
     real_singular = lcp._singular_support
     lcp._border = counting("bordered", lcp._border)

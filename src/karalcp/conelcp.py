@@ -1,14 +1,14 @@
 """The cone K = R^n_+ intersect R(A), its dual, the cone LCP, and the
 Karamardian verdict engine.
 
-For a basis N of N(A^T): x in R(A) iff N^T x = 0, and y in
-K* = R^n_+ + N(A^T) iff y = u + Nw with u >= 0.  As x^T N w = 0, the
-complementarity x^T (Ax + q) = 0 becomes x_i u_i = 0 for every i, so the
-cone LCP is the mixed LCP of [[A, -N], [N^T, 0]] with w free and is
-solved by the standard LCP's support scans, whose standard case is N
-empty: `lcp.complementary_solutions` for every solution, x = 0 among them
-from the empty support, and `lcp.first_nonzero_solution` for whether only
-zero solves.  K lies in R^n_+, so it is pointed, and K* and int K* are
+For the integer basis N of N(A^T), `matrix.left_null_rows`: x in R(A)
+iff N^T x = 0, and y in K* = R^n_+ + N(A^T) iff y = u + Nw with u >= 0.
+As x^T N w = 0, the complementarity x^T (Ax + q) = 0 becomes x_i u_i = 0
+for every i, so the cone LCP is the mixed LCP of [[A, -N], [N^T, 0]]
+with w free and is solved by the standard LCP's support scans, whose
+standard case is N empty: `lcp.complementary_solutions` for every
+solution, x = 0 among them from the empty support, and
+`lcp.first_nonzero_solution` for whether only zero solves.  K lies in R^n_+, so it is pointed, and K* and int K* are
 read on the generators of K, found by an integer double description.
 Each generator sums to 1, so e lies in int K*.  With the generators as
 the columns of V, the cone LCP is also the standard LCP of M = V^T A V
@@ -54,13 +54,12 @@ from .matrix import (
     Vector,
     dot,
     full_rank_factorization,
-    integer_row,
     integer_rows,
     is_unisigned,
     is_zero_vec,
+    left_null_rows,
     memoized,
     ones_vec,
-    subspace_bases,
     vec,
     zeros_vec,
 )
@@ -80,13 +79,11 @@ RULE_PERMUTATION_REDUCT = "PERMUTATION_REDUCT"
 
 @dataclass(frozen=True)
 class ConeData:
-    """K = R^n_+ intersect R(A) by its generators, with the basis of N(A^T)
-    in the dual decomposition K* = R^n_+ + N(A^T).  `rays` holds each
+    """K = R^n_+ intersect R(A) by its generators.  `rays` holds each
     generator as a primitive integer vector, in the order the double
     description found them."""
 
     cone: ConeRep
-    dual_null_basis: tuple[Vector, ...]
     nontrivial_witness: Vector | None
     rays: tuple[tuple[int, ...], ...]
 
@@ -98,30 +95,29 @@ class ConeData:
 @memoized("coneK")
 def cone_K(a: RationalMatrix) -> ConeData:
     """Generators are the extreme rays of K = {x >= 0 : W^T x = 0}, W the
-    basis of N(A^T), scaled to sum 1 and sorted."""
+    integer basis of N(A^T) (`left_null_rows`), scaled to sum 1 and sorted."""
     a.require_square("cone K", scan=True)
-    null = subspace_bases(a).left_null.basis
-    rays = _double_description(a.rows, null)
+    rays = _double_description(a.rows, left_null_rows(a))
     vertices = sorted(tuple(Fraction(t, sum(ray)) for t in ray) for ray in rays)
     return ConeData(
         cone=ConeRep(a.rows, tuple(vertices)),
-        dual_null_basis=null,
         nontrivial_witness=vertices[0] if vertices else None,
         rays=tuple(map(tuple, rays)),
     )
 
 
 def maps_K_nonneg(a: RationalMatrix, x: RationalMatrix) -> bool:
-    """X g >= 0 for every generator g of K, so X maps K into R^n_+.  An
+    """X g >= 0 for every generator g of K, so X maps K into R^n_+, read on
+    the integer rows of X (positive row multipliers keep signs).  An
     invertible A has K = R^n_+, so this is X >= 0, read with no double
     description and at any order."""
-    if not subspace_bases(a).left_null.basis:
+    if not left_null_rows(a):
         return all(t >= 0 for row in x.data for t in row)
-    return all(t >= 0 for ray in cone_K(a).rays for t in x.mul_vec(ray))
+    return all(sum(map(mul, r, g)) >= 0 for g in cone_K(a).rays for r, _ in integer_rows(x))
 
 
-def _double_description(n: int, null: Sequence[Vector]) -> list[list[int]]:
-    """Extreme rays of {x >= 0 : w^T x = 0 for w in null}, in integers.
+def _double_description(n: int, null: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Extreme rays of {x >= 0 : w^T x = 0} for the integer vectors w in null.
 
     From the unit vectors, each hyperplane w^T x = 0 keeps the rays on it
     and joins each adjacent pair p, r with w^T p > 0 > w^T r into
@@ -130,8 +126,7 @@ def _double_description(n: int, null: Sequence[Vector]) -> list[list[int]]:
     Thompson & Thrall, 1953; Fukuda & Prodon, 1996)."""
     rays = [[int(i == j) for j in range(n)] for i in range(n)]
     for w in null:
-        ints = integer_row(w)[0]
-        dots = [sum(map(mul, ints, ray)) for ray in rays]
+        dots = [sum(map(mul, w, ray)) for ray in rays]
         zeros = [sum(1 << i for i, t in enumerate(ray) if not t) for ray in rays]
         kept = [ray for ray, s in zip(rays, dots) if not s]
         for i, j in itertools.product(range(len(rays)), repeat=2):
@@ -156,7 +151,7 @@ def generator_lcp(a: RationalMatrix) -> tuple[RationalMatrix, tuple[tuple[int, .
     which shares A's support tables; K = {0} has V = () and the 0 x 0 M,
     whose LCP, like the cone LCP, has only zero."""
     cone = cone_K(a)
-    if not cone.dual_null_basis:
+    if not left_null_rows(a):
         return a, cone.rays
     vt = RationalMatrix.from_ints(cone.rays)
     return (vt @ a @ vt.transpose() if cone.rays else vt), cone.rays
@@ -182,13 +177,13 @@ def int_dual_membership(a: RationalMatrix, d: Sequence) -> bool:
 def cone_lcp_solutions(a: RationalMatrix, q: Sequence) -> LcpSolutionSet:
     """All solutions of the cone LCP: x in K, Ax + q in K*, x^T (Ax+q) = 0."""
     qv = a.square_and_vector(q, "cone LCP", scan=True)
-    return complementary_solutions(a, qv, subspace_bases(a).left_null.basis)
+    return complementary_solutions(a, qv, left_null_rows(a))
 
 
 def cone_lcp_only_zero(a: RationalMatrix, q: Sequence) -> bool:
     """True iff the cone LCP has no nonzero solution."""
     qv = a.square_and_vector(q, "cone LCP", scan=True)
-    return first_nonzero_solution(a, qv, subspace_bases(a).left_null.basis) is None
+    return first_nonzero_solution(a, qv, left_null_rows(a)) is None
 
 
 # -- rank-one and 2x2 classifications --------------------------------------
@@ -321,7 +316,7 @@ def _karamardian_cascade(a: RationalMatrix, hints: tuple[Vector, ...]) -> Verdic
     cone = cone_K(a)
     if cone.trivial:
         return Verdict(NO, rule=RULE_K_TRIVIAL)
-    nonzero = first_nonzero_solution(a, zeros_vec(n), subspace_bases(a).left_null.basis)
+    nonzero = first_nonzero_solution(a, zeros_vec(n), left_null_rows(a))
     if nonzero is not None:
         return Verdict(NO, rule=RULE_HOMOGENEOUS_NONZERO, witnesses={"solution": nonzero})
 

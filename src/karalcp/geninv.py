@@ -31,10 +31,9 @@ from .matrix import (
     _ratio,
     integer_rows,
     inverse,
-    is_zero_vec,
+    left_null_rows,
     memoized,
     rref,
-    subspace_bases,
 )
 
 
@@ -151,10 +150,11 @@ def index_at_most_one(a: RationalMatrix) -> bool:
 
 def is_range_symmetric(a: RationalMatrix) -> bool:
     """R(A) = R(A^T), that is N(A^T) = N(A), their orthogonal complements:
-    A w = 0 for every w of the stored basis of N(A^T) suffices, as both
-    null spaces have dimension n - rank A."""
+    A w = 0, on A's integer rows, for every w of the integer basis of
+    N(A^T) suffices, as both null spaces have dimension n - rank A."""
     a.require_square("range symmetry")
-    return all(is_zero_vec(a.mul_vec(w)) for w in subspace_bases(a).left_null.basis)
+    return all(sum(map(mul, ints, w)) == 0
+               for w in left_null_rows(a) for ints, _ in integer_rows(a))
 
 
 def generalized_idempotent_scalar(a: RationalMatrix) -> Fraction | None:

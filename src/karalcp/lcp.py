@@ -179,7 +179,7 @@ def support_solver(a: RationalMatrix, q: Vector, null: Sequence[Vector]):
             return None, False
         entry = _block_entry(table, support)
         if entry is None:
-            return _singular_support(a, q, null, support, table)
+            return _singular_support(q, support, table)
         det, adj = entry
         signed = folded[det < 0]
         qs = [signed[i] for i in support]
@@ -202,15 +202,14 @@ class _BlockTable(NamedTuple):
 
     `bordered` holds the rows of the integer matrix [[mA, -mN], [N^T, 0]]:
     row i of A scaled by its multiplier m_i (in `mults`, from
-    integer_rows), and each null vector scaled to integers by its
-    multiplier in `null_mults` (a positive rescale of w, so x is
+    integer_rows), and each of the d = len(bordered) - len(mults) null
+    vectors scaled to integers (a positive rescale of w, so x is
     unchanged).  `blocks` maps each support built so far to its block's
     (det, adj), or None when the block is singular, and `trivial` maps each
     support asked so far to whether R(A) holds no nonzero vector
     supported in it (`_range_trivial`)."""
 
     mults: list
-    null_mults: list
     bordered: list
     blocks: dict
     trivial: dict
@@ -220,12 +219,12 @@ class _BlockTable(NamedTuple):
 def _block_table(a: RationalMatrix, null: tuple[Vector, ...]) -> _BlockTable:
     """The block table of a and null, one per matrix and null basis."""
     rows = integer_rows(a)
-    scaled = [integer_row(w) for w in null]
-    bordered = [ints + [-mult * w[i] for w, _ in scaled] for i, (ints, mult) in enumerate(rows)]
-    bordered += [w + [0] * len(null) for w, _ in scaled]
+    scaled = [integer_row(w)[0] for w in null]
+    bordered = [ints + [-mult * w[i] for w in scaled] for i, (ints, mult) in enumerate(rows)]
+    bordered += [w + [0] * len(null) for w in scaled]
     # the empty support's block is the d x d zero corner, with det 1 at d = 0
     blocks = {(): None if null else (1, [])}
-    return _BlockTable([m for _, m in rows], [c for _, c in scaled], bordered, blocks, {})
+    return _BlockTable([m for _, m in rows], bordered, blocks, {})
 
 
 def _range_trivial(table: _BlockTable, support) -> bool:
@@ -239,7 +238,7 @@ def _range_trivial(table: _BlockTable, support) -> bool:
     integer rows N_S^T then settles it."""
     if support in table.trivial:
         return table.trivial[support]
-    n, d = len(table.mults), len(table.null_mults)
+    n, d = len(table.mults), len(table.bordered) - len(table.mults)
     k = len(support)
     found = 0 < k <= d and (k == 1 or _range_trivial(table, support[:-1]))
     if found:
@@ -260,11 +259,10 @@ def _block_entry(table: _BlockTable, support):
     parent leaves one direct elimination of the block (`matrix._det_adj`)."""
     if support in table.blocks:
         return table.blocks[support]
-    d = len(table.null_mults)
+    n, d = len(table.mults), len(table.bordered) - len(table.mults)
     if len(support) < d:
         return None
     parent = _block_entry(table, support[:-1])
-    n = len(table.mults)
     idx = list(support) + list(range(n, n + d))
     if parent is None:
         entry = _det_adj(table.bordered, idx)
@@ -308,23 +306,22 @@ def _scatter(v, support, n: int) -> list:
     return out
 
 
-def _singular_support(a: RationalMatrix, q: Vector, null: Sequence[Vector], support,
-                      table: _BlockTable):
-    """`support_solver` on a singular block: one Fraction solve, and the
-    affine family of solutions, if any, classified by `_family_solutions`."""
-    k, d, n = len(support), len(null), a.rows
-    rows = [[a.data[i][j] for j in support] + [-w[i] for w in null] for i in support]
-    rows += [[w[i] for i in support] + [_ZERO] * d for w in null]
-    sol = solve_linear(RationalMatrix(k + d, k + d, rows), [-q[i] for i in support] + [_ZERO] * d)
+def _singular_support(q: Vector, support, table: _BlockTable):
+    """`support_solver` on a singular block: one Fraction solve of S's block
+    of `table.bordered`, whose rows in S are m_i A_i (right-hand side
+    -m_i q_i); its affine family of solutions goes to `_family_solutions`."""
+    n, d = len(table.mults), len(table.bordered) - len(table.mults)
+    idx = list(support) + list(range(n, n + d))
+    block = RationalMatrix.from_ints([[table.bordered[r][c] for c in idx] for r in idx])
+    sol = solve_linear(block, [-table.mults[i] * q[i] for i in support] + [_ZERO] * d)
     if sol is None:
         return None, False
     comp = [i for i in range(n) if i not in support]
 
     def off_support(v: Vector) -> list[Fraction]:
         """(Ax - Nw)_i for each i off S and the block vector v = (x_S, w),
-        each one integer dot product with a bordered row: scaling each
-        null vector by its multiplier divides its w by it."""
-        ints, den = integer_row(list(v[:k]) + [t / c for t, c in zip(v[k:], table.null_mults)])
+        each one integer dot product with a bordered row."""
+        ints, den = integer_row(v)
         block_v = _scatter(ints, support, n)
         return [Fraction(sum(map(mul, table.bordered[i], block_v)), table.mults[i] * den)
                 for i in comp]

@@ -49,9 +49,9 @@ from .matrix import (
     integer_row,
     integer_rows,
     is_zero_vec,
+    left_null_rows,
     memoized,
     nonempty_subsets,
-    subspace_bases,
 )
 from .lp import LinearSystem, lp_feasible
 from .minor_classes import minor_class
@@ -92,11 +92,6 @@ def _block(a: RationalMatrix, idx: tuple[int, ...], sign: int = 1) -> tuple:
     """The integer rows of sign * A[idx, idx], each row scaled as in A."""
     rows = integer_rows(a)
     return tuple(tuple(sign * rows[i][0][j] for j in idx) for i in idx)
-
-
-def _left_null(a: RationalMatrix) -> tuple:
-    """The integer rows of W^T for the basis W of N(A^T)."""
-    return tuple(tuple(integer_row(w)[0]) for w in subspace_bases(a).left_null.basis)
 
 
 def is_semipositive(a: RationalMatrix) -> bool:
@@ -172,7 +167,7 @@ def is_p_hash(a: RationalMatrix) -> bool:
         return all(rows[i][i] > 0 for i in range(n)) and minor_class(a).is_p
     if _column_refutes(scaled):
         return False
-    null, minus_a = _left_null(a), _block(a, tuple(range(n)), -1)
+    null, minus_a = left_null_rows(a), _block(a, tuple(range(n)), -1)
     return not any(
         _simplex_point(a, n, tuple(tuple(w[j] * s[j] for j in range(n)) for w in null),
                        tuple(tuple(s[i] * g[j] * s[j] for j in range(n))
@@ -200,7 +195,7 @@ def is_strictly_range_semimonotone(a: RationalMatrix) -> bool:
     """No nonzero x >= 0 in R(A) with x * Ax <= 0; for invertible A, R(A) =
     R^n and the questions are those of strict semimonotonicity."""
     a.require_square("strict range semimonotonicity", scan=True)
-    return not _sign_reversed(a, _left_null(a))
+    return not _sign_reversed(a, left_null_rows(a))
 
 
 # -- copositivity over polyhedral cones ----------------------------------

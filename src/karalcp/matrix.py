@@ -8,11 +8,12 @@ by `RationalMatrix.from_ints` carries its rows of ints instead), and one
 fraction-free pivot step (`_pivot`) does all of it: the Gauss-Jordan
 kernel (`_eliminate`) behind the RREF, the determinant, the inverse, the
 solution set of a linear system, the (det, adj) pairs (`_det_adj`) of
-the LCP blocks and of the generalized inverses' factor products, and the
-simplex of `lp.py`.  Fractions are built only at the end.  Matrices are
-immutable by convention (nothing mutates `data` after construction),
-which makes the per-matrix memo safe: every cached result in the package
-goes through `memoized`, and no other module touches `_cache`.
+the LCP blocks and of the generalized inverses' factor products, the
+one integer basis of N(A^T) (`left_null_rows`) and the simplex of `lp.py`.
+Fractions are built only at the end.  Matrices are immutable by
+convention (nothing mutates `data` after construction), which makes the
+per-matrix memo safe: every cached result in the package goes through
+`memoized`, and no other module touches `_cache`.
 """
 
 from __future__ import annotations
@@ -513,6 +514,17 @@ def subspace_bases(m: RationalMatrix) -> SubspaceBases:
     mt = m.transpose()
     left = Subspace(m.rows, tuple(null_space_basis(mt)))
     return SubspaceBases(range=rng, null=nul, row=Subspace(m.cols, row_basis), left_null=left)
+
+
+@memoized("left_null_rows")
+def left_null_rows(m: RationalMatrix) -> tuple[tuple[int, ...], ...]:
+    """`subspace_bases(m).left_null.basis`, each vector as its primitive
+    integer multiple (it has 1 at its free column), from one elimination
+    of M's columns scaled to integers, which keeps N(M^T)."""
+    a = [integer_row(col)[0] for col in zip(*m.data)]
+    den, pivots, _ = _eliminate(a, m.rows)
+    basis = _null_basis(m.rows, pivots, lambda r, f: _ratio(a[r][f], den))
+    return tuple(tuple(integer_row(v)[0]) for v in basis)
 
 
 def full_rank_factorization(m: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .conelcp import cone_K, maps_K_nonneg
 from .geninv import group_inverse, moore_penrose
-from .matrix import RationalMatrix, inverse, subspace_bases
+from .matrix import RationalMatrix, inverse, left_null_rows
 
 
 def _matrix_nonneg(a: RationalMatrix) -> bool:
@@ -60,4 +60,4 @@ def is_almost_monotone(a: RationalMatrix) -> bool:
     """Ax >= 0 implies Ax = 0: R(A) meets R^n_+ only at 0, so K = {0}.  An
     invertible A has K = R^n_+."""
     a.require_square("almost monotonicity")
-    return bool(subspace_bases(a).left_null.basis) and cone_K(a).trivial
+    return bool(left_null_rows(a)) and cone_K(a).trivial

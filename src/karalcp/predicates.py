@@ -13,7 +13,7 @@ from typing import Callable
 from . import geninv, lcp_classes, minor_classes, monotone
 from .conelcp import is_karamardian
 from .lcp import NO, UNKNOWN, YES, Verdict, is_q_matrix
-from .matrix import RationalMatrix, Vector, subspace_bases
+from .matrix import RationalMatrix, Vector, left_null_rows
 from .minor_classes import MClass
 
 NOT_APPLICABLE = "NotApplicable"
@@ -81,7 +81,7 @@ def _bool_pred(fn: Callable[[RationalMatrix], bool], method: str):
 def _p_hash(a: RationalMatrix, cfg: PredicateConfig) -> PredicateOutcome:
     # An invertible A is P# iff it is P, decided by its principal minors.
     value = lcp_classes.is_p_hash(a)
-    return _from_bool(value, "orthant lp" if subspace_bases(a).left_null.basis else "minor-scan")
+    return _from_bool(value, "orthant lp" if left_null_rows(a) else "minor-scan")
 
 
 def _group_inverse_exists(a: RationalMatrix, cfg: PredicateConfig) -> PredicateOutcome:

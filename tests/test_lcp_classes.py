@@ -30,6 +30,7 @@ from karalcp.matrix import (
     determinant,
     integer_rows,
     inverse,
+    left_null_rows,
     memoized,
     nonempty_subsets,
     rank,
@@ -499,7 +500,7 @@ def _simplex_point_systems(a: RationalMatrix):
     """(k, E, G) as the semimonotonicity, strict range semimonotonicity and
     P# scans build them for A."""
     n = a.rows
-    null = lcp_classes._left_null(a)
+    null = left_null_rows(a)
     for s in nonempty_subsets(n):
         for eqs in [()] + [tuple(tuple(w[j] for j in s) for w in null)] * bool(null):
             for sign in (1, -1):

@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
 
-from karalcp.conelcp import is_karamardian
+from karalcp.conelcp import cone_K, is_karamardian, maps_K_nonneg
 from karalcp import lp
 from karalcp.geninv import group_inverse, moore_penrose
 from karalcp.lcp import YES
-from karalcp.matrix import RationalMatrix, inverse, rank, subspace_bases
+from karalcp.matrix import RationalMatrix, integer_rows, inverse, rank, subspace_bases
 from karalcp.minor_classes import is_h_matrix_positive_diag
 from karalcp.monotone import (
     is_almost_monotone,
@@ -165,6 +165,27 @@ def test_sign_tests_match_the_lp_references_at_every_rank(monkeypatch):
                        is_almost_monotone_reference(a),
                        h_matrix_positive_diag_reference(a)), a.data
     assert all({got[k] for got in verdicts} == {True, False} for k in range(len(predicates)))
+
+
+def test_maps_K_nonneg_matches_the_fraction_product():
+    """maps_K_nonneg reads X g >= 0 on the integer rows of X, each scaled
+    by its own multiplier; the Fraction product X g agrees, on A#, A+ and
+    fractional X whose rows have unlike denominators."""
+    rng = random.Random(27)
+    compared = []
+    for a in _every_rank_cases():
+        if not cone_K(a).rays:
+            continue
+        gi = group_inverse(a)
+        xs = [moore_penrose(a)] + [gi.inverse] * gi.exists
+        xs.append(RationalMatrix.from_rows(
+            [[Fraction(rng.randint(-1, 6), den) for _ in range(a.rows)]
+             for den in rng.choices((1, 2, 3, 5, 7), k=a.rows)]))
+        for x in xs:
+            expected = all(t >= 0 for ray in cone_K(a).rays for t in x.mul_vec(ray))
+            assert maps_K_nonneg(a, x) is expected, (a.data, x.data)
+            compared.append((len({m for _, m in integer_rows(x)}) > 1, expected))
+    assert {expected for unlike, expected in compared if unlike} == {True, False}
 
 
 class TestGroupAndGiMonotone:

@@ -524,9 +524,9 @@ def test_rank_one_cone_lcp_solves_only_supports_that_r_a_reaches(monkeypatch):
     reached, solves = [], []
     singular_support, solve_linear = lcp._singular_support, lcp.solve_linear
 
-    def recording(a_, q_, null_, support, table):
+    def recording(q_, support, table):
         reached.append(support)
-        return singular_support(a_, q_, null_, support, table)
+        return singular_support(q_, support, table)
 
     def counting_solve(m, b):
         solves.append(m.rows)
