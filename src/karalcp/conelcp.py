@@ -9,9 +9,10 @@ with w free and is solved by the standard LCP's support scans, whose
 standard case is N empty: `lcp.complementary_solutions` for every
 solution, x = 0 among them from the empty support, and
 `lcp.first_nonzero_solution` for whether only zero solves.  K lies in R^n_+, so it is pointed, and K* and int K* are
-read on the generators of K, found by an integer double description.
-Each generator sums to 1, so e lies in int K*.  With the generators as
-the columns of V, the cone LCP is also the standard LCP of M = V^T A V
+read on the generators of K, primitive integer rays found by a double
+description.  Each ray g is a nonzero vector with nonnegative entries,
+so g^T e > 0 and e lies in int K*.  With the generators as the columns
+of V, the cone LCP is also the standard LCP of M = V^T A V
 (`generator_lcp`).  The Karamardian decision is a cascade of sound exact
 rules that ends in the LCP degree of M; the existential d of the
 definition is only semi-decided, by verified candidate vectors, e always
@@ -36,7 +37,6 @@ from .errors import (
     ZeroVectorError,
 )
 from .geninv import group_inverse
-from .lcp_classes import ConeRep
 from .lcp import (
     NO,
     UNKNOWN,
@@ -54,6 +54,7 @@ from .matrix import (
     Vector,
     dot,
     full_rank_factorization,
+    integer_row,
     integer_rows,
     is_unisigned,
     is_zero_vec,
@@ -83,27 +84,24 @@ class ConeData:
     generator as a primitive integer vector, in the order the double
     description found them."""
 
-    cone: ConeRep
-    nontrivial_witness: Vector | None
     rays: tuple[tuple[int, ...], ...]
 
     @property
     def trivial(self) -> bool:
-        return self.nontrivial_witness is None
+        return not self.rays
+
+    @property
+    def nontrivial_witness(self) -> Vector | None:
+        """The least generator scaled to sum 1, or None when K = {0}."""
+        return min((tuple(Fraction(t, sum(r)) for t in r) for r in self.rays), default=None)
 
 
 @memoized("coneK")
 def cone_K(a: RationalMatrix) -> ConeData:
     """Generators are the extreme rays of K = {x >= 0 : W^T x = 0}, W the
-    integer basis of N(A^T) (`left_null_rows`), scaled to sum 1 and sorted."""
+    integer basis of N(A^T) (`left_null_rows`)."""
     a.require_square("cone K", scan=True)
-    rays = _double_description(a.rows, left_null_rows(a))
-    vertices = sorted(tuple(Fraction(t, sum(ray)) for t in ray) for ray in rays)
-    return ConeData(
-        cone=ConeRep(a.rows, tuple(vertices)),
-        nontrivial_witness=vertices[0] if vertices else None,
-        rays=tuple(map(tuple, rays)),
-    )
+    return ConeData(tuple(map(tuple, _double_description(a.rows, left_null_rows(a)))))
 
 
 def maps_K_nonneg(a: RationalMatrix, x: RationalMatrix) -> bool:
@@ -159,16 +157,17 @@ def generator_lcp(a: RationalMatrix) -> tuple[RationalMatrix, tuple[tuple[int, .
 
 def dual_membership(a: RationalMatrix, y: Sequence) -> bool:
     """y in K* = R^n_+ + N(A^T), the dual of the pointed cone K: g^T y >= 0
-    for every generator g of K."""
-    yv = a.square_and_vector(y, "dual membership", scan=True)
-    return all(dot(g, yv) >= 0 for g in cone_K(a).cone.generators)
+    for every generator g of K, read on `integer_row(y)`, a positive
+    multiple of y."""
+    yv = integer_row(a.square_and_vector(y, "dual membership", scan=True))[0]
+    return all(sum(map(mul, g, yv)) >= 0 for g in cone_K(a).rays)
 
 
 def int_dual_membership(a: RationalMatrix, d: Sequence) -> bool:
     """d in int(K*) = int(R^n_+) + N(A^T): g^T d > 0 for every generator g
-    of K, as K is pointed."""
-    dv = a.square_and_vector(d, "interior dual membership", scan=True)
-    return all(dot(g, dv) > 0 for g in cone_K(a).cone.generators)
+    of K, as K is pointed, read on `integer_row(d)`."""
+    dv = integer_row(a.square_and_vector(d, "interior dual membership", scan=True))[0]
+    return all(sum(map(mul, g, dv)) > 0 for g in cone_K(a).rays)
 
 
 # -- cone LCP --------------------------------------------------------------
@@ -208,11 +207,6 @@ def rank_one_classification(u: Sequence, v: Sequence) -> RankOneClassification:
                                  karamardian=is_unisigned(uv) and inner > 0)
 
 
-def _rank_one_factors(a: RationalMatrix) -> tuple[Vector, Vector]:
-    f, g = full_rank_factorization(a)
-    return f.col_vec(0), g.row_vec(0)
-
-
 def classify_2x2(a: RationalMatrix) -> Verdict:
     """Exact Karamardian decision for every 2x2 matrix, by sign pattern."""
     if a.rows != 2 or a.cols != 2:
@@ -228,7 +222,8 @@ def classify_2x2(a: RationalMatrix) -> Verdict:
     if det == 0:
         if a.is_zero():
             return Verdict(NO, rule=RULE_K_TRIVIAL, witnesses={"case": "zero_matrix"})
-        u, v = _rank_one_factors(a)
+        f, g = full_rank_factorization(a)
+        u, v = f.col_vec(0), g.row_vec(0)
         if not is_unisigned(u):
             # the column space meets the nonnegative orthant only at zero
             return Verdict(NO, rule=RULE_K_TRIVIAL,
@@ -292,12 +287,13 @@ def is_karamardian(a: RationalMatrix, candidate_ds: Sequence[Sequence] | None = 
     """Decision cascade; the first firing rule wins.
 
     After the trivial-K and homogeneous rules come the hints and then e,
-    which lies in int K* (every generator of K sums to 1).  Then the LCP
-    degree of M = V^T A V ends the exact rules: deg M != 1 is a No, and
-    `classify_2x2` decides what remains at order 2.  Last come the
-    `default_candidates`.  No is emitted only from those sound rules; an
-    exhausted candidate search yields Unknown, never No, with every d it
-    tried.  The verdict is memoized per matrix and set of hints.
+    which lies in int K* (every ray g of K is nonzero and nonnegative, so
+    g^T e > 0).  Then the LCP degree of M = V^T A V ends the exact rules:
+    deg M != 1 is a No, and `classify_2x2` decides what remains at order
+    2.  Last come the `default_candidates`.  No is emitted only from those
+    sound rules; an exhausted candidate search yields Unknown, never No,
+    with every d it tried.  The verdict is memoized per matrix and set of
+    hints.
     """
     a.require_square("Karamardian test", scan=True)
     n = a.rows

@@ -3,9 +3,9 @@
 An invertible A has A+ = A# = A^-1, read from `matrix.inverse` and checked
 by AX = I (so XA = I), which implies every Penrose and group equation.  Otherwise
 both come from one full-rank factorization A = F R in integers: with
-alpha the lcm of A's row multipliers, B = alpha A, F_i the pivot columns
-of B and G_i the nonzero rows of rref(A) scaled by the lcm gamma of their
-denominators, B = F_i G_i / gamma, and
+(alpha, B = alpha A) and (gamma, gamma rref(A)) from `matrix.common_rows`,
+F_i the pivot columns of B and G_i the nonzero rows of gamma rref(A),
+B = F_i G_i / gamma, and
 
     A+ = alpha G_i^T adj(P) F_i^T / det P,          P = F_i^T B G_i^T,
     A# = alpha gamma F_i adj(Q)^2 G_i / (det Q)^2,  Q = G_i F_i,
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from .errors import ZeroMatrixError
@@ -29,6 +28,7 @@ from .matrix import (
     RrefResult,
     _det_adj,
     _ratio,
+    common_rows,
     integer_rows,
     inverse,
     left_null_rows,
@@ -81,25 +81,12 @@ def group_inverse(a: RationalMatrix) -> GroupInverseResult:
                                              commute=True))
 
 
-def _scaled(a: RationalMatrix) -> tuple[int, list[list[int]]]:
-    """(alpha, alpha A): the lcm alpha of A's row multipliers, which makes
-    every row an integer one."""
-    rows = integer_rows(a)
-    alpha = lcm(*(m for _, m in rows))
-    return alpha, [ints if m == alpha else [t * (alpha // m) for t in ints] for ints, m in rows]
-
-
-def _common_scale(data) -> tuple[int, list[list[int]]]:
-    """(lcm of every denominator, the rows scaled by it to integers)."""
-    c = lcm(*(t.denominator for row in data for t in row))
-    return c, [[t.numerator * (c // t.denominator) for t in row] for row in data]
-
-
 def _factors(a: RationalMatrix, rr: RrefResult) -> tuple:
-    """(alpha, B, F_i, gamma, G_i) of the module docstring, for rr = rref(A)."""
-    alpha, b = _scaled(a)
-    gamma, g = _common_scale(rr.matrix.data[:rr.rank])
-    return alpha, b, [[row[p] for p in rr.pivots] for row in b], gamma, g
+    """(alpha, B, F_i, gamma, G_i) of the module docstring, for rr = rref(A);
+    rref(A)'s zero rows leave gamma as it is."""
+    alpha, b = common_rows(a)
+    gamma, g = common_rows(rr.matrix)
+    return alpha, b, [[row[p] for p in rr.pivots] for row in b], gamma, g[:rr.rank]
 
 
 def _mul(x: list, y: list) -> list[list[int]]:
@@ -134,8 +121,8 @@ def _checked_inverse(a: RationalMatrix) -> RationalMatrix:
     AX = I iff BY = alpha xi I, and for square A and X, AX = I implies
     XA = I."""
     x = inverse(a)
-    alpha, b = _scaled(a)
-    xi, y = _common_scale(x.data)
+    alpha, b = common_rows(a)
+    xi, y = common_rows(x)
     c = alpha * xi
     if _mul(b, y) != [[c if i == j else 0 for j in range(a.rows)] for i in range(a.rows)]:
         raise ArithmeticError("inverse self-check failed")

@@ -163,10 +163,10 @@ def support_solver(a: RationalMatrix, q: Vector, null: Sequence[Vector]):
     v = adj (-sign(det) m_S Q_S) is |det| qden (x_S, w), and for i off S
     the bordered row i times v, plus |det| m_i Q_i, is
     (Ax - Nw + q)_i m_i |det| qden.  A singular block is solved in
-    Fractions and its affine family goes to `_family_solutions`.  S gives
-    None with no solve when R(A) holds no nonzero vector supported in S
-    (`_range_trivial`): its only solution could be x = 0, which the empty
-    support decides.
+    Fractions, and its affine family classified, by `_singular_support`.
+    S gives None with no solve when R(A) holds no nonzero vector supported
+    in S (`_range_trivial`): its only solution could be x = 0, which the
+    empty support decides.
     """
     table = _block_table(a, tuple(null))
     n = a.rows
@@ -309,10 +309,18 @@ def _scatter(v, support, n: int) -> list:
 def _singular_support(q: Vector, support, table: _BlockTable):
     """`support_solver` on a singular block: one Fraction solve of S's block
     of `table.bordered`, whose rows in S are m_i A_i (right-hand side
-    -m_i q_i); its affine family of solutions goes to `_family_solutions`."""
+    -m_i q_i), gives the affine family v = particular + sum t_j basis_j of
+    block solutions, classified against the sign constraints: returns
+    (representative | None, positive_dimensional), where only x_S counts
+    towards dimension.
+
+    At q = 0 the particular solution and every right-hand side are 0, so
+    the family is a cone through x = 0: min x_i is 0 and max x_i is 0 or
+    unbounded.  Each moved x_i then costs only the LP x_i = 1, and the
+    family is the point x = 0 when no x_i can be pinned."""
     n, d = len(table.mults), len(table.bordered) - len(table.mults)
-    idx = list(support) + list(range(n, n + d))
-    block = RationalMatrix.from_ints([[table.bordered[r][c] for c in idx] for r in idx])
+    where = list(support) + list(range(n, n + d))
+    block = RationalMatrix.from_ints([[table.bordered[r][c] for c in where] for r in where])
     sol = solve_linear(block, [-table.mults[i] * q[i] for i in support] + [_ZERO] * d)
     if sol is None:
         return None, False
@@ -326,26 +334,6 @@ def _singular_support(q: Vector, support, table: _BlockTable):
         return [Fraction(sum(map(mul, table.bordered[i], block_v)), table.mults[i] * den)
                 for i in comp]
 
-    return _family_solutions(n, q, support, sol, comp, off_support)
-
-
-def _expand(x_s: Sequence[Fraction], support, n: int) -> Vector:
-    x = [_ZERO] * n
-    for val, i in zip(x_s, support):
-        x[i] = val
-    return tuple(x)
-
-
-def _family_solutions(n: int, q: Vector, support, sol, comp, off_support):
-    """Classify an affine family of block solutions, v = particular + sum
-    t_j basis_j, against the sign constraints: returns (representative |
-    None, positive_dimensional), where only x_S counts towards dimension.
-    off_support(v) gives (Ax - Nw)_i for each i in comp.
-
-    At q = 0 the particular solution and every right-hand side are 0, so
-    the family is a cone through x = 0: min x_i is 0 and max x_i is 0 or
-    unbounded.  Each moved x_i then costs only the LP x_i = 1, and the
-    family is the point x = 0 when no x_i can be pinned."""
     k = len(support)
     coords = [[nb[idx] for nb in sol.null_basis] for idx in range(k)]
     system = LinearSystem(len(sol.null_basis))
@@ -391,6 +379,13 @@ def _family_solutions(n: int, q: Vector, support, sol, comp, off_support):
             # hi > lo >= 0, so the max witness is nonzero
             return to_x(hi.witness), True
     return (_ZERO,) * n if homogeneous else to_x(out.witness), False
+
+
+def _expand(x_s: Sequence[Fraction], support, n: int) -> Vector:
+    x = [_ZERO] * n
+    for val, i in zip(x_s, support):
+        x[i] = val
+    return tuple(x)
 
 
 @memoized("degree")

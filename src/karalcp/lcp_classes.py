@@ -35,7 +35,6 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from .errors import EmptyConeError, TooLargeError
@@ -45,6 +44,7 @@ from .matrix import (
     RationalMatrix,
     Vector,
     _eliminate,
+    common_rows,
     dot,
     integer_row,
     integer_rows,
@@ -161,11 +161,10 @@ def is_p_hash(a: RationalMatrix) -> bool:
     """
     a.require_square("P# test", scan=True)
     n = a.rows
-    scaled = integer_rows(a)
-    rows = [ints for ints, _ in scaled]
+    rows = [ints for ints, _ in integer_rows(a)]
     if len(_eliminate(rows[:], n)[1]) == n:
         return all(rows[i][i] > 0 for i in range(n)) and minor_class(a).is_p
-    if _column_refutes(scaled):
+    if _column_refutes(common_rows(a)[1]):
         return False
     null, minus_a = left_null_rows(a), _block(a, tuple(range(n)), -1)
     return not any(
@@ -175,20 +174,13 @@ def is_p_hash(a: RationalMatrix) -> bool:
         for s in ((1,) + signs for signs in itertools.product((1, -1), repeat=n - 1)))
 
 
-def _column_refutes(scaled: list[tuple[list[int], int]]) -> bool:
+def _column_refutes(b: list[list[int]]) -> bool:
     """Some nonzero column x = A e_j has x_i (Ax)_i <= 0 for every i.  In
-    integers: with R = D A the rows of `integer_rows` (D = diag(m_i), m_i >
-    0) and L the lcm of the m_i, y = L x has entries (L / m_i) R_ij, and
-    y_i (Ry)_i has the sign of x_i (Ax)_i.  A column of R itself, D A e_j,
-    need not lie in R(A)."""
-    rows = [ints for ints, _ in scaled]
-    lcm_m = lcm(*(m for _, m in scaled))
-    factors = [lcm_m // m for _, m in scaled]
-    for j in range(len(rows)):
-        y = [f * row[j] for f, row in zip(factors, rows)]
-        if any(y) and all(yi * sum(map(mul, row, y)) <= 0 for yi, row in zip(y, rows)):
-            return True
-    return False
+    integers: with (alpha, B = alpha A) from `common_rows`, the column y =
+    B e_j is alpha x, and y_i (By)_i = alpha^2 x_i (Ax)_i.  A column of the
+    row-scaled `integer_rows`, D A e_j, need not lie in R(A)."""
+    return any(any(y) and all(yi * sum(map(mul, row, y)) <= 0 for yi, row in zip(y, b))
+               for y in zip(*b))
 
 
 def is_strictly_range_semimonotone(a: RationalMatrix) -> bool:

@@ -331,6 +331,16 @@ def integer_rows(m: RationalMatrix) -> list[tuple[list[int], int]]:
     return [integer_row(row) for row in m.data]
 
 
+@memoized("common_rows")
+def common_rows(m: RationalMatrix) -> tuple[int, list[list[int]]]:
+    """(alpha, alpha m): alpha is the lcm of every denominator of m, the
+    lcm of its row multipliers, and alpha m is given as rows of ints."""
+    rows = integer_rows(m)
+    alpha = lcm(*(mult for _, mult in rows))
+    return alpha, [ints if mult == alpha else [t * (alpha // mult) for t in ints]
+                   for ints, mult in rows]
+
+
 def _pivot(rows: list[list[int]], r: int, c: int, den: int) -> int:
     """One fraction-free pivot on rows[r][c], the integer update of Edmonds
     and Bareiss (Math. Comp. 22, 1968): every other row i becomes

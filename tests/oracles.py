@@ -948,7 +948,7 @@ def retired_karamardian_yes_rule(a: RationalMatrix) -> str | None:
         return "NONNEG_POS_DIAG"
     if minor_class(a).is_p:
         return "P_MATRIX"
-    cone = cone_K(a).cone
+    cone = ConeRep(n, cone_vertices(a))
     if (cone.generators and len(cone.generators) <= ENUMERATION_CAP
             and is_strictly_copositive(a, cone)):
         return "STRICT_COPOSITIVE_ON_K"
@@ -1105,6 +1105,12 @@ def retired_q_structural_rule(a: RationalMatrix) -> str | None:
 
 # -- the vertex enumeration that conelcp.cone_K's double description replaced
 # ------------------------------------------------------------------------------
+
+
+def cone_vertices(a: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    """The generators of K as vertices of its simplex base: each primitive
+    ray of `cone_K(a)` scaled to sum 1, sorted."""
+    return tuple(sorted(tuple(Fraction(t, sum(ray)) for t in ray) for ray in cone_K(a).rays))
 
 
 def cone_generators_reference(a: RationalMatrix) -> list[tuple]:

@@ -50,6 +50,7 @@ from conftest import (
 from oracles import (
     check_degree_certificate,
     cone_generators_reference,
+    cone_vertices,
     dual_membership_lp_reference,
     int_dual_membership_lp_reference,
     karamardian_2x2_oracle,
@@ -71,12 +72,14 @@ DEGREE_ONE_HINT = vec([1, 2, 1])
 class TestConeK:
     def test_ray_cone(self):
         cone = cone_K(BLOCK_Z)
-        assert cone.cone.generators == (vec([0, 0, 1]),)
+        assert cone_vertices(BLOCK_Z) == (vec([0, 0, 1]),) and cone.rays == ((0, 0, 1),)
         assert cone.nontrivial_witness == vec([0, 0, 1])
 
     def test_trivial_cone(self):
-        cone = cone_K(RationalMatrix.from_rows([[1, -1], [-1, 1]]))
-        assert cone.trivial and cone.cone.generators == ()
+        a = RationalMatrix.from_rows([[1, -1], [-1, 1]])
+        cone = cone_K(a)
+        assert cone.trivial and cone.rays == () and cone_vertices(a) == ()
+        assert cone.nontrivial_witness is None
 
     def test_witness_and_generators_reverify(self):
         rng = random.Random(13)
@@ -87,7 +90,7 @@ class TestConeK:
             a = rand_int_matrix(rng, n, n)
             cone = cone_K(a)
             rng_space = subspace_bases(a).range
-            for g in cone.cone.generators:
+            for g in cone_vertices(a):
                 assert all(t >= 0 for t in g) and any(t > 0 for t in g)
                 assert rng_space.contains(g)
             if not cone.trivial:
@@ -103,8 +106,7 @@ class TestConeK:
             if rank(a) < 3:
                 continue
             seen += 1
-            cone = cone_K(a)
-            gens = set(cone.cone.generators)
+            gens = set(cone_vertices(a))
             assert gens == {vec([1, 0, 0]), vec([0, 1, 0]), vec([0, 0, 1])}
 
     def test_cap(self):
@@ -150,20 +152,24 @@ class TestDualMembership:
 
     def test_generator_tests_match_the_lp_references(self):
         """F G products of orders 1-6 at every rank 0..n, against one LP on
-        N(A^T) per question, with y = 0, the unit vectors and random
-        vectors of both signs.  The sample holds a trivial K, a K with
-        more generators than rank A, and both answers of each predicate."""
-        rng = random.Random(14)
+        N(A^T) per question, with y = 0, the unit vectors, random integer
+        vectors of both signs and random vectors with unlike denominators
+        (the tests read a positive multiple of y, not its numerators).  The
+        sample holds a trivial K, a K with more generators than rank A, and
+        both answers of each predicate."""
+        rng, fractional = random.Random(14), random.Random(15)
         seen = set()
         for n in range(1, 7):
             for r in range(n + 1):
                 for _ in range(3):
                     a = rand_int_matrix(rng, n, r) @ rand_int_matrix(rng, r, n)
-                    gens = cone_K(a).cone.generators
+                    gens = cone_vertices(a)
                     seen.add("trivial" if not gens else
                              "non-simplicial" if len(gens) > rank(a) else "simplicial")
                     ys = [vec([0] * n)] + [vec([int(i == j) for j in range(n)]) for i in range(n)]
                     ys += [rand_vector(rng, n) for _ in range(6)]
+                    ys += [tuple(Fraction(fractional.randint(-4, 4), fractional.randint(1, 6))
+                                 for _ in range(n)) for _ in range(6)]
                     for y in ys:
                         inside = dual_membership(a, y)
                         interior = int_dual_membership(a, y)
@@ -808,11 +814,11 @@ class TestDoubleDescription:
         kinds = Counter()
         for a in matrices:
             cone = cone_K(a)
-            assert list(cone.cone.generators) == cone_generators_reference(
+            vertices = cone_vertices(a)
+            assert list(vertices) == cone_generators_reference(
                 RationalMatrix.from_rows(a.data)), a.data
             assert all(min(ray) >= 0 and math.gcd(*ray) == 1 for ray in cone.rays)
-            assert sorted(tuple(Fraction(t, sum(ray)) for t in ray)
-                          for ray in cone.rays) == list(cone.cone.generators)
+            assert cone.nontrivial_witness == (vertices[0] if vertices else None)
             kinds["trivial" if cone.trivial else
                   "non-simplicial" if len(cone.rays) > rank(a) else "simplicial"] += 1
         assert set(kinds) == {"trivial", "simplicial", "non-simplicial"}
@@ -847,6 +853,39 @@ class TestGeneratorForm:
             for q in [vec([0] * n), vec([1] * n), rand_vector(rng, n, 3), rand_vector(rng, n, 3)]:
                 p = tuple(sum(t * qi for t, qi in zip(ray, q)) for ray in rays)
                 assert cone_lcp_only_zero(a, q) == (first_nonzero_solution(m, p, ()) is None)
+
+    def test_simplicial_solutions_are_the_images_of_the_generator_lcp(self):
+        """When K is simplicial (its rays are linearly independent), x = V lam
+        is one-to-one and maps the solutions of LCP(M, V^T q) onto those of
+        the cone LCP (A, q): over seeded F G products of every rank and q of
+        both signs, the sets agree whenever neither side has a degenerate
+        support (a family's representative is one point of many), and the
+        two sides flag degeneracy together.  Counting rays against rank A
+        would not do: K can have lower dimension and as many rays (the
+        square cone x_1 + x_2 = x_3 + x_4 of R^6_+, with R(A) adding e_5 -
+        e_6, has 4 rays and rank A = 4)."""
+        rng = random.Random(32)
+        compared, flags, fewer = 0, Counter(), 0
+        for trial in range(400):
+            n = rng.randint(2, 5)
+            r = rng.randint(1, n)
+            a = rand_int_matrix(rng, n, r, 2) @ rand_int_matrix(rng, r, n, 2)
+            m, rays = generator_lcp(a)
+            if rank(RationalMatrix.from_ints(rays)) < len(rays):
+                continue
+            fewer += len(rays) < rank(a)
+            for q in (rand_vector(rng, n, 3), rand_vector(rng, n, 3), vec([1] * n), vec([-1] * n)):
+                p = tuple(sum(t * qi for t, qi in zip(ray, q)) for ray in rays)
+                cone, gen = cone_lcp_solutions(a, q), lcp_solutions(m, p)
+                flags[bool(cone.degenerate_supports)] += 1
+                assert bool(cone.degenerate_supports) == bool(gen.degenerate_supports), (a, q)
+                if cone.degenerate_supports:
+                    continue
+                images = sorted(tuple(sum((lam * ray[i] for lam, ray in zip(x, rays)), Fraction(0))
+                                      for i in range(n)) for x in gen.solutions)
+                assert images == list(cone.solutions), (a, q)
+                compared += 1
+        assert compared >= 900 and flags[True] >= 10 and fewer >= 10, (compared, flags, fewer)
 
 
 def _degree_rule_cases(seed: int, count: int):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from karalcp import lcp, lcp_classes, minor_classes
-from karalcp.conelcp import cone_K, is_karamardian
+from karalcp.conelcp import is_karamardian
 from karalcp.corpus import corpus_entries
 from karalcp.errors import EmptyConeError, TooLargeError
 from karalcp.geninv import generalized_idempotent_scalar, group_inverse
@@ -38,6 +38,7 @@ from karalcp.matrix import (
 from karalcp.minor_classes import has_property_c, is_h_matrix_positive_diag, minor_class
 from karalcp.monotone import is_range_monotone
 from oracles import (
+    cone_vertices,
     copositivity_kkt_reference,
     p_hash_orthant_reference,
     semipositive_reference,
@@ -594,8 +595,7 @@ class TestCopositivity:
 
     def test_strict_on_nontrivial_k(self):
         a = RationalMatrix.from_rows([[1, -1, 0], [-1, 1, 0], [0, 0, 1]])
-        cone = cone_K(a).cone
-        result = copositivity_on_cone(a, cone)
+        result = copositivity_on_cone(a, ConeRep(3, cone_vertices(a)))
         assert result.status is CopositivityStatus.STRICTLY_COPOSITIVE
 
     def test_zero_matrix_copositive_only(self):
@@ -645,7 +645,8 @@ class TestCopositivity:
                 a = rand_int_matrix(rng, n, r) @ rand_int_matrix(rng, r, n)
             else:
                 a = rand_int_matrix(rng, n, n)
-            cone = ConeRep.nonnegative_orthant(n) if trial % 3 == 0 else cone_K(a).cone
+            cone = (ConeRep.nonnegative_orthant(n) if trial % 3 == 0
+                    else ConeRep(n, cone_vertices(a)))
             if not cone.generators:
                 continue
             q = a if trial % 2 else rand_int_matrix(rng, n, n)

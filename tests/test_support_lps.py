@@ -30,6 +30,7 @@ from karalcp.matrix import (
     is_zero_vec,
     nonempty_subsets,
     rank,
+    solve_linear,
     subspace_bases,
     vec,
 )
@@ -613,12 +614,16 @@ def test_homogeneous_scans_match_the_min_max_reference(monkeypatch):
             built.append(system)
             super().__init__(system)
 
-    real = lcp._family_solutions
+    real = lcp._singular_support
 
-    def recording(n, q, support, sol, comp, off_support):
+    def recording(q, support, table):
+        n, d = len(table.mults), len(table.bordered) - len(table.mults)
+        where = list(support) + list(range(n, n + d))
+        block = RationalMatrix.from_ints([[table.bordered[r][c] for c in where] for r in where])
+        sol = solve_linear(block, [0] * len(where))
         assert not any(q) and not any(sol.particular)
         before = len(built)
-        x, is_family = real(n, q, support, sol, comp, off_support)
+        x, is_family = real(q, support, table)
         moved = [support[idx] for idx in range(len(support))
                  if any(nb[idx] for nb in sol.null_basis)]
         if is_family:
@@ -632,7 +637,7 @@ def test_homogeneous_scans_match_the_min_max_reference(monkeypatch):
         return x, is_family
 
     monkeypatch.setattr(lp, "_Simplex", CountingSimplex)
-    monkeypatch.setattr(lcp, "_family_solutions", recording)
+    monkeypatch.setattr(lcp, "_singular_support", recording)
     rng = random.Random(41)
     matrices = list(_rank_deficient_draws(rng))
     matrices += [_rational_matrix_of_rank(rng, n, rng.randint(1, n - 1))
