@@ -8,8 +8,9 @@ perfbench/inputs.search_ops(seed, ops) once, as perfbench/run.py does, and
 prints one JSON object: the calls of lcp_classes.is_p_hash, the trials
 whose matrix is singular and those that are P#, the LPs that lcp_classes
 solves, the rows scaled to integers (calls of matrix.integer_row, as
-integer_rows, left_null_rows, solve_linear and matmul make them; rref
-and determinant read integer_rows) and the integer eliminations that
+left_null_rows and solve_linear make them; common_rows, which rref,
+determinant, inverse and matmul read, puts a whole matrix over one
+denominator and is not counted) and the integer eliminations that
 minor_classes runs (its calls of matrix._eliminate).  With --digest-ops
 it then runs the first that many ops again, uncounted, and adds the
 sha256 of their hit lines (search.hit_to_json_line, one per hit, in op

@@ -48,7 +48,7 @@ def main() -> None:
         return wrapped
 
     def singular_support(q, support, table):
-        d = len(table.bordered) - len(table.mults)
+        d = len(table.bordered) - table.n
         counts["shape_singular"] += 0 < len(support) < d
         return real_singular(q, support, table)
 

@@ -52,10 +52,10 @@ from .matrix import (
     ENUMERATION_CAP,
     RationalMatrix,
     Vector,
+    common_rows,
     dot,
     full_rank_factorization,
     integer_row,
-    integer_rows,
     is_unisigned,
     is_zero_vec,
     left_null_rows,
@@ -106,12 +106,12 @@ def cone_K(a: RationalMatrix) -> ConeData:
 
 def maps_K_nonneg(a: RationalMatrix, x: RationalMatrix) -> bool:
     """X g >= 0 for every generator g of K, so X maps K into R^n_+, read on
-    the integer rows of X (positive row multipliers keep signs).  An
+    B = alpha X from `common_rows` (a positive scale keeps signs).  An
     invertible A has K = R^n_+, so this is X >= 0, read with no double
     description and at any order."""
     if not left_null_rows(a):
         return all(t >= 0 for row in x.data for t in row)
-    return all(sum(map(mul, r, g)) >= 0 for g in cone_K(a).rays for r, _ in integer_rows(x))
+    return all(sum(map(mul, r, g)) >= 0 for g in cone_K(a).rays for r in common_rows(x)[1])
 
 
 def _double_description(n: int, null: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -272,8 +272,10 @@ def default_candidates(a: RationalMatrix, witness: Vector | None) -> list[Vector
     system = LinearSystem(n, nonneg=True)
     for j in range(n):
         system.ge([int(i == j) for i in range(n)], 1)
-    for ints, _ in integer_rows(a):
-        system.ge(ints, 0)
+    # rows scaled one by one (LinearSystem.ge): the simplex's witness, a
+    # candidate d, depends on how its rows are scaled
+    for row in a.data:
+        system.ge(row, 0)
     feas = lp_feasible(system)
     if feas.is_feasible:
         out.append(feas.witness)

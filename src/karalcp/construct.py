@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .conelcp import is_karamardian
 from .errors import (
     BadInnerProductError,
     BadUError,
@@ -26,6 +27,7 @@ from .errors import (
     SingularShiftError,
     ZeroVectorError,
 )
+from .lcp import NO, YES
 from .lcp_classes import is_p_hash
 from .matrix import RationalMatrix, Vector, dot, inverse, is_zero_vec, rat, vec
 from .minor_classes import MClass, has_property_c, is_m_matrix, structural_flags
@@ -99,9 +101,6 @@ def border_karamardian(a: RationalMatrix, u: Sequence, alpha,
     """Border an invertible Karamardian matrix with u >= 0 and a corner
     alpha > 0, alpha != u^T A^-1 u; the result is invertible and again
     Karamardian."""
-    from .conelcp import is_karamardian
-    from .lcp import NO, YES
-
     a.require_square("Karamardian bordering")
     uv = vec(u)
     alpha = rat(alpha)

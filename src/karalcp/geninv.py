@@ -29,7 +29,6 @@ from .matrix import (
     _det_adj,
     _ratio,
     common_rows,
-    integer_rows,
     inverse,
     left_null_rows,
     memoized,
@@ -137,11 +136,11 @@ def index_at_most_one(a: RationalMatrix) -> bool:
 
 def is_range_symmetric(a: RationalMatrix) -> bool:
     """R(A) = R(A^T), that is N(A^T) = N(A), their orthogonal complements:
-    A w = 0, on A's integer rows, for every w of the integer basis of
-    N(A^T) suffices, as both null spaces have dimension n - rank A."""
+    B w = 0 for B = alpha A (`common_rows`) and every w of the integer
+    basis of N(A^T) suffices, as both null spaces have dimension n - rank A."""
     a.require_square("range symmetry")
     return all(sum(map(mul, ints, w)) == 0
-               for w in left_null_rows(a) for ints, _ in integer_rows(a))
+               for w in left_null_rows(a) for ints in common_rows(a)[1])
 
 
 def generalized_idempotent_scalar(a: RationalMatrix) -> Fraction | None:

@@ -61,8 +61,8 @@ from .matrix import (
     Vector,
     _det_adj,
     _eliminate,
+    common_rows,
     integer_row,
-    integer_rows,
     is_zero_vec,
     memoized,
     nonempty_subsets,
@@ -159,20 +159,21 @@ def support_solver(a: RationalMatrix, q: Vector, null: Sequence[Vector]):
     in x_S and the free w, one per vector of `null`.  The block's signed
     det and adj come from the per-matrix table (`_block_entry`), so a q
     costs integer products and sign checks, and Fractions only for a
-    returned solution: with q = Q / qden and m_i the multiplier of row i,
-    v = adj (-sign(det) m_S Q_S) is |det| qden (x_S, w), and for i off S
-    the bordered row i times v, plus |det| m_i Q_i, is
-    (Ax - Nw + q)_i m_i |det| qden.  A singular block is solved in
+    returned solution: with q = Q / qden and B = alpha A,
+    v = adj (-sign(det) alpha Q_S) is |det| qden (x_S, w), and for i off S
+    the bordered row i times v, plus |det| alpha Q_i, is
+    (Ax - Nw + q)_i alpha |det| qden.  A singular block is solved in
     Fractions, and its affine family classified, by `_singular_support`.
     S gives None with no solve when R(A) holds no nonzero vector supported
-    in S (`_range_trivial`): its only solution could be x = 0, which the
-    empty support decides.
+    in S (`_range_trivial`), or when its block gives x_S = 0: its only
+    solution could be x = 0, and its conditions imply q - Nw >= 0, so the
+    empty support already reports it.
     """
     table = _block_table(a, tuple(null))
     n = a.rows
     qn, qden = integer_row(q)
-    mq = [mult * t for mult, t in zip(table.mults, qn)]
-    folded = ([-t for t in mq], mq)  # -sign(det) m_i Q_i for det > 0, det < 0
+    aq = [table.alpha * t for t in qn]
+    folded = ([-t for t in aq], aq)  # -sign(det) alpha Q_i for det > 0, det < 0
 
     def solve(support):
         if _range_trivial(table, support):
@@ -185,11 +186,11 @@ def support_solver(a: RationalMatrix, q: Vector, null: Sequence[Vector]):
         qs = [signed[i] for i in support]
         v = [sum(map(mul, row, qs)) for row in adj]
         k = len(support)
-        if k and min(v[:k]) < 0:
+        if k and (min(v[:k]) < 0 or not any(v[:k])):
             return None, False
         scale = abs(det)
         block_v = _scatter(v, support, n)
-        if any(sum(map(mul, table.bordered[i], block_v)) + scale * mq[i] < 0
+        if any(sum(map(mul, table.bordered[i], block_v)) + scale * aq[i] < 0
                for i in range(n) if i not in support):
             return None, False
         return _expand([Fraction(t, scale * qden) for t in v[:k]], support, n), False
@@ -200,16 +201,16 @@ def support_solver(a: RationalMatrix, q: Vector, null: Sequence[Vector]):
 class _BlockTable(NamedTuple):
     """The principal blocks of one matrix and null basis.
 
-    `bordered` holds the rows of the integer matrix [[mA, -mN], [N^T, 0]]:
-    row i of A scaled by its multiplier m_i (in `mults`, from
-    integer_rows), and each of the d = len(bordered) - len(mults) null
+    `bordered` holds the rows of the integer matrix [[B, -alpha N], [N^T, 0]]
+    of order n + d: B = alpha A from `common_rows`, and each of the d null
     vectors scaled to integers (a positive rescale of w, so x is
     unchanged).  `blocks` maps each support built so far to its block's
     (det, adj), or None when the block is singular, and `trivial` maps each
     support asked so far to whether R(A) holds no nonzero vector
     supported in it (`_range_trivial`)."""
 
-    mults: list
+    alpha: int
+    n: int
     bordered: list
     blocks: dict
     trivial: dict
@@ -218,13 +219,13 @@ class _BlockTable(NamedTuple):
 @memoized("supports")
 def _block_table(a: RationalMatrix, null: tuple[Vector, ...]) -> _BlockTable:
     """The block table of a and null, one per matrix and null basis."""
-    rows = integer_rows(a)
+    alpha, b = common_rows(a)
     scaled = [integer_row(w)[0] for w in null]
-    bordered = [ints + [-mult * w[i] for w in scaled] for i, (ints, mult) in enumerate(rows)]
+    bordered = [row + [-alpha * w[i] for w in scaled] for i, row in enumerate(b)]
     bordered += [w + [0] * len(null) for w in scaled]
     # the empty support's block is the d x d zero corner, with det 1 at d = 0
     blocks = {(): None if null else (1, [])}
-    return _BlockTable([m for _, m in rows], bordered, blocks, {})
+    return _BlockTable(alpha, a.rows, bordered, blocks, {})
 
 
 def _range_trivial(table: _BlockTable, support) -> bool:
@@ -238,7 +239,7 @@ def _range_trivial(table: _BlockTable, support) -> bool:
     integer rows N_S^T then settles it."""
     if support in table.trivial:
         return table.trivial[support]
-    n, d = len(table.mults), len(table.bordered) - len(table.mults)
+    n, d = table.n, len(table.bordered) - table.n
     k = len(support)
     found = 0 < k <= d and (k == 1 or _range_trivial(table, support[:-1]))
     if found:
@@ -259,7 +260,7 @@ def _block_entry(table: _BlockTable, support):
     parent leaves one direct elimination of the block (`matrix._det_adj`)."""
     if support in table.blocks:
         return table.blocks[support]
-    n, d = len(table.mults), len(table.bordered) - len(table.mults)
+    n, d = table.n, len(table.bordered) - table.n
     if len(support) < d:
         return None
     parent = _block_entry(table, support[:-1])
@@ -308,8 +309,8 @@ def _scatter(v, support, n: int) -> list:
 
 def _singular_support(q: Vector, support, table: _BlockTable):
     """`support_solver` on a singular block: one Fraction solve of S's block
-    of `table.bordered`, whose rows in S are m_i A_i (right-hand side
-    -m_i q_i), gives the affine family v = particular + sum t_j basis_j of
+    of `table.bordered`, whose rows in S are alpha A_i (right-hand side
+    -alpha q_i), gives the affine family v = particular + sum t_j basis_j of
     block solutions, classified against the sign constraints: returns
     (representative | None, positive_dimensional), where only x_S counts
     towards dimension.
@@ -318,10 +319,10 @@ def _singular_support(q: Vector, support, table: _BlockTable):
     the family is a cone through x = 0: min x_i is 0 and max x_i is 0 or
     unbounded.  Each moved x_i then costs only the LP x_i = 1, and the
     family is the point x = 0 when no x_i can be pinned."""
-    n, d = len(table.mults), len(table.bordered) - len(table.mults)
+    n, d = table.n, len(table.bordered) - table.n
     where = list(support) + list(range(n, n + d))
     block = RationalMatrix.from_ints([[table.bordered[r][c] for c in where] for r in where])
-    sol = solve_linear(block, [-table.mults[i] * q[i] for i in support] + [_ZERO] * d)
+    sol = solve_linear(block, [-table.alpha * q[i] for i in support] + [_ZERO] * d)
     if sol is None:
         return None, False
     comp = [i for i in range(n) if i not in support]
@@ -331,7 +332,7 @@ def _singular_support(q: Vector, support, table: _BlockTable):
         each one integer dot product with a bordered row."""
         ints, den = integer_row(v)
         block_v = _scatter(ints, support, n)
-        return [Fraction(sum(map(mul, table.bordered[i], block_v)), table.mults[i] * den)
+        return [Fraction(sum(map(mul, table.bordered[i], block_v)), table.alpha * den)
                 for i in comp]
 
     k = len(support)

@@ -46,8 +46,6 @@ from .matrix import (
     _eliminate,
     common_rows,
     dot,
-    integer_row,
-    integer_rows,
     is_zero_vec,
     left_null_rows,
     memoized,
@@ -89,20 +87,22 @@ def _simplex_point(a: RationalMatrix, k: int, eqs: tuple, ges: tuple) -> bool:
 
 
 def _block(a: RationalMatrix, idx: tuple[int, ...], sign: int = 1) -> tuple:
-    """The integer rows of sign * A[idx, idx], each row scaled as in A."""
-    rows = integer_rows(a)
-    return tuple(tuple(sign * rows[i][0][j] for j in idx) for i in idx)
+    """The integer rows of sign * B[idx, idx], for B = alpha A from
+    `common_rows`: a positive scale keeps every sign these tests read."""
+    b = common_rows(a)[1]
+    return tuple(tuple(sign * b[i][j] for j in idx) for i in idx)
 
 
 def is_semipositive(a: RationalMatrix) -> bool:
-    """Exists x > 0 with Ax > 0: no nonzero y >= 0 has A^T y <= 0 (Ville)."""
+    """Exists x > 0 with Ax > 0: no nonzero y >= 0 has A^T y <= 0 (Ville),
+    asked of -B^T, the negated columns of B = alpha A."""
     return not _simplex_point(a, a.rows, (), tuple(
-        tuple(-t for t in integer_row(col)[0]) for col in zip(*a.data)))
+        tuple(-t for t in col) for col in zip(*common_rows(a)[1])))
 
 
 def is_weakly_semipositive(a: RationalMatrix) -> bool:
     """Exists 0 != x >= 0 with Ax >= 0."""
-    return _simplex_point(a, a.cols, (), tuple(tuple(ints) for ints, _ in integer_rows(a)))
+    return _simplex_point(a, a.cols, (), tuple(map(tuple, common_rows(a)[1])))
 
 
 def is_semimonotone(a: RationalMatrix) -> bool:
@@ -149,7 +149,7 @@ def is_p_hash(a: RationalMatrix) -> bool:
 
     For invertible A, R(A) = R^n and this says A is a P-matrix (Fiedler &
     Ptak; Cottle, Pang & Stone, Thm 3.3.4): invertibility is the pivot
-    count of one integer elimination of the row-scaled A, a nonpositive
+    count of one integer elimination of B = alpha A, a nonpositive
     diagonal entry (a 1x1 minor) refutes it, and otherwise the principal
     minors decide.  For singular A, each column A e_j lies in R(A), and a
     nonzero one that reverses the sign of A on every coordinate refutes A
@@ -161,10 +161,10 @@ def is_p_hash(a: RationalMatrix) -> bool:
     """
     a.require_square("P# test", scan=True)
     n = a.rows
-    rows = [ints for ints, _ in integer_rows(a)]
-    if len(_eliminate(rows[:], n)[1]) == n:
-        return all(rows[i][i] > 0 for i in range(n)) and minor_class(a).is_p
-    if _column_refutes(common_rows(a)[1]):
+    b = common_rows(a)[1]
+    if len(_eliminate(b[:], n)[1]) == n:
+        return all(b[i][i] > 0 for i in range(n)) and minor_class(a).is_p
+    if _column_refutes(b):
         return False
     null, minus_a = left_null_rows(a), _block(a, tuple(range(n)), -1)
     return not any(
@@ -176,9 +176,8 @@ def is_p_hash(a: RationalMatrix) -> bool:
 
 def _column_refutes(b: list[list[int]]) -> bool:
     """Some nonzero column x = A e_j has x_i (Ax)_i <= 0 for every i.  In
-    integers: with (alpha, B = alpha A) from `common_rows`, the column y =
-    B e_j is alpha x, and y_i (By)_i = alpha^2 x_i (Ax)_i.  A column of the
-    row-scaled `integer_rows`, D A e_j, need not lie in R(A)."""
+    integers: with B = alpha A from `common_rows`, the column y = B e_j is
+    alpha x, and y_i (By)_i = alpha^2 x_i (Ax)_i."""
     return any(any(y) and all(yi * sum(map(mul, row, y)) <= 0 for yi, row in zip(y, b))
                for y in zip(*b))
 

@@ -2,9 +2,11 @@
 
 Entries are `fractions.Fraction` at the API, so ranks, determinants, and
 solves are decisions rather than approximations; no tolerances exist
-anywhere in the package.  Elimination itself runs on integers: each row is
-scaled once by the lcm of its denominators (`integer_row`; a matrix built
-by `RationalMatrix.from_ints` carries its rows of ints instead), and one
+anywhere in the package.  Elimination itself runs on integers: a matrix
+A is read as B = alpha A, alpha the lcm of all its denominators
+(`common_rows`, once per matrix; a matrix built by
+`RationalMatrix.from_ints` carries its rows of ints as B, with alpha 1),
+a positive scale that keeps every sign, rank and reduced form, and one
 fraction-free pivot step (`_pivot`) does all of it: the Gauss-Jordan
 kernel (`_eliminate`) behind the RREF, the determinant, the inverse, the
 solution set of a linear system, the (det, adj) pairs (`_det_adj`) of
@@ -22,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from math import lcm, prod
+from math import lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -130,14 +132,14 @@ class RationalMatrix:
     @classmethod
     def from_ints(cls, rows: Iterable[Iterable[int]]) -> "RationalMatrix":
         """The matrix of these rows of ints, with the rows themselves cached
-        as its `integer_rows` (multiplier 1), so it is never rescaled.  Each
+        as its `common_rows` (alpha 1), so it is never rescaled.  Each
         distinct value becomes one Fraction shared by all its entries."""
         ints = [list(row) for row in rows]
         extra: dict[int, Fraction] = {}
         data = [[_SMALL[x] if x in _SMALL else extra[x] if x in extra
                  else extra.setdefault(x, Fraction(x)) for x in row] for row in ints]
         m = cls(len(ints), len(ints[0]) if ints else 0, data)
-        m._cache["int_rows"] = [(row, 1) for row in ints]
+        m._cache["common_rows"] = (1, ints)
         return m
 
     @classmethod
@@ -215,13 +217,15 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise DimensionMismatchError(f"matmul: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        # Each row of self and column of other is scaled to integers once,
-        # so every entry is one integer dot product over one denominator.
-        cols = [integer_row([row[j] for row in other.data]) for j in range(other.cols)]
-        out = []
-        for ri, mi in integer_rows(self):
-            out.append([_ratio(sum(map(mul, ri, cj)), mi * mj) for cj, mj in cols])
-        return RationalMatrix(self.rows, other.cols, out)
+        # Each factor over its common denominator, so every entry is one
+        # integer dot product over alpha beta; the columns are taken by
+        # index, so a 0 x m factor still gives m of them.
+        alpha, b = common_rows(self)
+        beta, c = common_rows(other)
+        cols = [[row[j] for row in c] for j in range(other.cols)]
+        return RationalMatrix(self.rows, other.cols,
+                              [[_ratio(sum(map(mul, row, col)), alpha * beta) for col in cols]
+                               for row in b])
 
     def mul_vec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
@@ -324,21 +328,13 @@ def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (mult // x.denominator) for x in row], mult
 
 
-@memoized("int_rows")
-def integer_rows(m: RationalMatrix) -> list[tuple[list[int], int]]:
-    """integer_row of every row of m, computed once per matrix (a matrix
-    built by `RationalMatrix.from_ints` has its own rows here already)."""
-    return [integer_row(row) for row in m.data]
-
-
 @memoized("common_rows")
 def common_rows(m: RationalMatrix) -> tuple[int, list[list[int]]]:
-    """(alpha, alpha m): alpha is the lcm of every denominator of m, the
-    lcm of its row multipliers, and alpha m is given as rows of ints."""
-    rows = integer_rows(m)
-    alpha = lcm(*(mult for _, mult in rows))
-    return alpha, [ints if mult == alpha else [t * (alpha // mult) for t in ints]
-                   for ints, mult in rows]
+    """(alpha, B = alpha m): alpha is the lcm of every denominator of m,
+    and B is given as rows of ints, the one integer form of a matrix.
+    Callers read it and never edit it."""
+    alpha = lcm(*(x.denominator for row in m.data for x in row))
+    return alpha, [[x.numerator * (alpha // x.denominator) for x in row] for row in m.data]
 
 
 def _pivot(rows: list[list[int]], r: int, c: int, den: int) -> int:
@@ -407,7 +403,7 @@ def _ratio(x: int, den: int) -> Fraction:
 @memoized("rref")
 def rref(m: RationalMatrix) -> RrefResult:
     """Reduced row echelon form; pivoting on first nonzero entry per column."""
-    a = [ints for ints, _ in integer_rows(m)]
+    a = common_rows(m)[1][:]
     den, pivots, _ = _eliminate(a, m.cols)
     data = [[_ratio(x, den) for x in row] for row in a]
     return RrefResult(RationalMatrix(m.rows, m.cols, data), len(pivots), pivots)
@@ -419,11 +415,12 @@ def rank(m: RationalMatrix) -> int:
 
 def determinant(m: RationalMatrix) -> Fraction:
     m.require_square("determinant")
-    rows = integer_rows(m)
-    den, pivots, sign = _eliminate([ints for ints, _ in rows], m.rows)
+    # det B = alpha^n det A for B = alpha A
+    alpha, b = common_rows(m)
+    den, pivots, sign = _eliminate(b[:], m.rows)
     if len(pivots) < m.rows:
         return _ZERO
-    return Fraction(sign * den, prod(mult for _, mult in rows))
+    return Fraction(sign * den, alpha ** m.rows)
 
 
 def principal_minor(m: RationalMatrix, index_set: Iterable[int]) -> Fraction:
@@ -444,15 +441,13 @@ def nonempty_subsets(n: int) -> Iterator[tuple[int, ...]]:
 def inverse(m: RationalMatrix) -> RationalMatrix | None:
     """Exact inverse, or None when singular."""
     m.require_square("inverse")
-    # R = D A with D the row multipliers, so A^-1 = R^-1 D = adj(R) D / det R
-    rows = integer_rows(m)
-    entry = _det_adj([ints for ints, _ in rows], range(m.rows))
+    # B = alpha A, so A^-1 = alpha B^-1 = alpha adj(B) / det B
+    alpha, b = common_rows(m)
+    entry = _det_adj(b, range(m.rows))
     if entry is None:
         return None
     det, adj = entry
-    mults = [mult for _, mult in rows]
-    return RationalMatrix(m.rows, m.rows, [[_ratio(t * mult, det) for t, mult in zip(row, mults)]
-                                           for row in adj])
+    return RationalMatrix(m.rows, m.rows, [[_ratio(alpha * t, det) for t in row] for row in adj])
 
 
 # -- subspaces ---------------------------------------------------------
@@ -530,8 +525,9 @@ def subspace_bases(m: RationalMatrix) -> SubspaceBases:
 def left_null_rows(m: RationalMatrix) -> tuple[tuple[int, ...], ...]:
     """`subspace_bases(m).left_null.basis`, each vector as its primitive
     integer multiple (it has 1 at its free column), from one elimination
-    of M's columns scaled to integers, which keeps N(M^T)."""
-    a = [integer_row(col)[0] for col in zip(*m.data)]
+    of the columns of B = alpha M (`common_rows`), whose reduced form is
+    M^T's."""
+    a = list(zip(*common_rows(m)[1]))
     den, pivots, _ = _eliminate(a, m.rows)
     basis = _null_basis(m.rows, pivots, lambda r, f: _ratio(a[r][f], den))
     return tuple(tuple(integer_row(v)[0]) for v in basis)

@@ -1,9 +1,10 @@
 """Determinant- and structure-based matrix classes.
 
 P / P0 / N (with category) / adequate come from exhaustive principal-minor
-scans (2^n - 1 exact determinant signs, size-capped) of the row-scaled
-matrix: a 1x1 minor's sign is its diagonal entry's, and each larger one is
-one integer elimination of its principal block.  M-matrices are
+scans (2^n - 1 exact determinant signs, size-capped) of the integer
+matrix B = alpha A (`common_rows`): a 1x1 minor's sign is its diagonal
+entry's, and each larger one is one integer elimination of its principal
+block.  M-matrices are
 decided by the Fiedler-Ptak characterization Z + P (nonsingular) / Z + P0
 (singular), which sidesteps the spectral radius entirely, and property c
 by "M-matrix and rank A = rank A^2" (zero eigenvalue of index <= 1), and
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .geninv import index_at_most_one
-from .matrix import RationalMatrix, _eliminate, integer_rows, inverse, memoized, nonempty_subsets
+from .matrix import RationalMatrix, _eliminate, common_rows, inverse, memoized, nonempty_subsets
 
 
 class MClass(Enum):
@@ -91,9 +92,9 @@ def is_irreducible(a: RationalMatrix) -> bool:
 @memoized("minors")
 def minor_class(a: RationalMatrix) -> MinorClassReport:
     a.require_square("minor classes", scan=True)
-    # each row times its positive multiplier: every minor keeps its sign
-    # and every row or column block its rank
-    rows = [ints for ints, _ in integer_rows(a)]
+    # B = alpha A, alpha > 0: every minor keeps its sign and every row or
+    # column block its rank
+    rows = common_rows(a)[1]
     is_p = is_p0 = is_n = True
     vanished: list[tuple[int, ...]] = []
     for idx in nonempty_subsets(a.rows):

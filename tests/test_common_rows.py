@@ -1,9 +1,12 @@
 """One common denominator per matrix for the whole package.
 
 `matrix.common_rows(m)` is (alpha, alpha m as rows of ints), alpha the lcm
-of every denominator of m; the generalized inverses and the P# column test
-read it, and no module but matrix.py computes an lcm, which a stdlib `ast`
-scan of `src/karalcp` enforces.
+of every denominator of m, and it is the only integer form of a matrix:
+the kernel, the LCP block table, the class tests and the generalized
+inverses all read it.  Stdlib `ast` scans of `src/karalcp` enforce that
+no module but matrix.py computes an lcm or scales a matrix's rows one by
+one (`integer_row` on an expression that reads `.data`), and that no
+module names the retired per-row form `integer_rows`.
 """
 
 import ast
@@ -63,3 +66,56 @@ def test_only_matrix_computes_a_common_denominator():
              for path in sorted(PACKAGE.rglob("*.py")) if path.name != "matrix.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
     assert lcm_uses((PACKAGE / "matrix.py").read_text(encoding="utf-8"))
+
+
+def integer_rows_names(source: str) -> list[int]:
+    """The line of every name, attribute, import or definition called
+    `integer_rows`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Name) and node.id == "integer_rows"
+                  or isinstance(node, ast.Attribute) and node.attr == "integer_rows"
+                  or isinstance(node, ast.alias) and node.name == "integer_rows"
+                  or isinstance(node, ast.FunctionDef) and node.name == "integer_rows")
+
+
+def data_rows_scaled(source: str) -> list[int]:
+    """The line of every call of `integer_row` with an argument that reads
+    an attribute `.data`, or inside a loop or comprehension that iterates
+    over an expression that reads one."""
+    def reads_data(tree):
+        return any(isinstance(node, ast.Attribute) and node.attr == "data" for node in ast.walk(tree))
+
+    def row_scalings(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and (isinstance(node.func, ast.Name) and node.func.id == "integer_row"
+                     or isinstance(node.func, ast.Attribute) and node.func.attr == "integer_row")]
+
+    tree = ast.parse(source)
+    found = {call.lineno for call in row_scalings(tree)
+             if any(reads_data(arg) for arg in [*call.args, *(k.value for k in call.keywords)])}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.For) and reads_data(node.iter)
+                or isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp))
+                and any(reads_data(gen.iter) for gen in node.generators)):
+            found.update(call.lineno for call in row_scalings(node))
+    return sorted(found)
+
+
+def test_integer_form_scans_flag_every_use():
+    source = ("from .matrix import integer_rows\nrows = matrix.integer_rows(a)\n"
+              "def integer_rows(m):\n    pass\nx = integer_rows\n"
+              "integer_row(a.data[0])\nmatrix.integer_row([t for t in m.data[i]])\n"
+              "integer_row(q)\ninteger_row(row=a.data[1])\nfor row in a.data:\n"
+              "    integer_row(row)\nb = [integer_row(r)[0]\n     for r in m.data]\n"
+              "for w in null:\n    integer_row(w)\n")
+    assert integer_rows_names(source) == [1, 2, 3, 5]
+    assert data_rows_scaled(source) == [6, 7, 9, 11, 12]
+
+
+def test_one_integer_form_per_matrix():
+    """No module names `integer_rows`, and only matrix.py scales rows of a
+    matrix's `.data` with `integer_row`."""
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {name: lines for name, src in sources.items() if (lines := integer_rows_names(src))} == {}
+    assert {name: lines for name, src in sources.items()
+            if name != "matrix.py" and (lines := data_rows_scaled(src))} == {}

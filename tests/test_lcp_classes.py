@@ -28,7 +28,7 @@ from karalcp.lp import LinearSystem, lp_feasible
 from karalcp.matrix import (
     RationalMatrix,
     determinant,
-    integer_rows,
+    integer_row,
     inverse,
     left_null_rows,
     memoized,
@@ -260,9 +260,9 @@ def _fractional_entries(rng: random.Random, rows: int, cols: int) -> RationalMat
 
 def _fractional_product(rng: random.Random, n: int) -> RationalMatrix:
     """B C with B n x r and C r x n, r < n, entries p/q, p in [-3, 3] and q
-    in [1, 4]: its rows get unlike multipliers in integer_rows, so the
-    row-scaled A is not a multiple of A, and a column of it is not a column
-    of A."""
+    in [1, 4]: its rows have unlike denominators, so each row scaled to
+    integers on its own (`integer_row`) would not give a multiple of A, and
+    a column of that would not be a column of A."""
     r = rng.randint(1, n - 1)
     return _fractional_entries(rng, n, r) @ _fractional_entries(rng, r, n)
 
@@ -321,7 +321,7 @@ class TestLpReferences:
             expected = strictly_range_semimonotone_reference(a)
             assert is_strictly_range_semimonotone(a) is expected, a.data
             seen[expected] += 1
-            unlike += len({m for _, m in integer_rows(a)}) > 1
+            unlike += len({integer_row(row)[1] for row in a.data}) > 1
         assert min(seen.values()) > 30 and unlike > 40
 
     def test_invertible_matrix_runs_no_lp(self, monkeypatch):
@@ -450,7 +450,7 @@ class TestSimplexPoint:
 
     def test_certificates_match_the_lp_reference(self, monkeypatch):
         # The systems the scans ask of fractional matrices whose rows have
-        # unlike multipliers: G = +-A_SS of the row-scaled A on every
+        # unlike multipliers: G = +-B_SS of B = alpha A on every
         # support S, with E empty and, for singular A, E = W_S^T, and P#'s
         # sign orthants.  Each answer is the LP's, an LP runs exactly when
         # no certificate applies, and each certificate answers some system.
@@ -460,7 +460,7 @@ class TestSimplexPoint:
         unlike = 0
         for _ in range(150):
             a = _fractional(rng, rng.randint(1, 4))
-            unlike += len({m for _, m in integer_rows(a)}) > 1
+            unlike += len({integer_row(row)[1] for row in a.data}) > 1
             for k, eqs, ges in _simplex_point_systems(a):
                 before = len(calls)
                 got = lcp_classes._simplex_point.__wrapped__(a, k, eqs, ges)

@@ -12,9 +12,8 @@ from karalcp.matrix import (
     ENUMERATION_CAP,
     RationalMatrix,
     determinant,
+    common_rows,
     full_rank_factorization,
-    integer_row,
-    integer_rows,
     inverse,
     memoized,
     principal_minor,
@@ -322,6 +321,21 @@ class TestKernelAgainstFractionOracle:
         b = data.draw(kernel_matrices(rows=a.cols))
         assert_identical(a @ b, matmul_fraction(a, b))
 
+    @pytest.mark.parametrize("n, k, m", [(3, 0, 2), (1, 0, 1), (2, 0, 0), (0, 2, 3), (0, 1, 1),
+                                         (0, 0, 2)])
+    def test_matmul_with_an_empty_dimension(self, n, k, m):
+        """n x k @ k x m with n or k zero, p/q entries elsewhere: an n x 0
+        by 0 x m product is the n x m zero matrix, and a 0 x k factor gives
+        0 x m, each with the product's shape."""
+        rng = random.Random(33)
+        a, b = (RationalMatrix(r, c, [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                       for _ in range(c)] for _ in range(r)])
+                for r, c in ((n, k), (k, m)))
+        got = a @ b
+        assert (got.rows, got.cols) == (n, m)
+        assert_identical(got, matmul_fraction(a, b))
+        assert got == RationalMatrix.zeros(n, m)
+
     @seed(3)
     @settings(max_examples=200, deadline=None)
     @given(kernel_matrices(), st.data())
@@ -368,8 +382,8 @@ class TestFromInts:
         assert (got.rows, got.cols) == (want.rows, want.cols)
         assert got.data == want.data
         assert all(type(x) is Fraction for row in got.data for x in row)
-        assert "int_rows" in got._cache
-        assert integer_rows(got) == integer_rows(want) == [integer_row(r) for r in want.data]
+        assert "common_rows" in got._cache
+        assert common_rows(got) == common_rows(want) == (1, [list(r) for r in rows])
 
     def test_random_rows_match_from_rows(self):
         rng = random.Random(20)
@@ -379,20 +393,20 @@ class TestFromInts:
             rows = [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)]
             got = RationalMatrix.from_ints(rows)
             assert got == RationalMatrix.from_rows(rows)
-            assert integer_rows(got) == [(row, 1) for row in rows]
+            assert common_rows(got) == (1, rows)
             if r == c:
                 assert determinant(got) == det_fraction(RationalMatrix.from_rows(rows))
 
     def test_equal_values_share_one_fraction(self):
         """Also for values outside the shared small-int table; tuple rows
-        are cached as lists, like integer_row's."""
+        are cached as lists, like common_rows'."""
         rows = [(2, 10 ** 30, 2, 0), (10 ** 30, 2, 0, -7)]
         m = RationalMatrix.from_ints(rows)
         assert m.data[0][0] is m.data[0][2] is m.data[1][1]
         assert m.data[0][1] is m.data[1][0]
         assert m.data[0][3] is m.data[1][2]
-        assert integer_rows(m) == [([2, 10 ** 30, 2, 0], 1), ([10 ** 30, 2, 0, -7], 1)]
-        assert all(type(ints) is list for ints, _ in integer_rows(m))
+        assert common_rows(m) == (1, [[2, 10 ** 30, 2, 0], [10 ** 30, 2, 0, -7]])
+        assert all(type(row) is list for row in common_rows(m)[1])
 
 
 class TestExactCoercion:

@@ -12,9 +12,9 @@ from karalcp.lcp_classes import is_p_hash
 from karalcp.lp import LinearSystem, lp_feasible
 from karalcp.matrix import (
     RationalMatrix,
+    common_rows,
     determinant,
     integer_row,
-    integer_rows,
     inverse,
     nonempty_subsets,
     rank,
@@ -95,8 +95,8 @@ class TestMinorClass:
             minor_class(RationalMatrix.identity(13))
 
 
-# Positive row scalings with unlike denominators, so the row multipliers
-# of integer_rows differ from 1 and from one another.
+# Positive row scalings with unlike denominators, so the rows' own
+# multipliers (`integer_row`) differ from 1 and from one another.
 ROW_SCALES = [Fraction(1, 2), Fraction(2, 3), Fraction(5, 4), Fraction(3, 7), Fraction(1), Fraction(7, 5)]
 
 
@@ -141,23 +141,25 @@ class TestMinorScanAgainstFractionOracle:
         determinant against two Fraction oracles on every principal
         submatrix, at orders 1-6, for Fraction-built matrices and for
         matrices built from ints (which carry their integer rows from
-        construction).  The scans eliminate copies of the cached integer
-        rows, so those are unchanged after determinant, minor_class and
-        is_p_hash."""
+        construction).  The scans eliminate copies of the cached
+        `common_rows`, so those are unchanged after determinant,
+        minor_class and is_p_hash."""
         rng = random.Random(19)
         p0_with_vanishing = adequate = 0
         for n in range(1, 7):
             int_built = [RationalMatrix.from_ints([[rng.randint(-3, 3) for _ in range(n)]
                                                    for _ in range(n)]) for _ in range(3)]
             for a in [*_minor_cases(rng, n), *int_built]:
-                snapshot = [(list(ints), mult) for ints, mult in integer_rows(a)]
+                alpha, b = common_rows(a)
+                snapshot = (alpha, [list(row) for row in b])
                 got = minor_class(a)
                 want = minor_class_fraction(a)
                 assert (got.is_p, got.is_p0, got.is_n, got.n_first_category,
                         got.is_adequate) == want
                 assert determinant(a) == det_fraction(a)
                 is_p_hash(a)
-                assert integer_rows(a) == snapshot == [integer_row(row) for row in a.data]
+                assert common_rows(a) == snapshot
+                assert [[Fraction(t, alpha) for t in row] for row in b] == a.data
                 for idx in nonempty_subsets(n):
                     sub = a.submatrix(idx, idx)
                     assert determinant(sub) == det_fraction(sub) == det_cofactor(sub)
@@ -227,7 +229,7 @@ class TestDiagonalMinors:
                 seen["p0_not_p"] += got.is_p0 and not got.is_p
                 seen["n"] += got.is_n
                 seen["zero_diagonal"] += any(a.data[i][i] == 0 for i in range(n))
-                seen["scaled"] += any(mult != 1 for _, mult in integer_rows(a))
+                seen["scaled"] += any(integer_row(row)[1] != 1 for row in a.data)
         assert all(seen.values()), seen
 
     def test_no_1x1_block_is_eliminated(self, monkeypatch):

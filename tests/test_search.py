@@ -8,7 +8,7 @@ from pathlib import Path
 
 from karalcp.conelcp import classify_2x2, cone_K, is_karamardian
 from karalcp.lcp_classes import is_p_hash
-from karalcp.matrix import RationalMatrix, integer_rows, jsonable, subspace_bases
+from karalcp.matrix import RationalMatrix, common_rows, jsonable, subspace_bases
 from karalcp.search import hit_to_json_line, random_integer_matrix, run_search
 from oracles import random_integer_matrix_fraction
 
@@ -78,7 +78,7 @@ class TestDrawAgainstFractionOracle:
                 got = random_integer_matrix(rng, n, entry_bound, density)
                 want = random_integer_matrix_fraction(ref, n, entry_bound, density)
                 assert got == want
-                assert integer_rows(got) == [([int(x) for x in row], 1) for row in want.data]
+                assert common_rows(got) == (1, [[int(x) for x in row] for row in want.data])
                 assert rng.getstate() == ref.getstate()
 
     def test_negative_entry_bound_raises_like_randint(self):

@@ -360,12 +360,45 @@ def test_second_scan_factors_nothing_and_solves_only_singular_blocks(monkeypatch
         assert got == complementary_solutions_fraction(a, q, nb, zero_solves)
 
 
+def test_nonsingular_supports_at_q_zero_return_none_with_no_fraction(monkeypatch):
+    """At q = 0 a nonsingular block solves to x_S = 0, a solution the empty
+    support already reports: every nonempty nonsingular support returns
+    (None, False) and builds no Fraction, standard and cone alike, and
+    both scans still equal the scans that solve every block in Fractions."""
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(lcp, "Fraction", counting)
+    rng = random.Random(33)
+    cases = [RationalMatrix.from_rows([["1/2", "1/2", "1/2"], [-1, -2, 1], [0, -1, 2]])]
+    cases += [_rational_matrix_of_rank(rng, n, r) for n in range(1, 5) for r in range(1, n + 1)]
+    nonsingular = 0
+    for a in cases:
+        zero = (Fraction(0),) * a.rows
+        for nb in ((), tuple(subspace_bases(a).left_null.basis)):
+            solve, table = lcp.support_solver(a, zero, nb), lcp._block_table(a, nb)
+            for support in nonempty_subsets(a.rows):
+                before = len(made)
+                got = solve(support)
+                if lcp._block_entry(table, support) is not None:
+                    assert got == (None, False) and len(made) == before, (a, nb, support)
+                    nonsingular += 1
+            zero_solves = orthant_plus_span_lp_reference(zero, nb)
+            assert (complementary_solutions(a, zero, nb)
+                    == complementary_solutions_fraction(a, zero, nb, zero_solves))
+            assert first_nonzero_solution(a, zero, nb) == first_nonzero_solution_fraction(a, zero, nb)
+    assert nonsingular > 50
+
+
 # -- the bordering walk against one elimination of [B_S | I] per support ------
 
 
 def _rational_matrix_of_rank(rng, n, r):
     """F G with p/q entries, F n x r and G r x n, redrawn until its rank
-    is r; the p/q entries make the row multipliers m_i differ from 1."""
+    is r; the p/q entries make alpha of `common_rows` differ from 1."""
     def entry():
         return Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
 
@@ -381,11 +414,13 @@ def _rational_matrix_of_rank(rng, n, r):
 def assert_table_matches_elimination(a, null):
     """Every support's table entry against block_factor_reference: the
     same singular flag, den = |det| and den B_S^-1 on the support columns
-    (which the reference keeps times -m_i), det equal to the exact
+    (which the reference keeps times -alpha, every row of B = alpha A from
+    `common_rows` having multiplier alpha), det equal to the exact
     determinant of the integer block, and B_S adj = det I for the whole
     adj."""
     table = lcp._block_table(a, null)
-    rows = matrix.integer_rows(a)
+    alpha, b = matrix.common_rows(a)
+    rows = [(row, alpha) for row in b]
     null_ints = [matrix.integer_row(w)[0] for w in null]
     n, d = a.rows, len(null)
     for support in nonempty_subsets(n):
@@ -617,7 +652,7 @@ def test_homogeneous_scans_match_the_min_max_reference(monkeypatch):
     real = lcp._singular_support
 
     def recording(q, support, table):
-        n, d = len(table.mults), len(table.bordered) - len(table.mults)
+        n, d = table.n, len(table.bordered) - table.n
         where = list(support) + list(range(n, n + d))
         block = RationalMatrix.from_ints([[table.bordered[r][c] for c in where] for r in where])
         sol = solve_linear(block, [0] * len(where))
