@@ -10,7 +10,9 @@ prints one JSON object: the blocks bordered from their parent's entry
 because their parent is singular (and how many of those are singular), and
 the nonempty supports skipped as singular by shape (0 < |S| < dim N(A^T)),
 and the supports skipped before any block work because R(A) holds no
-nonzero vector supported in them (`range_trivial`, cone LCPs only).  The
+nonzero vector supported in them (`range_trivial`, cone LCPs only: the
+calls of `lcp._eliminate`, whose one caller in lcp.py is that rank check
+on the border rows N_S^T, that find full column rank).  The
 cone LCP's empty support, singular by shape too and the LP that decides
 x = 0, is left out of the shape count.
 """
@@ -52,16 +54,20 @@ def main() -> None:
         counts["shape_singular"] += 0 < len(support) < d
         return real_singular(q, support, table)
 
-    real_singular = lcp._singular_support
+    def eliminate(rows, ncols):
+        out = real_eliminate(rows, ncols)
+        counts["range_trivial"] += len(out[1]) == ncols
+        return out
+
+    real_singular, real_eliminate = lcp._singular_support, lcp._eliminate
     lcp._border = counting("bordered", lcp._border)
     lcp._det_adj = counting("eliminated", lcp._det_adj)
     lcp._singular_support = singular_support
+    lcp._eliminate = eliminate
     for op in inputs.lcp_ops(args.seed, args.ops):
         a = RationalMatrix.from_json(json.loads(op["matrix"], parse_float=Fraction))
         solve = lcp.lcp_solutions if op["kind"] == "lcp" else conelcp.cone_lcp_solutions
         solve(a, op["q"])
-        counts["range_trivial"] += sum(sum(table.trivial.values()) for table in a._cache.values()
-                                       if isinstance(table, lcp._BlockTable))
     print(json.dumps({"seed": args.seed, "ops": args.ops, **counts}))
 
 

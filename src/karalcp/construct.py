@@ -3,10 +3,11 @@ Householder-type and Cayley-type transforms, stochastic shifts.
 
 Each builder validates its hypotheses exactly and re-verifies the
 guaranteed property of its output where a guarantee exists (P# for the
-symmetric irreducible M-bordering, idempotency for I - u v^T, the
-resolvent identity for the Cayley transform).  Non-symmetric or reducible
-M-borderings are permitted with warnings instead of rejection; they only
-certify per instance.
+symmetric irreducible M-bordering, the Karamardian property for the
+Karamardian bordering, idempotency for I - u v^T, the resolvent identity
+for the Cayley transform).  Non-symmetric or reducible M-borderings are
+permitted with warnings instead of rejection; they only certify per
+instance.
 """
 
 from __future__ import annotations
@@ -96,11 +97,11 @@ def border_m_matrix(a: RationalMatrix, u: Sequence) -> BorderResult:
     return BorderResult(bordered, alpha, tuple(warnings))
 
 
-def border_karamardian(a: RationalMatrix, u: Sequence, alpha,
-                       verify: bool = False) -> RationalMatrix:
+def border_karamardian(a: RationalMatrix, u: Sequence, alpha) -> RationalMatrix:
     """Border an invertible Karamardian matrix with u >= 0 and a corner
     alpha > 0, alpha != u^T A^-1 u; the result is invertible and again
-    Karamardian."""
+    Karamardian, which `is_karamardian` re-checks (memoized, so asking
+    again is free)."""
     a.require_square("Karamardian bordering")
     uv = vec(u)
     alpha = rat(alpha)
@@ -119,10 +120,8 @@ def border_karamardian(a: RationalMatrix, u: Sequence, alpha,
     if base.status != YES:
         raise PreconditionFailedError(f"base matrix is not certified Karamardian (verdict {base.status})")
     bordered = _border(a, uv, alpha)
-    if verify:
-        verdict = is_karamardian(bordered)
-        if verdict.status == NO:
-            raise ArithmeticError("bordered matrix failed its Karamardian self-check")
+    if is_karamardian(bordered).status == NO:
+        raise ArithmeticError("bordered matrix failed its Karamardian self-check")
     return bordered
 
 

@@ -165,19 +165,24 @@ def support_solver(a: RationalMatrix, q: Vector, null: Sequence[Vector]):
     (Ax - Nw + q)_i alpha |det| qden.  A singular block is solved in
     Fractions, and its affine family classified, by `_singular_support`.
     S gives None with no solve when R(A) holds no nonzero vector supported
-    in S (`_range_trivial`), or when its block gives x_S = 0: its only
-    solution could be x = 0, and its conditions imply q - Nw >= 0, so the
-    empty support already reports it.
+    in S, that is N_S^T x_S = 0 forces x_S = 0 (one elimination of the
+    border rows N_S^T finds rank |S|, which needs |S| <= dim N), or when
+    its block gives x_S = 0: its only solution could be x = 0, and its
+    conditions imply q - Nw >= 0, so the empty support already reports it.
     """
     table = _block_table(a, tuple(null))
     n = a.rows
+    border = table.bordered[n:]
     qn, qden = integer_row(q)
     aq = [table.alpha * t for t in qn]
     folded = ([-t for t in aq], aq)  # -sign(det) alpha Q_i for det > 0, det < 0
 
     def solve(support):
-        if _range_trivial(table, support):
-            return None, False
+        k = len(support)
+        if 0 < k <= len(border):
+            rows = [[w[i] for i in support] for w in border]
+            if len(_eliminate(rows, k)[1]) == k:
+                return None, False
         entry = _block_entry(table, support)
         if entry is None:
             return _singular_support(q, support, table)
@@ -185,7 +190,6 @@ def support_solver(a: RationalMatrix, q: Vector, null: Sequence[Vector]):
         signed = folded[det < 0]
         qs = [signed[i] for i in support]
         v = [sum(map(mul, row, qs)) for row in adj]
-        k = len(support)
         if k and (min(v[:k]) < 0 or not any(v[:k])):
             return None, False
         scale = abs(det)
@@ -205,15 +209,12 @@ class _BlockTable(NamedTuple):
     of order n + d: B = alpha A from `common_rows`, and each of the d null
     vectors scaled to integers (a positive rescale of w, so x is
     unchanged).  `blocks` maps each support built so far to its block's
-    (det, adj), or None when the block is singular, and `trivial` maps each
-    support asked so far to whether R(A) holds no nonzero vector
-    supported in it (`_range_trivial`)."""
+    (det, adj), or None when the block is singular."""
 
     alpha: int
     n: int
     bordered: list
     blocks: dict
-    trivial: dict
 
 
 @memoized("supports")
@@ -225,28 +226,7 @@ def _block_table(a: RationalMatrix, null: tuple[Vector, ...]) -> _BlockTable:
     bordered += [w + [0] * len(null) for w in scaled]
     # the empty support's block is the d x d zero corner, with det 1 at d = 0
     blocks = {(): None if null else (1, [])}
-    return _BlockTable(alpha, a.rows, bordered, blocks, {})
-
-
-def _range_trivial(table: _BlockTable, support) -> bool:
-    """Whether S is nonempty and R(A) holds no nonzero vector supported in
-    S, that is N_S^T x_S = 0 forces x_S = 0: N_S has rank |S|, which needs
-    |S| <= dim N.  Then every solution on S is x = 0 with some w giving
-    q - Nw >= 0, which the empty support already decides.
-
-    Depends on N and S alone.  A support's rank is at most its parent's
-    plus one, so S can pass only if its parent did; one elimination of the
-    integer rows N_S^T then settles it."""
-    if support in table.trivial:
-        return table.trivial[support]
-    n, d = table.n, len(table.bordered) - table.n
-    k = len(support)
-    found = 0 < k <= d and (k == 1 or _range_trivial(table, support[:-1]))
-    if found:
-        rows = [[table.bordered[n + j][i] for i in support] for j in range(d)]
-        found = len(_eliminate(rows, k)[1]) == k
-    table.trivial[support] = found
-    return found
+    return _BlockTable(alpha, a.rows, bordered, blocks)
 
 
 def _block_entry(table: _BlockTable, support):

@@ -555,15 +555,18 @@ class LinearSolution:
 def solve_linear(m: RationalMatrix, b: Sequence[Fraction]) -> LinearSolution | None:
     """All exact solutions of M x = b, or None when b is outside R(M).
 
-    One elimination of [M | b] gives the particular solution (free
-    variables zero), the null basis, and the consistency test: b is
-    outside R(M) exactly when a row left without a pivot keeps a nonzero
-    right-hand side.
+    One elimination of [M | b], scaled to the integers [beta B | r] with
+    B = alpha M from `common_rows` and r = beta alpha b, gives the
+    particular solution (free variables zero), the null basis, and the
+    consistency test: b is outside R(M) exactly when a row left without a
+    pivot keeps a nonzero right-hand side.
     """
     if len(b) != m.rows:
         raise DimensionMismatchError("rhs length does not match row count")
     n = m.cols
-    a = [integer_row(row + [rat(x)])[0] for row, x in zip(m.data, b)]
+    alpha, rows = common_rows(m)
+    r, beta = integer_row([alpha * rat(x) for x in b])
+    a = [[beta * t for t in row] + [ri] for row, ri in zip(rows, r)]
     den, pivots, _ = _eliminate(a, n)
     if any(a[i][n] for i in range(len(pivots), m.rows)):
         return None

@@ -4,9 +4,10 @@
 of every denominator of m, and it is the only integer form of a matrix:
 the kernel, the LCP block table, the class tests and the generalized
 inverses all read it.  Stdlib `ast` scans of `src/karalcp` enforce that
-no module but matrix.py computes an lcm or scales a matrix's rows one by
-one (`integer_row` on an expression that reads `.data`), and that no
-module names the retired per-row form `integer_rows`.
+no module but matrix.py computes an lcm, that no module, matrix.py
+included, scales a matrix's rows one by one (`integer_row` on an
+expression that reads `.data`), and that no module names the retired
+per-row form `integer_rows`.
 """
 
 import ast
@@ -113,9 +114,8 @@ def test_integer_form_scans_flag_every_use():
 
 
 def test_one_integer_form_per_matrix():
-    """No module names `integer_rows`, and only matrix.py scales rows of a
-    matrix's `.data` with `integer_row`."""
+    """No module names `integer_rows` or scales rows of a matrix's `.data`
+    with `integer_row`."""
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.rglob("*.py"))}
     assert {name: lines for name, src in sources.items() if (lines := integer_rows_names(src))} == {}
-    assert {name: lines for name, src in sources.items()
-            if name != "matrix.py" and (lines := data_rows_scaled(src))} == {}
+    assert {name: lines for name, src in sources.items() if (lines := data_rows_scaled(src))} == {}

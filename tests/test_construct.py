@@ -96,7 +96,7 @@ class TestBorderKaramardian:
 
     def test_valid_bordering(self):
         a = RationalMatrix.from_rows([[0, 1], [-1, 1]])
-        b = border_karamardian(a, vec([1, 2]), 2, verify=True)
+        b = border_karamardian(a, vec([1, 2]), 2)
         assert b == RationalMatrix.from_rows([[0, 1, 1], [-1, 1, 2], [1, 2, 2]])
         assert determinant(b) != 0
 
