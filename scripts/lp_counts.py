@@ -9,9 +9,10 @@ the first --ops ops once, as perfbench/run.py does, and prints one JSON
 object with the number of simplex tableaux built (constructions of
 lp._Simplex, one per LP feasibility or optimization solve), the number of
 simplex-point questions asked (misses of the per-matrix memo of
-lcp_classes._simplex_point, whether an LP or a certificate answers them)
-and the number of Fraction matrix products (calls of
-RationalMatrix.__matmul__).
+lcp_classes._simplex_point, whether an LP or a certificate answers them),
+the number of Fraction matrix-vector products (calls of
+RationalMatrix.mul_vec) and the number of Fraction matrix products (calls
+of RationalMatrix.__matmul__).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def main() -> None:
     lcp_classes = sys.modules["karalcp.lcp_classes"]
     matrix = sys.modules["karalcp.matrix"]
     matrix_class = matrix.RationalMatrix
-    built, questions, products = [0], [0], [0]
+    built, questions, vector_products, products = [0], [0], [0], [0]
 
     class CountingSimplex(lp._Simplex):
         def __init__(self, system):
@@ -50,6 +51,12 @@ def main() -> None:
         questions[0] += 1
         return real_simplex_point(a, *system)
 
+    real_mul_vec = matrix_class.mul_vec
+
+    def counting_mul_vec(self, v):
+        vector_products[0] += 1
+        return real_mul_vec(self, v)
+
     real_matmul = matrix_class.__matmul__
 
     def counting_matmul(self, other):
@@ -59,12 +66,14 @@ def main() -> None:
     lp._Simplex = CountingSimplex
     # the same memo key, so only a miss reaches the counter
     lcp_classes._simplex_point = matrix.memoized("simplex_point")(counting_simplex_point)
+    matrix_class.mul_vec = counting_mul_vec
     matrix_class.__matmul__ = counting_matmul
     ops = ops[:args.ops]
     for op in ops:
         run.execute(lib, op)
     print(json.dumps({"seed": args.seed, "ops": len(ops), "simplex_builds": built[0],
                       "simplex_point_questions": questions[0],
+                      "vector_products": vector_products[0],
                       "matrix_products": products[0]}))
 
 

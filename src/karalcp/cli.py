@@ -20,7 +20,7 @@ from .corpus import corpus_entries, corpus_to_json, verify_entry
 from .errors import KaralcpError, TooLargeError
 from .lcp import lcp_solutions
 from .conelcp import cone_lcp_solutions
-from .matrix import ENUMERATION_CAP, MAX_ENTRY_BITS, RationalMatrix, Vector, bounded_rat, jsonable
+from .matrix import ENUMERATION_CAP, MAX_ENTRY_BITS, RationalMatrix, Vector, _short_digits, bounded_rat, jsonable
 from .predicates import PREDICATE_ORDER, PredicateConfig, evaluate_predicate
 from .search import TARGETS, hit_to_json_line, run_search
 
@@ -37,9 +37,10 @@ def _fail(code: int, message: str) -> int:
 
 
 def _parse_json(text: str):
-    # Decimals stay strings, so bounded_rat checks them before parsing.
+    # Decimals stay strings, so bounded_rat checks them before parsing, and
+    # an integer's digits are counted before int() would refuse them.
     try:
-        return json.loads(text, parse_float=str)
+        return json.loads(text, parse_float=str, parse_int=lambda token: int(_short_digits(token)))
     except RecursionError as exc:
         raise ValueError("JSON nested too deeply") from exc
 

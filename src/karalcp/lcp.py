@@ -1,7 +1,7 @@
 """LCP(A, q) by complementary-support enumeration, for the standard and
 the cone LCP, and the Q-matrix semi-decision.
 
-One support solver serves both problems.  In the cone LCP of conelcp.py,
+One support walk serves both problems.  In the cone LCP of conelcp.py,
 with N a basis of N(A^T): x in R(A) iff N^T x = 0, y in
 K* = R^n_+ + N(A^T) iff y = u + Nw with u >= 0, and since x^T N w = 0 the
 complementarity x^T y = 0 becomes x_i u_i = 0 for every i.  So the cone
@@ -28,12 +28,13 @@ LP asks for a w with q - Nw >= 0 (none at q = 0).  So a nonempty S on
 which R(A) holds no nonzero vector (N_S of rank |S|, only possible for
 |S| <= dim N) is skipped with no solve and no LP: its only possible
 solution is x = 0, and its conditions imply the empty support's.  For
-u > 0, A = u v^T leaves only the empty and the full support.
-`complementary_solutions` visits every support, the empty one first;
-`first_nonzero_solution` scans the nonempty ones and stops at the first
-nonzero solution, which answers both yes/no questions asked here: is zero
-the only solution (q >= 0), and is there any (q with a negative entry, so
-none is zero)?
+u > 0, A = u v^T leaves only the empty and the full support.  One walk
+over the supports (`_walk`) answers every question asked here:
+`complementary_solutions` reads all of it, the empty support first;
+`first_nonzero_solution` stops at the first nonzero solution of a
+nonempty support, which answers both yes/no questions (is zero the only
+solution for q >= 0, and is there any for q with a negative entry); and
+`lcp_degree` reads each solution's index off the walk's integer residuals.
 
 Q-matrix membership is only semi-decidable at desk scale, so the verdict
 type carries its epistemic state: Yes and No come with re-checkable
@@ -122,19 +123,11 @@ def lcp_solutions(a: RationalMatrix, q: Sequence) -> LcpSolutionSet:
 
 
 def complementary_solutions(a: RationalMatrix, q: Vector, null: Sequence[Vector]) -> LcpSolutionSet:
-    """Every solution of the LCP with y-side translated by span(null), one
-    `support_solver` call per support, x = 0 from the empty one."""
-    solve = support_solver(a, q, null)
-    solutions: set[Vector] = set()
-    degenerate: list[tuple[int, ...]] = []
-    for support in itertools.chain([()], nonempty_subsets(a.rows)):
-        x, is_family = solve(support)
-        if x is None:
-            continue
-        solutions.add(x)
-        if is_family:
-            degenerate.append(support)
-    return LcpSolutionSet(tuple(sorted(solutions)), tuple(degenerate))
+    """Every solution of the LCP with y-side translated by span(null), from
+    one walk over every support, x = 0 from the empty one."""
+    walk = list(_walk(a, q, null, itertools.chain([()], nonempty_subsets(a.rows))))
+    return LcpSolutionSet(tuple(sorted({x for _, x, _, _ in walk})),
+                          tuple(support for support, _, is_family, _ in walk if is_family))
 
 
 def first_nonzero_solution(a: RationalMatrix, q: Vector, null: Sequence[Vector]) -> Vector | None:
@@ -142,64 +135,64 @@ def first_nonzero_solution(a: RationalMatrix, q: Vector, null: Sequence[Vector])
     order, that has one, for the LCP with y-side translated by span(null);
     None when no solution is nonzero.  A positive-dimensional family holds
     a nonzero point, so no separate degeneracy check is needed."""
-    solve = support_solver(a, q, null)
-    for support in nonempty_subsets(a.rows):
-        x, _ = solve(support)
-        if x is not None and not is_zero_vec(x):
-            return x
-    return None
+    return next((x for _, x, _, _ in _walk(a, q, null, nonempty_subsets(a.rows)) if not is_zero_vec(x)),
+                None)
 
 
-def support_solver(a: RationalMatrix, q: Vector, null: Sequence[Vector]):
-    """S -> (x, is_family) for this q: x is a solution with x = 0 off S, or
-    None when S has none, and is_family tells whether the solutions with
-    x = 0 off S are more than one point.
+def _walk(a: RationalMatrix, q: Vector, null: Sequence[Vector], supports):
+    """(S, x, is_family, index) for each S of `supports`, in order, that has
+    a solution x with x = 0 off S: is_family tells whether those solutions
+    are more than one point, and index is sign det of a nonsingular block
+    whose x is strictly complementary (x_i + y_i > 0 for every i), else 0.
 
     S solves the square block [[A_SS, -N_S], [N_S^T, 0]] (x_S, w) = (-q_S, 0)
     in x_S and the free w, one per vector of `null`.  The block's signed
     det and adj come from the per-matrix table (`_block_entry`), so a q
     costs integer products and sign checks, and Fractions only for a
-    returned solution: with q = Q / qden and B = alpha A,
+    yielded solution: with q = Q / qden and B = alpha A,
     v = adj (-sign(det) alpha Q_S) is |det| qden (x_S, w), and for i off S
-    the bordered row i times v, plus |det| alpha Q_i, is
-    (Ax - Nw + q)_i alpha |det| qden.  A singular block is solved in
-    Fractions, and its affine family classified, by `_singular_support`.
-    S gives None with no solve when R(A) holds no nonzero vector supported
-    in S, that is N_S^T x_S = 0 forces x_S = 0 (one elimination of the
-    border rows N_S^T finds rank |S|, which needs |S| <= dim N), or when
-    its block gives x_S = 0: its only solution could be x = 0, and its
-    conditions imply q - Nw >= 0, so the empty support already reports it.
-    """
+    the residual r, the bordered row i times v plus |det| alpha Q_i, is
+    (Ax - Nw + q)_i alpha |det| qden, so v[:k] and r show both feasibility
+    and strictness.  A singular block is solved in Fractions, and its
+    affine family classified, by `_singular_support`.  S yields nothing,
+    with no solve, when R(A) holds no nonzero vector supported in S, that
+    is N_S^T x_S = 0 forces x_S = 0 (one elimination of the border rows
+    N_S^T finds rank |S|, which needs |S| <= dim N), or when its block
+    gives x_S = 0: its only solution could be x = 0, and its conditions
+    imply q - Nw >= 0, so the empty support already reports it."""
     table = _block_table(a, tuple(null))
     n = a.rows
     border = table.bordered[n:]
     qn, qden = integer_row(q)
     aq = [table.alpha * t for t in qn]
     folded = ([-t for t in aq], aq)  # -sign(det) alpha Q_i for det > 0, det < 0
-
-    def solve(support):
+    for support in supports:
         k = len(support)
-        if 0 < k <= len(border):
-            rows = [[w[i] for i in support] for w in border]
-            if len(_eliminate(rows, k)[1]) == k:
-                return None, False
+        if 0 < k <= len(border) and len(_eliminate([[w[i] for i in support] for w in border], k)[1]) == k:
+            continue
         entry = _block_entry(table, support)
         if entry is None:
-            return _singular_support(q, support, table)
+            x, is_family = _singular_support(q, support, table)
+            if x is not None:
+                yield support, x, is_family, 0
+            continue
         det, adj = entry
-        signed = folded[det < 0]
-        qs = [signed[i] for i in support]
+        qs = [folded[det < 0][i] for i in support]
         v = [sum(map(mul, row, qs)) for row in adj]
         if k and (min(v[:k]) < 0 or not any(v[:k])):
-            return None, False
+            continue
         scale = abs(det)
         block_v = _scatter(v, support, n)
-        if any(sum(map(mul, table.bordered[i], block_v)) + scale * aq[i] < 0
-               for i in range(n) if i not in support):
-            return None, False
-        return _expand([Fraction(t, scale * qden) for t in v[:k]], support, n), False
-
-    return solve
+        strict = all(v[:k])
+        for i in range(n):
+            if i not in support:
+                r = sum(map(mul, table.bordered[i], block_v)) + scale * aq[i]
+                if r < 0:
+                    break
+                strict = strict and r > 0
+        else:
+            x = _expand([Fraction(t, scale * qden) for t in v[:k]], support, n)
+            yield support, x, False, (1 if det > 0 else -1) if strict else 0
 
 
 class _BlockTable(NamedTuple):
@@ -288,7 +281,7 @@ def _scatter(v, support, n: int) -> list:
 
 
 def _singular_support(q: Vector, support, table: _BlockTable):
-    """`support_solver` on a singular block: one Fraction solve of S's block
+    """`_walk` on a singular block: one Fraction solve of S's block
     of `table.bordered`, whose rows in S are alpha A_i (right-hand side
     -alpha q_i), gives the affine family v = particular + sum t_j basis_j of
     block solutions, classified against the sign constraints: returns
@@ -377,24 +370,18 @@ def lcp_degree(a: RationalMatrix) -> dict | None:
     none is regular.  q is regular when every solution of LCP(A, q) lies
     on a nonsingular block and is strictly complementary (x_i + y_i > 0).
     The degree is then the sum over the solutions of the index sign det
-    A_SS, read off the block table, with det 1 for the empty support
-    (Howe & Stone, 1983; Cottle, Pang & Stone, 1992, section 6.1); each
-    solution is listed with its index.  Memoized per matrix."""
+    A_SS, with det 1 for the empty support (Howe & Stone, 1983; Cottle,
+    Pang & Stone, 1992, section 6.1).  Regularity and the index are read
+    off the walk (`_walk`), from the integer residuals it computes anyway:
+    a q stops at its first solution of index 0.  Each solution is listed
+    with its index.  Memoized per matrix."""
     n = a.rows
-    table = _block_table(a, ())
     for q in itertools.chain([(_ONE,) * n], _draws(n, DEGREE_QS, 9)):
-        solve = support_solver(a, q, ())
         solutions = []
-        for support in itertools.chain([()], nonempty_subsets(n)):
-            x, _ = solve(support)
-            if x is None:
-                continue
-            entry = _block_entry(table, support)
-            y = a.mul_vec(x)
-            if entry is None or any((x[i] if i in support else y[i] + q[i]) <= 0
-                                    for i in range(n)):
+        for _, x, _, index in _walk(a, q, (), itertools.chain([()], nonempty_subsets(n))):
+            if not index:
                 break
-            solutions.append((x, 1 if entry[0] > 0 else -1))
+            solutions.append((x, index))
         else:
             return {"q": q, "degree": sum(s for _, s in solutions), "solutions": tuple(solutions)}
     return None

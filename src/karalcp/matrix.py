@@ -21,6 +21,7 @@ per-matrix memo safe: every cached result in the package goes through
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
@@ -37,6 +38,8 @@ Vector = tuple[Fraction, ...]
 ENUMERATION_CAP = 12
 # The longest numerator or denominator, in bits, accepted from outside.
 MAX_ENTRY_BITS = 256
+# The longest run of digits int() converts (Python's default limit).
+_MAX_DIGITS = 4300
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -59,13 +62,21 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot convert {type(x).__name__} to an exact Fraction")
 
 
+def _short_digits(text: str) -> str:
+    """text, or TooLargeError for a run of digits that int() would refuse."""
+    if any(len(run.replace("_", "")) > _MAX_DIGITS for run in re.findall(r"[\d_]+", text)):
+        raise TooLargeError(f"{text[:40]!r}... has more than {_MAX_DIGITS} digits in a row")
+    return text
+
+
 def bounded_rat(x) -> Fraction:
     """rat(x) for a number read from outside the program: ValueError for
     anything but an exact number, TooLargeError past MAX_ENTRY_BITS (a
-    decimal exponent is checked before its power of ten is built)."""
+    decimal exponent is checked before its power of ten is built, and a
+    string's runs of digits before any is converted)."""
     if isinstance(x, bool):
         raise ValueError("true/false is not a number")
-    if isinstance(x, str) and abs(int(x.lower().partition("e")[2] or 0)) > MAX_ENTRY_BITS:
+    if isinstance(x, str) and abs(int(_short_digits(x).lower().partition("e")[2] or 0)) > MAX_ENTRY_BITS:
         raise TooLargeError(f"exponent of {x[:40]!r} exceeds {MAX_ENTRY_BITS}")
     try:
         value = rat(x)

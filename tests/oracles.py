@@ -21,11 +21,16 @@ from karalcp.conelcp import (
 )
 from karalcp.geninv import GroupInverseResult
 from karalcp.lcp import (
+    DEGREE_QS,
     NO,
     UNKNOWN,
     YES,
     LcpSolutionSet,
     Verdict,
+    _block_entry,
+    _block_table,
+    _draws,
+    _walk,
     first_nonzero_solution,
 )
 from karalcp.lcp_classes import (
@@ -593,7 +598,7 @@ def int_dual_membership_lp_reference(a: RationalMatrix, d) -> bool:
 
 
 # -- support enumeration that rebuilds every LP: the reference for the one
-# -- support solver of lcp.py, which solves each support's block once --------
+# -- support walk of lcp.py, which solves each support's block once ----------
 
 
 def lcp_solutions_reference(a: RationalMatrix, q) -> LcpSolutionSet:
@@ -765,7 +770,7 @@ def _cone_support_is_degenerate_reference(a: RationalMatrix, q, support) -> bool
 
 
 # -- one Fraction solve per support and q: the reference for the integer
-# -- block table of lcp.support_solver, built once per matrix -----------------
+# -- block table of lcp._walk, built once per matrix --------------------------
 
 
 def support_solution_fraction(a: RationalMatrix, q, null, support):
@@ -1159,6 +1164,46 @@ def check_degree_certificate(m: RationalMatrix, walk: dict) -> None:
         det = determinant(fresh.submatrix(support, support)) if support else 1
         assert det != 0 and (det > 0) == (listed[x] > 0)
     assert walk["degree"] == sum(listed.values())
+
+
+# -- strictness from y = Ax + q in Fractions and a second block-table
+# -- lookup: the reference for the indices that lcp._walk reads off its
+# -- integer residuals, and for lcp.lcp_degree -------------------------------
+
+
+def indexed_solutions_reference(a: RationalMatrix, q) -> list:
+    """(S, x, index) for each support of LCP(A, q), the empty one first,
+    that has a solution.  x comes from the walk over S alone, whose own
+    index is dropped; index is sign det A_SS, looked up again in the block
+    table, when that block is nonsingular and x and y = Ax + q, computed
+    in Fractions, have x_i + y_i > 0 for every i, else 0."""
+    n = a.rows
+    table = _block_table(a, ())
+    out = []
+    for support in itertools.chain([()], nonempty_subsets(n)):
+        for _, x, _, _ in _walk(a, q, (), [support]):
+            entry = _block_entry(table, support)
+            y = a.mul_vec(x)
+            strict = entry is not None and all(
+                (x[i] if i in support else y[i] + q[i]) > 0 for i in range(n))
+            out.append((support, x, (1 if entry[0] > 0 else -1) if strict else 0))
+    return out
+
+
+def lcp_degree_reference(a: RationalMatrix) -> dict | None:
+    """lcp.lcp_degree with its indices from indexed_solutions_reference:
+    the first of e and the DEGREE_QS draws at which every solution has a
+    nonzero index, or None."""
+    n = a.rows
+    for q in itertools.chain([(Fraction(1),) * n], _draws(n, DEGREE_QS, 9)):
+        solutions = []
+        for _, x, index in indexed_solutions_reference(a, q):
+            if not index:
+                break
+            solutions.append((x, index))
+        else:
+            return {"q": q, "degree": sum(s for _, s in solutions), "solutions": tuple(solutions)}
+    return None
 
 
 # -- the witness-free Yes that d = e replaced: the reference for

@@ -315,6 +315,14 @@ class TestExitCodes:
         (str(10 ** 80), None, None),
         ("1", "[1e300]", None),
         ("1", None, '["1/%d"]' % 2 ** 300),
+        # 5,000 digits, past the 4,300 that int() converts: refused before
+        # the conversion, as a JSON integer or inside a string
+        pytest.param("1" * 5000, None, None, id="5000-digit-integer"),
+        pytest.param('"%s"' % ("1" * 5000), None, None, id="5000-digit-string"),
+        pytest.param("1", "[%s]" % ("1" * 5000), None, id="5000-digit-hint"),
+        pytest.param("1", '["1.%s"]' % ("1" * 5000), None, id="5000-digit-hint-decimal"),
+        pytest.param("1", None, "[-%s]" % ("1" * 5000), id="5000-digit-q"),
+        pytest.param("1", None, '["1/%s"]' % ("1" * 5000), id="5000-digit-q-denominator"),
     ])
     def test_entry_beyond_bit_cap_exits_3(self, tmp_path, entry, hint, q):
         path = write_matrix(tmp_path, "m.json", None,

@@ -251,7 +251,7 @@ class TestConeLcp:
     def test_matches_standard_lcp_on_invertible_matrices(self):
         # for invertible A the cone is the whole orthant and the dual is
         # again the orthant, so the cone LCP and the standard LCP coincide;
-        # both run the same support solver, so even the one-per-family
+        # both run the same support walk, so even the one-per-family
         # representatives agree
         from karalcp.lcp import lcp_solutions
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +10,7 @@ from karalcp.conelcp import (
     cone_lcp_only_zero,
     cone_lcp_solutions,
     dual_membership,
+    generator_lcp,
     int_dual_membership,
     is_karamardian,
 )
@@ -30,13 +32,16 @@ from karalcp.lcp import (
     _sample_qs,
     first_nonzero_solution,
     is_q_matrix,
+    lcp_degree,
     lcp_solutions,
     lcp_unique_zero,
 )
-from karalcp.matrix import RationalMatrix, inverse, ones_vec, vec, zeros_vec
-from conftest import rand_int_matrix, rand_p_matrix, rand_vector, rand_z_matrix
+from karalcp.matrix import RationalMatrix, common_rows, inverse, nonempty_subsets, ones_vec, vec, zeros_vec
+from conftest import rand_int_matrix, rand_matrix, rand_p_matrix, rand_vector, rand_z_matrix
 from oracles import (
     check_degree_certificate,
+    indexed_solutions_reference,
+    lcp_degree_reference,
     lcp_solutions_sympy,
     n_first_category_applies,
     retired_q_structural_rule,
@@ -461,3 +466,62 @@ class TestQMatrix:
             for _ in range(100):
                 q = rand_vector(rng, p.rows, bound=6)
                 assert len(lcp_solutions(p, q).solutions) == 1
+
+
+# -- the indices of the support walk against Fraction residuals ---------------
+
+
+def _indexed_walk(a, q):
+    """(S, x, index) for every support of LCP(A, q) with a solution, read
+    off one walk over all of them."""
+    supports = itertools.chain([()], nonempty_subsets(a.rows))
+    return [(s, x, index) for s, x, _, index in lcp._walk(a, q, (), supports)]
+
+
+class TestDegreeWalk:
+    def test_fixtures_hit_each_index_zero(self):
+        """A = [[-1, 0], [-1, 1]] at q = e: {0} solves with x_0 = 1 and the
+        zero residual y_1 = 0 off S, and {0, 1}, a nonsingular block, gives
+        the same x with the zero entry x_1 = 0; [[1, 1], [1, 1]] at -e has
+        the segment x_0 + x_1 = 1 on its singular block.  Each of these
+        has index 0; x = 0 on the empty support at e has index +1."""
+        a = RationalMatrix.from_rows([[-1, 0], [-1, 1]])
+        one_zero = vec([1, 0])
+        expected = [((), zeros_vec(2), 1), ((0,), one_zero, 0), ((0, 1), one_zero, 0)]
+        assert _indexed_walk(a, ones_vec(2)) == expected
+        assert indexed_solutions_reference(a, ones_vec(2)) == expected
+        a = RationalMatrix.from_rows([[1, 1], [1, 1]])
+        got = _indexed_walk(a, vec([-1, -1]))
+        assert [(s, index) for s, _, index in got] == [((0,), 0), ((1,), 0), ((0, 1), 0)]
+        assert got == indexed_solutions_reference(a, vec([-1, -1]))
+        assert lcp._block_entry(lcp._block_table(a, ()), (0, 1)) is None
+
+    def test_degree_matches_the_fraction_reference(self):
+        """On seeded R0 matrices of orders 1 to 5, with integer and with p/q
+        entries (alpha of `common_rows` not 1), and on M of the generator
+        form of rank-deficient draws: the same walk at every q the degree
+        may try, and the same degree certificate or None.  A zero entry of
+        a nonsingular x_S is met first at S minus that index, where y is
+        zero off the support, so only the per-support lists see it."""
+        rng = random.Random(35)
+        cases, fractional = [], 0
+        for n in range(1, 6):
+            for draw in (lambda: rand_int_matrix(rng, n, n), lambda: rand_matrix(rng, n)) * 3:
+                a = draw()
+                while first_nonzero_solution(a, zeros_vec(n), ()) is not None:
+                    a = draw()
+                cases.append(a)
+                fractional += common_rows(a)[0] != 1
+        for n in range(2, 6):
+            for _ in range(3):
+                a = rand_int_matrix(rng, n, n - 1, 2) @ rand_int_matrix(rng, n - 1, n, 2)
+                cases.append(generator_lcp(a)[0])
+        assert fractional >= 10
+        regular = 0
+        for a in cases:
+            for q in [ones_vec(a.rows), *_draws(a.rows, DEGREE_QS, 9)]:
+                assert _indexed_walk(a, q) == indexed_solutions_reference(a, q), (a.data, q)
+            walk = lcp_degree(RationalMatrix.from_rows(a.data))
+            assert walk == lcp_degree_reference(RationalMatrix.from_rows(a.data)), a.data
+            regular += walk is not None
+        assert regular >= 30

@@ -1,4 +1,4 @@
-"""The one complementary-support solver of lcp.py, run as the standard
+"""The one complementary-support walk of lcp.py, run as the standard
 and as the cone LCP, against references that rebuild an LP for every
 question, against the same scans with every support block solved afresh
 in Fractions, and its table of block determinants and adjugates against
@@ -362,9 +362,10 @@ def test_second_scan_factors_nothing_and_solves_only_singular_blocks(monkeypatch
 
 def test_nonsingular_supports_at_q_zero_return_none_with_no_fraction(monkeypatch):
     """At q = 0 a nonsingular block solves to x_S = 0, a solution the empty
-    support already reports: every nonempty nonsingular support returns
-    (None, False) and builds no Fraction, standard and cone alike, and
-    both scans still equal the scans that solve every block in Fractions."""
+    support already reports: the walk over each nonempty nonsingular
+    support alone yields nothing and builds no Fraction, standard and cone
+    alike, and both scans still equal the scans that solve every block in
+    Fractions."""
     made = []
 
     def counting(*args):
@@ -379,12 +380,12 @@ def test_nonsingular_supports_at_q_zero_return_none_with_no_fraction(monkeypatch
     for a in cases:
         zero = (Fraction(0),) * a.rows
         for nb in ((), tuple(subspace_bases(a).left_null.basis)):
-            solve, table = lcp.support_solver(a, zero, nb), lcp._block_table(a, nb)
+            table = lcp._block_table(a, nb)
             for support in nonempty_subsets(a.rows):
                 before = len(made)
-                got = solve(support)
+                got = list(lcp._walk(a, zero, nb, [support]))
                 if lcp._block_entry(table, support) is not None:
-                    assert got == (None, False) and len(made) == before, (a, nb, support)
+                    assert got == [] and len(made) == before, (a, nb, support)
                     nonsingular += 1
             zero_solves = orthant_plus_span_lp_reference(zero, nb)
             assert (complementary_solutions(a, zero, nb)
@@ -594,7 +595,7 @@ def test_range_trivial_supports_of_a_hand_made_null_basis(monkeypatch):
     the scan skips it, yet its entry is built, by one elimination as its
     parent {0} is singular by shape, and its child {0, 2, 3} is bordered
     from it.  No other skipped support gets a table entry.  The skipped
-    supports are the nonempty ones `solve` never hands to `_block_entry`
+    supports are the nonempty ones the walk never hands to `_block_entry`
     (the parents that `_block_entry` asks for itself are not counted)."""
     a = RationalMatrix.from_rows([[1, 0, 1, 0], [0, 1, 0, 1], [-1, 0, -1, 0], [1, 0, 1, 0]])
     null = (vec([1, 0, 1, 0]), vec([0, 0, 1, 1]))
