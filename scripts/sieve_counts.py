@@ -11,7 +11,8 @@ solves, the rows scaled to integers (calls of matrix.integer_row, as
 left_null_rows and solve_linear make them; common_rows, which rref,
 determinant, inverse and matmul read, puts a whole matrix over one
 denominator and is not counted) and the integer eliminations that
-minor_classes runs (its calls of matrix._eliminate).  With --digest-ops
+minor_classes runs (its calls of matrix._eliminate, all forward-only,
+reduced=False).  With --digest-ops
 it then runs the first that many ops again, uncounted, and adds the
 sha256 of their hit lines (search.hit_to_json_line, one per hit, in op
 order).
@@ -75,9 +76,9 @@ def main() -> None:
         counts["row_scalings"] += 1
         return real_row(values)
 
-    def eliminate(rows, ncols):
+    def eliminate(rows, ncols, *, reduced=True):
         counts["minor_eliminations"] += 1
-        return real_eliminate(rows, ncols)
+        return real_eliminate(rows, ncols, reduced=reduced)
 
     search.random_integer_matrix, search.is_p_hash, lcp_classes.lp_feasible = \
         random_matrix, sieve, lp

@@ -11,8 +11,9 @@ because their parent is singular (and how many of those are singular), and
 the nonempty supports skipped as singular by shape (0 < |S| < dim N(A^T)),
 and the supports skipped before any block work because R(A) holds no
 nonzero vector supported in them (`range_trivial`, cone LCPs only: the
-calls of `lcp._eliminate`, whose one caller in lcp.py is that rank check
-on the border rows N_S^T, that find full column rank).  The
+calls of `lcp._eliminate`, whose one caller in lcp.py is that rank check,
+a forward-only pass (reduced=False) on the border rows N_S^T, that find
+full column rank).  The
 cone LCP's empty support, singular by shape too and the LP that decides
 x = 0, is left out of the shape count.
 """
@@ -54,8 +55,8 @@ def main() -> None:
         counts["shape_singular"] += 0 < len(support) < d
         return real_singular(q, support, table)
 
-    def eliminate(rows, ncols):
-        out = real_eliminate(rows, ncols)
+    def eliminate(rows, ncols, *, reduced=True):
+        out = real_eliminate(rows, ncols, reduced=reduced)
         counts["range_trivial"] += len(out[1]) == ncols
         return out
 

@@ -159,9 +159,15 @@ def cmd_verify_corpus(args) -> int:
 def cmd_search(args) -> int:
     if args.n > ENUMERATION_CAP:
         raise TooLargeError(f"--n {args.n} exceeds cap {ENUMERATION_CAP}")
-    if args.n < 1 or args.trials < 0 or args.entry_bound < 0:
+    # --entry-bound arrives as text, so its digits are counted before int()
+    # would refuse them
+    try:
+        entry_bound = int(_short_digits(args.entry_bound))
+    except ValueError as exc:
+        return _fail(EXIT_PARSE, f"bad --entry-bound: {exc}")
+    if args.n < 1 or args.trials < 0 or entry_bound < 0:
         return _fail(EXIT_PARSE, "--n must be positive, --trials and --entry-bound nonnegative")
-    if args.entry_bound.bit_length() > MAX_ENTRY_BITS:
+    if entry_bound.bit_length() > MAX_ENTRY_BITS:
         raise TooLargeError(f"--entry-bound exceeds {MAX_ENTRY_BITS} bits")
     try:
         density = bounded_rat(args.density)
@@ -179,7 +185,7 @@ def cmd_search(args) -> int:
             fh.write(line + "\n")
             print(f"hit at trial {hit.trial}: {line}")
         run_search(args.target, args.n, args.trials, seed=args.seed,
-                   density=density, entry_bound=args.entry_bound, on_hit=emit)
+                   density=density, entry_bound=entry_bound, on_hit=emit)
     print(f"{count} hit(s) over {args.trials} trials (n={args.n}, seed={args.seed}) -> {out_path}")
     return EXIT_OK
 
@@ -217,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density", default="1", metavar="P/Q")
-    p.add_argument("--entry-bound", type=int, default=3)
+    p.add_argument("--entry-bound", default="3")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_search)
     return parser

@@ -152,7 +152,7 @@ def generator_lcp(a: RationalMatrix) -> tuple[RationalMatrix, tuple[tuple[int, .
     if not left_null_rows(a):
         return a, cone.rays
     vt = RationalMatrix.from_ints(cone.rays)
-    return (vt @ a @ vt.transpose() if cone.rays else vt), cone.rays
+    return (vt @ a @ RationalMatrix.from_ints(zip(*cone.rays)) if cone.rays else vt), cone.rays
 
 
 def dual_membership(a: RationalMatrix, y: Sequence) -> bool:

@@ -168,7 +168,8 @@ def _walk(a: RationalMatrix, q: Vector, null: Sequence[Vector], supports):
     folded = ([-t for t in aq], aq)  # -sign(det) alpha Q_i for det > 0, det < 0
     for support in supports:
         k = len(support)
-        if 0 < k <= len(border) and len(_eliminate([[w[i] for i in support] for w in border], k)[1]) == k:
+        if 0 < k <= len(border) and len(_eliminate([[w[i] for i in support] for w in border], k,
+                                                   reduced=False)[1]) == k:
             continue
         entry = _block_entry(table, support)
         if entry is None:

@@ -162,7 +162,7 @@ def is_p_hash(a: RationalMatrix) -> bool:
     a.require_square("P# test", scan=True)
     n = a.rows
     b = common_rows(a)[1]
-    if len(_eliminate(b[:], n)[1]) == n:
+    if len(_eliminate(b[:], n, reduced=False)[1]) == n:
         return all(b[i][i] > 0 for i in range(n)) and minor_class(a).is_p
     if _column_refutes(b):
         return False

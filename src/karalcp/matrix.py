@@ -5,14 +5,17 @@ solves are decisions rather than approximations; no tolerances exist
 anywhere in the package.  Elimination itself runs on integers: a matrix
 A is read as B = alpha A, alpha the lcm of all its denominators
 (`common_rows`, once per matrix; a matrix built by
-`RationalMatrix.from_ints` carries its rows of ints as B, with alpha 1),
-a positive scale that keeps every sign, rank and reduced form, and one
-fraction-free pivot step (`_pivot`) does all of it: the Gauss-Jordan
-kernel (`_eliminate`) behind the RREF, the determinant, the inverse, the
-solution set of a linear system, the (det, adj) pairs (`_det_adj`) of
-the LCP blocks and of the generalized inverses' factor products, the
-one integer basis of N(A^T) (`left_null_rows`) and the simplex of `lp.py`.
-Fractions are built only at the end.  Matrices are immutable by
+`RationalMatrix.from_ints` carries its rows of ints as B, with alpha 1,
+and builds its Fraction `data` only on first read), a positive scale
+that keeps every sign, rank and reduced form, and one fraction-free
+pivot step (`_pivot`) does all of it: the Gauss-Jordan kernel
+(`_eliminate`) behind the RREF, the inverse, the solution set of a
+linear system, the (det, adj) pairs (`_det_adj`) of the LCP blocks and
+of the generalized inverses' factor products, the one integer basis of
+N(A^T) (`left_null_rows`) and the simplex of `lp.py`; the same kernel
+run forward only (`reduced=False`) for callers that read just a rank,
+pivot columns or a determinant, such as `determinant` and the minor
+scans.  Fractions are built only at the end.  Matrices are immutable by
 convention (nothing mutates `data` after construction), which makes the
 per-matrix memo safe: every cached result in the package goes through
 `memoized`, and no other module touches `_cache`.
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
@@ -38,7 +42,8 @@ Vector = tuple[Fraction, ...]
 ENUMERATION_CAP = 12
 # The longest numerator or denominator, in bits, accepted from outside.
 MAX_ENTRY_BITS = 256
-# The longest run of digits int() converts (Python's default limit).
+# The longest run of digits int() converts (Python's default limit); a
+# lower limit set for the interpreter (PYTHONINTMAXSTRDIGITS) wins.
 _MAX_DIGITS = 4300
 
 _ZERO = Fraction(0)
@@ -63,9 +68,13 @@ def rat(x) -> Fraction:
 
 
 def _short_digits(text: str) -> str:
-    """text, or TooLargeError for a run of digits that int() would refuse."""
-    if any(len(run.replace("_", "")) > _MAX_DIGITS for run in re.findall(r"[\d_]+", text)):
-        raise TooLargeError(f"{text[:40]!r}... has more than {_MAX_DIGITS} digits in a row")
+    """text, or TooLargeError for a run of digits that int() would refuse:
+    more than _MAX_DIGITS, or than the interpreter's own limit where it has
+    one (sys.get_int_max_str_digits, Python 3.10.7 on; 0 means none)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = min(limit, _MAX_DIGITS) if limit else _MAX_DIGITS
+    if any(len(run.replace("_", "")) > limit for run in re.findall(r"[\d_]+", text)):
+        raise TooLargeError(f"{text[:40]!r}... has more than {limit} digits in a row")
     return text
 
 
@@ -143,15 +152,27 @@ class RationalMatrix:
     @classmethod
     def from_ints(cls, rows: Iterable[Iterable[int]]) -> "RationalMatrix":
         """The matrix of these rows of ints, with the rows themselves cached
-        as its `common_rows` (alpha 1), so it is never rescaled.  Each
-        distinct value becomes one Fraction shared by all its entries."""
+        as its `common_rows` (alpha 1), so it is never rescaled.  No
+        Fraction is built until `data` is first read (`__getattr__`); then
+        each distinct value becomes one Fraction shared by all its entries."""
         ints = [list(row) for row in rows]
-        extra: dict[int, Fraction] = {}
-        data = [[_SMALL[x] if x in _SMALL else extra[x] if x in extra
-                 else extra.setdefault(x, Fraction(x)) for x in row] for row in ints]
-        m = cls(len(ints), len(ints[0]) if ints else 0, data)
-        m._cache["common_rows"] = (1, ints)
+        m = cls.__new__(cls)
+        m.rows, m.cols = len(ints), len(ints[0]) if ints else 0
+        if any(len(r) != m.cols for r in ints):
+            raise DimensionMismatchError("data shape does not match rows x cols")
+        m._cache = {"common_rows": (1, ints)}
         return m
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: the `data` of a `from_ints`
+        # matrix, built here on first read from its cached rows of ints.
+        if name != "data":
+            raise AttributeError(name)
+        extra: dict[int, Fraction] = {}
+        self.data = [[_SMALL[x] if x in _SMALL else extra[x] if x in extra
+                      else extra.setdefault(x, Fraction(x)) for x in row]
+                     for row in self._cache["common_rows"][1]]
+        return self.data
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -368,7 +389,8 @@ def _pivot(rows: list[list[int]], r: int, c: int, den: int) -> int:
     return piv
 
 
-def _eliminate(a: list[list[int]], ncols: int) -> tuple[int, tuple[int, ...], int]:
+def _eliminate(a: list[list[int]], ncols: int, *, reduced: bool = True
+               ) -> tuple[int, tuple[int, ...], int]:
     """Fraction-free Gauss-Jordan on the integer rows `a`, in place.
 
     Pivots (`_pivot`) on the first nonzero entry of each of the first
@@ -376,6 +398,13 @@ def _eliminate(a: list[list[int]], ncols: int) -> tuple[int, tuple[int, ...], in
     along).  Returns (den, pivots, sign): den is the last pivot, every row
     is the true reduced row times den, and sign is the parity of the row
     swaps, so for a square nonsingular input sign * den is its determinant.
+
+    With reduced=False the pass runs forward only: each pivot updates
+    only the rows from its own down (one-step Bareiss, Math. Comp. 22,
+    1968), which picks the same pivots and den, as the rows below a pivot
+    are the same either way.  The rows are then an echelon form, not the
+    reduced one, so only the rank len(pivots), the pivots and sign * den
+    have meaning.
     """
     rows = len(a)
     den, sign = 1, 1
@@ -390,7 +419,12 @@ def _eliminate(a: list[list[int]], ncols: int) -> tuple[int, tuple[int, ...], in
         if pr != r:
             a[r], a[pr] = a[pr], a[r]
             sign = -sign
-        den = _pivot(a, r, c, den)
+        if reduced:
+            den = _pivot(a, r, c, den)
+        else:
+            below = a[r:]
+            den = _pivot(below, 0, c, den)
+            a[r:] = below
         pivots.append(c)
     return den, tuple(pivots), sign
 
@@ -428,7 +462,7 @@ def determinant(m: RationalMatrix) -> Fraction:
     m.require_square("determinant")
     # det B = alpha^n det A for B = alpha A
     alpha, b = common_rows(m)
-    den, pivots, sign = _eliminate(b[:], m.rows)
+    den, pivots, sign = _eliminate(b[:], m.rows, reduced=False)
     if len(pivots) < m.rows:
         return _ZERO
     return Fraction(sign * den, alpha ** m.rows)

@@ -101,7 +101,8 @@ def minor_class(a: RationalMatrix) -> MinorClassReport:
         if len(idx) == 1:
             d = rows[idx[0]][idx[0]]
         else:
-            den, pivots, sign = _eliminate([[rows[i][j] for j in idx] for i in idx], len(idx))
+            den, pivots, sign = _eliminate([[rows[i][j] for j in idx] for i in idx], len(idx),
+                                           reduced=False)
             d = sign * den if len(pivots) == len(idx) else 0
         if d <= 0:
             is_p = False
@@ -120,8 +121,8 @@ def minor_class(a: RationalMatrix) -> MinorClassReport:
 
 def _rows_and_cols_dependent(rows: list[list[int]], idx: tuple[int, ...]) -> bool:
     k = len(idx)
-    return (len(_eliminate([rows[i] for i in idx], len(rows))[1]) < k
-            and len(_eliminate([[row[j] for j in idx] for row in rows], k)[1]) < k)
+    return (len(_eliminate([rows[i] for i in idx], len(rows), reduced=False)[1]) < k
+            and len(_eliminate([[row[j] for j in idx] for row in rows], k, reduced=False)[1]) < k)
 
 
 def is_m_matrix(a: RationalMatrix) -> MClass:

@@ -18,6 +18,7 @@ fixed seed reproduces the identical hit log byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,12 +46,15 @@ def random_integer_matrix(rng: random.Random, n: int, entry_bound: int,
     reproducibility, one value and one random() per entry at every density.
     The value is randint's own draw, made without its call layers:
     getrandbits(k) for k the bit length of the 2 * entry_bound + 1 values,
-    redrawn while out of range.  The draw r = p/q is compared with density
-    exactly, in integers.  The matrix carries its rows of ints
-    (`from_ints`), so the sieve's eliminations never rescale them."""
+    redrawn while out of range.  The entry is kept when the draw r is
+    below density, tested exactly as r < t for t the least float >= density
+    (`_threshold`): r is a float, so no float lies in [density, t) for it
+    to fall in.  The matrix carries its rows of ints (`from_ints`), so the
+    sieve's eliminations never rescale them, and builds no Fraction until
+    one is read."""
     if entry_bound < 0:
         raise ValueError(f"entry_bound {entry_bound} is negative")
-    num, den = density.numerator, density.denominator
+    t = _threshold(density)
     bits, draw = rng.getrandbits, rng.random
     width = 2 * entry_bound + 1
     k = width.bit_length()
@@ -61,10 +65,21 @@ def random_integer_matrix(rng: random.Random, n: int, entry_bound: int,
             v = bits(k)
             while v >= width:
                 v = bits(k)
-            p, q = draw().as_integer_ratio()
-            row.append(v - entry_bound if p * den < num * q else 0)
+            row.append(v - entry_bound if draw() < t else 0)
         rows.append(row)
     return RationalMatrix.from_ints(rows)
+
+
+def _threshold(density: Fraction) -> float:
+    """The least float >= density, clamped to [0, 1] (random() is in
+    [0, 1), so 0 keeps no entry and 1 keeps all).  float() rounds to the
+    nearest float, which may fall below density by one step."""
+    if density <= 0:
+        return 0.0
+    if density >= 1:
+        return 1.0
+    t = float(density)
+    return t if t >= density else math.nextafter(t, 1.0)
 
 
 def run_search(target: str, n: int, trials: int, seed: int = 0,

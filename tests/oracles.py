@@ -147,6 +147,32 @@ def det_fraction(m: RationalMatrix) -> Fraction:
     return det
 
 
+def echelon_fraction(m: RationalMatrix) -> tuple[int, tuple[int, ...], Fraction]:
+    """(rank, pivot columns, sign * product of the pivots) of Fraction
+    Gaussian elimination, forward only, on the first nonzero entry of each
+    column at or below the current row; sign is the parity of the row
+    swaps.  The product is the leading minor of the swapped rows on the
+    pivot columns, the determinant for a square nonsingular m."""
+    a = [row[:] for row in m.data]
+    pivots: list[int] = []
+    signed = Fraction(1)
+    for c in range(m.cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            a[r], a[pr] = a[pr], a[r]
+            signed = -signed
+        signed *= a[r][c]
+        for i in range(r + 1, m.rows):
+            if a[i][c] != 0:
+                f = a[i][c] / a[r][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return len(pivots), tuple(pivots), signed
+
+
 def random_integer_matrix_fraction(rng, n: int, entry_bound: int, density: Fraction) -> RationalMatrix:
     """search.random_integer_matrix as one Fraction per entry, built in the
     draw loop, with no cached integer rows: the same RNG calls in the same

@@ -304,6 +304,11 @@ class TestExitCodes:
           "--density", "half"], 2),
         (["search", "--target", "propc-not-phash", "--n", "3", "--trials", "1",
           "--density", "1/0"], 2),
+        # --entry-bound too: 5,000 digits exit 3 before int() would refuse them
+        pytest.param(["search", "--target", "propc-not-phash", "--n", "3", "--trials", "1",
+                      "--entry-bound", "1" * 5000], 3, id="5000-digit-entry-bound"),
+        (["search", "--target", "propc-not-phash", "--n", "3", "--trials", "1",
+          "--entry-bound", "three"], 2),
     ])
     def test_bad_flags_exit_cleanly(self, args, code):
         res = run_cli(args)
@@ -337,6 +342,19 @@ class TestExitCodes:
         assert res.returncode == 3
         assert "Traceback" not in res.stderr
         assert time.perf_counter() - t0 < 5
+
+    def test_lower_interpreter_digit_limit_exits_3(self, tmp_path):
+        """Under PYTHONINTMAXSTRDIGITS=1000 a 2,000-digit entry is refused
+        by the digit count (exit 3), not by int() (exit 2)."""
+        path = write_matrix(tmp_path, "m.json", None,
+                            raw='{"rows": 1, "cols": 1, "entries": [[%s]]}' % ("1" * 2000))
+        res = subprocess.run([sys.executable, "-m", "karalcp.cli", "classify", path],
+                             capture_output=True, text=True,
+                             env={**cli_env(), "PYTHONINTMAXSTRDIGITS": "1000"})
+        assert res.returncode == 3
+        assert "Traceback" not in res.stderr
+        if hasattr(sys, "get_int_max_str_digits"):
+            assert "more than 1000 digits" in res.stderr
 
     def test_closed_stdout_exits_141(self):
         # A 4 KiB pipe is smaller than the dump, so the writer is still

@@ -349,11 +349,15 @@ class TestLpReferences:
         eliminations = []
         real = minor_classes._eliminate
         monkeypatch.setattr(minor_classes, "_eliminate",
-                            lambda *args: eliminations.append(args) or real(*args))
+                            lambda *args, **kw: eliminations.append(args) or real(*args, **kw))
         for rows in ([[0, 1], [-1, 0]], [[3, 1, 0], [1, -1, 2], [0, 2, 5]]):
             a = RationalMatrix.from_rows(rows)
             assert determinant(a) != 0 and not is_p_hash(a)
         assert not eliminations and not asked and not calls
+        # the patch sees a scan: with a positive diagonal the order-3
+        # matrix gets one, which eliminates its three 2x2 blocks and itself
+        assert not is_p_hash(RationalMatrix.from_rows([[3, 1, 0], [1, 1, 2], [0, 2, 5]]))
+        assert len(eliminations) == 4
         for rows in ([[1, -2], [1, -2]], [[0, -1], [0, 0]], [["1/2", 1, 0], [1, -3, 1], [0, 0, 0]]):
             a = RationalMatrix.from_rows(rows)
             assert determinant(a) == 0 and not is_p_hash(a)

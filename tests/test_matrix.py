@@ -7,6 +7,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from karalcp import matrix
 from karalcp.conelcp import cone_K
+from karalcp.lcp_classes import is_p_hash
 from karalcp.errors import BadIndexSetError, DimensionMismatchError, NonSquareError, TooLargeError
 from karalcp.matrix import (
     ENUMERATION_CAP,
@@ -23,9 +24,10 @@ from karalcp.matrix import (
     subspace_bases,
     vec,
 )
+from karalcp.search import random_integer_matrix
 from conftest import rand_matrix
-from oracles import (det_cofactor, det_fraction, inverse_fraction, matmul_fraction,
-                     rref_fraction, solve_linear_fraction)
+from oracles import (det_cofactor, det_fraction, echelon_fraction, inverse_fraction,
+                     matmul_fraction, rref_fraction, solve_linear_fraction)
 
 fractions_st = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
 
@@ -353,6 +355,45 @@ class TestKernelAgainstFractionOracle:
                 assert all(type(x) is Fraction for x in v)
 
 
+class TestForwardPass:
+    """_eliminate(reduced=False) against forward Fraction elimination and
+    the full pass, on seeded integer matrices of orders 1-8 built as
+    products U V of rank k, some with zeroed columns."""
+
+    def test_rank_pivots_and_signed_den_match_the_references(self):
+        rng = random.Random(36)
+        seen = dict.fromkeys(("wide", "tall", "deficient", "full", "zero_column"), 0)
+        for _ in range(400):
+            r, c = rng.randint(1, 8), rng.randint(1, 8)
+            k = rng.randint(0, min(r, c))
+            u = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)]
+            v = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(k)]
+            zeroed = set(rng.sample(range(c), rng.randint(0, c // 2)))
+            rows = [[0 if j in zeroed else sum(ui * v[t][j] for t, ui in enumerate(row))
+                     for j in range(c)] for row in u]
+            den, pivots, sign = matrix._eliminate([row[:] for row in rows], c, reduced=False)
+            full = matrix._eliminate([row[:] for row in rows], c)
+            m = RationalMatrix.from_rows(rows)
+            assert (len(pivots), pivots, sign * den) == echelon_fraction(m)
+            assert (len(pivots), pivots) == (rref_fraction(m).rank, rref_fraction(m).pivots)
+            assert (den, pivots, sign) == full
+            seen["wide"] += r < c
+            seen["tall"] += r > c
+            seen["deficient"] += len(pivots) < min(r, c)
+            seen["full"] += len(pivots) == min(r, c)
+            seen["zero_column"] += any(all(row[j] == 0 for row in rows) for j in range(c))
+        assert min(seen.values()) >= 40, seen
+
+    def test_square_signed_den_is_the_determinant(self):
+        rng = random.Random(37)
+        for n in range(1, 9):
+            for _ in range(10):
+                rows = [[rng.choice([0, 0, 1, -1, 2, -5, 7]) for _ in range(n)] for _ in range(n)]
+                den, pivots, sign = matrix._eliminate([row[:] for row in rows], n, reduced=False)
+                want = det_fraction(RationalMatrix.from_rows(rows))
+                assert (sign * den if len(pivots) == n else 0) == want
+
+
 class TestBasisIndependence:
     @settings(max_examples=40, deadline=None)
     @given(square_matrices())
@@ -397,6 +438,11 @@ class TestFromInts:
             if r == c:
                 assert determinant(got) == det_fraction(RationalMatrix.from_rows(rows))
 
+    def test_ragged_rows_raise_like_from_rows(self):
+        for build in (RationalMatrix.from_ints, RationalMatrix.from_rows):
+            with pytest.raises(DimensionMismatchError):
+                build([[1, 2], [3]])
+
     def test_equal_values_share_one_fraction(self):
         """Also for values outside the shared small-int table; tuple rows
         are cached as lists, like common_rows'."""
@@ -409,7 +455,45 @@ class TestFromInts:
         assert all(type(row) is list for row in common_rows(m)[1])
 
 
+class TestLazyFromInts:
+    def test_p_hash_refutation_builds_no_fraction(self, monkeypatch):
+        """An invertible search trial with a nonpositive diagonal entry is
+        refuted from its integer rows alone; reading `data` afterwards
+        builds the entries (values past the shared small-int table need
+        new Fractions) equal to the eager build's."""
+        rng = random.Random(36)
+        trials = []
+        while len(trials) < 20:
+            a = random_integer_matrix(rng, rng.randint(2, 5), 100, Fraction(3, 4))
+            rows = common_rows(a)[1]
+            if (any(rows[i][i] <= 0 for i in range(a.rows))
+                    and det_fraction(RationalMatrix.from_rows(rows)) != 0):
+                trials.append((RationalMatrix.from_ints(rows), RationalMatrix.from_rows(rows)))
+        built = []
+        real = matrix.Fraction
+        monkeypatch.setattr(matrix, "Fraction", lambda *args: built.append(args) or real(*args))
+        for a, _ in trials:
+            assert not is_p_hash(a)
+        assert not built
+        for a, eager in trials:
+            assert a.data == eager.data
+        assert built
+
+
 class TestExactCoercion:
+    @pytest.mark.parametrize("limit, allowed", [(None, 4300), (0, 4300), (1000, 1000),
+                                                (640, 640), (10 ** 6, 4300)])
+    def test_digit_limit_follows_the_interpreter(self, monkeypatch, limit, allowed):
+        """The lower of 4,300 and sys.get_int_max_str_digits(), with 0 (no
+        limit) or a missing function (Python before 3.10.7) giving 4,300."""
+        if limit is None:
+            monkeypatch.delattr(matrix.sys, "get_int_max_str_digits", raising=False)
+        else:
+            monkeypatch.setattr(matrix.sys, "get_int_max_str_digits", lambda: limit, raising=False)
+        assert matrix._short_digits("-" + "1" * allowed + "/3") == "-" + "1" * allowed + "/3"
+        with pytest.raises(TooLargeError):
+            matrix._short_digits("1" * (allowed + 1))
+
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             vec([0.5, 1])

@@ -235,13 +235,15 @@ class TestDiagonalMinors:
     def test_no_1x1_block_is_eliminated(self, monkeypatch):
         """Fresh order-4 matrices: a P-matrix, whose scan visits all 15
         minors, and a P0 matrix with a zero diagonal entry, whose adequacy
-        test eliminates its row and column blocks."""
+        test eliminates its row and column blocks.  Every elimination reads
+        only a rank or a determinant, so every one runs forward only."""
         shapes = []
         eliminate = minor_classes._eliminate
 
-        def counting_eliminate(rows, ncols):
+        def counting_eliminate(rows, ncols, *, reduced=True):
+            assert not reduced
             shapes.append((len(rows), ncols))
-            return eliminate(rows, ncols)
+            return eliminate(rows, ncols, reduced=reduced)
 
         monkeypatch.setattr(minor_classes, "_eliminate", counting_eliminate)
         p = RationalMatrix.from_rows([[4, 1, -1, 0], [1, "9/2", 0, 2], [0, -1, 5, 1],

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -66,8 +68,17 @@ class TestDensity:
         assert count0 > count1
 
 
+TIE = Fraction(0.1)  # a representable float, as an exact Fraction
+# 1 and 0, densities between floats, the largest float below 1, one below
+# the least positive float, and densities on and next to a float
+DENSITIES = [Fraction(1), Fraction(1, 4), Fraction(2, 3), Fraction(0), Fraction(1, 3),
+             Fraction(2, 7), Fraction(2 ** 53 - 1, 2 ** 53), Fraction(1, 10 ** 400),
+             TIE, TIE + Fraction(1, 2 ** 200), TIE - Fraction(1, 2 ** 200),
+             Fraction(1, 2) + Fraction(1, 2 ** 200), Fraction(1, 2) - Fraction(1, 2 ** 200)]
+
+
 class TestDrawAgainstFractionOracle:
-    @pytest.mark.parametrize("density", [Fraction(1), Fraction(1, 4), Fraction(2, 3)])
+    @pytest.mark.parametrize("density", DENSITIES)
     @pytest.mark.parametrize("entry_bound", [0, 1, 3, 7])
     def test_same_matrices_and_rng_state(self, density, entry_bound):
         """The int draw gives the oracle's matrices, with its rows of ints
@@ -86,6 +97,53 @@ class TestDrawAgainstFractionOracle:
             random_integer_matrix(random.Random(0), 2, -1, Fraction(1))
         with pytest.raises(ValueError):
             random_integer_matrix_fraction(random.Random(0), 2, -1, Fraction(1))
+
+
+class ScriptedRandom(random.Random):
+    """A seeded generator whose random() reads a fixed cycle of floats;
+    getrandbits, and so randint, stay the seeded stream's."""
+
+    def __init__(self, seed, floats):
+        super().__init__(seed)
+        self.floats = itertools.cycle(floats)
+
+    def random(self):
+        return next(self.floats)
+
+    def getrandbits(self, k):
+        return super().getrandbits(k)
+
+
+def least_float_at_least(x: Fraction) -> float:
+    f = float(x)
+    while Fraction(f) < x:
+        f = math.nextafter(f, math.inf)
+    while Fraction(math.nextafter(f, -math.inf)) >= x:
+        f = math.nextafter(f, -math.inf)
+    return f
+
+
+class TestDensityThreshold:
+    """The one-float test r < t against the exact test r < density."""
+
+    @pytest.mark.parametrize("density", DENSITIES)
+    def test_draws_next_to_the_threshold_match_the_fraction_oracle(self, density):
+        """Every float within two steps of density, and both ends of
+        [0, 1), as draws: each is kept exactly when it is below density.
+        With n draws cycling through an n x n matrix, column j reads draw j."""
+        t = min(least_float_at_least(density), 1.0)
+        near = {t}
+        for _ in range(2):
+            near |= {math.nextafter(f, d) for f in near for d in (-math.inf, math.inf)}
+        floats = sorted(f for f in near | {0.0, math.ulp(0.0), math.nextafter(1.0, 0.0)}
+                        if 0 <= f < 1)
+        kept = [f < density for f in floats]
+        assert (any(kept), all(kept)) == (density > 0, density >= 1)
+        n = len(floats)
+        got = random_integer_matrix(ScriptedRandom(1, floats), n, 1, density)
+        assert got == random_integer_matrix_fraction(ScriptedRandom(1, floats), n, 1, density)
+        values = random_integer_matrix(ScriptedRandom(1, floats), n, 1, Fraction(1))
+        assert got.data == [[v if k else 0 for v, k in zip(row, kept)] for row in values.data]
 
 
 class TestCounterexampleHits:
